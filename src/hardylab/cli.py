@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 2 validation failure, 3 solver nonconvergence,
 4 certification hypothesis unmet.  Scan rows are computed concurrently
-(HARDYLAB_WORKERS processes, default all cores) with per-point seeds
-derived from the master seed, so the CSV is byte-identical for identical
-flags regardless of the worker count.
+(HARDYLAB_WORKERS processes, default all cores, clamped to between one
+and the smaller of the grid size and the core count) with per-point
+seeds derived from the master seed, so the CSV is byte-identical for
+identical flags regardless of the worker count.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -26,7 +28,7 @@ from .polytope import BoundQuery, local_max, nosignaling_max
 from .selftest import ObservablePair, canonical_observables, selftest_report
 from .states import (MeasurementPair, hardy_state, is_genuinely_entangled,
                      pmax)
-from .variational import lower_bound
+from .variational import EPSILON_MAX, lower_bound
 
 SCHEMA = 1
 SCAN_HEADER = ("epsilon,local,no_signaling,npa_upper,npa_level,"
@@ -145,8 +147,9 @@ def _bound_value(method: str, n: int, epsilon: float, level: int,
 
 
 def cmd_bounds(args) -> int:
-    if not 0.0 <= args.epsilon <= 0.3:
-        raise ValidationError(f"epsilon = {args.epsilon!r} outside [0, 0.3]")
+    hi = EPSILON_MAX if args.method == "variational" else 0.3
+    if not 0.0 <= args.epsilon <= hi:
+        raise ValidationError(f"epsilon = {args.epsilon!r} outside [0, {hi}]")
     value, diag = _bound_value(args.method, args.n, args.epsilon, args.level,
                                args.restarts, args.seed, args.tol)
     print(f"{value:.6f}")
@@ -160,17 +163,29 @@ def scan_point_seed(seed: int, idx: int) -> int:
 
 
 def _scan_point(task):
+    """One scan row, or an error naming the layer that failed.
+
+    Runs in a pool worker, so every failure is returned as the row's
+    error rather than raised; failures other than validation and solver
+    errors also print their traceback to stderr.
+    """
     idx, epsilon, level, restarts, seed, tol = task
+    layer = "local"
     try:
         q = BoundQuery(3, epsilon)
         loc = local_max(q).value
+        layer = "no_signaling"
         ns = nosignaling_max(q).value
+        layer = "npa"
         npa = npa_upper_bound(Scenario(3), level, epsilon, tol=tol)
+        layer = "variational"
         var = lower_bound(epsilon, restarts=restarts,
                           seed=scan_point_seed(seed, idx)).value
         return idx, (loc, ns, npa, var), None
-    except (ValidationError, NumericError) as exc:
-        return idx, None, f"{type(exc).__name__}: {exc}"
+    except Exception as exc:
+        if not isinstance(exc, (ValidationError, NumericError)):
+            traceback.print_exc()
+        return idx, None, f"{layer} layer: {type(exc).__name__}: {exc}"
 
 
 def _check_row(epsilon, loc, ns, npa, var) -> list[str]:
@@ -184,18 +199,32 @@ def _check_row(epsilon, loc, ns, npa, var) -> list[str]:
     return [f"epsilon={epsilon:.6f}: {p}" for p in problems]
 
 
+def _scan_workers(n_tasks: int) -> int:
+    """Pool size for a scan: HARDYLAB_WORKERS (default: all cores),
+    clamped to [1, min(n_tasks, cores)]."""
+    cores = os.cpu_count() or 1
+    raw = os.environ.get("HARDYLAB_WORKERS")
+    try:
+        wanted = cores if raw is None else int(raw)
+    except ValueError:
+        raise ValidationError(
+            f"HARDYLAB_WORKERS = {raw!r} is not an integer") from None
+    return max(1, min(wanted, n_tasks, cores))
+
+
 def cmd_scan(args) -> int:
     if args.steps < 2:
         raise ValidationError("need at least two grid points")
-    if not 0.0 <= args.eps_from < args.eps_to <= 0.25:
-        raise ValidationError("grid must satisfy 0 <= from < to <= 0.25")
+    if not 0.0 <= args.eps_from < args.eps_to <= EPSILON_MAX:
+        raise ValidationError(
+            f"grid must satisfy 0 <= from < to <= {EPSILON_MAX}")
     grid = [args.eps_from + k * (args.eps_to - args.eps_from) / (args.steps - 1)
             for k in range(args.steps)]
     tasks = [(k, eps, args.level, args.restarts, args.seed, args.tol)
              for k, eps in enumerate(grid)]
-    workers = int(os.environ.get("HARDYLAB_WORKERS", os.cpu_count() or 1))
+    workers = _scan_workers(len(tasks))
     results = {}
-    if workers > 1 and len(tasks) > 1:
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for idx, row, err in pool.map(_scan_point, tasks):
                 results[idx] = (row, err)

@@ -19,10 +19,19 @@ over the parameter box; amplitudes are projected onto the weighted unit
 sphere after every proposal.  The first restart always starts from the
 exact noiseless optimum, so the feasible incumbent never regresses below
 the ideal Hardy point.
+
+The search loop runs on plain Python floats: the simplex is a list of
+lists, and each objective evaluation builds the eight amplitudes with
+``cmath`` and evaluates the success probability and the four Hardy
+terms in closed form (``hardy_terms``).  On vectors this short a numpy
+call costs more than the arithmetic it does, so numpy is used only to
+draw the restart points and to re-validate the incumbent through the
+behavior module, which stays the independent cross-check.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -37,12 +46,13 @@ FEAS_SLACK = 1e-8
 ANGLE_MARGIN = 1e-3
 PENALTY_STAGES = (1e4, 1e5, 1e6)
 SIMPLEX_SCALES = (0.25, 0.08, 0.02)
+# lower_bound accepts error bounds in [0, EPSILON_MAX]
+EPSILON_MAX = 0.25
 
-_WEIGHTS = np.array([1.0, 3.0, 3.0, 1.0])
-_PATTERN_WEIGHT = np.array([bin(i).count("1") for i in range(8)])
-# parties showing |0> in basis state i contribute their phase
-_PHASE_MASK = np.array([[1 - ((i >> (2 - p)) & 1) for p in range(3)]
-                        for i in range(8)], dtype=float)
+
+def _norm_sq(c) -> float:
+    """Squared norm of the state carrying Hamming-weight amplitudes ``c``."""
+    return c[0] * c[0] + 3.0 * c[1] * c[1] + 3.0 * c[2] * c[2] + c[3] * c[3]
 
 
 @dataclass(frozen=True)
@@ -62,8 +72,7 @@ class AnsatzParams:
     meas_phases: tuple[float, float, float] | None = None
 
     def __post_init__(self):
-        amps = np.array([self.c000, self.c001, self.c011, self.c111])
-        total = float(_WEIGHTS @ (amps * amps))
+        total = _norm_sq((self.c000, self.c001, self.c011, self.c111))
         if abs(total - 1.0) > 1e-10:
             raise ValidationError(f"amplitude norm {total!r}, expected 1")
         for ang in (self.meas_alpha, self.meas_beta, self.meas_gamma):
@@ -91,14 +100,20 @@ class LowerBoundResult:
     seed: int
 
 
-def _state_amplitudes(c: np.ndarray, phases) -> np.ndarray:
-    phase_sum = _PHASE_MASK @ np.asarray(phases, dtype=float)
-    return c[_PATTERN_WEIGHT] * np.exp(-1j * phase_sum)
+def _amplitudes(c, phases) -> list[complex]:
+    """The eight amplitudes c_w e^{-i (phases of the parties showing |0>)},
+    basis state |abc> at index 4a + 2b + c."""
+    c0, c1, c2, c3 = c
+    pa, pb, pc = phases
+    ea, eb, ec = cmath.exp(-1j * pa), cmath.exp(-1j * pb), cmath.exp(-1j * pc)
+    eab = ea * eb
+    return [c0 * eab * ec, c1 * eab, c1 * ea * ec, c2 * ea,
+            c1 * eb * ec, c2 * eb, c2 * ec, complex(c3)]
 
 
 def ansatz_state(p: AnsatzParams) -> StateVector:
-    c = np.array([p.c000, p.c001, p.c011, p.c111])
-    return StateVector((2, 2, 2), _state_amplitudes(c, p.state_phases))
+    c = (p.c000, p.c001, p.c011, p.c111)
+    return StateVector((2, 2, 2), np.array(_amplitudes(c, p.state_phases)))
 
 
 def _d_vectors(angle: float, phase: float):
@@ -123,49 +138,64 @@ def ansatz_measurements(p: AnsatzParams) -> MeasurementSet:
     return MeasurementSet(projectors=tuple(projs), dims=(2, 2, 2))
 
 
-def hardy_terms(psi: np.ndarray, angles, phases) -> tuple[float, np.ndarray]:
-    """Success probability and the four constraint terms of a raw state tensor.
+def hardy_terms(psi, angles, phases) -> tuple[float, tuple[float, float, float, float]]:
+    """Success probability and the four constraint terms of a three-qubit state.
 
-    Direct rank-1 overlaps; the behavior-module route is the independent
-    cross-check used at result validation.
+    ``psi`` holds the eight amplitudes (|abc> at index 4a + 2b + c);
+    party j's second-setting outcome vectors are the ``_d_vectors`` of
+    ``angles[j]`` and ``phases[j]``.  Returns P(0, 0, 0) and the four
+    terms P_AB(d+, 0), P_BC(d+, 0), P_AC(0, d+), P(d-, d-, d-), where 0
+    is the computational first-setting outcome and each two-party term
+    is marginalised over the third party.  Closed-form rank-1 overlaps
+    on Python complex numbers; the behavior-module route is the
+    independent cross-check used at result validation.
     """
-    t = psi.reshape(2, 2, 2)
-    d_plus = []
-    d_minus = []
-    for angle, phase in zip(angles, phases):
-        plus, minus = _d_vectors(angle, phase)
-        d_plus.append(plus.conj())
-        d_minus.append(minus.conj())
-    p = abs(t[0, 0, 0]) ** 2
-    v1 = np.tensordot(d_plus[0], t[:, 0, :], axes=([0], [0]))
-    z1 = float(np.sum(np.abs(v1) ** 2))
-    v2 = np.tensordot(d_plus[1], t[:, :, 0], axes=([0], [1]))
-    z2 = float(np.sum(np.abs(v2) ** 2))
-    v3 = np.tensordot(d_plus[2], t[0, :, :], axes=([0], [1]))
-    z3 = float(np.sum(np.abs(v3) ** 2))
-    amp = np.einsum("a,b,c,abc->", d_minus[0], d_minus[1], d_minus[2], t)
-    z4 = float(abs(amp) ** 2)
-    return float(p), np.array([z1, z2, z3, z4])
+    t000, t001, t010, t011, t100, t101, t110, t111 = psi
+    aa, ab, ac = angles
+    ca, sa = math.cos(0.5 * aa), math.sin(0.5 * aa)
+    cb, sb = math.cos(0.5 * ab), math.sin(0.5 * ab)
+    cc, sc = math.cos(0.5 * ac), math.sin(0.5 * ac)
+    pa, pb, pc = phases
+    ea, eb, ec = cmath.exp(-1j * pa), cmath.exp(-1j * pb), cmath.exp(-1j * pc)
+    # conjugated outcome vectors: <d+| = (c, s e), <d-| = (-s, c e)
+    # with c = cos(angle/2), s = sin(angle/2), e = e^{-i phase}
+    qa, qb, qc = sa * ea, sb * eb, sc * ec
+    z1 = abs(ca * t000 + qa * t100) ** 2 + abs(ca * t001 + qa * t101) ** 2
+    z2 = abs(cb * t000 + qb * t010) ** 2 + abs(cb * t100 + qb * t110) ** 2
+    z3 = abs(cc * t000 + qc * t001) ** 2 + abs(cc * t010 + qc * t011) ** 2
+    # <d-|<d-|<d-|psi>: contract party C, then B, then A
+    mc = cc * ec
+    w00 = mc * t001 - sc * t000
+    w01 = mc * t011 - sc * t010
+    w10 = mc * t101 - sc * t100
+    w11 = mc * t111 - sc * t110
+    mb = cb * eb
+    y0 = mb * w01 - sb * w00
+    y1 = mb * w11 - sb * w10
+    z4 = abs(ca * ea * y1 - sa * y0) ** 2
+    return abs(t000) ** 2, (z1, z2, z3, z4)
 
 
-def _decode(x: np.ndarray, decoupled: bool):
-    c = np.asarray(x[:4], dtype=float)
-    nrm = math.sqrt(float(_WEIGHTS @ (c * c)))
+def _decode(x, decoupled: bool):
+    """Split a parameter vector into normalised amplitudes, state phases,
+    angles and measurement phases; None for a degenerate amplitude part."""
+    nrm = math.sqrt(_norm_sq(x))
     if nrm < 1e-12:
         return None
-    c = c / nrm
+    c = [x[0] / nrm, x[1] / nrm, x[2] / nrm, x[3] / nrm]
     phases = x[4:7]
     angles = x[7:10]
     meas_phases = x[10:13] if decoupled else phases
     return c, phases, angles, meas_phases
 
 
-def _params_from_vector(x: np.ndarray, decoupled: bool) -> AnsatzParams:
+def _params_from_vector(x, decoupled: bool) -> AnsatzParams:
     decoded = _decode(x, decoupled)
     if decoded is None:
         raise NumericError("degenerate amplitude vector")
     c, phases, angles, meas_phases = decoded
-    return AnsatzParams(c000=c[0], c001=c[1], c011=c[2], c111=c[3],
+    return AnsatzParams(c000=float(c[0]), c001=float(c[1]), c011=float(c[2]),
+                        c111=float(c[3]),
                         phi=float(phases[0]), xi=float(phases[1]),
                         theta=float(phases[2]),
                         meas_alpha=float(angles[0]), meas_beta=float(angles[1]),
@@ -183,29 +213,36 @@ def canonical_start() -> np.ndarray:
                      coeffs.c3.real, 0.0, 0.0, 0.0, angle, angle, angle])
 
 
-def nelder_mead(f, x0: np.ndarray, scale: float, max_iter: int = 400,
+def nelder_mead(f, x0, scale: float, max_iter: int = 400,
                 ftol: float = 1e-12, xtol: float = 1e-10):
-    """Plain simplex reflection minimiser (reflect/expand/contract/shrink)."""
-    n = x0.size
-    pts = [x0.copy()]
+    """Plain simplex reflection minimiser (reflect/expand/contract/shrink).
+
+    The simplex is a list of Python float lists and ``f`` is called with
+    one such list; returns the best vertex (a list) and its value.
+    """
+    x0 = [float(v) for v in x0]
+    n = len(x0)
+    pts = [x0]
     for i in range(n):
-        step = x0.copy()
+        step = x0[:]
         step[i] += scale
         pts.append(step)
     vals = [f(p) for p in pts]
     for _ in range(max_iter):
-        order = np.argsort(vals)
+        order = sorted(range(n + 1), key=vals.__getitem__)
         pts = [pts[i] for i in order]
         vals = [vals[i] for i in order]
+        best = pts[0]
         if (vals[-1] - vals[0] <= ftol
-                and max(np.max(np.abs(p - pts[0])) for p in pts[1:]) <= xtol):
+                and max(abs(a - b) for p in pts[1:]
+                        for a, b in zip(p, best)) <= xtol):
             break
-        centroid = np.mean(pts[:-1], axis=0)
+        centroid = [sum(col) / n for col in zip(*pts[:-1])]
         worst = pts[-1]
-        refl = centroid + (centroid - worst)
+        refl = [c + (c - w) for c, w in zip(centroid, worst)]
         f_refl = f(refl)
         if f_refl < vals[0]:
-            expd = centroid + 2.0 * (centroid - worst)
+            expd = [c + 2.0 * (c - w) for c, w in zip(centroid, worst)]
             f_expd = f(expd)
             if f_expd < f_refl:
                 pts[-1], vals[-1] = expd, f_expd
@@ -214,19 +251,17 @@ def nelder_mead(f, x0: np.ndarray, scale: float, max_iter: int = 400,
         elif f_refl < vals[-2]:
             pts[-1], vals[-1] = refl, f_refl
         else:
-            if f_refl < vals[-1]:
-                contr = centroid + 0.5 * (refl - centroid)
-            else:
-                contr = centroid + 0.5 * (worst - centroid)
+            toward = refl if f_refl < vals[-1] else worst
+            contr = [c + 0.5 * (t - c) for c, t in zip(centroid, toward)]
             f_contr = f(contr)
             if f_contr < min(f_refl, vals[-1]):
                 pts[-1], vals[-1] = contr, f_contr
             else:
                 for i in range(1, n + 1):
-                    pts[i] = pts[0] + 0.5 * (pts[i] - pts[0])
+                    pts[i] = [b + 0.5 * (v - b) for b, v in zip(best, pts[i])]
                     vals[i] = f(pts[i])
-    best = int(np.argmin(vals))
-    return pts[best], vals[best]
+    k = min(range(n + 1), key=vals.__getitem__)
+    return pts[k], vals[k]
 
 
 class _Tracker:
@@ -240,7 +275,8 @@ class _Tracker:
 
     def penalised(self, mu: float, eps_target: float | None = None):
         """Penalised objective at ``eps_target`` (defaults to the full
-        error bound); incumbents are always filtered at the full bound."""
+        error bound); incumbents are always filtered at the full bound.
+        The returned function takes a parameter vector as a float list."""
         eps = self.epsilon if eps_target is None else eps_target
 
         def f(x):
@@ -256,14 +292,15 @@ class _Tracker:
                     pen += (ang - math.pi + ANGLE_MARGIN) ** 2
             if pen:
                 return 1e6 * (1.0 + pen)
-            psi = _state_amplitudes(c, phases)
-            p, zs = hardy_terms(psi, angles, meas_phases)
-            full_excess = np.maximum(zs - self.epsilon, 0.0)
-            if float(full_excess.max()) <= FEAS_SLACK and p > self.best_p:
+            p, zs = hardy_terms(_amplitudes(c, phases), angles, meas_phases)
+            if max(zs) - self.epsilon <= FEAS_SLACK and p > self.best_p:
                 self.best_p = p
-                self.best_x = x.copy()
-            excess = np.maximum(zs - eps, 0.0)
-            return -p + mu * float(excess @ excess)
+                self.best_x = list(x)
+            excess = 0.0
+            for z in zs:
+                if z > eps:
+                    excess += (z - eps) ** 2
+            return -p + mu * excess
         return f
 
 
@@ -277,8 +314,9 @@ def lower_bound(epsilon: float, restarts: int = 50, *, seed: int,
     ``seed``.  The returned parameters are re-validated through the
     behavior module before reporting.
     """
-    if not 0.0 <= epsilon <= 0.25:
-        raise ValidationError(f"epsilon = {epsilon!r} outside [0, 0.25]")
+    if not 0.0 <= epsilon <= EPSILON_MAX:
+        raise ValidationError(
+            f"epsilon = {epsilon!r} outside [0, {EPSILON_MAX}]")
     if restarts < 1:
         raise ValidationError("need at least one restart")
     tracker = _Tracker(epsilon, decouple_phases)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hardylab import cli
 from hardylab.cli import SCAN_HEADER, load_observables, main
 from hardylab.selftest import canonical_observables
 
@@ -88,6 +89,13 @@ class TestBounds:
     def test_epsilon_range(self):
         assert main(["bounds", "--method", "local", "--epsilon", "0.4"]) == 2
 
+    def test_variational_epsilon_range(self, capsys):
+        assert main(["bounds", "--method", "local", "--epsilon", "0.28"]) == 0
+        capsys.readouterr()
+        assert main(["bounds", "--method", "variational", "--epsilon", "0.28",
+                     "--restarts", "1"]) == 2
+        assert "outside [0, 0.25]" in capsys.readouterr().err
+
 
 class TestScan:
     def test_small_grid(self, tmp_path):
@@ -120,6 +128,72 @@ class TestScan:
 
     def test_bad_grid(self):
         assert main(["scan", "--eps-from", "0.2", "--eps-to", "0.1"]) == 2
+
+    def test_grid_range_is_variational_range(self, capsys):
+        assert main(["scan", "--eps-from", "0", "--eps-to", "0.3"]) == 2
+        assert "<= 0.25" in capsys.readouterr().err
+
+    def test_byte_identical_across_worker_counts(self, tmp_path, monkeypatch):
+        args = ["scan", "--eps-from", "0", "--eps-to", "0.1", "--steps", "3",
+                "--level", "2", "--restarts", "2", "--seed", "5"]
+        outputs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("HARDYLAB_WORKERS", workers)
+            out = tmp_path / f"scan{workers}.csv"
+            assert main(args + ["--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("raw,steps,expected", [
+        ("100000", 6, 4), ("100000", 3, 3), ("3", 6, 3), ("0", 6, 1), ("-4", 6, 1)])
+    def test_worker_count_clamped(self, monkeypatch, raw, steps, expected):
+        pools = []
+
+        class RecordingPool:
+            """Stands in for ProcessPoolExecutor and starts no process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(cli, "_scan_point",
+                            lambda task: (task[0], (0.0, 0.0, 0.0, 0.0), None))
+        monkeypatch.setenv("HARDYLAB_WORKERS", raw)
+        assert main(["scan", "--steps", str(steps), "--restarts", "1"]) == 0
+        # one worker runs in-process, without a pool
+        assert pools == ([] if expected == 1 else [expected])
+
+    def test_worker_count_not_an_integer(self, monkeypatch, capsys):
+        monkeypatch.setenv("HARDYLAB_WORKERS", "two")
+        assert main(["scan", "--steps", "3", "--restarts", "1"]) == 2
+        assert "HARDYLAB_WORKERS" in capsys.readouterr().err
+
+    def test_unexpected_error_names_layer_and_epsilon(self, tmp_path,
+                                                      monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise RuntimeError("moment solver exploded")
+
+        monkeypatch.setattr(cli, "npa_upper_bound", broken)
+        out = tmp_path / "scan.csv"
+        rc = main(["scan", "--eps-from", "0", "--eps-to", "0.1", "--steps", "2",
+                   "--restarts", "1", "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        for eps in ("0.000000", "0.100000"):
+            assert (f"scan check failed: epsilon={eps}: npa layer: "
+                    "RuntimeError: moment solver exploded") in err
+        rows = out.read_text().strip().split("\n")[1:]
+        assert [r.split(",")[1] for r in rows] == ["nan", "nan"]
 
     def test_rows_revalidate_through_library(self, tmp_path):
         from hardylab.behavior import Scenario

@@ -7,7 +7,8 @@ from hardylab.behavior import (hardy_statistics, joint_distribution,
                                measurements_from_pairs)
 from hardylab.errors import DegenerateMeasurementError, ValidationError
 from hardylab.states import MeasurementPair, hardy_state, pmax
-from hardylab.variational import (AnsatzParams, ansatz_measurements,
+from hardylab.variational import (AnsatzParams, _params_from_vector,
+                                  _Tracker, ansatz_measurements,
                                   ansatz_state, canonical_start, hardy_terms,
                                   lower_bound, nelder_mead)
 
@@ -18,6 +19,16 @@ def symmetric_params(c, phases=(0.0, 0.0, 0.0), angle=None):
     return AnsatzParams(c000=c[0], c001=c[1], c011=c[2], c111=c[3],
                         phi=phases[0], xi=phases[1], theta=phases[2],
                         meas_alpha=angle, meas_beta=angle, meas_gamma=angle)
+
+
+def random_vector(rng, decoupled):
+    """Random search-space point as a float list (10 or 13 parameters)."""
+    x = (rng.standard_normal(4).tolist()
+         + rng.uniform(0, 2 * math.pi, 3).tolist()
+         + rng.uniform(0.3, math.pi - 0.3, 3).tolist())
+    if decoupled:
+        x += rng.uniform(0, 2 * math.pi, 3).tolist()
+    return x
 
 
 class TestAnsatzState:
@@ -93,20 +104,24 @@ class TestAnsatzMeasurements:
 class TestHardyTerms:
     def test_matches_behavior_module(self):
         rng = np.random.default_rng(9)
-        for _ in range(10):
-            c = rng.standard_normal(4)
-            c /= math.sqrt(c[0] ** 2 + 3 * c[1] ** 2 + 3 * c[2] ** 2 + c[3] ** 2)
-            phases = rng.uniform(0, 2 * math.pi, 3)
-            angles = rng.uniform(0.3, math.pi - 0.3, 3)
-            p = AnsatzParams(c000=c[0], c001=c[1], c011=c[2], c111=c[3],
-                             phi=phases[0], xi=phases[1], theta=phases[2],
-                             meas_alpha=angles[0], meas_beta=angles[1],
-                             meas_gamma=angles[2])
-            psi = ansatz_state(p)
-            fast_p, fast_z = hardy_terms(psi.amps, angles, phases)
-            stats = hardy_statistics(joint_distribution(psi, ansatz_measurements(p)))
-            assert abs(fast_p - stats.p) < 1e-12
-            assert np.allclose(fast_z, stats.zeros, atol=1e-12)
+        for decoupled in (False, True):
+            for _ in range(10):
+                c = rng.standard_normal(4)
+                c /= math.sqrt(c[0] ** 2 + 3 * c[1] ** 2 + 3 * c[2] ** 2 + c[3] ** 2)
+                phases = rng.uniform(0, 2 * math.pi, 3)
+                angles = rng.uniform(0.3, math.pi - 0.3, 3)
+                meas_phases = (tuple(rng.uniform(0, 2 * math.pi, 3).tolist())
+                               if decoupled else None)
+                p = AnsatzParams(c000=c[0], c001=c[1], c011=c[2], c111=c[3],
+                                 phi=phases[0], xi=phases[1], theta=phases[2],
+                                 meas_alpha=angles[0], meas_beta=angles[1],
+                                 meas_gamma=angles[2], meas_phases=meas_phases)
+                psi = ansatz_state(p)
+                fast_p, fast_z = hardy_terms(psi.amps.tolist(), angles.tolist(),
+                                             p.measurement_phases)
+                stats = hardy_statistics(joint_distribution(psi, ansatz_measurements(p)))
+                assert abs(fast_p - stats.p) < 1e-12
+                assert max(abs(a - b) for a, b in zip(fast_z, stats.zeros)) < 1e-12
 
     def test_hardy_state_is_feasible_point(self):
         t = pmax(3).t
@@ -116,7 +131,37 @@ class TestHardyTerms:
             ansatz_state(symmetric_params(x[:4])).amps,
             (angle,) * 3, (0.0,) * 3)
         assert abs(fast_p - pmax(3).p_max) < 1e-12
-        assert np.all(fast_z < 1e-15)
+        assert max(fast_z) < 1e-15
+
+    def test_penalised_objective_matches_behavior_module(self):
+        rng = np.random.default_rng(77)
+        for decoupled in (False, True):
+            start = canonical_start().tolist() + [0.0, 0.0, 0.0] * decoupled
+            for k in range(21):
+                x = start if k == 0 else random_vector(rng, decoupled)
+                params = _params_from_vector(x, decoupled)
+                stats = hardy_statistics(joint_distribution(
+                    ansatz_state(params), ansatz_measurements(params)))
+                # random points are mostly infeasible at a random bound, so
+                # every other one gets a bound just above its largest term;
+                # the penalty then targets half of it, while incumbents are
+                # still filtered at the full bound
+                if k % 2:
+                    eps = float(np.max(stats.zeros)) + 1e-9
+                    target = 0.5 * eps
+                else:
+                    eps = float(rng.uniform(0.0, 0.25))
+                    target = eps
+                mu = float(rng.choice([1e4, 1e5, 1e6]))
+                want = -stats.p + mu * sum(max(z - target, 0.0) ** 2
+                                           for z in stats.zeros)
+                tracker = _Tracker(eps, decoupled)
+                got = tracker.penalised(mu, target)(x)
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+                feasible = float(np.max(stats.zeros)) - eps <= 1e-8
+                assert (tracker.best_x == x) == feasible
+                if feasible:
+                    assert abs(tracker.best_p - stats.p) < 1e-12
 
 
 class TestNelderMead:
@@ -125,6 +170,20 @@ class TestNelderMead:
         x, val = nelder_mead(f, np.zeros(2), 0.5, max_iter=500)
         assert val < 1e-10
         assert np.allclose(x, [1.0, -0.5], atol=1e-4)
+
+    def test_quadratic_ten_dims_list_input(self):
+        target = [0.1 * (i - 4) for i in range(10)]
+        weights = [1.0 + 0.5 * i for i in range(10)]
+
+        def f(x):
+            assert isinstance(x, list)
+            return sum(w * (a - t) ** 2 for w, a, t in zip(weights, x, target))
+
+        x, val = nelder_mead(f, [0.0] * 10, 0.5, max_iter=20000)
+        assert isinstance(x, list) and len(x) == 10
+        assert val == f(x)
+        assert val < 1e-10
+        assert max(abs(a - t) for a, t in zip(x, target)) < 1e-4
 
 
 class TestLowerBound:
