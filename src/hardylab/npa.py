@@ -247,12 +247,17 @@ def quantum_moment_vector(problem: MomentProblem, psi, pairs) -> np.ndarray:
 
 def mixed_moment_vector(problem: MomentProblem, pairs) -> np.ndarray:
     """Moments of the maximally mixed state: products of Tr(W_p)/2."""
+    traces = [{} for _ in pairs]  # per party: word -> Tr(W)/2
     moments = np.empty(problem.n_vars)
     for idx, mono in enumerate(problem.variables):
         val = 1.0
         for party, word in enumerate(mono):
             if word:
-                val *= float(np.trace(_word_operator(word, pairs[party])).real) / 2.0
+                tr = traces[party].get(word)
+                if tr is None:
+                    tr = float(np.trace(_word_operator(word, pairs[party])).real) / 2.0
+                    traces[party][word] = tr
+                val *= tr
         moments[idx] = val
     return moments
 

@@ -1,13 +1,17 @@
-"""Self-contained semidefinite optimiser for the moment problems.
+"""Semidefinite optimiser for the moment problems, on numpy.linalg.
 
 A primal log-barrier Newton method: maximise the linear objective minus
 (1/t) times the barrier -logdet M(m) - sum_j log(eps_j - g_j.m), with
 the standard stage schedule t <- 10 t.  Every moment variable owns a
-disjoint set of matrix cells, so the barrier Hessian is the Gram matrix
-of the cell-indicator directions under the M^{-1} (x) M^{-1} metric plus
-a small rank-J term from the inequalities; it is assembled exactly and
-factorised by an in-house Cholesky.  Equality rows enter through a KKT
-bordering of the Newton system.
+disjoint, symmetric set of matrix cells, so the barrier Hessian is the
+Gram matrix of the cell-indicator directions under the M^{-1} (x) M^{-1}
+metric plus a small rank-J term from the inequalities; it is assembled
+exactly.  Each Newton iteration takes one LAPACK Cholesky factor of the
+Jacobi-scaled Hessian and applies it, by forward and back substitution,
+to the gradient and every equality row at once; the equality rows enter
+through a KKT bordering of the Newton system.  M^{-1} comes from the
+Cholesky factor of the moment matrix, which also serves as the
+positive-definiteness test of the line search.
 
 The error constraints are relaxed by a tiny slack shift (1e-9 by
 default) so that a strictly interior start exists even when the
@@ -19,19 +23,17 @@ upper bound for the unshifted problem.
 
 The returned point is strictly feasible, so its PSD residual vanishes up
 to the duality gap left by the final barrier stage; residuals are
-audited independently with the Jacobi eigensolver and reported.  No
-certified dual bound is claimed.
+audited with a symmetric eigenvalue solve and reported.  No certified
+dual bound is claimed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .linalg import eig_sym
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 5000
@@ -54,50 +56,30 @@ class MomentSolution:
 
 
 def _cholesky(a: np.ndarray):
-    """Lower Cholesky factor, or None when ``a`` is not positive definite."""
-    n = a.shape[0]
-    low = np.zeros_like(a)
-    for j in range(n):
-        d = a[j, j] - low[j, :j] @ low[j, :j]
-        if d <= 0.0 or not math.isfinite(d):
-            return None
-        low[j, j] = math.sqrt(d)
-        if j + 1 < n:
-            low[j + 1:, j] = (a[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
-    return low
+    """Lower Cholesky factor, or None when ``a`` is not a finite positive
+    definite matrix.  ``numpy.linalg.cholesky`` returns NaNs for NaN input
+    instead of raising, so non-finite input is rejected first."""
+    if not np.isfinite(a).all():
+        return None
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
 
 
 def _solve_lower(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    x = np.array(b, dtype=float, copy=True)
-    if x.ndim == 1:
-        x = x[:, None]
-        squeeze = True
-    else:
-        squeeze = False
-    n = low.shape[0]
-    for i in range(n):
-        x[i] -= low[i, :i] @ x[:i]
-        x[i] /= low[i, i]
-    return x[:, 0] if squeeze else x
+    """Forward substitution for low x = b (one right-hand side or a block).
 
-
-def _solve_upper(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve low.T x = b."""
-    x = np.array(b, dtype=float, copy=True)
-    if x.ndim == 1:
-        x = x[:, None]
-        squeeze = True
-    else:
-        squeeze = False
-    n = low.shape[0]
-    for i in range(n - 1, -1, -1):
-        x[i] -= low[i + 1:, i] @ x[i + 1:]
-        x[i] /= low[i, i]
-    return x[:, 0] if squeeze else x
+    Reversing rows and columns makes ``low`` upper triangular, on which
+    LAPACK's partial-pivoting LU exchanges no rows, so
+    ``numpy.linalg.solve`` reduces to plain substitution.
+    """
+    return np.linalg.solve(low[::-1, ::-1], b[::-1])[::-1]
 
 
 def _chol_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _solve_upper(low, _solve_lower(low, b))
+    """Solve (low low^T) x = b by forward and back substitution."""
+    return np.linalg.solve(low.T, _solve_lower(low, b))
 
 
 class _Compiled:
@@ -108,17 +90,24 @@ class _Compiled:
         nv = problem.n_vars
         self.nb = nb
         self.nv = nv
-        cv = problem.cell_var.reshape(-1).astype(np.int64)
+        cell_var = problem.cell_var
+        # The Hessian rows and the Cholesky factors (which read one
+        # triangle) both assume cell (i, j) and cell (j, i) share a variable.
+        if not np.array_equal(cell_var, cell_var.T) or cell_var.shape != (nb, nb):
+            raise ValidationError(
+                f"cell_var must be a symmetric {nb}x{nb} matrix of variable indices")
+        cv = cell_var.reshape(-1).astype(np.int64)
         self.cell_var = cv
-        grid = np.arange(nb * nb)
-        self.cell_i = grid // nb
-        self.cell_j = grid % nb
-        self.counts = np.bincount(cv, minlength=nv).astype(float)
-        if np.any(self.counts == 0):
+        if cv.min() < 0 or cv.max() >= nv:
+            raise ValidationError(f"cell_var entries must lie in [0, {nv})")
+        if np.any(np.bincount(cv, minlength=nv) == 0):
             raise ValidationError("moment variable without a matrix cell")
+        # cells grouped by variable: variable k owns the sorted cells
+        # bounds_by_var[k]:bounds_by_var[k + 1]
         order = np.argsort(cv, kind="stable")
-        self.order = order
-        self.bounds_by_var = np.searchsorted(cv[order], np.arange(nv + 1))
+        self.row_sorted = order // nb
+        self.col_sorted = order % nb
+        self.bounds_by_var = np.searchsorted(cv[order], np.arange(nv + 1)).tolist()
 
         self.c = np.zeros(nv)
         for k, coef in problem.objective.items():
@@ -146,22 +135,25 @@ class _Compiled:
         return m[self.cell_var].reshape(self.nb, self.nb)
 
     def trace_by_var(self, p: np.ndarray) -> np.ndarray:
-        """Tr(P E_k) for every variable: sum of P[j, i] over cells (i, j)."""
-        vals = p[self.cell_j, self.cell_i]
-        return np.bincount(self.cell_var, weights=vals, minlength=self.nv)
+        """Tr(P E_k) for every variable: sum of P[i, j] over its cells (i, j)."""
+        return np.bincount(self.cell_var, weights=p.ravel(), minlength=self.nv)
 
     def barrier_hessian(self, p: np.ndarray) -> np.ndarray:
-        """H[k, l] = Tr(P E_k P E_l), assembled variable by variable."""
+        """H[k, l] = Tr(P E_k P E_l) for symmetric P, variable by variable.
+
+        P E_k P is the product of the columns P[:, i] and rows P[j, :] of
+        the cells (i, j) of variable k, contiguous slices of two row
+        gathers in variable order; it is symmetric, so row k of H sums it
+        over the cells of each variable in plain cell order.
+        """
         nv = self.nv
         h = np.empty((nv, nv))
-        x1 = p[:, self.cell_i]
-        x2 = p[self.cell_j, :]
+        cols = p[self.row_sorted].T
+        rows = p[self.col_sorted]
+        b = self.bounds_by_var
         for k in range(nv):
-            idx = self.order[self.bounds_by_var[k]:self.bounds_by_var[k + 1]]
-            tk = x1[:, idx] @ x2[idx, :]
-            h[k] = np.bincount(self.cell_var,
-                               weights=tk[self.cell_j, self.cell_i],
-                               minlength=nv)
+            tk = cols[:, b[k]:b[k + 1]] @ rows[b[k]:b[k + 1]]
+            h[k] = np.bincount(self.cell_var, weights=tk.ravel(), minlength=nv)
         return 0.5 * (h + h.T)
 
 
@@ -229,8 +221,8 @@ def sdp_solve(problem, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITE
             if iters >= max_iter:
                 break
             iters += 1
-            pinv = _chol_solve(low, eye)
-            pinv = 0.5 * (pinv + pinv.T)
+            linv = _solve_lower(low, eye)
+            pinv = linv.T @ linv
             grad = -t * comp.c - comp.trace_by_var(pinv)
             hess = comp.barrier_hessian(pinv)
             if comp.nj:
@@ -247,19 +239,15 @@ def sdp_solve(problem, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITE
                     break
             if hlow is None:
                 raise NumericError("barrier Hessian lost positive definiteness")
-
-            def newton_solve(rhs):
-                return scale * _chol_solve(hlow, scale * rhs)
-
-            step = newton_solve(-grad)
+            # one factor applied to the gradient and every equality row
+            rhs = np.column_stack([-grad, comp.a_eq.T])
+            sol = scale[:, None] * _chol_solve(hlow, scale[:, None] * rhs)
+            step, ha = sol[:, 0], sol[:, 1:]
             if comp.a_eq.shape[0]:
-                ha = np.column_stack([newton_solve(row) for row in comp.a_eq])
-                core = comp.a_eq @ ha
-                clow = _cholesky(core)
+                clow = _cholesky(comp.a_eq @ ha)
                 if clow is None:
                     raise NumericError("degenerate equality block")
-                w = _chol_solve(clow, comp.a_eq @ step)
-                step -= ha @ w
+                step -= ha @ _chol_solve(clow, comp.a_eq @ step)
             if float(grad @ step) > 0.0:
                 # ill-conditioned solve produced an ascent direction; fall
                 # back to projected steepest descent
@@ -294,8 +282,7 @@ def sdp_solve(problem, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITE
 
     value = float(comp.c @ m)
     gram = comp.mat(m)
-    audit = eig_sym(gram, tol=1e-8)
-    psd_residual = max(0.0, -float(audit.eigenvalues[0]))
+    psd_residual = max(0.0, -float(np.linalg.eigvalsh(gram)[0]))
     affine = 0.0
     if comp.a_eq.shape[0]:
         affine = float(np.max(np.abs(comp.a_eq @ m - comp.b_eq)))

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
+from conftest import random_pairs
 from hardylab.behavior import Scenario
 from hardylab.errors import CapabilityError, SizeError, ValidationError
 from hardylab.npa import (build_moment_problem, canonical_monomial, dagger,
                           hardy_moment_vector, identity_monomial,
                           interior_moment_vector, monomial_from_str,
-                          monomial_list, monomial_str, mul, npa_upper_bound,
-                          problem_from_text, problem_to_text,
-                          quantum_moment_vector)
+                          mixed_moment_vector, monomial_list, monomial_str,
+                          mul, npa_upper_bound, problem_from_text,
+                          problem_to_text, quantum_moment_vector)
 from hardylab.sdp import _Compiled
 
 
@@ -158,6 +159,20 @@ class TestMomentVectors:
                     for row, _ in p.inequalities]
             assert np.allclose(rows[:-1], 0.25, atol=1e-12)
             assert abs(rows[-1] - 0.5 ** n) < 1e-12
+
+    def test_mixed_vector_matches_operator_oracle(self):
+        # Tr(W)/2^n from raw Kronecker products, distinct pairs per party
+        rng = np.random.default_rng(12)
+        for n, level in ((2, 3), (3, 2)):
+            p = build_moment_problem(Scenario(n), level, 0.0)
+            pairs = random_pairs(rng, n)
+            projs = [(np.diag([1.0 + 0j, 0.0]),
+                      np.outer(pair.ket_plus, pair.ket_plus.conj()))
+                     for pair in pairs]
+            ref = [np.trace(monomial_operator(v, projs)).real / 2 ** n
+                   for v in p.variables]
+            assert np.allclose(mixed_moment_vector(p, pairs), ref,
+                               rtol=0.0, atol=1e-14)
 
     def test_quantum_vector_matches_behavior(self):
         # success probability moment equals the Born-rule value
