@@ -179,22 +179,18 @@ def _rank1_vector(proj: np.ndarray) -> np.ndarray:
 
 
 def _joint_general(rho: np.ndarray, m: MeasurementSet) -> np.ndarray:
+    # Tr[rho (P_1 x ... x P_n)] contracts each party's row index with
+    # axis 1 of its projector and column index with axis 0.  One tensordot
+    # per party against its stacked (setting, outcome, d, d) projectors
+    # consumes that party's two leading axes and appends (setting, outcome).
     n = m.n_parties
-    dims = m.dims
-    probs = np.empty((2,) * (2 * n))
-    rt = rho.reshape(dims + dims)
-    for settings in product(range(2), repeat=n):
-        for outcomes in product(range(2), repeat=n):
-            # Tr[rho (P_1 x ... x P_n)] contracts each party's row index
-            # with axis 1 of its projector and column index with axis 0.
-            # Contracting the last active party keeps axis numbers stable.
-            t = rt
-            for party in reversed(range(n)):
-                proj = m.projectors[party][settings[party]][outcomes[party]]
-                k = party + 1
-                t = np.tensordot(t, proj, axes=([k - 1, 2 * k - 1], [1, 0]))
-            probs[settings + outcomes] = float(t.real)
-    return probs
+    t = rho.reshape(m.dims + m.dims)
+    for party in range(n):
+        stacked = np.array(m.projectors[party], dtype=complex)
+        t = np.tensordot(t, stacked, axes=([0, n - party], [3, 2]))
+    # (s_1, o_1, ..., s_n, o_n) -> settings then outcomes
+    return np.ascontiguousarray(t.real.transpose(
+        list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))))
 
 
 def joint_distribution(state, m: MeasurementSet) -> BehaviorTensor:
@@ -264,26 +260,45 @@ def hardy_statistics(b: BehaviorTensor, ns_tol: float | None = 1e-6) -> HardySta
     return HardyStats(p=p, zeros=zeros)
 
 
+def _subset_marginals(marg: np.ndarray, n: int, keep: list[int], start: int):
+    """Yield (kept parties, outcome marginal) for every nonempty subset of
+    ``keep`` reached by dropping parties >= ``start`` in increasing order.
+
+    Each marginal is its parent's summed over one outcome axis, and the
+    walk is depth first, so at most n marginals are alive at once.
+    """
+    if len(keep) == 1:
+        return
+    for pos, party in enumerate(keep):
+        if party >= start:
+            sub = keep[:pos] + keep[pos + 1:]
+            child = marg.sum(axis=n + pos)
+            yield sub, child
+            yield from _subset_marginals(child, n, sub, party + 1)
+
+
 def check_no_signaling(b: BehaviorTensor, tol: float = 1e-10) -> NoSignalingReport:
     """Largest marginal discrepancy over parties traced out of the behavior.
 
     For every proper nonempty subset of kept parties, the outcome marginal
     must not depend on the settings of the complement.  ``tol`` is only
-    advisory here; the raw maximum is reported.
+    advisory here; the raw maximum is reported, for the subset with the
+    smallest bit mask among those that reach it.
     """
     n = b.n
     worst = NoSignalingReport(0.0, (), (), ())
-    for mask in range(1, 2 ** n - 1):
-        keep = [i for i in range(n) if (mask >> i) & 1]
-        drop = [i for i in range(n) if not (mask >> i) & 1]
-        marg = b.probs.sum(axis=tuple(n + i for i in drop))
+    worst_mask = 0
+    for keep, marg in _subset_marginals(b.probs, n, list(range(n)), 0):
+        drop = [i for i in range(n) if i not in keep]
         # axes: settings (all n) then outcomes of kept parties
-        marg = np.moveaxis(marg, [d for d in drop], range(n - len(keep)))
+        marg = np.moveaxis(marg, drop, range(len(drop)))
         flat = marg.reshape(2 ** len(drop), -1)
         spread = flat.max(axis=0) - flat.min(axis=0)
         col = int(np.argmax(spread))
         viol = float(spread[col])
-        if viol > worst.max_violation:
+        mask = sum(1 << i for i in keep)
+        if viol > worst.max_violation or (
+                viol == worst.max_violation > 0.0 and mask < worst_mask):
             hi = int(np.argmax(flat[:, col]))
             lo = int(np.argmin(flat[:, col]))
             unpack = lambda code: tuple((code >> k) & 1 for k in range(len(drop)))[::-1]
@@ -293,4 +308,5 @@ def check_no_signaling(b: BehaviorTensor, tol: float = 1e-10) -> NoSignalingRepo
                 settings_a=unpack(hi),
                 settings_b=unpack(lo),
             )
+            worst_mask = mask
     return worst

@@ -1,9 +1,13 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from conftest import random_pairs
-from hardylab.behavior import (BehaviorTensor, Scenario, check_no_signaling,
-                               hardy_statistics, joint_distribution,
+
+from hardylab.behavior import (BehaviorTensor, MeasurementSet, Scenario,
+                               check_no_signaling, hardy_statistics,
+                               joint_distribution,
                                measurements_from_observables,
                                measurements_from_pairs)
 from hardylab.errors import ValidationError
@@ -15,6 +19,22 @@ def computational_state(n, index=0):
     amps = np.zeros(2 ** n, dtype=complex)
     amps[index] = 1.0
     return StateVector((2,) * n, amps)
+
+
+def random_projectors(dims, rng):
+    """Per party and setting, a projector of random rank onto a Haar-ish
+    subspace and its complement."""
+    projs = []
+    for d in dims:
+        settings = []
+        for _ in range(2):
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            q, _ = np.linalg.qr(g)
+            k = int(rng.integers(1, d))
+            plus = q[:, :k] @ q[:, :k].conj().T
+            settings.append((plus, np.eye(d) - plus))
+        projs.append(tuple(settings))
+    return MeasurementSet(projectors=tuple(projs), dims=tuple(dims))
 
 
 def optimal_setup(n):
@@ -73,6 +93,25 @@ class TestJointDistribution:
             fast = joint_distribution(psi, m)
             slow = joint_distribution(psi.density(), m)
             assert np.allclose(fast.probs, slow.probs, atol=1e-12)
+
+    @pytest.mark.parametrize("dims", [(2, 3, 4), (4, 4, 4)])
+    def test_general_path_matches_kron_trace(self, dims):
+        # Oracle: Tr[rho (P1 x P2 x P3)] with the full operator built by
+        # kron; unequal dims catch a wrong party or row/column order
+        rng = np.random.default_rng(sum(dims))
+        total = int(np.prod(dims))
+        g = rng.standard_normal((total, 3)) + 1j * rng.standard_normal((total, 3))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        m = random_projectors(dims, rng)
+        probs = joint_distribution(rho, m).probs
+        for settings in product(range(2), repeat=3):
+            for outcomes in product(range(2), repeat=3):
+                op = np.ones((1, 1))
+                for party in range(3):
+                    op = np.kron(op, m.projectors[party][settings[party]][outcomes[party]])
+                want = np.trace(rho @ op).real
+                assert abs(probs[settings + outcomes] - want) <= 1e-12
 
     def test_normalisation_and_no_signaling(self):
         rng = np.random.default_rng(4)
@@ -148,6 +187,46 @@ class TestNoSignaling:
         report = check_no_signaling(b)
         assert abs(report.max_violation - eps) < 1e-12
         assert report.subset == (0,)
+
+    def test_detects_joint_marginal_signaling(self):
+        # Parties 1 and 2 output equal bits when party 3 measures U and
+        # opposite bits when it measures D: every single-party marginal is
+        # uniform, only the pair (1, 2) signals
+        probs = np.zeros((2,) * 6)
+        for s1, s2, s3, o1, o3 in product(range(2), repeat=5):
+            probs[s1, s2, s3, o1, o1 ^ s3, o3] = 0.25
+        report = check_no_signaling(BehaviorTensor(Scenario(3), probs))
+        assert abs(report.max_violation - 0.5) < 1e-15
+        assert report.subset == (0, 1)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_direct_marginal_oracle(self, n):
+        # Oracle: each subset's marginal summed straight from the table,
+        # subsets in increasing bit-mask order, first maximum kept
+        rng = np.random.default_rng(40 + n)
+        for _ in range(3):
+            probs = rng.random((2,) * (2 * n)) ** 3
+            probs /= probs.sum(axis=tuple(range(n, 2 * n)), keepdims=True)
+            want, want_subset = 0.0, ()
+            for mask in range(1, 2 ** n - 1):
+                keep = [i for i in range(n) if (mask >> i) & 1]
+                drop = [i for i in range(n) if not (mask >> i) & 1]
+                marg = probs.sum(axis=tuple(n + i for i in drop))
+                flat = np.moveaxis(marg, drop, range(len(drop))).reshape(2 ** len(drop), -1)
+                viol = float((flat.max(axis=0) - flat.min(axis=0)).max())
+                if viol > want:
+                    want, want_subset = viol, tuple(keep)
+            report = check_no_signaling(BehaviorTensor(Scenario(n), probs))
+            assert abs(report.max_violation - want) <= 1e-15
+            assert report.subset == want_subset
+            # the reported settings of the complement reach the violation
+            drop = [i for i in range(n) if i not in report.subset]
+            marg = probs.sum(axis=tuple(n + i for i in drop))
+            idx_a, idx_b = [slice(None)] * n, [slice(None)] * n
+            for party, a, b in zip(drop, report.settings_a, report.settings_b):
+                idx_a[party], idx_b[party] = a, b
+            gap = np.abs(marg[tuple(idx_a)] - marg[tuple(idx_b)]).max()
+            assert abs(gap - report.max_violation) <= 1e-15
 
     def test_quantum_behaviors_pass(self):
         psi, m = optimal_setup(3)

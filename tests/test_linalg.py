@@ -20,6 +20,20 @@ def random_orthogonal_from_givens(n, n_rotations, rng):
     return q
 
 
+def hermitian_embedding(h):
+    """Real symmetric 2d x 2d embedding [[Re, -Im], [Im, Re]] of Hermitian h.
+
+    Its spectrum is that of h with every eigenvalue doubled, so the Jacobi
+    ``eig_sym`` on it cross-checks the LAPACK ``eig_herm``.
+    """
+    return np.block([[h.real, -h.imag], [h.imag, h.real]])
+
+
+def random_hermitian(d, rng):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return g + g.conj().T
+
+
 def bell_state():
     amps = np.zeros(4, dtype=complex)
     amps[0] = amps[3] = 1 / np.sqrt(2)
@@ -93,6 +107,14 @@ class TestEigSym:
 
 
 class TestPsdProject:
+    def test_matches_jacobi_projection(self):
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((9, 9))
+        a = a + a.T
+        ref = eig_sym(a)
+        want = (ref.eigenvectors * np.maximum(ref.eigenvalues, 0.0)) @ ref.eigenvectors.T
+        assert np.linalg.norm(psd_project(a) - want) <= 1e-10 * np.linalg.norm(a)
+
     def test_clips_negative_eigenvalue(self):
         out = psd_project(np.diag([2.0, -3.0]))
         assert np.allclose(out, np.diag([2.0, 0.0]), atol=1e-12)
@@ -133,6 +155,32 @@ class TestEigHerm:
         vals, vecs = eig_herm(h)
         assert np.allclose(vals, want, atol=1e-9)
         assert np.linalg.norm((vecs * vals) @ vecs.conj().T - h) <= 1e-9
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 16])
+    def test_matches_jacobi_on_real_embedding(self, d):
+        rng = np.random.default_rng(20 + d)
+        h = random_hermitian(d, rng)
+        vals, _ = eig_herm(h)
+        doubled = eig_sym(hermitian_embedding(h)).eigenvalues
+        assert np.allclose(doubled[0::2], vals, rtol=0, atol=1e-9)
+        assert np.allclose(doubled[1::2], vals, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(1, 1), (0, 2)])
+    def test_rejects_non_finite(self, bad, where):
+        # NaN compares false, so only a finiteness check stops it before
+        # LAPACK returns it as an eigenvalue
+        h = random_hermitian(3, np.random.default_rng(8))
+        h[where] = bad
+        h[where[::-1]] = bad
+        with pytest.raises(ValidationError):
+            eig_herm(h)
+        with pytest.raises(ValidationError):
+            psd_project(h.real)
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValidationError):
+            eig_herm(np.array([[0.0, 1j], [1j, 0.0]]))
 
 
 class TestPartialTrace:
@@ -195,6 +243,20 @@ class TestSchmidtSpectrum:
                 assert np.allclose(spec, oracle, atol=1e-10)
                 assert abs(spec.sum() - 1.0) <= 1e-10
 
+    @pytest.mark.parametrize("keep", [[2], [0, 3], [1, 2], [0, 1, 3]])
+    def test_four_parties_against_partial_trace_oracle(self, keep):
+        # the kept block has 2, 4 or 8 rows, so the Gram matrix is smaller,
+        # equal to or larger than its complement's
+        rng = np.random.default_rng(17 + len(keep))
+        amps = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        amps /= np.linalg.norm(amps)
+        psi = StateVector((2, 2, 2, 2), amps)
+        spec = schmidt_spectrum(psi, keep)
+        rho = partial_trace(psi.density(), psi.dims, keep)
+        oracle = np.sort(np.linalg.eigvalsh(rho))[::-1]
+        assert spec.shape == (2 ** len(keep),)
+        assert np.allclose(spec, oracle, rtol=0, atol=1e-12)
+
     def test_rejects_trivial_bipartition(self):
         psi = bell_state()
         with pytest.raises(ValidationError):
@@ -207,6 +269,11 @@ class TestStateVector:
     def test_rejects_unnormalised(self):
         with pytest.raises(ValidationError):
             StateVector((2,), np.array([1.0, 1.0]))
+
+    def test_rejects_nan_amplitude(self):
+        # a NaN norm passes any ordered comparison with the tolerance
+        with pytest.raises(ValidationError):
+            StateVector((2,), np.array([np.nan, 1.0]))
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValidationError):
