@@ -12,6 +12,15 @@ then so is its entrywise conjugate (every constraint here has real
 coefficients), and the average of the two is a real symmetric feasible
 matrix with the same objective.  Cell (u, v) and cell (v, u) therefore
 share one variable, identified by canon(u'v) ~ canon((u'v)').
+
+The Hardy problem is also invariant under the cyclic party shift
+i -> i + 1: it maps the objective, the all-minus term and the set of
+cyclic pair terms to themselves.  The log barrier of the solver is
+strictly convex and shift-invariant, so its central path stays on the
+shift-symmetric subspace, and ``npa_upper_bound`` solves over one
+variable per Z_n orbit of moments (``cyclic_reduction``; Ioannou &
+Rosset, arXiv:2112.10803).  ``build_moment_problem`` still builds the
+full problem.
 """
 
 from __future__ import annotations
@@ -218,6 +227,45 @@ def build_moment_problem(scenario: Scenario, level: int, epsilon: float) -> Mome
                          inequalities=inequalities)
 
 
+def _rotate(m: Monomial, s: int) -> Monomial:
+    """Party shift i -> i + s (mod n) of a monomial."""
+    return m[-s:] + m[:-s] if s else m
+
+
+def cyclic_reduction(problem: MomentProblem) -> tuple[MomentProblem, np.ndarray]:
+    """Merge the moment variables of each cyclic party-shift orbit.
+
+    Returns the reduced problem and ``orbit_of``, the orbit index of each
+    variable of ``problem``.  An orbit is named by the smallest variable
+    key, by ``_sort_key``, of its party shifts.  Rows keep their order and
+    coefficients of merged variables are summed; all n cyclic Hardy rows
+    stay, identical after the merge, so the reduced barrier equals the
+    full barrier on the symmetric subspace and has the same degree.
+    """
+    n = problem.scenario.n
+    orbit_index: dict = {}
+    orbit_of = np.empty(problem.n_vars, dtype=np.int32)
+    for k, var in enumerate(problem.variables):
+        key = min((_variable_key(_rotate(var, s)) for s in range(n)), key=_sort_key)
+        orbit_of[k] = orbit_index.setdefault(key, len(orbit_index))
+
+    def remap(row: dict) -> dict:
+        out: dict = {}
+        for k, coef in row.items():
+            o = int(orbit_of[k])
+            out[o] = out.get(o, 0.0) + coef
+        return out
+
+    reduced = MomentProblem(
+        scenario=problem.scenario, level=problem.level, epsilon=problem.epsilon,
+        basis=problem.basis, moment_index=orbit_index,
+        variables=list(orbit_index), cell_var=orbit_of[problem.cell_var],
+        objective=remap(problem.objective),
+        equalities=[(remap(row), rhs) for row, rhs in problem.equalities],
+        inequalities=[(remap(row), rhs) for row, rhs in problem.inequalities])
+    return reduced, orbit_of
+
+
 def _word_operator(word: Word, pair) -> np.ndarray:
     """Matrix product of the '+' projectors along a one-party word."""
     proj_u = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -297,25 +345,37 @@ def hardy_moment_vector(problem: MomentProblem) -> np.ndarray:
     return quantum_moment_vector(problem, hardy_state(n, pairs), pairs)
 
 
+def barrier_start(problem: MomentProblem, shift: float) -> np.ndarray:
+    """Strictly feasible start for the full problem with slack shift ``shift``.
+
+    It blends the exact Hardy-point moments with the angle-averaged
+    interior point; the blend weight keeps the error constraints
+    strictly slack.
+    """
+    lam = min(0.9, 2.0 * (problem.epsilon + shift))
+    return ((1.0 - lam) * hardy_moment_vector(problem)
+            + lam * interior_moment_vector(problem))
+
+
 def npa_upper_bound(scenario: Scenario, level: int, epsilon: float,
                     tol: float = 1e-6, max_iter: int | None = None,
                     **solver_kwargs) -> float:
     """Converged moment-relaxation value; an upper bound on the quantum
     noisy Hardy probability at the given hierarchy level.
 
-    The barrier start blends the exact Hardy-point moments with the
-    angle-averaged interior point; the blend weight keeps the error
-    constraints strictly slack.  Raises NumericError when the optimiser
-    does not reach its residual targets.
+    The solve runs on the cyclic orbit reduction.  Its start is the orbit
+    average of ``barrier_start``, which is the party-shift average of the
+    full moment matrix and so stays strictly feasible.  Raises
+    NumericError when the optimiser does not reach its residual targets.
     """
     from .sdp import DEFAULT_MAX_ITER, DEFAULT_SHIFT, sdp_solve
 
     problem = build_moment_problem(scenario, level, epsilon)
     shift = solver_kwargs.pop("slack_shift", DEFAULT_SHIFT)
-    lam = min(0.9, 2.0 * (epsilon + shift))
-    start = ((1.0 - lam) * hardy_moment_vector(problem)
-             + lam * interior_moment_vector(problem))
-    sol = sdp_solve(problem, tol=tol,
+    reduced, orbit_of = cyclic_reduction(problem)
+    start = (np.bincount(orbit_of, weights=barrier_start(problem, shift))
+             / np.bincount(orbit_of))
+    sol = sdp_solve(reduced, tol=tol,
                     max_iter=DEFAULT_MAX_ITER if max_iter is None else max_iter,
                     start=start, slack_shift=shift, **solver_kwargs)
     if not sol.converged:

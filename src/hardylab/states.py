@@ -155,29 +155,32 @@ def hardy_state(n: int, pairs) -> StateVector:
     """
     basis = product_basis(n, pairs)
     dim = 2 ** n
-    q = np.empty((dim, dim - 1), dtype=complex)
+    # rows of qh are the conjugated orthonormal vectors, so a projection
+    # sum_k q_k <q_k|v> is conj(conj(qh v) @ qh) and conjugates only
+    # vectors, never the growing basis block
+    qh = np.empty((dim - 1, dim), dtype=complex)
     cols = 0
     for vec in basis.vectors[:dim - 1]:
         v = vec.amps.copy()
         for _ in range(2):
             if cols:
-                v -= q[:, :cols] @ (q[:, :cols].conj().T @ v)
+                v -= ((qh[:cols] @ v).conj() @ qh[:cols]).conj()
         nrm = np.linalg.norm(v)
         if nrm < 1e-12:
             raise NumericError("product basis numerically degenerate")
-        q[:, cols] = v / nrm
+        qh[cols] = v.conj() / nrm
         cols += 1
     target = basis.vectors[dim - 1].amps
     resid = target.copy()
     for _ in range(2):
-        resid -= q @ (q.conj().T @ resid)
+        resid -= ((qh @ resid).conj() @ qh).conj()
     nrm = np.linalg.norm(resid)
     if nrm < 1e-12:
         raise NumericError("Hardy residual vanished; basis numerically degenerate")
     psi = resid / nrm
     overlap = np.vdot(psi, target)
     psi = psi * (np.conj(overlap) / abs(overlap))
-    worst = float(np.max(np.abs(q.conj().T @ psi)))
+    worst = float(np.max(np.abs(qh @ psi)))
     if worst > 1e-10:
         raise NumericError(f"orthogonality loss {worst:.2e} exceeds 1e-10")
     return StateVector((2,) * n, psi)

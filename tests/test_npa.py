@@ -4,13 +4,14 @@ import pytest
 from conftest import random_pairs
 from hardylab.behavior import Scenario
 from hardylab.errors import CapabilityError, SizeError, ValidationError
-from hardylab.npa import (build_moment_problem, canonical_monomial, dagger,
+from hardylab.npa import (_rotate, barrier_start, build_moment_problem,
+                          canonical_monomial, cyclic_reduction, dagger,
                           hardy_moment_vector, identity_monomial,
                           interior_moment_vector, monomial_from_str,
                           mixed_moment_vector, monomial_list, monomial_str,
                           mul, npa_upper_bound, problem_from_text,
                           problem_to_text, quantum_moment_vector)
-from hardylab.sdp import _Compiled
+from hardylab.sdp import DEFAULT_SHIFT, _Compiled, sdp_solve
 
 
 def random_realization(rng, n):
@@ -35,6 +36,13 @@ def monomial_operator(mono, projs):
             w = w @ projs[party][letter]
         op = np.kron(op, w)
     return op
+
+
+def operator_gram(problem, projs, psi):
+    """<psi| b_i' b_j |psi> over the basis, from raw Kronecker products."""
+    ops = [monomial_operator(b, projs) for b in problem.basis]
+    return np.array([[np.vdot(psi, oi.conj().T @ oj @ psi).real for oj in ops]
+                     for oi in ops])
 
 
 class TestCanonicalMonomial:
@@ -125,11 +133,7 @@ class TestBuildMomentProblem:
             p = build_moment_problem(Scenario(n), level, 0.0)
             for _ in range(3):
                 projs, psi = random_realization(rng, n)
-                ops = [monomial_operator(b, projs) for b in p.basis]
-                gram = np.empty((p.n_basis, p.n_basis))
-                for i in range(p.n_basis):
-                    for j in range(p.n_basis):
-                        gram[i, j] = np.vdot(psi, ops[i].conj().T @ ops[j] @ psi).real
+                gram = operator_gram(p, projs, psi)
                 for v in range(p.n_vars):
                     vals = gram[p.cell_var == v]
                     assert vals.max() - vals.min() < 1e-12
@@ -221,3 +225,74 @@ class TestUpperBound:
         a = npa_upper_bound(Scenario(2), 2, 0.03, tol=1e-6)
         b = npa_upper_bound(Scenario(2), 2, 0.03, tol=1e-6)
         assert a == b
+
+
+def orbit_spreads(reduced, gram):
+    """Largest minus smallest cell value within each orbit variable."""
+    return [np.ptp(gram[reduced.cell_var == o]) for o in range(reduced.n_vars)]
+
+
+class TestCyclicReduction:
+    @pytest.mark.parametrize("n,level,full,orbits", [
+        (3, 3, 250, 86), (3, 2, 93, 33), (2, 2, 31, 18), (4, 2, 229, 62)])
+    def test_structure(self, n, level, full, orbits):
+        p = build_moment_problem(Scenario(n), level, 0.05)
+        r, orbit_of = cyclic_reduction(p)
+        assert (p.n_vars, r.n_vars) == (full, orbits)
+        assert orbit_of.shape == (full,)
+        assert (r.cell_var == orbit_of[p.cell_var]).all()
+        assert (r.cell_var == r.cell_var.T).all()
+        _Compiled(r)
+        # every cyclic row is kept, so the barrier degree is unchanged
+        assert len(r.inequalities) == n + 1
+        assert all(rhs == 0.05 for _, rhs in r.inequalities)
+        assert all(row == r.inequalities[0][0] for row, _ in r.inequalities[:n])
+        assert r.objective == {r.variables.index(((0,),) * n): 1.0}
+        assert r.equalities == [({r.identity_var: 1.0}, 1.0)]
+        # each orbit is named by its smallest shifted variable key
+        for k, var in enumerate(p.variables):
+            key = r.variables[orbit_of[k]]
+            shifts = {_rotate(var, s) for s in range(n)}
+            assert key in shifts or dagger(key) in shifts
+
+    def test_orbit_cells_agree_on_symmetric_realization(self):
+        from hardylab.states import MeasurementPair, hardy_state
+        rng = np.random.default_rng(13)
+        for n, level in ((2, 3), (3, 2), (4, 2)):
+            p = build_moment_problem(Scenario(n), level, 0.0)
+            r, _ = cyclic_reduction(p)
+            pair = MeasurementPair.from_alpha_sq(0.37)
+            projs = [(np.diag([1.0 + 0j, 0.0]),
+                      np.outer(pair.ket_plus, pair.ket_plus.conj()))] * n
+            psi = hardy_state(n, [pair] * n).amps
+            assert max(orbit_spreads(r, operator_gram(p, projs, psi))) < 1e-12
+            # an asymmetric realization tells the cells of an orbit apart
+            projs, psi = random_realization(rng, n)
+            assert max(orbit_spreads(r, operator_gram(p, projs, psi))) > 1e-3
+
+    @pytest.mark.parametrize("n,level", [(3, 3), (4, 2)])
+    def test_orbit_average_start_strictly_feasible(self, n, level):
+        p = build_moment_problem(Scenario(n), level, 0.0)
+        r, orbit_of = cyclic_reduction(p)
+        full = barrier_start(p, DEFAULT_SHIFT)
+        start = np.bincount(orbit_of, weights=full) / np.bincount(orbit_of)
+        mat = _Compiled(r).mat(start)
+        assert np.linalg.eigvalsh(mat)[0] > 0.0
+        for row, rhs in r.inequalities:
+            assert sum(c * start[k] for k, c in row.items()) < rhs + DEFAULT_SHIFT
+        # it is the party-shift average of the full moment matrix
+        index = {b: i for i, b in enumerate(p.basis)}
+        full_mat = _Compiled(p).mat(full)
+        shifted = []
+        for s in range(n):
+            perm = [index[_rotate(b, s)] for b in p.basis]
+            shifted.append(full_mat[np.ix_(perm, perm)])
+        assert np.abs(np.mean(shifted, axis=0) - mat).max() < 1e-15
+
+    @pytest.mark.parametrize("n,eps", [(2, 0.03), (3, 0.05)])
+    def test_unreduced_solve_agrees(self, n, eps):
+        # cross-check: the full problem from the full start, test-only
+        p = build_moment_problem(Scenario(n), 2, eps)
+        full = sdp_solve(p, tol=1e-6, start=barrier_start(p, DEFAULT_SHIFT))
+        assert full.converged
+        assert abs(full.value - npa_upper_bound(Scenario(n), 2, eps, tol=1e-6)) < 1e-7
