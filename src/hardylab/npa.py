@@ -15,12 +15,13 @@ share one variable, identified by canon(u'v) ~ canon((u'v)').
 
 The Hardy problem is also invariant under the cyclic party shift
 i -> i + 1: it maps the objective, the all-minus term and the set of
-cyclic pair terms to themselves.  The log barrier of the solver is
-strictly convex and shift-invariant, so its central path stays on the
-shift-symmetric subspace, and ``npa_upper_bound`` solves over one
-variable per Z_n orbit of moments (``cyclic_reduction``; Ioannou &
-Rosset, arXiv:2112.10803).  ``build_moment_problem`` still builds the
-full problem.
+cyclic pair terms to themselves, so the shift of a feasible point is
+feasible with the same objective.  The feasible set is convex, so the
+average of an optimal point over its n shifts is feasible and optimal,
+and it is shift-symmetric.  Some optimum therefore has equal moments on
+every Z_n orbit, and ``npa_upper_bound`` solves over one variable per
+orbit (``cyclic_reduction``; Ioannou & Rosset, arXiv:2112.10803).
+``build_moment_problem`` still builds the full problem.
 """
 
 from __future__ import annotations
@@ -239,8 +240,8 @@ def cyclic_reduction(problem: MomentProblem) -> tuple[MomentProblem, np.ndarray]
     variable of ``problem``.  An orbit is named by the smallest variable
     key, by ``_sort_key``, of its party shifts.  Rows keep their order and
     coefficients of merged variables are summed; all n cyclic Hardy rows
-    stay, identical after the merge, so the reduced barrier equals the
-    full barrier on the symmetric subspace and has the same degree.
+    stay, identical after the merge, so the reduced problem is the full
+    problem restricted to shift-symmetric moments.
     """
     n = problem.scenario.n
     orbit_index: dict = {}
@@ -293,49 +294,6 @@ def quantum_moment_vector(problem: MomentProblem, psi, pairs) -> np.ndarray:
     return moments
 
 
-def mixed_moment_vector(problem: MomentProblem, pairs) -> np.ndarray:
-    """Moments of the maximally mixed state: products of Tr(W_p)/2."""
-    traces = [{} for _ in pairs]  # per party: word -> Tr(W)/2
-    moments = np.empty(problem.n_vars)
-    for idx, mono in enumerate(problem.variables):
-        val = 1.0
-        for party, word in enumerate(mono):
-            if word:
-                tr = traces[party].get(word)
-                if tr is None:
-                    tr = float(np.trace(_word_operator(word, pairs[party])).real) / 2.0
-                    traces[party][word] = tr
-                val *= tr
-        moments[idx] = val
-    return moments
-
-
-# Deterministic spread of |alpha|^2 values whose word relations differ, so
-# the averaged mixed-state moment matrix is strictly positive definite.
-_INTERIOR_ALPHA_SQ = (0.17, 0.29, 0.41, 0.52, 0.64, 0.77, 0.88)
-
-
-def interior_moment_vector(problem: MomentProblem) -> np.ndarray:
-    """Strictly interior moment vector: angle-averaged mixed-state moments.
-
-    Averaging realizations with different measurement angles is itself a
-    realization on the direct sum, so the point is feasible; distinct
-    angles break every fixed-angle word relation, so the moment matrix is
-    strictly positive definite.  The Hardy constraint values are angle
-    independent (each cyclic term 1/4, the all-minus term 2^-n).
-    """
-    from .states import MeasurementPair
-
-    n = problem.scenario.n
-    total = np.zeros(problem.n_vars)
-    k = len(_INTERIOR_ALPHA_SQ)
-    for cfg in range(k):
-        pairs = [MeasurementPair.from_alpha_sq(_INTERIOR_ALPHA_SQ[(cfg + p) % k])
-                 for p in range(n)]
-        total += mixed_moment_vector(problem, pairs)
-    return total / k
-
-
 def hardy_moment_vector(problem: MomentProblem) -> np.ndarray:
     """Moments of the optimal n-qubit Hardy realization (exact Hardy point)."""
     from .states import MeasurementPair, hardy_state, pmax
@@ -345,43 +303,26 @@ def hardy_moment_vector(problem: MomentProblem) -> np.ndarray:
     return quantum_moment_vector(problem, hardy_state(n, pairs), pairs)
 
 
-def barrier_start(problem: MomentProblem, shift: float) -> np.ndarray:
-    """Strictly feasible start for the full problem with slack shift ``shift``.
-
-    It blends the exact Hardy-point moments with the angle-averaged
-    interior point; the blend weight keeps the error constraints
-    strictly slack.
-    """
-    lam = min(0.9, 2.0 * (problem.epsilon + shift))
-    return ((1.0 - lam) * hardy_moment_vector(problem)
-            + lam * interior_moment_vector(problem))
-
-
 def npa_upper_bound(scenario: Scenario, level: int, epsilon: float,
                     tol: float = 1e-6, max_iter: int | None = None,
                     **solver_kwargs) -> float:
     """Converged moment-relaxation value; an upper bound on the quantum
     noisy Hardy probability at the given hierarchy level.
 
-    The solve runs on the cyclic orbit reduction.  Its start is the orbit
-    average of ``barrier_start``, which is the party-shift average of the
-    full moment matrix and so stays strictly feasible.  Raises
-    NumericError when the optimiser does not reach its residual targets.
+    The solve runs on the cyclic orbit reduction and needs no start point.
+    Raises NumericError when the optimiser does not reach its stopping
+    rule and residual targets.
     """
-    from .sdp import DEFAULT_MAX_ITER, DEFAULT_SHIFT, sdp_solve
+    from .sdp import DEFAULT_MAX_ITER, sdp_solve
 
-    problem = build_moment_problem(scenario, level, epsilon)
-    shift = solver_kwargs.pop("slack_shift", DEFAULT_SHIFT)
-    reduced, orbit_of = cyclic_reduction(problem)
-    start = (np.bincount(orbit_of, weights=barrier_start(problem, shift))
-             / np.bincount(orbit_of))
+    reduced, _ = cyclic_reduction(build_moment_problem(scenario, level, epsilon))
     sol = sdp_solve(reduced, tol=tol,
                     max_iter=DEFAULT_MAX_ITER if max_iter is None else max_iter,
-                    start=start, slack_shift=shift, **solver_kwargs)
+                    **solver_kwargs)
     if not sol.converged:
         raise NumericError(
             f"moment SDP did not converge after {sol.iterations} iterations "
-            f"(psd_residual={sol.psd_residual:.3e}, "
+            f"(gap={sol.gap:.3e}, psd_residual={sol.psd_residual:.3e}, "
             f"affine_residual={sol.affine_residual:.3e})")
     return sol.value
 

@@ -1,30 +1,43 @@
 """Semidefinite optimiser for the moment problems, on numpy.linalg.
 
-A primal log-barrier Newton method: maximise the linear objective minus
-(1/t) times the barrier -logdet M(m) - sum_j log(eps_j - g_j.m), with
-the standard stage schedule t <- 10 t.  Every moment variable owns a
-disjoint, symmetric set of matrix cells, so the barrier Hessian is the
-Gram matrix of the cell-indicator directions under the M^{-1} (x) M^{-1}
-metric plus a small rank-J term from the inequalities; it is assembled
-exactly.  Each Newton iteration takes one LAPACK Cholesky factor of the
-Jacobi-scaled Hessian and applies it, by forward and back substitution,
-to the gradient and every equality row at once; the equality rows enter
-through a KKT bordering of the Newton system.  M^{-1} comes from the
-Cholesky factor of the moment matrix, which also serves as the
-positive-definiteness test of the line search.
+An infeasible-start primal-dual interior-point method (Helmberg, Rendl,
+Vanderbei & Wolkowicz, SIAM J. Optim. 6 (1996); Vandenberghe & Boyd,
+SIAM Rev. 38 (1996)).  The moment problem
+
+    maximise c.m  subject to  M(m) = sum_k m_k E_k >= 0,  G m <= eps + shift,
+                              A m = b
+
+is solved as the dual of a standard-form SDP.  The equality rows are
+eliminated by a null-space basis, m = m0 + N y (for the Hardy problems
+this only fixes the identity moment).  The moment matrix and the Hardy
+rows are the two cone blocks Z = M(m) and z = eps + shift - G m of the
+dual slack; X and x are the primal matrix and vector.  Neither side has
+to be feasible at the start: X = 100 I, x = 100, Z = I, z = 1 and y = 0
+are used, so no interior point has to be built.
+
+Each iteration takes the HKM direction (dX = (sigma mu I - X Z - X dZ) Z^{-1},
+symmetrised) with Mehrotra's predictor-corrector.  Every moment variable
+owns a disjoint, symmetric set of matrix cells, so the Schur matrix
+Tr(E_k X E_l Z^{-1}) is assembled exactly, variable by variable.  It is
+factored once per iteration (Jacobi-scaled LAPACK Cholesky) and the
+factor serves the predictor and the corrector.  Both take 0.9 of the
+step to the cone boundary, at most a full step, separately on the primal
+and the dual side.
+
+The method stops when the complementarity gap Tr(XZ) + x.z is at most
+0.1 tol and every entry of the dual residuals M(m) - Z and
+eps + shift - G m - z is at most 1e-12, so the returned moments are
+feasible to that level.  The primal residual is not part of the rule: at
+eps = 0 it stalls near 4e-6, so no certified dual bound is claimed.
 
 The error constraints are relaxed by a tiny slack shift (1e-9 by
-default) so that a strictly interior start exists even when the
-unshifted problem has an empty interior (at eps = 0 the constrained
-terms are diagonal moments, so every feasible matrix is singular).  The
-shift biases the reported value upward by about the square root of the
-shift, far below the documented tolerances, and keeps the value a true
-upper bound for the unshifted problem.
-
-The returned point is strictly feasible, so its PSD residual vanishes up
-to the duality gap left by the final barrier stage; residuals are
-audited with a symmetric eigenvalue solve and reported.  No certified
-dual bound is claimed.
+default).  At eps = 0 the unshifted problem has an empty interior (the
+constrained terms are diagonal moments, so every feasible matrix is
+singular), and the shift keeps a central path.  The shift biases the
+reported value upward by about the square root of the shift, far below
+the documented tolerances, and keeps the value a true upper bound for
+the unshifted problem.  Residuals of the returned point are audited
+with a symmetric eigenvalue solve and reported.
 """
 
 from __future__ import annotations
@@ -36,9 +49,17 @@ import numpy as np
 from .errors import NumericError, ValidationError
 
 DEFAULT_TOL = 1e-6
-DEFAULT_MAX_ITER = 5000
-STAGE_FACTOR = 10.0
-CENTER_DECREMENT = 1e-10
+DEFAULT_MAX_ITER = 100
+# Exit when the complementarity gap is at most GAP_FRACTION * tol and every
+# dual residual entry at most DUAL_RESIDUAL.
+GAP_FRACTION = 0.1
+DUAL_RESIDUAL = 1e-12
+# Fraction of the step to the cone boundary that an iteration takes.
+STEP_FRACTION = 0.9
+# Scale of the primal start X = START_SCALE * I against Z = I: the dual
+# residual starts at 1/START_SCALE of the complementarity and both shrink
+# together, so the moment point becomes feasible early.
+START_SCALE = 100.0
 # Slack shift regularising problems whose interior is empty (at eps = 0
 # every feasible moment matrix has zero diagonal entries).  The value
 # bias scales like sqrt(shift) because the duals blow up there.
@@ -53,6 +74,7 @@ class MomentSolution:
     affine_residual: float
     iterations: int
     converged: bool
+    gap: float  # complementarity Tr(XZ) + x.z at exit
 
 
 def _cholesky(a: np.ndarray):
@@ -83,7 +105,7 @@ def _chol_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _Compiled:
-    """Moment problem preprocessed for barrier iterations."""
+    """Moment problem preprocessed for interior-point iterations."""
 
     def __init__(self, problem):
         nb = problem.n_basis
@@ -91,7 +113,7 @@ class _Compiled:
         self.nb = nb
         self.nv = nv
         cell_var = problem.cell_var
-        # The Hessian rows and the Cholesky factors (which read one
+        # The Schur matrix rows and the Cholesky factors (which read one
         # triangle) both assume cell (i, j) and cell (j, i) share a variable.
         if not np.array_equal(cell_var, cell_var.T) or cell_var.shape != (nb, nb):
             raise ValidationError(
@@ -119,6 +141,14 @@ class _Compiled:
             for k, coef in row.items():
                 self.a_eq[r, k] = coef
             self.b_eq[r] = rhs
+        # m = m0 + null @ y satisfies the equality rows for every y.
+        ne = len(self.b_eq)
+        q, r = np.linalg.qr(self.a_eq.T, mode="complete")
+        diag = np.abs(np.diag(r[:ne]))
+        if ne > nv or (ne and diag.min() <= 1e-12 * diag.max()):
+            raise ValidationError("equality rows are linearly dependent")
+        self.null = q[:, ne:]
+        self.m0 = q[:, :ne] @ np.linalg.solve(r[:ne].T, self.b_eq)
 
         nj = len(problem.inequalities)
         self.nj = nj
@@ -129,8 +159,6 @@ class _Compiled:
                 self.g[r, k] = coef
             self.eps[r] = rhs
 
-        self.degree = nb + nj
-
     def mat(self, m: np.ndarray) -> np.ndarray:
         return m[self.cell_var].reshape(self.nb, self.nb)
 
@@ -138,18 +166,20 @@ class _Compiled:
         """Tr(P E_k) for every variable: sum of P[i, j] over its cells (i, j)."""
         return np.bincount(self.cell_var, weights=p.ravel(), minlength=self.nv)
 
-    def barrier_hessian(self, p: np.ndarray) -> np.ndarray:
-        """H[k, l] = Tr(P E_k P E_l) for symmetric P, variable by variable.
+    def schur_matrix(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """H[k, l] = Tr(E_k X E_l W) for symmetric X and W, variable by variable.
 
-        P E_k P is the product of the columns P[:, i] and rows P[j, :] of
+        W E_k X is the product of the columns W[:, i] and rows X[j, :] of
         the cells (i, j) of variable k, contiguous slices of two row
-        gathers in variable order; it is symmetric, so row k of H sums it
-        over the cells of each variable in plain cell order.
+        gathers in variable order; the cells of every variable form a
+        symmetric set, so row k of H sums it over the cells of each
+        variable in plain cell order.  With W = X = P this is the Hessian
+        Tr(P E_k P E_l) of -logdet M at M = P^{-1}.
         """
         nv = self.nv
         h = np.empty((nv, nv))
-        cols = p[self.row_sorted].T
-        rows = p[self.col_sorted]
+        cols = w[self.row_sorted].T
+        rows = x[self.col_sorted]
         b = self.bounds_by_var
         for k in range(nv):
             tk = cols[:, b[k]:b[k + 1]] @ rows[b[k]:b[k + 1]]
@@ -157,138 +187,115 @@ class _Compiled:
         return 0.5 * (h + h.T)
 
 
-def _project_onto_equalities(comp: _Compiled, m: np.ndarray) -> np.ndarray:
-    if comp.a_eq.shape[0] == 0:
-        return m
-    a = comp.a_eq
-    resid = a @ m - comp.b_eq
-    gram = a @ a.T
-    low = _cholesky(gram)
-    if low is None:
-        raise ValidationError("equality rows are linearly dependent")
-    return m - a.T @ _chol_solve(low, resid)
+def _max_step(inv_low: np.ndarray, d: np.ndarray) -> float:
+    """Largest alpha with L L^T + alpha d positive semidefinite, given L^{-1}."""
+    lam = float(np.linalg.eigvalsh(inv_low @ d @ inv_low.T)[0])
+    return -1.0 / lam if lam < 0.0 else np.inf
+
+
+def _max_step_lin(v: np.ndarray, dv: np.ndarray) -> float:
+    """Largest alpha with v + alpha dv nonnegative."""
+    neg = dv < 0.0
+    return float(np.min(-v[neg] / dv[neg])) if neg.any() else np.inf
 
 
 def sdp_solve(problem, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-              start: np.ndarray | None = None,
               slack_shift: float | None = None) -> MomentSolution:
-    """Barrier solve of a moment problem.
+    """Primal-dual interior-point solve of a moment problem.
 
-    ``start`` must be strictly feasible (positive definite moment matrix,
-    strictly slack inequalities) after projection onto the equality rows;
-    when omitted, the identity-moment indicator is tried, which suffices
-    for problems whose identity variable covers the matrix diagonal.
-    ``max_iter`` caps the total number of Newton iterations.
+    No start point is needed.  ``max_iter`` caps the number of iterations;
+    ``converged`` reports whether the stopping rule was met and the
+    returned moments pass the PSD and affine audits to ``tol``.
     """
     comp = _Compiled(problem)
     shift = DEFAULT_SHIFT if slack_shift is None else slack_shift
-    eps_sh = comp.eps + shift
+    nb, nj = comp.nb, comp.nj
+    null = comp.null
+    b = null.T @ comp.c
+    gn = comp.g @ null
+    rhs_lin = comp.eps + shift
+    degree = nb + nj
+    eye = np.eye(nb)
 
-    if start is None:
-        # indicator of singly-pinned rows; enough when the identity
-        # variable covers the matrix diagonal
-        m = np.zeros(comp.nv)
-        for row, rhs in zip(comp.a_eq, comp.b_eq):
-            nz = np.nonzero(row)[0]
-            if nz.size == 1:
-                m[nz[0]] = rhs / row[nz[0]]
-    else:
-        m = np.array(start, dtype=float, copy=True)
-    m = _project_onto_equalities(comp, m)
-
-    def slacks(mv):
-        return eps_sh - comp.g @ mv if comp.nj else np.empty(0)
-
-    low = _cholesky(comp.mat(m))
-    s = slacks(m)
-    if low is None or (comp.nj and s.min() <= 0.0):
-        raise NumericError(
-            "starting point is not strictly feasible; pass an interior start")
-
-    def phi(mv, t, low_mv, s_mv):
-        logdet = 2.0 * float(np.sum(np.log(np.diag(low_mv))))
-        logs = float(np.sum(np.log(s_mv))) if comp.nj else 0.0
-        return -t * float(comp.c @ mv) - logdet - logs
-
-    gap_target = 0.1 * tol
-    t = max(1.0, comp.degree)
+    x_mat, x_lin = START_SCALE * eye, np.full(nj, START_SCALE)
+    z_mat, z_lin = eye.copy(), np.ones(nj)
+    y = np.zeros(null.shape[1])
     iters = 0
     converged = False
-    eye = np.eye(comp.nb)
-    while iters < max_iter:
-        # Newton centering at the current barrier parameter.
-        for _ in range(60):
-            if iters >= max_iter:
-                break
-            iters += 1
-            linv = _solve_lower(low, eye)
-            pinv = linv.T @ linv
-            grad = -t * comp.c - comp.trace_by_var(pinv)
-            hess = comp.barrier_hessian(pinv)
-            if comp.nj:
-                grad += comp.g.T @ (1.0 / s)
-                hess += (comp.g / (s * s)[:, None]).T @ comp.g
-            # Jacobi-scale the Newton system: near-empty interiors put
-            # 1/diag^2 blowups on a few rows, which raw Cholesky cannot take.
-            scale = 1.0 / np.sqrt(np.diag(hess))
-            hs = hess * scale[:, None] * scale[None, :]
-            hlow = None
-            for jitter in (0.0, 1e-13, 1e-10, 1e-7):
-                hlow = _cholesky(hs + jitter * np.eye(comp.nv) if jitter else hs)
-                if hlow is not None:
-                    break
-            if hlow is None:
-                raise NumericError("barrier Hessian lost positive definiteness")
-            # one factor applied to the gradient and every equality row
-            rhs = np.column_stack([-grad, comp.a_eq.T])
-            sol = scale[:, None] * _chol_solve(hlow, scale[:, None] * rhs)
-            step, ha = sol[:, 0], sol[:, 1:]
-            if comp.a_eq.shape[0]:
-                clow = _cholesky(comp.a_eq @ ha)
-                if clow is None:
-                    raise NumericError("degenerate equality block")
-                step -= ha @ _chol_solve(clow, comp.a_eq @ step)
-            if float(grad @ step) > 0.0:
-                # ill-conditioned solve produced an ascent direction; fall
-                # back to projected steepest descent
-                step = -grad
-                if comp.a_eq.shape[0]:
-                    a = comp.a_eq
-                    glow = _cholesky(a @ a.T)
-                    step -= a.T @ _chol_solve(glow, a @ step)
-            dec = float(step @ (hess @ step))
-            if dec <= 2.0 * CENTER_DECREMENT:
-                break
-            cur = phi(m, t, low, s)
-            alpha = 1.0
-            gdots = float(grad @ step)
-            accepted = False
-            for _ in range(60):
-                trial = m + alpha * step
-                s_t = slacks(trial)
-                if not comp.nj or s_t.min() > 0.0:
-                    low_t = _cholesky(comp.mat(trial))
-                    if low_t is not None and phi(trial, t, low_t, s_t) <= cur + 0.25 * alpha * gdots:
-                        m, low, s = trial, low_t, s_t
-                        accepted = True
-                        break
-                alpha *= 0.5
-            if not accepted:
-                break
-        if comp.degree / t <= gap_target:
+    while True:
+        m = comp.m0 + null @ y
+        res_mat = comp.mat(m) - z_mat
+        res_lin = rhs_lin - comp.g @ m - z_lin
+        gap = float(np.sum(x_mat * z_mat) + x_lin @ z_lin)
+        dual_res = max(float(np.abs(res_mat).max()),
+                       float(np.abs(res_lin).max(initial=0.0)))
+        if gap <= GAP_FRACTION * tol and dual_res <= DUAL_RESIDUAL:
             converged = True
             break
-        t *= STAGE_FACTOR
+        if iters >= max_iter:
+            break
+        x_low, z_low = _cholesky(x_mat), _cholesky(z_mat)
+        if x_low is None or z_low is None:
+            break
+        iters += 1
+        x_inv_low = _solve_lower(x_low, eye)
+        z_inv_low = _solve_lower(z_low, eye)
+        z_inv = z_inv_low.T @ z_inv_low
+        d_lin = x_lin / z_lin
+        schur = null.T @ comp.schur_matrix(x_mat, z_inv) @ null + (gn.T * d_lin) @ gn
+        # Jacobi-scale the Schur matrix: near the optimum of an eps = 0
+        # problem its diagonal spans many orders of magnitude.
+        scale = 1.0 / np.sqrt(np.diag(schur))
+        scaled = schur * scale[:, None] * scale[None, :]
+        # Round-off can leave it numerically indefinite there; a diagonal
+        # jitter keeps a direction, and since the residuals are recomputed
+        # from the iterates, an inexact one costs progress, not accuracy.
+        low = None
+        for jitter in (0.0, 1e-13, 1e-10, 1e-7):
+            low = _cholesky(scaled + jitter * np.eye(len(scaled)) if jitter else scaled)
+            if low is not None:
+                break
+        if low is None:
+            break
+
+        def direction(target, corr_mat, corr_lin):
+            """HKM step for X Z = target I - corr_mat, x z = target - corr_lin."""
+            w = target * z_inv - (x_mat @ res_mat + corr_mat) @ z_inv
+            rhs = (b + null.T @ comp.trace_by_var(w)
+                   - gn.T @ ((target - corr_lin) / z_lin - d_lin * res_lin))
+            dy = scale * _chol_solve(low, scale * rhs)
+            dz_mat = res_mat + comp.mat(null @ dy)
+            dz_lin = res_lin - gn @ dy
+            dx_mat = target * z_inv - x_mat - (x_mat @ dz_mat + corr_mat) @ z_inv
+            dx_lin = (target - corr_lin) / z_lin - x_lin - d_lin * dz_lin
+            return dy, 0.5 * (dx_mat + dx_mat.T), dx_lin, dz_mat, dz_lin
+
+        def steps(dx_mat, dx_lin, dz_mat, dz_lin, fraction):
+            primal = min(_max_step(x_inv_low, dx_mat), _max_step_lin(x_lin, dx_lin))
+            dual = min(_max_step(z_inv_low, dz_mat), _max_step_lin(z_lin, dz_lin))
+            return min(1.0, fraction * primal), min(1.0, fraction * dual)
+
+        # predictor: the affine-scaling direction sets the centring weight
+        dy, dx_mat, dx_lin, dz_mat, dz_lin = direction(0.0, 0.0, 0.0)
+        ap, ad = steps(dx_mat, dx_lin, dz_mat, dz_lin, 1.0)
+        gap_aff = float(np.sum((x_mat + ap * dx_mat) * (z_mat + ad * dz_mat))
+                        + (x_lin + ap * dx_lin) @ (z_lin + ad * dz_lin))
+        sigma = min(1.0, (gap_aff / gap) ** 3)
+        # corrector: same factor, centring target and second-order term
+        dy, dx_mat, dx_lin, dz_mat, dz_lin = direction(
+            sigma * gap / degree, dx_mat @ dz_mat, dx_lin * dz_lin)
+        ap, ad = steps(dx_mat, dx_lin, dz_mat, dz_lin, STEP_FRACTION)
+        x_mat, x_lin = x_mat + ap * dx_mat, x_lin + ap * dx_lin
+        y, z_mat, z_lin = y + ad * dy, z_mat + ad * dz_mat, z_lin + ad * dz_lin
 
     value = float(comp.c @ m)
-    gram = comp.mat(m)
-    psd_residual = max(0.0, -float(np.linalg.eigvalsh(gram)[0]))
+    psd_residual = max(0.0, -float(np.linalg.eigvalsh(comp.mat(m))[0]))
     affine = 0.0
     if comp.a_eq.shape[0]:
         affine = float(np.max(np.abs(comp.a_eq @ m - comp.b_eq)))
-    if comp.nj:
+    if nj:
         affine = max(affine, float(np.max(comp.g @ m - comp.eps)))
     converged = converged and psd_residual <= tol and affine <= tol
     return MomentSolution(value=value, moments=m, psd_residual=psd_residual,
                           affine_residual=max(0.0, affine), iterations=iters,
-                          converged=converged)
+                          converged=converged, gap=gap)

@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import random_pairs
 from hardylab.behavior import Scenario
 from hardylab.errors import CapabilityError, SizeError, ValidationError
-from hardylab.npa import (_rotate, barrier_start, build_moment_problem,
-                          canonical_monomial, cyclic_reduction, dagger,
-                          hardy_moment_vector, identity_monomial,
-                          interior_moment_vector, monomial_from_str,
-                          mixed_moment_vector, monomial_list, monomial_str,
-                          mul, npa_upper_bound, problem_from_text,
+from hardylab.npa import (_rotate, build_moment_problem, canonical_monomial,
+                          cyclic_reduction, dagger, hardy_moment_vector,
+                          identity_monomial, monomial_from_str, monomial_list,
+                          monomial_str, mul, npa_upper_bound, problem_from_text,
                           problem_to_text, quantum_moment_vector)
 from hardylab.sdp import DEFAULT_SHIFT, _Compiled, sdp_solve
 
@@ -107,9 +104,9 @@ class TestBuildMomentProblem:
     def test_epsilon_one_inequalities_slack(self):
         p = build_moment_problem(Scenario(3), 2, 1.0)
         assert all(rhs == 1.0 for _, rhs in p.inequalities)
-        interior = interior_moment_vector(p)
+        hardy = hardy_moment_vector(p)  # every Hardy term vanishes there
         for row, rhs in p.inequalities:
-            assert sum(coef * interior[k] for k, coef in row.items()) < rhs
+            assert sum(coef * hardy[k] for k, coef in row.items()) < rhs
 
     def test_level_too_low(self):
         with pytest.raises(CapabilityError):
@@ -151,32 +148,6 @@ class TestMomentVectors:
         assert w.min() > -1e-10
         for row, rhs in p.inequalities:
             assert abs(sum(c * m[k] for k, c in row.items())) < 1e-12
-
-    def test_interior_point_strictly_feasible(self):
-        for n, level in ((2, 2), (3, 2), (3, 3)):
-            p = build_moment_problem(Scenario(n), level, 0.0)
-            m = interior_moment_vector(p)
-            comp = _Compiled(p)
-            w = np.linalg.eigvalsh(comp.mat(m))
-            assert w.min() > 1e-7
-            rows = [sum(c * m[k] for k, c in row.items())
-                    for row, _ in p.inequalities]
-            assert np.allclose(rows[:-1], 0.25, atol=1e-12)
-            assert abs(rows[-1] - 0.5 ** n) < 1e-12
-
-    def test_mixed_vector_matches_operator_oracle(self):
-        # Tr(W)/2^n from raw Kronecker products, distinct pairs per party
-        rng = np.random.default_rng(12)
-        for n, level in ((2, 3), (3, 2)):
-            p = build_moment_problem(Scenario(n), level, 0.0)
-            pairs = random_pairs(rng, n)
-            projs = [(np.diag([1.0 + 0j, 0.0]),
-                      np.outer(pair.ket_plus, pair.ket_plus.conj()))
-                     for pair in pairs]
-            ref = [np.trace(monomial_operator(v, projs)).real / 2 ** n
-                   for v in p.variables]
-            assert np.allclose(mixed_moment_vector(p, pairs), ref,
-                               rtol=0.0, atol=1e-14)
 
     def test_quantum_vector_matches_behavior(self):
         # success probability moment equals the Born-rule value
@@ -243,7 +214,7 @@ class TestCyclicReduction:
         assert (r.cell_var == orbit_of[p.cell_var]).all()
         assert (r.cell_var == r.cell_var.T).all()
         _Compiled(r)
-        # every cyclic row is kept, so the barrier degree is unchanged
+        # every cyclic row is kept, identical after the merge
         assert len(r.inequalities) == n + 1
         assert all(rhs == 0.05 for _, rhs in r.inequalities)
         assert all(row == r.inequalities[0][0] for row, _ in r.inequalities[:n])
@@ -270,29 +241,20 @@ class TestCyclicReduction:
             projs, psi = random_realization(rng, n)
             assert max(orbit_spreads(r, operator_gram(p, projs, psi))) > 1e-3
 
-    @pytest.mark.parametrize("n,level", [(3, 3), (4, 2)])
-    def test_orbit_average_start_strictly_feasible(self, n, level):
-        p = build_moment_problem(Scenario(n), level, 0.0)
-        r, orbit_of = cyclic_reduction(p)
-        full = barrier_start(p, DEFAULT_SHIFT)
-        start = np.bincount(orbit_of, weights=full) / np.bincount(orbit_of)
-        mat = _Compiled(r).mat(start)
-        assert np.linalg.eigvalsh(mat)[0] > 0.0
-        for row, rhs in r.inequalities:
-            assert sum(c * start[k] for k, c in row.items()) < rhs + DEFAULT_SHIFT
-        # it is the party-shift average of the full moment matrix
-        index = {b: i for i, b in enumerate(p.basis)}
-        full_mat = _Compiled(p).mat(full)
-        shifted = []
-        for s in range(n):
-            perm = [index[_rotate(b, s)] for b in p.basis]
-            shifted.append(full_mat[np.ix_(perm, perm)])
-        assert np.abs(np.mean(shifted, axis=0) - mat).max() < 1e-15
-
     @pytest.mark.parametrize("n,eps", [(2, 0.03), (3, 0.05)])
     def test_unreduced_solve_agrees(self, n, eps):
-        # cross-check: the full problem from the full start, test-only
+        # cross-check: the full problem, test-only
         p = build_moment_problem(Scenario(n), 2, eps)
-        full = sdp_solve(p, tol=1e-6, start=barrier_start(p, DEFAULT_SHIFT))
+        full = sdp_solve(p, tol=1e-6)
         assert full.converged
         assert abs(full.value - npa_upper_bound(Scenario(n), 2, eps, tol=1e-6)) < 1e-7
+        # the orbit average of the full optimum is the party-shift average
+        # of its moment matrix: feasible for the reduced problem, same value
+        r, orbit_of = cyclic_reduction(p)
+        avg = np.bincount(orbit_of, weights=full.moments) / np.bincount(orbit_of)
+        assert np.linalg.eigvalsh(_Compiled(r).mat(avg))[0] >= -1e-9
+        for row, rhs in r.inequalities:
+            lhs = sum(c * avg[k] for k, c in row.items())
+            assert lhs <= rhs + DEFAULT_SHIFT + 1e-12
+        (obj,) = r.objective
+        assert abs(avg[obj] - full.value) <= 1e-15

@@ -1,16 +1,20 @@
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hardylab.behavior import Scenario
-from hardylab.errors import NumericError, ValidationError
+from hardylab.errors import ValidationError
 from hardylab.linalg import eig_sym
-from hardylab.npa import (build_moment_problem, hardy_moment_vector,
-                          identity_monomial, interior_moment_vector)
+from hardylab.npa import build_moment_problem, cyclic_reduction, identity_monomial
 from hardylab.npa import MomentProblem
-from hardylab.sdp import (_Compiled, _cholesky, _chol_solve, _solve_lower,
-                          sdp_solve)
+from hardylab.sdp import (DEFAULT_SHIFT, DUAL_RESIDUAL, _Compiled, _cholesky,
+                          _chol_solve, _solve_lower, sdp_solve)
+
+REFERENCE = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "reference.json").read_text())
 
 
 def toy_problem(equalities=None, inequalities=None, objective=None):
@@ -82,21 +86,54 @@ def dense_cell_matrices(problem):
                      for k in range(problem.n_vars)])
 
 
+def random_spd(rng, nb, shift):
+    g = rng.standard_normal((nb, nb))
+    return g @ g.T / nb + shift * np.eye(nb)
+
+
+def dense_schur(e, x, w):
+    """Brute-force Tr(E_k X E_l W) from dense E_k."""
+    xew = np.einsum("ab,lbc,cd->lad", x, e, w)
+    return np.einsum("kda,lad->kl", e, xew)
+
+
+def problem_case(case):
+    return (toy_problem() if case == "toy"
+            else build_moment_problem(Scenario(case[0]), case[1], 0.02))
+
+
 class TestCompiled:
     @pytest.mark.parametrize("case", ["toy", (2, 2), (3, 2)])
     def test_barrier_hessian_matches_dense_trace(self, case):
-        # cross-check: brute-force Tr(P E_k P E_l) from dense E_k
-        problem = (toy_problem() if case == "toy"
-                   else build_moment_problem(Scenario(case[0]), case[1], 0.02))
+        # with X = W = P the kernel is the log-det Hessian Tr(P E_k P E_l)
+        problem = problem_case(case)
         rng = np.random.default_rng(7)
         nb = problem.n_basis
-        g = rng.standard_normal((nb, nb))
-        p = g @ g.T / nb + 0.5 * np.eye(nb)
+        p = random_spd(rng, nb, 0.5)
         e = dense_cell_matrices(problem)
         pep = np.einsum("ab,kbc,cd->kad", p, e, p)
         ref = np.einsum("kad,lda->kl", pep, e)
-        h = _Compiled(problem).barrier_hessian(p)
+        h = _Compiled(problem).schur_matrix(p, p)
         assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("case", ["toy", (2, 2), (3, 2)])
+    def test_schur_matrix_matches_dense_trace(self, case):
+        problem = problem_case(case)
+        rng = np.random.default_rng(17)
+        nb = problem.n_basis
+        x, w = random_spd(rng, nb, 0.5), random_spd(rng, nb, 0.1)
+        e = dense_cell_matrices(problem)
+        ref = dense_schur(e, x, w)
+        comp = _Compiled(problem)
+        h = comp.schur_matrix(x, w)
+        assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
+        # a kernel that read one matrix twice would fail the check above
+        for one in (x, w):
+            assert np.max(np.abs(dense_schur(e, one, one) - ref)) > 1e-3 * np.max(np.abs(ref))
+        # Tr(E_k X E_l W) = Tr(E_l X E_k W) (cyclic trace, symmetric inputs),
+        # so H is symmetric and exchanging X and W leaves it unchanged
+        assert np.max(np.abs(ref - ref.T)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(comp.schur_matrix(w, x) - h)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_trace_by_var_matches_dense_trace(self):
         problem = build_moment_problem(Scenario(3), 2, 0.02)
@@ -150,16 +187,30 @@ class TestToyProblems:
         assert sol.iterations == 1
 
 
+def reference_cases():
+    """The benchmark's moment jobs and the scan's level-2 points."""
+    jobs = [(j["n"], j["level"], j["epsilon"], j["value"])
+            for j in REFERENCE["moment"]["jobs"]]
+    scan = REFERENCE["scan"]
+    steps, eps_to = scan["config"]["steps"], scan["config"]["eps_to"]
+    for k, row in enumerate(scan["rows"].values()):
+        # the scan's grid formula, so the epsilon is bit-identical
+        jobs.append((3, scan["config"]["level"], k * eps_to / (steps - 1),
+                     row["npa_upper"][0]))
+    return jobs
+
+
+def reduced_problem(n, level, eps):
+    return cyclic_reduction(build_moment_problem(Scenario(n), level, eps))[0]
+
+
 class TestHardyProblems:
     def test_feasibility_audit(self):
         # returned moments reshape into a near-PSD matrix and respect the
         # error constraints; the Jacobi eigensolver cross-checks the
         # solver's own LAPACK audit
         p = build_moment_problem(Scenario(2), 2, 0.02)
-        lam = 2.0 * 0.02
-        start = ((1 - lam) * hardy_moment_vector(p)
-                 + lam * interior_moment_vector(p))
-        sol = sdp_solve(p, tol=1e-6, start=start)
+        sol = sdp_solve(p, tol=1e-6)
         assert sol.converged
         comp = _Compiled(p)
         audit = eig_sym(comp.mat(sol.moments), tol=1e-8)
@@ -171,9 +222,34 @@ class TestHardyProblems:
         assert abs(sol.moments[p.identity_var] - 1.0) < 1e-12
         assert sol.psd_residual <= 1e-6
         assert sol.affine_residual <= 1e-6
+        assert 0.0 < sol.gap <= 1e-7
 
-    def test_requires_interior_start_at_zero_eps(self):
-        p = build_moment_problem(Scenario(2), 2, 0.0)
-        bad = hardy_moment_vector(p)  # on the boundary, not interior
-        with pytest.raises(NumericError):
-            sdp_solve(p, tol=1e-6, start=bad, slack_shift=0.0)
+    @pytest.mark.parametrize("n,level", [(2, 2), (3, 3), (4, 2)])
+    def test_feasible_without_start(self, n, level):
+        # eps = 0: the unshifted problem has an empty interior, and the
+        # solver starts from no feasible point at all
+        p = reduced_problem(n, level, 0.0)
+        sol = sdp_solve(p, tol=1e-6)
+        assert sol.converged
+        assert sol.psd_residual <= 1e-9
+        audit = eig_sym(_Compiled(p).mat(sol.moments), tol=1e-12)
+        assert audit.eigenvalues[0] >= -1e-9
+        assert abs(sol.psd_residual - max(0.0, -audit.eigenvalues[0])) <= 1e-10
+        # feasible for the shifted rows up to the dual residual of the
+        # stopping rule
+        for row, rhs in p.inequalities:
+            lhs = sum(c * sol.moments[k] for k, c in row.items())
+            assert lhs <= rhs + DEFAULT_SHIFT + DUAL_RESIDUAL
+        assert abs(sol.moments[p.identity_var] - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("n,level,eps,ref", reference_cases(),
+                             ids=lambda v: f"{v:.4g}" if isinstance(v, float) else str(v))
+    def test_reference_values_pinned(self, n, level, eps, ref):
+        p = reduced_problem(n, level, eps)
+        sol = sdp_solve(p, tol=1e-6)
+        assert sol.converged
+        assert abs(sol.value - ref) <= 2e-7
+        assert sol.iterations <= 60
+        again = sdp_solve(p, tol=1e-6)
+        assert again.iterations == sol.iterations
+        assert again.value == sol.value
