@@ -142,6 +142,8 @@ def _bound_value(method: str, n: int, epsilon: float, level: int,
             "restarts": res.restarts_used,
             "seed": res.seed,
             "constraints": [float(v) for v in res.constraint_values],
+            "evaluations": res.evaluations,
+            "iterations": res.iterations,
         }
     raise ValidationError(f"unknown method {method!r}")
 

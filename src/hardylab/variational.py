@@ -10,30 +10,41 @@ party, attached to every basis state through the parties showing |0>:
   + c111 |111>
 
 Party j's first observable is computational; the second has eigenvectors
-cos(a_j/2)|0> + e^{i phase_j} sin(a_j/2)|1> and its orthogonal
-complement, with the phases shared with the state by default (a
-decoupled-phase variant widens the family to 13 parameters).
+cos(a_j/2)|0> + e^{i p_j} sin(a_j/2)|1> and its orthogonal complement,
+with the phase p_j shared with the state.
 
-The search is a penalised multistart simplex reflection (Nelder-Mead)
-over the parameter box; amplitudes are projected onto the weighted unit
-sphere after every proposal.  The first restart always starts from the
-exact noiseless optimum, so the feasible incumbent never regresses below
-the ideal Hardy point.
+The phases are gauge.  The state is (U_1 (x) U_2 (x) U_3) applied to its
+zero-phase version, with U_j = diag(e^{-i p_j}, 1), and U_j maps party j's
+zero-phase outcome vectors to its phased ones up to a global phase, while
+it commutes with the computational projectors.  Every probability is
+therefore independent of the phases, and so is every Hardy statistic.
+The amplitudes enter only through their normalised values, so their
+scale is flat as well.  The search therefore runs over the gauge-fixed
+seven-parameter vector x = (four unnormalised amplitudes, three angles)
+with the phases at 0; there ``hardy_terms`` is a real closed form that
+also returns analytic gradients, carried through the weighted
+normalisation c = x / N, N^2 = x0^2 + 3 x1^2 + 3 x2^2 + x3^2.
 
-The search loop runs on plain Python floats: the simplex is a list of
-lists, and each objective evaluation builds the eight amplitudes with
-``cmath`` and evaluates the success probability and the four Hardy
-terms in closed form (``hardy_terms``).  On vectors this short a numpy
-call costs more than the arithmetic it does, so numpy is used only to
-draw the restart points and to re-validate the incumbent through the
-behavior module, which stays the independent cross-check.
+The local solver is an augmented Lagrangian (Powell-Hestenes-Rockafellar
+form) for max p subject to z_j <= eps, with a smooth quadratic penalty
+keeping the angles inside (ANGLE_MARGIN, pi - ANGLE_MARGIN).  Its inner
+minimiser is BFGS with Armijo backtracking on Python floats: the vectors
+have seven entries, and at that size a numpy call costs more than the
+arithmetic it does.  Every value+gradient call is offered to an
+incumbent tracker, which keeps the best point whose terms stay within
+FEAS_SLACK of the bound.  Restart 0 starts at the exact noiseless
+optimum and offers it before any step, so the result never falls below
+the ideal Hardy point; the other restarts draw their start from
+per-restart substreams of the seed.  numpy draws the starts and
+re-validates the incumbent through the behavior module, which stays the
+independent cross-check.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -44,10 +55,23 @@ from .states import pmax, tripartite_explicit, MeasurementPair
 
 FEAS_SLACK = 1e-8
 ANGLE_MARGIN = 1e-3
-PENALTY_STAGES = (1e4, 1e5, 1e6)
-SIMPLEX_SCALES = (0.25, 0.08, 0.02)
 # lower_bound accepts error bounds in [0, EPSILON_MAX]
 EPSILON_MAX = 0.25
+# weight of the quadratic penalty on angles past the margin
+ANGLE_PENALTY = 1e4
+# augmented-Lagrangian schedule: initial and largest penalty parameter,
+# outer iterations per restart, and the stopping tolerance on the
+# complementarity measure max_j max(z_j - eps, -lambda_j / mu)
+MU_START = 10.0
+MU_MAX = 1e8
+OUTER_ITER = 12
+KKT_TOL = 1e-10
+# BFGS iterations per outer iteration, its gradient and relative
+# decrease tolerances, and the step halvings allowed per line search
+BFGS_ITER = 200
+BFGS_GTOL = 1e-10
+FTOL = 1e-15
+BACKTRACKS = 30
 
 
 def _norm_sq(c) -> float:
@@ -69,7 +93,6 @@ class AnsatzParams:
     meas_alpha: float
     meas_beta: float
     meas_gamma: float
-    meas_phases: tuple[float, float, float] | None = None
 
     def __post_init__(self):
         total = _norm_sq((self.c000, self.c001, self.c011, self.c111))
@@ -81,14 +104,8 @@ class AnsatzParams:
                     f"measurement angle {ang!r} outside (0, pi)")
 
     @property
-    def state_phases(self) -> tuple[float, float, float]:
+    def phases(self) -> tuple[float, float, float]:
         return (self.phi, self.xi, self.theta)
-
-    @property
-    def measurement_phases(self) -> tuple[float, float, float]:
-        if self.meas_phases is not None:
-            return self.meas_phases
-        return self.state_phases
 
 
 @dataclass(frozen=True)
@@ -98,22 +115,20 @@ class LowerBoundResult:
     constraint_values: np.ndarray
     restarts_used: int
     seed: int
+    evaluations: int  # value+gradient calls of hardy_terms
+    iterations: int  # BFGS iterations over all restarts
 
 
-def _amplitudes(c, phases) -> list[complex]:
-    """The eight amplitudes c_w e^{-i (phases of the parties showing |0>)},
-    basis state |abc> at index 4a + 2b + c."""
-    c0, c1, c2, c3 = c
-    pa, pb, pc = phases
-    ea, eb, ec = cmath.exp(-1j * pa), cmath.exp(-1j * pb), cmath.exp(-1j * pc)
-    eab = ea * eb
-    return [c0 * eab * ec, c1 * eab, c1 * ea * ec, c2 * ea,
-            c1 * eb * ec, c2 * eb, c2 * ec, complex(c3)]
+# bits[idx] = (a, b, c) of basis state |abc> at index 4a + 2b + c
+_BITS = (np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1
 
 
 def ansatz_state(p: AnsatzParams) -> StateVector:
-    c = (p.c000, p.c001, p.c011, p.c111)
-    return StateVector((2, 2, 2), np.array(_amplitudes(c, p.state_phases)))
+    """Amplitude c_w e^{-i (phases of the parties showing |0>)} on every
+    basis state of Hamming weight w."""
+    c = np.array([p.c000, p.c001, p.c011, p.c111])
+    phase = (1 - _BITS) @ np.array(p.phases)
+    return StateVector((2, 2, 2), c[_BITS.sum(axis=1)] * np.exp(-1j * phase))
 
 
 def _d_vectors(angle: float, phase: float):
@@ -125,8 +140,7 @@ def _d_vectors(angle: float, phase: float):
 
 def ansatz_measurements(p: AnsatzParams) -> MeasurementSet:
     projs = []
-    for angle, phase in zip((p.meas_alpha, p.meas_beta, p.meas_gamma),
-                            p.measurement_phases):
+    for angle, phase in zip((p.meas_alpha, p.meas_beta, p.meas_gamma), p.phases):
         if not ANGLE_MARGIN / 10 < angle < math.pi - ANGLE_MARGIN / 10:
             raise DegenerateMeasurementError(
                 f"angle {angle!r} too close to the boundary")
@@ -138,220 +152,260 @@ def ansatz_measurements(p: AnsatzParams) -> MeasurementSet:
     return MeasurementSet(projectors=tuple(projs), dims=(2, 2, 2))
 
 
-def hardy_terms(psi, angles, phases) -> tuple[float, tuple[float, float, float, float]]:
-    """Success probability and the four constraint terms of a three-qubit state.
+def _pair_term(co, si, c0, c1, c2):
+    """One two-party term at zero phases, (co c0 + si c1)^2 + (co c1 + si c2)^2,
+    with its derivatives in c0, c1, c2 and in the angle (co, si = cos, sin
+    of half the angle)."""
+    u = co * c0 + si * c1
+    v = co * c1 + si * c2
+    return (u * u + v * v, 2.0 * u * co, 2.0 * (u * si + v * co), 2.0 * v * si,
+            u * (co * c1 - si * c0) + v * (co * c2 - si * c1))
 
-    ``psi`` holds the eight amplitudes (|abc> at index 4a + 2b + c);
-    party j's second-setting outcome vectors are the ``_d_vectors`` of
-    ``angles[j]`` and ``phases[j]``.  Returns P(0, 0, 0) and the four
-    terms P_AB(d+, 0), P_BC(d+, 0), P_AC(0, d+), P(d-, d-, d-), where 0
-    is the computational first-setting outcome and each two-party term
-    is marginalised over the third party.  Closed-form rank-1 overlaps
-    on Python complex numbers; the behavior-module route is the
-    independent cross-check used at result validation.
+
+def hardy_terms(x):
+    """Success probability, the four Hardy terms and their gradients.
+
+    ``x`` is the gauge-fixed parameter vector: the four Hamming-weight
+    amplitudes at any scale (they are normalised with weights 1, 3, 3, 1)
+    and the three measurement angles, all phases 0.  Returns
+    ``(p, zs, dp, dzs)``: P(0, 0, 0), the four terms P_AB(d+, 0),
+    P_BC(d+, 0), P_AC(0, d+), P(d-, d-, d-), where 0 is the computational
+    first-setting outcome and each two-party term is marginalised over
+    the third party, and the gradients of p and of each term with
+    respect to ``x`` as seven-element lists.  With real amplitudes each
+    two-party term takes the same closed form in its own angle.  The
+    behavior-module route is the independent cross-check used at result
+    validation.
     """
-    t000, t001, t010, t011, t100, t101, t110, t111 = psi
-    aa, ab, ac = angles
+    x0, x1, x2, x3, aa, ab, ac = x
+    nrm = math.sqrt(x0 * x0 + 3.0 * x1 * x1 + 3.0 * x2 * x2 + x3 * x3)
+    c0, c1, c2, c3 = x0 / nrm, x1 / nrm, x2 / nrm, x3 / nrm
     ca, sa = math.cos(0.5 * aa), math.sin(0.5 * aa)
     cb, sb = math.cos(0.5 * ab), math.sin(0.5 * ab)
     cc, sc = math.cos(0.5 * ac), math.sin(0.5 * ac)
-    pa, pb, pc = phases
-    ea, eb, ec = cmath.exp(-1j * pa), cmath.exp(-1j * pb), cmath.exp(-1j * pc)
-    # conjugated outcome vectors: <d+| = (c, s e), <d-| = (-s, c e)
-    # with c = cos(angle/2), s = sin(angle/2), e = e^{-i phase}
-    qa, qb, qc = sa * ea, sb * eb, sc * ec
-    z1 = abs(ca * t000 + qa * t100) ** 2 + abs(ca * t001 + qa * t101) ** 2
-    z2 = abs(cb * t000 + qb * t010) ** 2 + abs(cb * t100 + qb * t110) ** 2
-    z3 = abs(cc * t000 + qc * t001) ** 2 + abs(cc * t010 + qc * t011) ** 2
-    # <d-|<d-|<d-|psi>: contract party C, then B, then A
-    mc = cc * ec
-    w00 = mc * t001 - sc * t000
-    w01 = mc * t011 - sc * t010
-    w10 = mc * t101 - sc * t100
-    w11 = mc * t111 - sc * t110
-    mb = cb * eb
-    y0 = mb * w01 - sb * w00
-    y1 = mb * w11 - sb * w10
-    z4 = abs(ca * ea * y1 - sa * y0) ** 2
-    return abs(t000) ** 2, (z1, z2, z3, z4)
+    z1, g10, g11, g12, g1a = _pair_term(ca, sa, c0, c1, c2)
+    z2, g20, g21, g22, g2a = _pair_term(cb, sb, c0, c1, c2)
+    z3, g30, g31, g32, g3a = _pair_term(cc, sc, c0, c1, c2)
+    # <d-|<d-|<d-|psi> = r: contract party C (e), then B (f), then A;
+    # <d-| = (-s, c) for each party at zero phase
+    e0 = cc * c1 - sc * c0
+    e1 = cc * c2 - sc * c1
+    e2 = cc * c3 - sc * c2
+    f0 = cb * e1 - sb * e0
+    f1 = cb * e2 - sb * e1
+    r = ca * f1 - sa * f0
+    # r = k0 e0 + k1 e1 + k2 e2
+    k0, k1, k2 = sa * sb, -(ca * sb + sa * cb), ca * cb
+    t = 2.0 * r
+    g4 = (-t * sc * k0, t * (cc * k0 - sc * k1), t * (cc * k1 - sc * k2), t * cc * k2)
+    g4a = -0.5 * t * (sa * f1 + ca * f0)
+    g4b = 0.5 * t * (sa * (sb * e1 + cb * e0) - ca * (sb * e2 + cb * e1))
+    g4c = -0.5 * t * (k0 * (sc * c1 + cc * c0) + k1 * (sc * c2 + cc * c1)
+                      + k2 * (sc * c3 + cc * c2))
+    # chain rule through c = x / N: dg/dx_j = (G_j - w_j c_j sum_i G_i c_i) / N
+    w0, w1, w2, w3 = c0 / nrm, 3.0 * c1 / nrm, 3.0 * c2 / nrm, c3 / nrm
+    inv = 1.0 / nrm
+    p = c0 * c0
+    s = 2.0 * p
+    dp = [(2.0 * c0 - c0 * s) * inv, -w1 * s, -w2 * s, -w3 * s, 0.0, 0.0, 0.0]
+    s = g10 * c0 + g11 * c1 + g12 * c2
+    dz1 = [g10 * inv - w0 * s, g11 * inv - w1 * s, g12 * inv - w2 * s, -w3 * s,
+           g1a, 0.0, 0.0]
+    s = g20 * c0 + g21 * c1 + g22 * c2
+    dz2 = [g20 * inv - w0 * s, g21 * inv - w1 * s, g22 * inv - w2 * s, -w3 * s,
+           0.0, g2a, 0.0]
+    s = g30 * c0 + g31 * c1 + g32 * c2
+    dz3 = [g30 * inv - w0 * s, g31 * inv - w1 * s, g32 * inv - w2 * s, -w3 * s,
+           0.0, 0.0, g3a]
+    s = g4[0] * c0 + g4[1] * c1 + g4[2] * c2 + g4[3] * c3
+    dz4 = [g4[0] * inv - w0 * s, g4[1] * inv - w1 * s, g4[2] * inv - w2 * s,
+           g4[3] * inv - w3 * s, g4a, g4b, g4c]
+    return p, (z1, z2, z3, r * r), dp, (dz1, dz2, dz3, dz4)
 
 
-def _decode(x, decoupled: bool):
-    """Split a parameter vector into normalised amplitudes, state phases,
-    angles and measurement phases; None for a degenerate amplitude part."""
+def _params_from_vector(x) -> AnsatzParams:
+    """Normalised amplitudes and angles of a gauge-fixed vector, phases 0."""
     nrm = math.sqrt(_norm_sq(x))
-    if nrm < 1e-12:
-        return None
-    c = [x[0] / nrm, x[1] / nrm, x[2] / nrm, x[3] / nrm]
-    phases = x[4:7]
-    angles = x[7:10]
-    meas_phases = x[10:13] if decoupled else phases
-    return c, phases, angles, meas_phases
-
-
-def _params_from_vector(x, decoupled: bool) -> AnsatzParams:
-    decoded = _decode(x, decoupled)
-    if decoded is None:
+    if not nrm > 1e-12:
         raise NumericError("degenerate amplitude vector")
-    c, phases, angles, meas_phases = decoded
-    return AnsatzParams(c000=float(c[0]), c001=float(c[1]), c011=float(c[2]),
-                        c111=float(c[3]),
-                        phi=float(phases[0]), xi=float(phases[1]),
-                        theta=float(phases[2]),
-                        meas_alpha=float(angles[0]), meas_beta=float(angles[1]),
-                        meas_gamma=float(angles[2]),
-                        meas_phases=(tuple(float(v) for v in meas_phases)
-                                     if decoupled else None))
+    return AnsatzParams(c000=float(x[0] / nrm), c001=float(x[1] / nrm),
+                        c011=float(x[2] / nrm), c111=float(x[3] / nrm),
+                        phi=0.0, xi=0.0, theta=0.0,
+                        meas_alpha=float(x[4]), meas_beta=float(x[5]),
+                        meas_gamma=float(x[6]))
 
 
 def canonical_start() -> np.ndarray:
-    """Parameter vector of the exact noiseless optimum."""
+    """Gauge-fixed parameter vector of the exact noiseless optimum."""
     t = pmax(3).t
     coeffs, _ = tripartite_explicit(MeasurementPair.from_alpha_sq(t))
     angle = 2.0 * math.acos(math.sqrt(t))
     return np.array([coeffs.c0.real, coeffs.c1.real, coeffs.c2.real,
-                     coeffs.c3.real, 0.0, 0.0, 0.0, angle, angle, angle])
-
-
-def nelder_mead(f, x0, scale: float, max_iter: int = 400,
-                ftol: float = 1e-12, xtol: float = 1e-10):
-    """Plain simplex reflection minimiser (reflect/expand/contract/shrink).
-
-    The simplex is a list of Python float lists and ``f`` is called with
-    one such list; returns the best vertex (a list) and its value.
-    """
-    x0 = [float(v) for v in x0]
-    n = len(x0)
-    pts = [x0]
-    for i in range(n):
-        step = x0[:]
-        step[i] += scale
-        pts.append(step)
-    vals = [f(p) for p in pts]
-    for _ in range(max_iter):
-        order = sorted(range(n + 1), key=vals.__getitem__)
-        pts = [pts[i] for i in order]
-        vals = [vals[i] for i in order]
-        best = pts[0]
-        if (vals[-1] - vals[0] <= ftol
-                and max(abs(a - b) for p in pts[1:]
-                        for a, b in zip(p, best)) <= xtol):
-            break
-        centroid = [sum(col) / n for col in zip(*pts[:-1])]
-        worst = pts[-1]
-        refl = [c + (c - w) for c, w in zip(centroid, worst)]
-        f_refl = f(refl)
-        if f_refl < vals[0]:
-            expd = [c + 2.0 * (c - w) for c, w in zip(centroid, worst)]
-            f_expd = f(expd)
-            if f_expd < f_refl:
-                pts[-1], vals[-1] = expd, f_expd
-            else:
-                pts[-1], vals[-1] = refl, f_refl
-        elif f_refl < vals[-2]:
-            pts[-1], vals[-1] = refl, f_refl
-        else:
-            toward = refl if f_refl < vals[-1] else worst
-            contr = [c + 0.5 * (t - c) for c, t in zip(centroid, toward)]
-            f_contr = f(contr)
-            if f_contr < min(f_refl, vals[-1]):
-                pts[-1], vals[-1] = contr, f_contr
-            else:
-                for i in range(1, n + 1):
-                    pts[i] = [b + 0.5 * (v - b) for b, v in zip(best, pts[i])]
-                    vals[i] = f(pts[i])
-    k = min(range(n + 1), key=vals.__getitem__)
-    return pts[k], vals[k]
+                     coeffs.c3.real, angle, angle, angle])
 
 
 class _Tracker:
-    """Remembers the best hard-feasible point seen during a search."""
+    """Counts value+gradient calls and remembers the best hard-feasible
+    point among them."""
 
-    def __init__(self, epsilon: float, decoupled: bool):
+    def __init__(self, epsilon: float):
         self.epsilon = epsilon
-        self.decoupled = decoupled
         self.best_p = -1.0
         self.best_x = None
+        self.evaluations = 0
+        self.iterations = 0
 
-    def penalised(self, mu: float, eps_target: float | None = None):
-        """Penalised objective at ``eps_target`` (defaults to the full
-        error bound); incumbents are always filtered at the full bound.
-        The returned function takes a parameter vector as a float list."""
-        eps = self.epsilon if eps_target is None else eps_target
+    def merit(self, lam, mu: float):
+        """Augmented Lagrangian of min -p s.t. z_j <= eps at multipliers
+        ``lam`` and penalty parameter ``mu``, plus the angle penalty.
+
+        The returned function maps a parameter list x to (value, gradient,
+        terms); every call is offered to the incumbent, which is filtered
+        at the full error bound and the angle margins.
+        """
+        eps = self.epsilon
+        lo, hi = ANGLE_MARGIN, math.pi - ANGLE_MARGIN
+        half_inv_mu = 0.5 / mu
 
         def f(x):
-            decoded = _decode(x, self.decoupled)
-            if decoded is None:
-                return 1e9
-            c, phases, angles, meas_phases = decoded
-            pen = 0.0
-            for ang in angles:
-                if ang < ANGLE_MARGIN:
-                    pen += (ANGLE_MARGIN - ang) ** 2
-                elif ang > math.pi - ANGLE_MARGIN:
-                    pen += (ang - math.pi + ANGLE_MARGIN) ** 2
-            if pen:
-                return 1e6 * (1.0 + pen)
-            p, zs = hardy_terms(_amplitudes(c, phases), angles, meas_phases)
-            if max(zs) - self.epsilon <= FEAS_SLACK and p > self.best_p:
+            p, zs, dp, dzs = hardy_terms(x)
+            self.evaluations += 1
+            inside = lo <= x[4] <= hi and lo <= x[5] <= hi and lo <= x[6] <= hi
+            if inside and max(zs) - eps <= FEAS_SLACK and p > self.best_p:
                 self.best_p = p
                 self.best_x = list(x)
-            excess = 0.0
-            for z in zs:
-                if z > eps:
-                    excess += (z - eps) ** 2
-            return -p + mu * excess
+            val = -p
+            grad = [-g for g in dp]
+            for z, lj, dz in zip(zs, lam, dzs):
+                m = lj + mu * (z - eps)
+                if m > 0.0:
+                    val += (m * m - lj * lj) * half_inv_mu
+                    for k in range(7):
+                        grad[k] += m * dz[k]
+                else:
+                    val -= lj * lj * half_inv_mu
+            for k in (4, 5, 6):
+                a = x[k]
+                over = a - hi if a > hi else (a - lo if a < lo else 0.0)
+                if over:
+                    val += ANGLE_PENALTY * over * over
+                    grad[k] += 2.0 * ANGLE_PENALTY * over
+            return val, grad, zs
         return f
 
 
-def lower_bound(epsilon: float, restarts: int = 50, *, seed: int,
-                decouple_phases: bool = False) -> LowerBoundResult:
+def _dot(a, b) -> float:
+    return sum(map(mul, a, b))
+
+
+def _bfgs(f, x, h, max_iter: int):
+    """Minimise ``f`` (x -> value, gradient, aux) from ``x`` by BFGS on the
+    inverse Hessian, starting from ``h`` (None: a scaled identity after the
+    first step), with Armijo backtracking; steps are capped at unit length
+    per coordinate.  Stops when the gradient or an accepted decrease falls
+    to rounding level.  Returns the last accepted point, its aux, the
+    updated inverse Hessian and the iteration count."""
+    n = len(x)
+    val, g, aux = f(x)
+    it = 0
+    while it < max_iter and max(abs(v) for v in g) > BFGS_GTOL:
+        it += 1
+        d = ([-v for v in g] if h is None
+             else [-_dot(row, g) for row in h])
+        slope = _dot(d, g)
+        if slope >= 0.0:  # lost descent: restart from steepest descent
+            h = None
+            d = [-v for v in g]
+            slope = -_dot(g, g)
+        t = min(1.0, 1.0 / max(abs(v) for v in d))
+        for _ in range(BACKTRACKS):
+            xn = [a + t * b for a, b in zip(x, d)]
+            vn, gn, auxn = f(xn)
+            if vn <= val + 1e-4 * t * slope:
+                break
+            t *= 0.5
+        else:
+            break
+        s = [a - b for a, b in zip(xn, x)]
+        y = [a - b for a, b in zip(gn, g)]
+        sy = _dot(s, y)
+        if sy > 0.0:
+            if h is None:  # Shanno-Phua scaling of the first inverse Hessian
+                scale = sy / _dot(y, y)
+                h = [[scale * (i == j) for j in range(n)] for i in range(n)]
+            # H + coef s s^T - (Hy s^T + s (Hy)^T) / sy, row by row
+            hy = [_dot(row, y) for row in h]
+            coef = (sy + _dot(y, hy)) / (sy * sy)
+            h = [[hij + a * sj - b * hyj for hij, sj, hyj in zip(row, s, hy)]
+                 for row, a, b in zip(h, [coef * si - hyi / sy for si, hyi in zip(s, hy)],
+                                      [si / sy for si in s])]
+        done = val - vn <= FTOL * (1.0 + abs(val))
+        x, val, g, aux = xn, vn, gn, auxn
+        if done:
+            break
+    return x, aux, h, it
+
+
+def _local_search(tracker: _Tracker, x) -> None:
+    """Augmented-Lagrangian local search from ``x``; the tracker keeps
+    every feasible improvement found along the way."""
+    eps = tracker.epsilon
+    lam = [0.0, 0.0, 0.0, 0.0]
+    mu = MU_START
+    prev = math.inf
+    h = None
+    # the value is flat in the amplitude scale: start at N = 1
+    nrm = math.sqrt(_norm_sq(x))
+    x = [float(v / nrm) for v in x[:4]] + [float(v) for v in x[4:]]
+    for _ in range(OUTER_ITER):
+        x, zs, h, it = _bfgs(tracker.merit(lam, mu), x, h, BFGS_ITER)
+        tracker.iterations += it
+        kkt = max(max(z - eps, -lj / mu) for z, lj in zip(zs, lam))
+        lam = [max(0.0, lj + mu * (z - eps)) for z, lj in zip(zs, lam)]
+        if kkt <= KKT_TOL:
+            return
+        if kkt > 0.25 * prev and mu < MU_MAX:
+            mu *= 10.0
+            h = None
+        prev = kkt
+
+
+def _restart_seeds(seed: int, restarts: int):
+    """Child r of SeedSequence(seed) for restart r, spawned one at a time:
+    the same streams as ``spawn(restarts)``, in constant memory."""
+    ss = np.random.SeedSequence(seed)
+    for _ in range(restarts):
+        yield ss.spawn(1)[0]
+
+
+def lower_bound(epsilon: float, restarts: int = 50, *, seed: int) -> LowerBoundResult:
     """Best feasible Hardy probability found over the ansatz family.
 
-    Multistart penalised Nelder-Mead: restart 0 tracks the optimum from
-    the exact noiseless point through intermediate error targets, the
-    rest sample the parameter box from per-restart substreams of
-    ``seed``.  The returned parameters are re-validated through the
-    behavior module before reporting.
+    Multistart augmented-Lagrangian BFGS over the gauge-fixed parameters:
+    restart 0 starts at the exact noiseless point, the rest at random
+    points drawn from per-restart substreams of ``seed``.  The returned
+    parameters are re-validated through the behavior module before
+    reporting.
     """
     if not 0.0 <= epsilon <= EPSILON_MAX:
         raise ValidationError(
             f"epsilon = {epsilon!r} outside [0, {EPSILON_MAX}]")
     if restarts < 1:
         raise ValidationError("need at least one restart")
-    tracker = _Tracker(epsilon, decouple_phases)
-    ndim = 13 if decouple_phases else 10
-    streams = np.random.SeedSequence(seed).spawn(restarts)
-    for r in range(restarts):
+    tracker = _Tracker(epsilon)
+    for r, child in enumerate(_restart_seeds(seed, restarts)):
         if r == 0:
-            # continuation from the exact noiseless optimum: track the
-            # drifting maximiser through intermediate error targets
             x = canonical_start()
-            if decouple_phases:
-                x = np.concatenate([x, [0.0, 0.0, 0.0]])
-            if epsilon > 0.0:
-                for frac in (0.25, 0.5, 0.75):
-                    x, _ = nelder_mead(
-                        tracker.penalised(PENALTY_STAGES[-1], frac * epsilon),
-                        x, 0.1, max_iter=120 * ndim)
         else:
-            rng = np.random.default_rng(streams[r])
-            x = np.empty(ndim)
+            rng = np.random.default_rng(child)
+            x = np.empty(7)
             x[:4] = rng.standard_normal(4)
-            x[4:7] = rng.uniform(0.0, 2.0 * math.pi, 3)
-            x[7:10] = rng.uniform(0.3, math.pi - 0.3, 3)
-            if decouple_phases:
-                x[10:13] = rng.uniform(0.0, 2.0 * math.pi, 3)
-        for mu, scale in zip(PENALTY_STAGES, SIMPLEX_SCALES):
-            x, _ = nelder_mead(tracker.penalised(mu), x, scale,
-                               max_iter=120 * ndim)
+            rng.uniform(0.0, 2.0 * math.pi, 3)  # the phases are gauge
+            x[4:] = rng.uniform(0.3, math.pi - 0.3, 3)
+        _local_search(tracker, x)
     if tracker.best_x is None:
         raise NumericError("no feasible ansatz point found (unexpected)")
-    # final polish around the incumbent with the stiffest penalty; the
-    # tracker itself captures any improvement found along the way
-    nelder_mead(tracker.penalised(PENALTY_STAGES[-1]), tracker.best_x,
-                0.004, max_iter=200 * ndim)
-    params = _params_from_vector(tracker.best_x, decouple_phases)
+    params = _params_from_vector(tracker.best_x)
 
     behavior = joint_distribution(ansatz_state(params), ansatz_measurements(params))
     stats = hardy_statistics(behavior)
@@ -361,4 +415,6 @@ def lower_bound(epsilon: float, restarts: int = 50, *, seed: int,
         raise NumericError("fast evaluator disagrees with the behavior module")
     return LowerBoundResult(value=float(stats.p), params=params,
                             constraint_values=np.array(stats.zeros),
-                            restarts_used=restarts, seed=seed)
+                            restarts_used=restarts, seed=seed,
+                            evaluations=tracker.evaluations,
+                            iterations=tracker.iterations)

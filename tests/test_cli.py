@@ -86,6 +86,15 @@ class TestBounds:
         value = float(capsys.readouterr().out.split("\n")[0])
         assert value >= 0.018184
 
+    def test_variational_diagnostics(self, capsys):
+        rc = main(["bounds", "--method", "variational", "--epsilon", "0.05",
+                   "--restarts", "2", "--seed", "7"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+        assert isinstance(doc["evaluations"], int)
+        assert isinstance(doc["iterations"], int)
+        assert doc["evaluations"] > doc["iterations"] > 0
+
     def test_epsilon_range(self):
         assert main(["bounds", "--method", "local", "--epsilon", "0.4"]) == 2
 

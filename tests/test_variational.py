@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from hardylab.behavior import (hardy_statistics, joint_distribution,
-                               measurements_from_pairs)
+from hardylab.behavior import hardy_statistics, joint_distribution
 from hardylab.errors import DegenerateMeasurementError, ValidationError
 from hardylab.states import MeasurementPair, hardy_state, pmax
-from hardylab.variational import (AnsatzParams, _params_from_vector,
-                                  _Tracker, ansatz_measurements,
-                                  ansatz_state, canonical_start, hardy_terms,
-                                  lower_bound, nelder_mead)
+from hardylab.variational import (ANGLE_MARGIN, ANGLE_PENALTY, AnsatzParams,
+                                  _bfgs, _params_from_vector, _restart_seeds,
+                                  _Tracker, ansatz_measurements, ansatz_state,
+                                  canonical_start, hardy_terms, lower_bound)
 
 
 def symmetric_params(c, phases=(0.0, 0.0, 0.0), angle=None):
@@ -21,14 +20,16 @@ def symmetric_params(c, phases=(0.0, 0.0, 0.0), angle=None):
                         meas_alpha=angle, meas_beta=angle, meas_gamma=angle)
 
 
-def random_vector(rng, decoupled):
-    """Random search-space point as a float list (10 or 13 parameters)."""
-    x = (rng.standard_normal(4).tolist()
-         + rng.uniform(0, 2 * math.pi, 3).tolist()
-         + rng.uniform(0.3, math.pi - 0.3, 3).tolist())
-    if decoupled:
-        x += rng.uniform(0, 2 * math.pi, 3).tolist()
-    return x
+def random_vector(rng, margin=0.3):
+    """Random gauge-fixed search-space point as a float list: four
+    unnormalised amplitudes and three angles in (margin, pi - margin)."""
+    return (rng.standard_normal(4).tolist()
+            + rng.uniform(margin, math.pi - margin, 3).tolist())
+
+
+def behavior_stats(params):
+    return hardy_statistics(joint_distribution(ansatz_state(params),
+                                               ansatz_measurements(params)))
 
 
 class TestAnsatzState:
@@ -104,86 +105,155 @@ class TestAnsatzMeasurements:
 class TestHardyTerms:
     def test_matches_behavior_module(self):
         rng = np.random.default_rng(9)
-        for decoupled in (False, True):
-            for _ in range(10):
-                c = rng.standard_normal(4)
-                c /= math.sqrt(c[0] ** 2 + 3 * c[1] ** 2 + 3 * c[2] ** 2 + c[3] ** 2)
-                phases = rng.uniform(0, 2 * math.pi, 3)
-                angles = rng.uniform(0.3, math.pi - 0.3, 3)
-                meas_phases = (tuple(rng.uniform(0, 2 * math.pi, 3).tolist())
-                               if decoupled else None)
-                p = AnsatzParams(c000=c[0], c001=c[1], c011=c[2], c111=c[3],
-                                 phi=phases[0], xi=phases[1], theta=phases[2],
-                                 meas_alpha=angles[0], meas_beta=angles[1],
-                                 meas_gamma=angles[2], meas_phases=meas_phases)
-                psi = ansatz_state(p)
-                fast_p, fast_z = hardy_terms(psi.amps.tolist(), angles.tolist(),
-                                             p.measurement_phases)
-                stats = hardy_statistics(joint_distribution(psi, ansatz_measurements(p)))
-                assert abs(fast_p - stats.p) < 1e-12
-                assert max(abs(a - b) for a, b in zip(fast_z, stats.zeros)) < 1e-12
+        for _ in range(20):
+            x = random_vector(rng)
+            stats = behavior_stats(_params_from_vector(x))
+            p, zs, _, _ = hardy_terms(x)
+            assert abs(p - stats.p) < 1e-12
+            assert max(abs(a - b) for a, b in zip(zs, stats.zeros)) < 1e-12
+
+    def test_phases_are_gauge(self):
+        # shared phases act as the local unitaries diag(e^{-i p_j}, 1) on
+        # the state and on the outcome vectors alike
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            base = _params_from_vector(random_vector(rng))
+            phases = rng.uniform(0.0, 2.0 * math.pi, 3)
+            phased = AnsatzParams(
+                c000=base.c000, c001=base.c001, c011=base.c011, c111=base.c111,
+                phi=phases[0], xi=phases[1], theta=phases[2],
+                meas_alpha=base.meas_alpha, meas_beta=base.meas_beta,
+                meas_gamma=base.meas_gamma)
+            assert np.linalg.norm(ansatz_state(phased).amps
+                                  - ansatz_state(base).amps) > 1e-3
+            want, got = behavior_stats(base), behavior_stats(phased)
+            assert abs(got.p - want.p) < 1e-12
+            assert np.max(np.abs(got.zeros - want.zeros)) < 1e-12
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(5)
+        points = [random_vector(rng) for _ in range(10)]
+        # angles just inside either margin
+        for lo_side in (True, False):
+            for _ in range(3):
+                x = random_vector(rng)
+                near = rng.uniform(ANGLE_MARGIN, 2.0 * ANGLE_MARGIN, 3)
+                x[4:] = (near if lo_side else math.pi - near).tolist()
+                points.append(x)
+        h = 1e-6
+        for x in points:
+            p, zs, dp, dzs = hardy_terms(x)
+            for k in range(7):
+                up, down = list(x), list(x)
+                up[k] += h
+                down[k] -= h
+                pu, zu, _, _ = hardy_terms(up)
+                pd, zd, _, _ = hardy_terms(down)
+                assert abs((pu - pd) / (2 * h) - dp[k]) < 1e-7
+                for j in range(4):
+                    assert abs((zu[j] - zd[j]) / (2 * h) - dzs[j][k]) < 1e-7
+
+    def test_value_flat_in_amplitude_scale(self):
+        rng = np.random.default_rng(13)
+        x = random_vector(rng)
+        p, zs, dp, dzs = hardy_terms(x)
+        scaled = [3.7 * v for v in x[:4]] + x[4:]
+        ps, zss, _, _ = hardy_terms(scaled)
+        assert abs(ps - p) < 1e-15
+        assert max(abs(a - b) for a, b in zip(zs, zss)) < 1e-15
+        # so every gradient is orthogonal to the amplitude part of x
+        for g in [dp, *dzs]:
+            assert abs(sum(a * b for a, b in zip(g[:4], x[:4]))) < 1e-13
 
     def test_hardy_state_is_feasible_point(self):
-        t = pmax(3).t
-        angle = 2.0 * math.acos(math.sqrt(t))
-        x = canonical_start()
-        fast_p, fast_z = hardy_terms(
-            ansatz_state(symmetric_params(x[:4])).amps,
-            (angle,) * 3, (0.0,) * 3)
-        assert abs(fast_p - pmax(3).p_max) < 1e-12
-        assert max(fast_z) < 1e-15
+        p, zs, _, _ = hardy_terms(canonical_start().tolist())
+        assert abs(p - pmax(3).p_max) < 1e-12
+        assert max(zs) < 1e-15
 
     def test_penalised_objective_matches_behavior_module(self):
         rng = np.random.default_rng(77)
-        for decoupled in (False, True):
-            start = canonical_start().tolist() + [0.0, 0.0, 0.0] * decoupled
-            for k in range(21):
-                x = start if k == 0 else random_vector(rng, decoupled)
-                params = _params_from_vector(x, decoupled)
-                stats = hardy_statistics(joint_distribution(
-                    ansatz_state(params), ansatz_measurements(params)))
-                # random points are mostly infeasible at a random bound, so
-                # every other one gets a bound just above its largest term;
-                # the penalty then targets half of it, while incumbents are
-                # still filtered at the full bound
-                if k % 2:
-                    eps = float(np.max(stats.zeros)) + 1e-9
-                    target = 0.5 * eps
-                else:
-                    eps = float(rng.uniform(0.0, 0.25))
-                    target = eps
-                mu = float(rng.choice([1e4, 1e5, 1e6]))
-                want = -stats.p + mu * sum(max(z - target, 0.0) ** 2
-                                           for z in stats.zeros)
-                tracker = _Tracker(eps, decoupled)
-                got = tracker.penalised(mu, target)(x)
-                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-                feasible = float(np.max(stats.zeros)) - eps <= 1e-8
-                assert (tracker.best_x == x) == feasible
-                if feasible:
-                    assert abs(tracker.best_p - stats.p) < 1e-12
+        start = canonical_start().tolist()
+        for k in range(21):
+            x = start if k == 0 else random_vector(rng)
+            stats = behavior_stats(_params_from_vector(x))
+            # random points are mostly infeasible at a random bound, so
+            # every other one gets a bound just above its largest term
+            if k % 2:
+                eps = float(np.max(stats.zeros)) + 1e-9
+            else:
+                eps = float(rng.uniform(0.0, 0.25))
+            lam = [float(v) if rng.random() < 0.7 else 0.0
+                   for v in rng.uniform(0.0, 2.0, 4)]
+            mu = float(rng.choice([10.0, 1e3, 1e6]))
+            tracker = _Tracker(eps)
+            f = tracker.merit(lam, mu)
+            val, grad, zs = f(x)
+            want = -stats.p + sum(
+                (max(lj + mu * (z - eps), 0.0) ** 2 - lj ** 2) / (2 * mu)
+                for lj, z in zip(lam, stats.zeros))
+            assert abs(val - want) <= 1e-12 * max(1.0, abs(want))
+            assert max(abs(a - b) for a, b in zip(zs, stats.zeros)) < 1e-12
+            feasible = float(np.max(stats.zeros)) - eps <= 1e-8
+            assert (tracker.best_x == x) == feasible
+            if feasible:
+                assert abs(tracker.best_p - stats.p) < 1e-12
+            assert tracker.evaluations == 1
+            if k % 2:
+                continue  # the largest term sits at the kink of its penalty
+            # the gradient matches central differences of the merit; the
+            # penalty parameter enters linearly, so a moderate one suffices
+            f = _Tracker(eps).merit(lam, 10.0)
+            grad = f(x)[1]
+            h = 1e-6
+            for j in range(7):
+                up, down = list(x), list(x)
+                up[j] += h
+                down[j] -= h
+                fd = (f(up)[0] - f(down)[0]) / (2 * h)
+                assert abs(fd - grad[j]) <= 1e-6 * max(1.0, abs(grad[j]))
+
+    def test_angle_penalty(self):
+        for angle in (0.5 * ANGLE_MARGIN, -0.5, math.pi - 0.5 * ANGLE_MARGIN):
+            x = canonical_start().tolist()
+            x[5] = angle
+            p, zs, dp, _ = hardy_terms(x)
+            # feasible but for the angle, so only the margin rejects it
+            tracker = _Tracker(max(zs) + 1e-9)
+            val, grad, _ = tracker.merit([0.0] * 4, 10.0)(x)
+            over = (angle - ANGLE_MARGIN if angle < 1.0
+                    else angle - math.pi + ANGLE_MARGIN)
+            assert abs(val - (-p + ANGLE_PENALTY * over ** 2)) < 1e-12
+            assert abs(grad[5] - (-dp[5] + 2.0 * ANGLE_PENALTY * over)) < 1e-9
+            assert tracker.best_x is None
 
 
-class TestNelderMead:
+class TestBFGS:
     def test_quadratic(self):
-        f = lambda x: float((x[0] - 1) ** 2 + 2 * (x[1] + 0.5) ** 2)
-        x, val = nelder_mead(f, np.zeros(2), 0.5, max_iter=500)
-        assert val < 1e-10
-        assert np.allclose(x, [1.0, -0.5], atol=1e-4)
-
-    def test_quadratic_ten_dims_list_input(self):
-        target = [0.1 * (i - 4) for i in range(10)]
-        weights = [1.0 + 0.5 * i for i in range(10)]
+        target = [0.1 * (i - 3) for i in range(7)]
+        weights = [1.0 + 0.5 * i for i in range(7)]
 
         def f(x):
-            assert isinstance(x, list)
-            return sum(w * (a - t) ** 2 for w, a, t in zip(weights, x, target))
+            val = sum(w * (a - t) ** 2 for w, a, t in zip(weights, x, target))
+            grad = [2.0 * w * (a - t) for w, a, t in zip(weights, x, target)]
+            return val, grad, val
 
-        x, val = nelder_mead(f, [0.0] * 10, 0.5, max_iter=20000)
-        assert isinstance(x, list) and len(x) == 10
-        assert val == f(x)
-        assert val < 1e-10
-        assert max(abs(a - t) for a, t in zip(x, target)) < 1e-4
+        x, aux, h, it = _bfgs(f, [0.0] * 7, None, 200)
+        assert isinstance(x, list) and len(x) == 7
+        assert aux == f(x)[0] < 1e-15
+        assert max(abs(a - t) for a, t in zip(x, target)) < 1e-9
+        assert 0 < it < 50
+        assert all(abs(h[i][j] - h[j][i]) < 1e-15 for i in range(7) for j in range(7))
+
+    def test_rosenbrock(self):
+        def f(x):
+            a, b = x
+            val = (1 - a) ** 2 + 100 * (b - a * a) ** 2
+            return val, [-2 * (1 - a) - 400 * a * (b - a * a),
+                         200 * (b - a * a)], None
+
+        x, _, _, it = _bfgs(f, [-1.2, 1.0], None, 500)
+        assert max(abs(x[0] - 1.0), abs(x[1] - 1.0)) < 1e-6
+        assert it < 500
 
 
 class TestLowerBound:
@@ -196,6 +266,7 @@ class TestLowerBound:
         a = lower_bound(0.01, restarts=3, seed=42)
         b = lower_bound(0.01, restarts=3, seed=42)
         assert a.value == b.value
+        assert (a.evaluations, a.iterations) == (b.evaluations, b.iterations)
 
     def test_monotone_in_epsilon(self):
         vals = [lower_bound(e, restarts=3, seed=5).value
@@ -204,17 +275,27 @@ class TestLowerBound:
 
     def test_reported_values_reproducible(self):
         res = lower_bound(0.05, restarts=3, seed=17)
-        psi = ansatz_state(res.params)
-        stats = hardy_statistics(joint_distribution(psi, ansatz_measurements(res.params)))
+        stats = behavior_stats(res.params)
         assert abs(stats.p - res.value) < 1e-10
         assert np.allclose(stats.zeros, res.constraint_values, atol=1e-8)
         assert np.all(res.constraint_values <= 0.05 + 1e-8)
+        assert res.params.phases == (0.0, 0.0, 0.0)
+        assert res.evaluations > res.iterations > 0
+
+    def test_reaches_ansatz_optimum(self):
+        # the penalised simplex search stopped at 0.4541297 and 0.7856434
+        assert lower_bound(0.1, restarts=2, seed=3).value >= 0.4541425
+        assert lower_bound(0.2, restarts=2, seed=3).value >= 0.7856530
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValidationError):
             lower_bound(0.3, restarts=1, seed=0)
 
-    def test_decoupled_phases_not_worse(self):
-        shared = lower_bound(0.02, restarts=2, seed=3)
-        wide = lower_bound(0.02, restarts=2, seed=3, decouple_phases=True)
-        assert wide.value >= shared.value - 5e-4
+    def test_restart_seeds_match_spawn(self):
+        for seed, count in ((0, 1), (7, 5), (2 ** 62 + 3, 9)):
+            lazy = list(_restart_seeds(seed, count))
+            eager = np.random.SeedSequence(seed).spawn(count)
+            assert len(lazy) == count
+            for a, b in zip(lazy, eager):
+                assert a.spawn_key == b.spawn_key
+                assert np.array_equal(a.generate_state(8), b.generate_state(8))
