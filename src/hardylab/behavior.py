@@ -11,7 +11,6 @@ verified at use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -148,27 +147,29 @@ def measurements_from_observables(observables) -> MeasurementSet:
 
 
 def _joint_pure_rank1(psi: StateVector, m: MeasurementSet) -> np.ndarray:
-    """All Born probabilities at once via per-party basis rotations."""
+    """All Born probabilities of a pure qubit state, one contraction per party.
+
+    Party i's conjugated eigenvectors are stacked as rows of shape
+    (setting, outcome, 2).  Contracting them against party i's axis of
+    the amplitude block puts (s_i, o_i) in front, so after n contractions
+    the block holds every setting and outcome.  The rows are the left
+    factor and party 1 is contracted first, the order a contraction per
+    setting tuple uses, so each amplitude rounds the same way as there.
+    The first party's two settings are taken one at a time, which keeps
+    the complex block no larger than the real probability table it fills.
+    """
     n = m.n_parties
+    rows = [np.array([[_rank1_vector(proj).conj() for proj in setting]
+                      for setting in m.projectors[party]])
+            for party in range(n)]
+    # block axes (s_n, o_n, ..., s_2, o_2, o_1) -> (s_2..s_n, o_1..o_n)
+    order = list(range(2 * n - 4, -1, -2)) + [2 * n - 2] + list(range(2 * n - 3, 0, -2))
     probs = np.empty((2,) * (2 * n))
-    tensor = psi.tensor()
-    bases = []
-    for party in range(n):
-        per_setting = []
-        for setting in range(2):
-            plus, minus = m.projectors[party][setting]
-            # Rank-1 projector onto v has column v on the diagonal basis:
-            # recover the eigenvector as the dominant column.
-            vp = _rank1_vector(plus)
-            vm = _rank1_vector(minus)
-            per_setting.append(np.vstack([vp.conj(), vm.conj()]))
-        bases.append(per_setting)
-    for settings in product(range(2), repeat=n):
-        t = tensor
-        for party, s in enumerate(settings):
-            t = np.tensordot(bases[party][s], t, axes=([1], [party]))
-            t = np.moveaxis(t, 0, party)
-        probs[settings] = np.abs(t) ** 2
+    for s1 in range(2):
+        amp = np.tensordot(rows[0][s1], psi.tensor(), axes=([1], [0]))
+        for party in range(1, n):
+            amp = np.tensordot(rows[party], amp, axes=([2], [2 * party - 1]))
+        probs[s1] = (np.abs(amp) ** 2).transpose(order)
     return probs
 
 

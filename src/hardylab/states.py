@@ -72,20 +72,28 @@ class ProductBasis:
     supplying bit 2^(i-1) of k; phi_minus is |--...->.  phi_minus is
     orthogonal to phi_k for every k < 2^n - 1 and the listed vectors are
     linearly independent, so together they form a (non-orthogonal) basis.
+
+    ``matrix`` is stored, read-only, as the 2^n x 2^n array whose column
+    k is phi_k for k >= 1 and whose column 0 is phi_minus.
     """
 
     n: int
-    vectors: tuple[StateVector, ...]
+    matrix: np.ndarray
 
     def phi(self, k: int) -> StateVector:
-        """phi_k for k in 1..2^n-1 (index 0 of ``vectors`` is phi_minus)."""
+        """phi_k for k in 1..2^n-1 (column 0 of ``matrix`` is phi_minus)."""
         if not 1 <= k <= 2 ** self.n - 1:
             raise ValidationError(f"k = {k} out of range")
-        return self.vectors[k]
+        return StateVector((2,) * self.n, self.matrix[:, k])
 
     @property
     def phi_minus(self) -> StateVector:
-        return self.vectors[0]
+        return StateVector((2,) * self.n, self.matrix[:, 0])
+
+    @property
+    def vectors(self) -> tuple[StateVector, ...]:
+        """(phi_minus, phi_1, ..., phi_{2^n - 1}), one StateVector per column."""
+        return tuple(StateVector((2,) * self.n, col) for col in self.matrix.T)
 
 
 @dataclass(frozen=True)
@@ -124,25 +132,28 @@ def _check_scenario(n: int, pairs) -> list[MeasurementPair]:
     return pairs
 
 
-def _product_vector(factors) -> np.ndarray:
-    amps = np.ones(1, dtype=complex)
-    for f in factors:
-        amps = np.kron(amps, f)
-    return amps
-
-
 def product_basis(n: int, pairs) -> ProductBasis:
-    """Build the product basis used to pin down the Hardy state."""
+    """Build the product basis used to pin down the Hardy state.
+
+    One running Kronecker product of the per-party column pairs
+    [|+>_i, |0>] gives every phi_k at once.  Each step makes party i's
+    row bit the least significant and, unlike ``np.kron``, its column bit
+    the most significant, so column k takes bit 2^(i-1) from party i
+    while the rows keep party 1 most significant.  Column 0 (all |+>) is
+    then overwritten with phi_minus.
+    """
     pairs = _check_scenario(n, pairs)
     ket0 = np.array([1.0, 0.0], dtype=complex)
-    vectors = [StateVector((2,) * n, _product_vector(p.ket_minus for p in pairs))]
-    for k in range(1, 2 ** n):
-        factors = []
-        for i in range(1, n + 1):
-            bit = (k >> (i - 1)) & 1
-            factors.append(ket0 if bit else pairs[i - 1].ket_plus)
-        vectors.append(StateVector((2,) * n, _product_vector(factors)))
-    return ProductBasis(n=n, vectors=tuple(vectors))
+    mat = np.ones((1, 1), dtype=complex)
+    minus = np.ones(1, dtype=complex)
+    for p in pairs:
+        cols = np.stack([p.ket_plus, ket0], axis=1)
+        rows = mat.shape[0]
+        mat = (mat[:, None, None, :] * cols[None, :, :, None]).reshape(2 * rows, 2 * rows)
+        minus = np.kron(minus, p.ket_minus)
+    mat[:, 0] = minus
+    mat.flags.writeable = False
+    return ProductBasis(n=n, matrix=mat)
 
 
 def hardy_state(n: int, pairs) -> StateVector:
@@ -150,8 +161,9 @@ def hardy_state(n: int, pairs) -> StateVector:
 
     Modified Gram-Schmidt (with one re-orthogonalisation pass) over
     (phi_minus, phi_1, ..., phi_{2^n - 2}) spans the excluded subspace;
-    the state is the normalised residual of phi_{2^n - 1}, with phase
-    fixed so <psi|phi_{2^n - 1}> is real and positive.
+    the state is the normalised residual of phi_{2^n - 1}, multiplied by
+    overlap/|overlap| with overlap = <psi|phi_{2^n - 1}>, so that the
+    overlap of the returned state is real and positive.
     """
     basis = product_basis(n, pairs)
     dim = 2 ** n
@@ -159,18 +171,16 @@ def hardy_state(n: int, pairs) -> StateVector:
     # sum_k q_k <q_k|v> is conj(conj(qh v) @ qh) and conjugates only
     # vectors, never the growing basis block
     qh = np.empty((dim - 1, dim), dtype=complex)
-    cols = 0
-    for vec in basis.vectors[:dim - 1]:
-        v = vec.amps.copy()
+    for k in range(dim - 1):
+        v = basis.matrix[:, k].copy()
         for _ in range(2):
-            if cols:
-                v -= ((qh[:cols] @ v).conj() @ qh[:cols]).conj()
+            if k:
+                v -= ((qh[:k] @ v).conj() @ qh[:k]).conj()
         nrm = np.linalg.norm(v)
         if nrm < 1e-12:
             raise NumericError("product basis numerically degenerate")
-        qh[cols] = v.conj() / nrm
-        cols += 1
-    target = basis.vectors[dim - 1].amps
+        qh[k] = v.conj() / nrm
+    target = basis.matrix[:, dim - 1]
     resid = target.copy()
     for _ in range(2):
         resid -= ((qh @ resid).conj() @ qh).conj()
@@ -179,7 +189,7 @@ def hardy_state(n: int, pairs) -> StateVector:
         raise NumericError("Hardy residual vanished; basis numerically degenerate")
     psi = resid / nrm
     overlap = np.vdot(psi, target)
-    psi = psi * (np.conj(overlap) / abs(overlap))
+    psi = psi * (overlap / abs(overlap))
     worst = float(np.max(np.abs(qh @ psi)))
     if worst > 1e-10:
         raise NumericError(f"orthogonality loss {worst:.2e} exceeds 1e-10")

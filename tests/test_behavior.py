@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -84,15 +85,30 @@ class TestJointDistribution:
         assert np.allclose(b.probs, 0.25, atol=1e-12)
 
     def test_pure_rank1_path_matches_general_path(self):
+        # the rank-1 path's axis bookkeeping depends on n
         rng = np.random.default_rng(3)
-        for _ in range(5):
-            amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        for n, _ in product((2, 3, 4, 5), range(3)):
+            amps = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
             amps /= np.linalg.norm(amps)
-            psi = StateVector((2, 2, 2), amps)
-            m = measurements_from_pairs(random_pairs(rng, 3))
+            psi = StateVector((2,) * n, amps)
+            m = measurements_from_pairs(random_pairs(rng, n))
+            assert m.is_rank1_qubits()
             fast = joint_distribution(psi, m)
             slow = joint_distribution(psi.density(), m)
-            assert np.allclose(fast.probs, slow.probs, atol=1e-12)
+            assert np.max(np.abs(fast.probs - slow.probs)) <= 1e-12
+
+    def test_pure_rank1_memory(self):
+        # The complex amplitude block is built for one first-party setting
+        # at a time; all settings at once would double it
+        psi, m = optimal_setup(8)
+        table = 8 * 4 ** 8
+        tracemalloc.start()
+        try:
+            joint_distribution(psi, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * table
 
     @pytest.mark.parametrize("dims", [(2, 3, 4), (4, 4, 4)])
     def test_general_path_matches_kron_trace(self, dims):

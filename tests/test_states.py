@@ -75,6 +75,38 @@ class TestProductBasis:
         with pytest.raises(ScenarioError):
             product_basis(1, [MeasurementPair.from_alpha_sq(0.5)])
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matrix_matches_per_vector_kron_loop(self, n):
+        # Cross-check: one kron chain per basis vector, party i supplying
+        # bit 2^(i-1) of k; the matrix must agree bit for bit
+        rng = np.random.default_rng(100 + n)
+        pairs = random_pairs(rng, n)
+        assert all(p.alpha.imag != 0.0 and p.beta.imag != 0.0 for p in pairs)
+        ket0 = np.array([1.0, 0.0], dtype=complex)
+
+        def chain(factors):
+            amps = np.ones(1, dtype=complex)
+            for f in factors:
+                amps = np.kron(amps, f)
+            return amps
+
+        want = [chain(p.ket_minus for p in pairs)]
+        for k in range(1, 2 ** n):
+            want.append(chain(ket0 if (k >> i) & 1 else pairs[i].ket_plus
+                              for i in range(n)))
+        basis = product_basis(n, pairs)
+        assert basis.matrix.shape == (2 ** n, 2 ** n)
+        assert not basis.matrix.flags.writeable
+        for k, vec in enumerate(want):
+            assert basis.matrix[:, k].tobytes() == vec.tobytes()
+        assert basis.phi_minus.amps.tobytes() == want[0].tobytes()
+        for k in range(1, 2 ** n):
+            assert basis.phi(k).amps.tobytes() == want[k].tobytes()
+        vectors = basis.vectors
+        assert len(vectors) == 2 ** n
+        for vec, w in zip(vectors, want):
+            assert vec.dims == (2,) * n and vec.amps.tobytes() == w.tobytes()
+
 
 class TestHardyState:
     def test_bipartite_optimum_overlap(self):
@@ -103,10 +135,11 @@ class TestHardyState:
 
     def test_phase_convention(self):
         rng = np.random.default_rng(1)
-        pairs = random_pairs(rng, 3)
-        psi = hardy_state(3, pairs)
-        overlap = psi.amps[0]  # <000|psi>
-        assert overlap.real > 0 and abs(overlap.imag) < 1e-12
+        for n in (3, 2, 4, 5):
+            pairs = random_pairs(rng, n)
+            psi = hardy_state(n, pairs)
+            overlap = psi.amps[0]  # <0..0|psi>; phi_{2^n - 1} is |0..0>
+            assert overlap.real > 0 and abs(overlap.imag) < 1e-12
 
 
 class TestSuccessProbClosed:
