@@ -265,15 +265,16 @@ def _subset_marginals(marg: np.ndarray, n: int, keep: list[int], start: int):
     """Yield (kept parties, outcome marginal) for every nonempty subset of
     ``keep`` reached by dropping parties >= ``start`` in increasing order.
 
-    Each marginal is its parent's summed over one outcome axis, and the
-    walk is depth first, so at most n marginals are alive at once.
+    Each marginal is the sum of its parent's two halves along one outcome
+    axis, and the walk is depth first, so at most n marginals are alive.
     """
     if len(keep) == 1:
         return
     for pos, party in enumerate(keep):
         if party >= start:
             sub = keep[:pos] + keep[pos + 1:]
-            child = marg.sum(axis=n + pos)
+            lead = (slice(None),) * (n + pos)
+            child = marg[lead + (0,)] + marg[lead + (1,)]
             yield sub, child
             yield from _subset_marginals(child, n, sub, party + 1)
 
@@ -291,23 +292,21 @@ def check_no_signaling(b: BehaviorTensor, tol: float = 1e-10) -> NoSignalingRepo
     worst_mask = 0
     for keep, marg in _subset_marginals(b.probs, n, list(range(n)), 0):
         drop = [i for i in range(n) if i not in keep]
-        # axes: settings (all n) then outcomes of kept parties
-        marg = np.moveaxis(marg, drop, range(len(drop)))
-        flat = marg.reshape(2 ** len(drop), -1)
-        spread = flat.max(axis=0) - flat.min(axis=0)
-        col = int(np.argmax(spread))
-        viol = float(spread[col])
+        hi = lo = marg
+        for party in reversed(drop):
+            lead = (slice(None),) * party
+            hi = np.maximum(hi[lead + (0,)], hi[lead + (1,)])
+            lo = np.minimum(lo[lead + (0,)], lo[lead + (1,)])
+        spread = hi - lo  # axes: settings of kept parties, then their outcomes
+        viol = float(spread.max())
         mask = sum(1 << i for i in keep)
         if viol > worst.max_violation or (
                 viol == worst.max_violation > 0.0 and mask < worst_mask):
-            hi = int(np.argmax(flat[:, col]))
-            lo = int(np.argmin(flat[:, col]))
+            col = int(np.argmax(spread))
+            flat = np.moveaxis(marg, drop, range(len(drop))).reshape(2 ** len(drop), -1)
             unpack = lambda code: tuple((code >> k) & 1 for k in range(len(drop)))[::-1]
-            worst = NoSignalingReport(
-                max_violation=viol,
-                subset=tuple(keep),
-                settings_a=unpack(hi),
-                settings_b=unpack(lo),
-            )
+            worst = NoSignalingReport(viol, tuple(keep),
+                                      unpack(int(np.argmax(flat[:, col]))),
+                                      unpack(int(np.argmin(flat[:, col]))))
             worst_mask = mask
     return worst

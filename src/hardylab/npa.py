@@ -19,9 +19,8 @@ cyclic pair terms to themselves, so the shift of a feasible point is
 feasible with the same objective.  The feasible set is convex, so the
 average of an optimal point over its n shifts is feasible and optimal,
 and it is shift-symmetric.  Some optimum therefore has equal moments on
-every Z_n orbit, and ``npa_upper_bound`` solves over one variable per
-orbit (``cyclic_reduction``; Ioannou & Rosset, arXiv:2112.10803).
-``build_moment_problem`` still builds the full problem.
+every Z_n orbit, and ``build_moment_problem`` builds the problem over one
+variable per orbit (Ioannou & Rosset, arXiv:2112.10803).
 """
 
 from __future__ import annotations
@@ -183,30 +182,68 @@ def hardy_constraint_terms(n: int) -> list[dict]:
     return terms
 
 
+def _rotate(m: Monomial, s: int) -> Monomial:
+    """Party shift i -> i + s (mod n) of a monomial."""
+    return m[-s:] + m[:-s] if s else m
+
+
+def _orbit_key(m: Monomial) -> Monomial:
+    """Orbit name of a moment: its smallest shifted variable key."""
+    return min((_variable_key(_rotate(m, s)) for s in range(len(m))), key=_sort_key)
+
+
+def basis_shifts(basis) -> np.ndarray | None:
+    """Basis index of the party shift i -> i + s of each basis monomial, one
+    row per s = 0..n-1, or None when the basis is not closed under them."""
+    index = {b: i for i, b in enumerate(basis)}
+    shifts = [[index.get(_rotate(b, s)) for b in basis] for s in range(len(basis[0]))]
+    if len(index) != len(basis) or any(None in row for row in shifts):
+        return None
+    return np.array(shifts)
+
+
 def build_moment_problem(scenario: Scenario, level: int, epsilon: float) -> MomentProblem:
-    """Assemble the level-``level`` relaxation of the noisy Hardy problem."""
+    """Assemble the level-``level`` relaxation of the noisy Hardy problem,
+    with one moment variable per cyclic party-shift orbit.
+
+    Cells are computed for one basis row per shift orbit and copied to the
+    shifted rows, and a cell (i, j) whose mirror (j, i) is filled takes its
+    variable.  Orbits are named by ``_orbit_key`` and numbered by first
+    row-major appearance; all n cyclic Hardy rows stay, identical.
+    """
     if epsilon < 0:
         raise ValidationError(f"epsilon = {epsilon!r} must be nonnegative")
     n = scenario.n
     basis = monomial_list(scenario, level)
     nb = len(basis)
+    shifts = basis_shifts(basis)
     daggers = [dagger(b) for b in basis]
 
-    moment_index: dict = {}
-    variables: list = []
-    cell_var = np.empty((nb, nb), dtype=np.int32)
+    orbit_ids: dict = {}  # orbit key -> provisional id, by first computation
+    word_ids: dict = {}  # cell word -> provisional id
+    cell_ids = np.full((nb, nb), -1, dtype=np.int64)
     for i in range(nb):
-        for j in range(nb):
-            key = _variable_key(mul(daggers[i], basis[j]))
-            var = moment_index.get(key)
-            if var is None:
-                var = len(variables)
-                moment_index[key] = var
-                variables.append(key)
-            cell_var[i, j] = var
+        if cell_ids[i, 0] >= 0:
+            continue
+        filled = cell_ids[:, 0] >= 0
+        cell_ids[i, filled] = cell_ids[filled, i]
+        for j in np.flatnonzero(~filled):
+            word = mul(daggers[i], basis[j])
+            cid = word_ids.get(word)
+            if cid is None:
+                cid = word_ids[word] = orbit_ids.setdefault(_orbit_key(word), len(orbit_ids))
+            cell_ids[i, j] = cid
+        for perm in shifts[1:]:
+            cell_ids[perm[i], perm] = cell_ids[i]
+    order = list(dict.fromkeys(cell_ids.ravel().tolist()))  # by row-major appearance
+    renumber = np.empty(len(order), dtype=np.int32)
+    renumber[order] = range(len(order))
+    keys = list(orbit_ids)
+    variables = [keys[p] for p in order]
+    moment_index = {key: k for k, key in enumerate(variables)}
 
     def lookup(mono: Monomial) -> int:
-        var = moment_index.get(_variable_key(mono))
+        var = moment_index.get(_orbit_key(mono))
         if var is None:
             raise CapabilityError(
                 f"moment {monomial_str(mono)} is not expressible at level {level}")
@@ -223,48 +260,9 @@ def build_moment_problem(scenario: Scenario, level: int, epsilon: float) -> Mome
         inequalities.append((row, float(epsilon)))
     return MomentProblem(scenario=scenario, level=level, epsilon=float(epsilon),
                          basis=basis, moment_index=moment_index,
-                         variables=variables, cell_var=cell_var,
+                         variables=variables, cell_var=renumber[cell_ids],
                          objective=objective, equalities=equalities,
                          inequalities=inequalities)
-
-
-def _rotate(m: Monomial, s: int) -> Monomial:
-    """Party shift i -> i + s (mod n) of a monomial."""
-    return m[-s:] + m[:-s] if s else m
-
-
-def cyclic_reduction(problem: MomentProblem) -> tuple[MomentProblem, np.ndarray]:
-    """Merge the moment variables of each cyclic party-shift orbit.
-
-    Returns the reduced problem and ``orbit_of``, the orbit index of each
-    variable of ``problem``.  An orbit is named by the smallest variable
-    key, by ``_sort_key``, of its party shifts.  Rows keep their order and
-    coefficients of merged variables are summed; all n cyclic Hardy rows
-    stay, identical after the merge, so the reduced problem is the full
-    problem restricted to shift-symmetric moments.
-    """
-    n = problem.scenario.n
-    orbit_index: dict = {}
-    orbit_of = np.empty(problem.n_vars, dtype=np.int32)
-    for k, var in enumerate(problem.variables):
-        key = min((_variable_key(_rotate(var, s)) for s in range(n)), key=_sort_key)
-        orbit_of[k] = orbit_index.setdefault(key, len(orbit_index))
-
-    def remap(row: dict) -> dict:
-        out: dict = {}
-        for k, coef in row.items():
-            o = int(orbit_of[k])
-            out[o] = out.get(o, 0.0) + coef
-        return out
-
-    reduced = MomentProblem(
-        scenario=problem.scenario, level=problem.level, epsilon=problem.epsilon,
-        basis=problem.basis, moment_index=orbit_index,
-        variables=list(orbit_index), cell_var=orbit_of[problem.cell_var],
-        objective=remap(problem.objective),
-        equalities=[(remap(row), rhs) for row, rhs in problem.equalities],
-        inequalities=[(remap(row), rhs) for row, rhs in problem.inequalities])
-    return reduced, orbit_of
 
 
 def _word_operator(word: Word, pair) -> np.ndarray:
@@ -309,14 +307,13 @@ def npa_upper_bound(scenario: Scenario, level: int, epsilon: float,
     """Converged moment-relaxation value; an upper bound on the quantum
     noisy Hardy probability at the given hierarchy level.
 
-    The solve runs on the cyclic orbit reduction and needs no start point.
+    The solve runs on the cyclic orbit problem and needs no start point.
     Raises NumericError when the optimiser does not reach its stopping
     rule and residual targets.
     """
     from .sdp import DEFAULT_MAX_ITER, sdp_solve
 
-    reduced, _ = cyclic_reduction(build_moment_problem(scenario, level, epsilon))
-    sol = sdp_solve(reduced, tol=tol,
+    sol = sdp_solve(build_moment_problem(scenario, level, epsilon), tol=tol,
                     max_iter=DEFAULT_MAX_ITER if max_iter is None else max_iter,
                     **solver_kwargs)
     if not sol.converged:
@@ -340,14 +337,11 @@ def problem_to_text(p: MomentProblem) -> str:
         lines.append(" ".join(str(int(v)) for v in p.cell_var[i]))
     lines.append(f"objective {len(p.objective)}")
     lines += [f"{k} {v!r}" for k, v in sorted(p.objective.items())]
-    lines.append(f"equalities {len(p.equalities)}")
-    for row, rhs in p.equalities:
-        body = " ".join(f"{k}:{v!r}" for k, v in sorted(row.items()))
-        lines.append(f"{rhs!r} | {body}")
-    lines.append(f"inequalities {len(p.inequalities)}")
-    for row, rhs in p.inequalities:
-        body = " ".join(f"{k}:{v!r}" for k, v in sorted(row.items()))
-        lines.append(f"{rhs!r} | {body}")
+    for name, rows in (("equalities", p.equalities), ("inequalities", p.inequalities)):
+        lines.append(f"{name} {len(rows)}")
+        for row, rhs in rows:
+            body = " ".join(f"{k}:{v!r}" for k, v in sorted(row.items()))
+            lines.append(f"{rhs!r} | {body}")
     return "\n".join(lines) + "\n"
 
 

@@ -18,11 +18,14 @@ are used, so no interior point has to be built.
 Each iteration takes the HKM direction (dX = (sigma mu I - X Z - X dZ) Z^{-1},
 symmetrised) with Mehrotra's predictor-corrector.  Every moment variable
 owns a disjoint, symmetric set of matrix cells, so the Schur matrix
-Tr(E_k X E_l Z^{-1}) is assembled exactly, variable by variable.  It is
-factored once per iteration (Jacobi-scaled LAPACK Cholesky) and the
-factor serves the predictor and the corrector.  Both take 0.9 of the
-step to the cone boundary, at most a full step, separately on the primal
-and the dual side.
+Tr(E_k X E_l Z^{-1}) is assembled exactly, variable by variable.  If
+the party shifts of the basis keep every cell's variable (the orbit
+problems of ``npa``), Z stays shift-invariant, X is averaged over the
+shifts after each step, and the Schur matrix reads one cell per shift
+orbit, weighted by the orbit size.  It is factored once per iteration
+(Jacobi-scaled LAPACK Cholesky) for the predictor and the corrector.
+Both take 0.9 of the step to the cone boundary, at most a full step,
+separately on the primal and the dual side.
 
 The method stops when the complementarity gap Tr(XZ) + x.z is at most
 0.1 tol and every entry of the dual residuals M(m) - Z and
@@ -31,13 +34,12 @@ feasible to that level.  The primal residual is not part of the rule: at
 eps = 0 it stalls near 4e-6, so no certified dual bound is claimed.
 
 The error constraints are relaxed by a tiny slack shift (1e-9 by
-default).  At eps = 0 the unshifted problem has an empty interior (the
+default): at eps = 0 the unshifted problem has an empty interior (the
 constrained terms are diagonal moments, so every feasible matrix is
-singular), and the shift keeps a central path.  The shift biases the
-reported value upward by about the square root of the shift, far below
-the documented tolerances, and keeps the value a true upper bound for
-the unshifted problem.  Residuals of the returned point are audited
-with a symmetric eigenvalue solve and reported.
+singular), and the shift keeps a central path.  It biases the value up
+by about its square root, far below the documented tolerances, and
+keeps it a true upper bound for the unshifted problem.  Residuals of the
+returned point are audited with a symmetric eigenvalue solve.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import ValidationError
+from .npa import basis_shifts
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 100
@@ -104,43 +107,49 @@ def _chol_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(low.T, _solve_lower(low, b))
 
 
+def _dense(rows, nv: int):
+    """Coefficient matrix and right-hand sides of (row dict, rhs) pairs."""
+    mat = np.zeros((len(rows), nv))
+    for r, (row, _) in enumerate(rows):
+        mat[r, list(row)] = list(row.values())
+    return mat, np.array([rhs for _, rhs in rows], dtype=float)
+
+
 class _Compiled:
     """Moment problem preprocessed for interior-point iterations."""
 
     def __init__(self, problem):
-        nb = problem.n_basis
-        nv = problem.n_vars
-        self.nb = nb
-        self.nv = nv
+        self.nb = nb = problem.n_basis
+        self.nv = nv = problem.n_vars
         cell_var = problem.cell_var
         # The Schur matrix rows and the Cholesky factors (which read one
         # triangle) both assume cell (i, j) and cell (j, i) share a variable.
         if not np.array_equal(cell_var, cell_var.T) or cell_var.shape != (nb, nb):
             raise ValidationError(
                 f"cell_var must be a symmetric {nb}x{nb} matrix of variable indices")
-        cv = cell_var.reshape(-1).astype(np.int64)
-        self.cell_var = cv
+        self.cell_var = cv = cell_var.reshape(-1).astype(np.int64)
         if cv.min() < 0 or cv.max() >= nv:
             raise ValidationError(f"cell_var entries must lie in [0, {nv})")
         if np.any(np.bincount(cv, minlength=nv) == 0):
             raise ValidationError("moment variable without a matrix cell")
-        # cells grouped by variable: variable k owns the sorted cells
-        # bounds_by_var[k]:bounds_by_var[k + 1]
-        order = np.argsort(cv, kind="stable")
+        # the party shifts if each keeps every cell's variable, else the
+        # identity; a cell represents its orbit if no shift lowers its index
+        g = basis_shifts(problem.basis)
+        if g is None or any(not np.array_equal(cell_var[np.ix_(p, p)], cell_var) for p in g):
+            g = np.arange(nb)[None]
+        self.shifts = g
+        images = (g[:, :, None] * nb + g[:, None, :]).reshape(len(g), -1).min(axis=0)
+        reps = np.flatnonzero(images == np.arange(nb * nb))
+        # representatives grouped by variable: variable k owns the sorted
+        # cells bounds_by_var[k]:bounds_by_var[k + 1], weighted by orbit size
+        order = reps[np.argsort(cv[reps], kind="stable")]
         self.row_sorted = order // nb
         self.col_sorted = order % nb
+        self.weight_sorted = np.bincount(images)[order].astype(float)
         self.bounds_by_var = np.searchsorted(cv[order], np.arange(nv + 1)).tolist()
 
-        self.c = np.zeros(nv)
-        for k, coef in problem.objective.items():
-            self.c[k] = coef
-
-        self.a_eq = np.zeros((len(problem.equalities), nv))
-        self.b_eq = np.zeros(len(problem.equalities))
-        for r, (row, rhs) in enumerate(problem.equalities):
-            for k, coef in row.items():
-                self.a_eq[r, k] = coef
-            self.b_eq[r] = rhs
+        self.c = _dense([(problem.objective, 0.0)], nv)[0][0]
+        self.a_eq, self.b_eq = _dense(problem.equalities, nv)
         # m = m0 + null @ y satisfies the equality rows for every y.
         ne = len(self.b_eq)
         q, r = np.linalg.qr(self.a_eq.T, mode="complete")
@@ -149,15 +158,8 @@ class _Compiled:
             raise ValidationError("equality rows are linearly dependent")
         self.null = q[:, ne:]
         self.m0 = q[:, :ne] @ np.linalg.solve(r[:ne].T, self.b_eq)
-
-        nj = len(problem.inequalities)
-        self.nj = nj
-        self.g = np.zeros((nj, nv))
-        self.eps = np.zeros(nj)
-        for r, (row, rhs) in enumerate(problem.inequalities):
-            for k, coef in row.items():
-                self.g[r, k] = coef
-            self.eps[r] = rhs
+        self.g, self.eps = _dense(problem.inequalities, nv)
+        self.nj = len(self.eps)
 
     def mat(self, m: np.ndarray) -> np.ndarray:
         return m[self.cell_var].reshape(self.nb, self.nb)
@@ -166,19 +168,23 @@ class _Compiled:
         """Tr(P E_k) for every variable: sum of P[i, j] over its cells (i, j)."""
         return np.bincount(self.cell_var, weights=p.ravel(), minlength=self.nv)
 
-    def schur_matrix(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """H[k, l] = Tr(E_k X E_l W) for symmetric X and W, variable by variable.
+    def average(self, x: np.ndarray) -> np.ndarray:
+        """Average of X[shift i, shift j] over the shifts."""
+        return x[self.shifts[:, :, None], self.shifts[:, None, :]].mean(axis=0)
 
-        W E_k X is the product of the columns W[:, i] and rows X[j, :] of
-        the cells (i, j) of variable k, contiguous slices of two row
-        gathers in variable order; the cells of every variable form a
-        symmetric set, so row k of H sums it over the cells of each
-        variable in plain cell order.  With W = X = P this is the Hessian
-        Tr(P E_k P E_l) of -logdet M at M = P^{-1}.
+    def schur_matrix(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """H[k, l] = Tr(E_k X E_l W) for symmetric, shift-invariant X and W.
+
+        W E_k X sums the products of the columns W[:, i] and rows X[j, :]
+        over the cells (i, j) of variable k; the cells of a shift orbit add
+        the same, so one per orbit is gathered, weighted by the orbit size.
+        The cells of each variable form a symmetric set, so row k of H sums
+        the product over them in plain cell order.  With W = X = P this is
+        the Hessian Tr(P E_k P E_l) of -logdet M at M = P^{-1}.
         """
         nv = self.nv
         h = np.empty((nv, nv))
-        cols = w[self.row_sorted].T
+        cols = w[self.row_sorted].T * self.weight_sorted
         rows = x[self.col_sorted]
         b = self.bounds_by_var
         for k in range(nv):
@@ -285,7 +291,8 @@ def sdp_solve(problem, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITE
         dy, dx_mat, dx_lin, dz_mat, dz_lin = direction(
             sigma * gap / degree, dx_mat @ dz_mat, dx_lin * dz_lin)
         ap, ad = steps(dx_mat, dx_lin, dz_mat, dz_lin, STEP_FRACTION)
-        x_mat, x_lin = x_mat + ap * dx_mat, x_lin + ap * dx_lin
+        # Z stays shift-invariant exactly, X only to round-off: restore it
+        x_mat, x_lin = comp.average(x_mat + ap * dx_mat), x_lin + ap * dx_lin
         y, z_mat, z_lin = y + ad * dy, z_mat + ad * dz_mat, z_lin + ad * dz_lin
 
     value = float(comp.c @ m)

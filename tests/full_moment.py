@@ -1,0 +1,93 @@
+"""Cross-check for the orbit builder: the full moment problem, with one
+variable per canonical word, and its merge into cyclic party-shift orbits.
+
+``npa.build_moment_problem`` builds the orbit problem directly; the tests
+compare it against ``cyclic_reduction(build_full_problem(...))[0]`` and
+solve the full problem to check the reduction loses nothing.
+"""
+
+import numpy as np
+
+from hardylab.errors import CapabilityError, ValidationError
+from hardylab.npa import (MomentProblem, _rotate, _sort_key, _variable_key,
+                          canonical_monomial, dagger, hardy_constraint_terms,
+                          identity_monomial, monomial_list, monomial_str, mul)
+
+
+def build_full_problem(scenario, level, epsilon):
+    """Level-``level`` relaxation with one variable per canonical word,
+    cell by cell over the whole basis."""
+    if epsilon < 0:
+        raise ValidationError(f"epsilon = {epsilon!r} must be nonnegative")
+    n = scenario.n
+    basis = monomial_list(scenario, level)
+    nb = len(basis)
+    daggers = [dagger(b) for b in basis]
+
+    moment_index: dict = {}
+    variables: list = []
+    cell_var = np.empty((nb, nb), dtype=np.int32)
+    for i in range(nb):
+        for j in range(nb):
+            key = _variable_key(mul(daggers[i], basis[j]))
+            var = moment_index.get(key)
+            if var is None:
+                var = len(variables)
+                moment_index[key] = var
+                variables.append(key)
+            cell_var[i, j] = var
+
+    def lookup(mono):
+        var = moment_index.get(_variable_key(mono))
+        if var is None:
+            raise CapabilityError(
+                f"moment {monomial_str(mono)} is not expressible at level {level}")
+        return var
+
+    objective = {lookup(canonical_monomial([(i, 0) for i in range(n)], n)): 1.0}
+    equalities = [({lookup(identity_monomial(n)): 1.0}, 1.0)]
+    inequalities = []
+    for term in hardy_constraint_terms(n):
+        row: dict = {}
+        for mono, coef in term.items():
+            var = lookup(mono)
+            row[var] = row.get(var, 0.0) + coef
+        inequalities.append((row, float(epsilon)))
+    return MomentProblem(scenario=scenario, level=level, epsilon=float(epsilon),
+                         basis=basis, moment_index=moment_index,
+                         variables=variables, cell_var=cell_var,
+                         objective=objective, equalities=equalities,
+                         inequalities=inequalities)
+
+
+def cyclic_reduction(problem):
+    """Merge the moment variables of each cyclic party-shift orbit.
+
+    Returns the reduced problem and ``orbit_of``, the orbit index of each
+    variable of ``problem``.  An orbit is named by the smallest variable
+    key, by ``_sort_key``, of its party shifts.  Rows keep their
+    order and coefficients of merged variables are summed; all n cyclic
+    Hardy rows stay, identical after the merge.
+    """
+    n = problem.scenario.n
+    orbit_index: dict = {}
+    orbit_of = np.empty(problem.n_vars, dtype=np.int32)
+    for k, var in enumerate(problem.variables):
+        key = min((_variable_key(_rotate(var, s)) for s in range(n)), key=_sort_key)
+        orbit_of[k] = orbit_index.setdefault(key, len(orbit_index))
+
+    def remap(row):
+        out: dict = {}
+        for k, coef in row.items():
+            o = int(orbit_of[k])
+            out[o] = out.get(o, 0.0) + coef
+        return out
+
+    reduced = MomentProblem(
+        scenario=problem.scenario, level=problem.level, epsilon=problem.epsilon,
+        basis=problem.basis, moment_index=orbit_index,
+        variables=list(orbit_index), cell_var=orbit_of[problem.cell_var],
+        objective=remap(problem.objective),
+        equalities=[(remap(row), rhs) for row, rhs in problem.equalities],
+        inequalities=[(remap(row), rhs) for row, rhs in problem.inequalities])
+    return reduced, orbit_of

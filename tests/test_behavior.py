@@ -6,9 +6,9 @@ import pytest
 
 from conftest import random_pairs
 
-from hardylab.behavior import (BehaviorTensor, MeasurementSet, Scenario,
-                               check_no_signaling, hardy_statistics,
-                               joint_distribution,
+from hardylab.behavior import (BehaviorTensor, MeasurementSet,
+                               NoSignalingReport, Scenario, check_no_signaling,
+                               hardy_statistics, joint_distribution,
                                measurements_from_observables,
                                measurements_from_pairs)
 from hardylab.errors import ValidationError
@@ -36,6 +36,42 @@ def random_projectors(dims, rng):
             settings.append((plus, np.eye(d) - plus))
         projs.append(tuple(settings))
     return MeasurementSet(projectors=tuple(projs), dims=tuple(dims))
+
+
+def reduction_walk_marginals(marg, n, keep, start):
+    """Depth-first subset marginals, each summed over one outcome axis."""
+    if len(keep) == 1:
+        return
+    for pos, party in enumerate(keep):
+        if party >= start:
+            sub = keep[:pos] + keep[pos + 1:]
+            child = marg.sum(axis=n + pos)
+            yield sub, child
+            yield from reduction_walk_marginals(child, n, sub, party + 1)
+
+
+def reduction_walk_report(b):
+    """Reference no-signaling audit: per subset, the spread of each column
+    of the complement's settings, by max/min reductions."""
+    n = b.n
+    worst = NoSignalingReport(0.0, (), (), ())
+    worst_mask = 0
+    for keep, marg in reduction_walk_marginals(b.probs, n, list(range(n)), 0):
+        drop = [i for i in range(n) if i not in keep]
+        flat = np.moveaxis(marg, drop, range(len(drop))).reshape(2 ** len(drop), -1)
+        spread = flat.max(axis=0) - flat.min(axis=0)
+        col = int(np.argmax(spread))
+        viol = float(spread[col])
+        mask = sum(1 << i for i in keep)
+        if viol > worst.max_violation or (
+                viol == worst.max_violation > 0.0 and mask < worst_mask):
+            unpack = lambda code: tuple((code >> k) & 1 for k in range(len(drop)))[::-1]
+            worst = NoSignalingReport(
+                max_violation=viol, subset=tuple(keep),
+                settings_a=unpack(int(np.argmax(flat[:, col]))),
+                settings_b=unpack(int(np.argmin(flat[:, col]))))
+            worst_mask = mask
+    return worst
 
 
 def optimal_setup(n):
@@ -248,6 +284,27 @@ class TestNoSignaling:
         psi, m = optimal_setup(3)
         b = joint_distribution(psi, m)
         assert check_no_signaling(b).max_violation <= 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_matches_reduction_walk(self, n):
+        # cross-check: the same depth-first walk with numpy reductions over
+        # the length-2 axes; the reports agree exactly, ties included
+        rng = np.random.default_rng(60 + n)
+        amps = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
+        psi = StateVector((2,) * n, amps / np.linalg.norm(amps))
+        exact = joint_distribution(psi, measurements_from_pairs(random_pairs(rng, n))).probs
+        behaviors = [exact, np.full((2,) * (2 * n), 0.5 ** n)]
+        for scale in (1e-12, 1e-3):
+            probs = exact * (1.0 + scale * rng.random(exact.shape))
+            behaviors.append(probs / probs.sum(axis=tuple(range(n, 2 * n)), keepdims=True))
+        # one signaling entry: several subsets reach the same violation
+        tied = np.full((2,) * (2 * n), 0.5 ** n)
+        tied[(1,) * n + (0,) * n] += 0.5 ** (n + 1)
+        tied[(1,) * n + (1,) * n] -= 0.5 ** (n + 1)
+        behaviors.append(tied)
+        for probs in behaviors:
+            b = BehaviorTensor(Scenario(n), probs)
+            assert check_no_signaling(b) == reduction_walk_report(b)
 
 
 class TestMeasurementsFromObservables:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from full_moment import build_full_problem, cyclic_reduction
+
 from hardylab.behavior import Scenario
 from hardylab.errors import CapabilityError, SizeError, ValidationError
-from hardylab.npa import (_rotate, build_moment_problem, canonical_monomial,
-                          cyclic_reduction, dagger, hardy_moment_vector,
+from hardylab.npa import (_rotate, basis_shifts, build_moment_problem,
+                          canonical_monomial, dagger, hardy_moment_vector,
                           identity_monomial, monomial_from_str, monomial_list,
                           monomial_str, mul, npa_upper_bound, problem_from_text,
                           problem_to_text, quantum_moment_vector)
@@ -111,10 +113,12 @@ class TestBuildMomentProblem:
     def test_level_too_low(self):
         with pytest.raises(CapabilityError):
             build_moment_problem(Scenario(3), 1, 0.0)
+        with pytest.raises(CapabilityError):
+            build_full_problem(Scenario(3), 1, 0.0)
 
     def test_matrix_symmetry(self):
         for n, level in ((2, 2), (3, 2)):
-            p = build_moment_problem(Scenario(n), level, 0.0)
+            p = build_full_problem(Scenario(n), level, 0.0)
             assert (p.cell_var == p.cell_var.T).all()
             for i in range(p.n_basis):
                 for j in range(p.n_basis):
@@ -127,7 +131,7 @@ class TestBuildMomentProblem:
         # independent oracle: raw matrix products of random realizations
         rng = np.random.default_rng(11)
         for n, level in ((2, 3), (3, 2)):
-            p = build_moment_problem(Scenario(n), level, 0.0)
+            p = build_full_problem(Scenario(n), level, 0.0)
             for _ in range(3):
                 projs, psi = random_realization(rng, n)
                 gram = operator_gram(p, projs, psi)
@@ -207,7 +211,7 @@ class TestCyclicReduction:
     @pytest.mark.parametrize("n,level,full,orbits", [
         (3, 3, 250, 86), (3, 2, 93, 33), (2, 2, 31, 18), (4, 2, 229, 62)])
     def test_structure(self, n, level, full, orbits):
-        p = build_moment_problem(Scenario(n), level, 0.05)
+        p = build_full_problem(Scenario(n), level, 0.05)
         r, orbit_of = cyclic_reduction(p)
         assert (p.n_vars, r.n_vars) == (full, orbits)
         assert orbit_of.shape == (full,)
@@ -226,11 +230,39 @@ class TestCyclicReduction:
             shifts = {_rotate(var, s) for s in range(n)}
             assert key in shifts or dagger(key) in shifts
 
+    @pytest.mark.parametrize("n,level", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    def test_builder_matches_reduced_full_problem(self, n, level, eps):
+        # cross-check: the orbit builder against the reduction of the
+        # test-only full problem, field for field
+        want, _ = cyclic_reduction(build_full_problem(Scenario(n), level, eps))
+        got = build_moment_problem(Scenario(n), level, eps)
+        assert got.cell_var.dtype == want.cell_var.dtype
+        assert np.array_equal(got.cell_var, want.cell_var)
+        assert got.variables == want.variables
+        assert list(got.moment_index.items()) == list(want.moment_index.items())
+        assert got.basis == want.basis
+        assert (got.scenario, got.level, got.epsilon) == (want.scenario, want.level, want.epsilon)
+        assert got.objective == want.objective
+        assert got.equalities == want.equalities
+        assert got.inequalities == want.inequalities
+        assert problem_to_text(got) == problem_to_text(want)
+
+    def test_basis_shifts(self):
+        basis = monomial_list(Scenario(3), 2)
+        shifts = basis_shifts(basis)
+        assert shifts.shape == (3, len(basis))
+        for s, perm in enumerate(shifts):
+            assert sorted(perm) == list(range(len(basis)))
+            assert all(basis[perm[i]] == _rotate(b, s) for i, b in enumerate(basis))
+        # a basis that misses a shifted monomial has none
+        assert basis_shifts(basis[:2]) is None
+
     def test_orbit_cells_agree_on_symmetric_realization(self):
         from hardylab.states import MeasurementPair, hardy_state
         rng = np.random.default_rng(13)
         for n, level in ((2, 3), (3, 2), (4, 2)):
-            p = build_moment_problem(Scenario(n), level, 0.0)
+            p = build_full_problem(Scenario(n), level, 0.0)
             r, _ = cyclic_reduction(p)
             pair = MeasurementPair.from_alpha_sq(0.37)
             projs = [(np.diag([1.0 + 0j, 0.0]),
@@ -241,13 +273,15 @@ class TestCyclicReduction:
             projs, psi = random_realization(rng, n)
             assert max(orbit_spreads(r, operator_gram(p, projs, psi))) > 1e-3
 
-    @pytest.mark.parametrize("n,eps", [(2, 0.03), (3, 0.05)])
-    def test_unreduced_solve_agrees(self, n, eps):
+    @pytest.mark.parametrize("n,eps,level", [
+        (2, 0.03, 2), (3, 0.05, 2), (3, 0.02, 3), (4, 0.0, 2)],
+        ids=["2-0.03", "3-0.05", "3-0.02-level3", "4-0.0"])
+    def test_unreduced_solve_agrees(self, n, eps, level):
         # cross-check: the full problem, test-only
-        p = build_moment_problem(Scenario(n), 2, eps)
+        p = build_full_problem(Scenario(n), level, eps)
         full = sdp_solve(p, tol=1e-6)
         assert full.converged
-        assert abs(full.value - npa_upper_bound(Scenario(n), 2, eps, tol=1e-6)) < 1e-7
+        assert abs(full.value - npa_upper_bound(Scenario(n), level, eps, tol=1e-6)) < 1e-7
         # the orbit average of the full optimum is the party-shift average
         # of its moment matrix: feasible for the reduced problem, same value
         r, orbit_of = cyclic_reduction(p)

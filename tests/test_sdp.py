@@ -5,11 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from full_moment import build_full_problem
+
 from hardylab.behavior import Scenario
 from hardylab.errors import ValidationError
 from hardylab.linalg import eig_sym
-from hardylab.npa import build_moment_problem, cyclic_reduction, identity_monomial
-from hardylab.npa import MomentProblem
+from hardylab.npa import (MomentProblem, build_moment_problem, identity_monomial,
+                          problem_from_text, problem_to_text)
 from hardylab.sdp import (DEFAULT_SHIFT, DUAL_RESIDUAL, _Compiled, _cholesky,
                           _chol_solve, _solve_lower, sdp_solve)
 
@@ -93,38 +95,72 @@ def random_spd(rng, nb, shift):
 
 def dense_schur(e, x, w):
     """Brute-force Tr(E_k X E_l W) from dense E_k."""
-    xew = np.einsum("ab,lbc,cd->lad", x, e, w)
-    return np.einsum("kda,lad->kl", e, xew)
+    xew = np.einsum("ab,lbc,cd->lad", x, e, w, optimize=True)
+    return np.einsum("kda,lad->kl", e, xew, optimize=True)
 
 
 def problem_case(case):
-    return (toy_problem() if case == "toy"
-            else build_moment_problem(Scenario(case[0]), case[1], 0.02))
+    """The toy problem, a full problem (trivial shift group) or an orbit
+    problem (n shifts)."""
+    if case == "toy":
+        return toy_problem()
+    if case == "full":
+        return build_full_problem(Scenario(3), 2, 0.02)
+    return build_moment_problem(Scenario(case[0]), case[1], 0.02)
+
+
+def invariant_spd(rng, comp, shift):
+    """Random SPD matrix averaged over the problem's shifts."""
+    return comp.average(random_spd(rng, comp.nb, shift))
+
+
+CASES = ["toy", (2, 2), (3, 2), "full", (3, 3), (4, 2)]
 
 
 class TestCompiled:
-    @pytest.mark.parametrize("case", ["toy", (2, 2), (3, 2)])
+    @pytest.mark.parametrize("case,order", [
+        ("toy", 1), ("full", 1), ((2, 2), 2), ((3, 2), 3), ((3, 3), 3), ((4, 2), 4)])
+    def test_shift_group(self, case, order):
+        problem = problem_case(case)
+        comp = _Compiled(problem)
+        assert comp.shifts.shape == (order, problem.n_basis)
+        for perm in comp.shifts:
+            assert np.array_equal(problem.cell_var[np.ix_(perm, perm)], problem.cell_var)
+        # each cell is counted once, by its orbit's representative
+        assert comp.weight_sorted.sum() == problem.n_basis ** 2
+        # a text-loaded copy keeps the group; breaking the invariance of
+        # one cell pair (kept symmetric) leaves the identity alone
+        loaded = problem_from_text(problem_to_text(problem))
+        assert np.array_equal(_Compiled(loaded).shifts, comp.shifts)
+        if order > 1:
+            cell_var = problem.cell_var.copy()
+            k = np.bincount(cell_var.ravel()).argmax()
+            assert k != problem.identity_var
+            i, j = np.argwhere(cell_var == k)[0]
+            cell_var[i, j] = cell_var[j, i] = problem.identity_var
+            assert _Compiled(replace(problem, cell_var=cell_var)).shifts.shape[0] == 1
+
+    @pytest.mark.parametrize("case", CASES)
     def test_barrier_hessian_matches_dense_trace(self, case):
         # with X = W = P the kernel is the log-det Hessian Tr(P E_k P E_l)
         problem = problem_case(case)
+        comp = _Compiled(problem)
         rng = np.random.default_rng(7)
-        nb = problem.n_basis
-        p = random_spd(rng, nb, 0.5)
+        p = invariant_spd(rng, comp, 0.5)
         e = dense_cell_matrices(problem)
-        pep = np.einsum("ab,kbc,cd->kad", p, e, p)
-        ref = np.einsum("kad,lda->kl", pep, e)
-        h = _Compiled(problem).schur_matrix(p, p)
+        pep = np.einsum("ab,kbc,cd->kad", p, e, p, optimize=True)
+        ref = np.einsum("kad,lda->kl", pep, e, optimize=True)
+        h = comp.schur_matrix(p, p)
         assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("case", ["toy", (2, 2), (3, 2)])
+    @pytest.mark.parametrize("case", CASES)
     def test_schur_matrix_matches_dense_trace(self, case):
         problem = problem_case(case)
+        comp = _Compiled(problem)
         rng = np.random.default_rng(17)
-        nb = problem.n_basis
-        x, w = random_spd(rng, nb, 0.5), random_spd(rng, nb, 0.1)
+        x, w = invariant_spd(rng, comp, 0.5), invariant_spd(rng, comp, 0.1)
         e = dense_cell_matrices(problem)
         ref = dense_schur(e, x, w)
-        comp = _Compiled(problem)
         h = comp.schur_matrix(x, w)
         assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
         # a kernel that read one matrix twice would fail the check above
@@ -134,6 +170,23 @@ class TestCompiled:
         # so H is symmetric and exchanging X and W leaves it unchanged
         assert np.max(np.abs(ref - ref.T)) <= 1e-12 * np.max(np.abs(ref))
         assert np.max(np.abs(comp.schur_matrix(w, x) - h)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_average_is_invariant_projection(self):
+        problem = problem_case((3, 3))
+        comp = _Compiled(problem)
+        rng = np.random.default_rng(19)
+        x = random_spd(rng, comp.nb, 0.5)
+        avg = comp.average(x)
+        # invariant, idempotent, and Tr(X Z) is unchanged for invariant Z
+        for perm in comp.shifts:
+            assert np.allclose(avg[np.ix_(perm, perm)], avg, rtol=0, atol=1e-15)
+        assert np.allclose(comp.average(avg), avg, rtol=0, atol=1e-15)
+        z = invariant_spd(rng, comp, 0.1)
+        assert abs(np.sum(avg * z) - np.sum(x * z)) <= 1e-12 * abs(np.sum(x * z))
+        assert np.linalg.eigvalsh(avg)[0] >= np.linalg.eigvalsh(x)[0] - 1e-12
+        # the representative kernel needs invariant input
+        e = dense_cell_matrices(problem)
+        assert np.max(np.abs(comp.schur_matrix(x, x) - dense_schur(e, x, x))) > 1e-6
 
     def test_trace_by_var_matches_dense_trace(self):
         problem = build_moment_problem(Scenario(3), 2, 0.02)
@@ -200,16 +253,12 @@ def reference_cases():
     return jobs
 
 
-def reduced_problem(n, level, eps):
-    return cyclic_reduction(build_moment_problem(Scenario(n), level, eps))[0]
-
-
 class TestHardyProblems:
     def test_feasibility_audit(self):
         # returned moments reshape into a near-PSD matrix and respect the
         # error constraints; the Jacobi eigensolver cross-checks the
         # solver's own LAPACK audit
-        p = build_moment_problem(Scenario(2), 2, 0.02)
+        p = build_full_problem(Scenario(2), 2, 0.02)
         sol = sdp_solve(p, tol=1e-6)
         assert sol.converged
         comp = _Compiled(p)
@@ -228,7 +277,7 @@ class TestHardyProblems:
     def test_feasible_without_start(self, n, level):
         # eps = 0: the unshifted problem has an empty interior, and the
         # solver starts from no feasible point at all
-        p = reduced_problem(n, level, 0.0)
+        p = build_moment_problem(Scenario(n), level, 0.0)
         sol = sdp_solve(p, tol=1e-6)
         assert sol.converged
         assert sol.psd_residual <= 1e-9
@@ -245,7 +294,7 @@ class TestHardyProblems:
     @pytest.mark.parametrize("n,level,eps,ref", reference_cases(),
                              ids=lambda v: f"{v:.4g}" if isinstance(v, float) else str(v))
     def test_reference_values_pinned(self, n, level, eps, ref):
-        p = reduced_problem(n, level, eps)
+        p = build_moment_problem(Scenario(n), level, eps)
         sol = sdp_solve(p, tol=1e-6)
         assert sol.converged
         assert abs(sol.value - ref) <= 2e-7
