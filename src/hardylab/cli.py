@@ -34,6 +34,9 @@ SCHEMA = 1
 SCAN_HEADER = ("epsilon,local,no_signaling,npa_upper,npa_level,"
                "variational_lower,restarts,seed")
 ROW_SLACK = 2e-3
+# largest scan grid; checked before the grid and task list are built,
+# whose size grows with it
+MAX_SCAN_STEPS = 10_000
 
 
 def _pairs_from_spec(spec: dict) -> list[MeasurementPair]:
@@ -125,12 +128,10 @@ def cmd_pmax(args) -> int:
 
 def _bound_value(method: str, n: int, epsilon: float, level: int,
                  restarts: int, seed: int, tol: float):
-    if method == "local":
-        sol = local_max(BoundQuery(n, epsilon))
-        return sol.value, {"status": sol.status}
-    if method == "ns":
-        sol = nosignaling_max(BoundQuery(n, epsilon))
-        return sol.value, {"status": sol.status}
+    if method in ("local", "ns"):
+        solve = local_max if method == "local" else nosignaling_max
+        sol = solve(BoundQuery(n, epsilon))
+        return sol.value, {"status": sol.status, "pivots": sol.pivots}
     if method == "npa":
         value = npa_upper_bound(Scenario(n), level, epsilon, tol=tol)
         return value, {"level": level, "tol": tol}
@@ -214,14 +215,18 @@ def _scan_workers(n_tasks: int) -> int:
     return max(1, min(wanted, n_tasks, cores))
 
 
+def _scan_grid(eps_from: float, eps_to: float, steps: int) -> list[float]:
+    return [eps_from + k * (eps_to - eps_from) / (steps - 1) for k in range(steps)]
+
+
 def cmd_scan(args) -> int:
-    if args.steps < 2:
-        raise ValidationError("need at least two grid points")
+    if not 2 <= args.steps <= MAX_SCAN_STEPS:
+        raise ValidationError(
+            f"--steps = {args.steps} outside [2, {MAX_SCAN_STEPS}]")
     if not 0.0 <= args.eps_from < args.eps_to <= EPSILON_MAX:
         raise ValidationError(
             f"grid must satisfy 0 <= from < to <= {EPSILON_MAX}")
-    grid = [args.eps_from + k * (args.eps_to - args.eps_from) / (args.steps - 1)
-            for k in range(args.steps)]
+    grid = _scan_grid(args.eps_from, args.eps_to, args.steps)
     tasks = [(k, eps, args.level, args.restarts, args.seed, args.tol)
              for k, eps in enumerate(grid)]
     workers = _scan_workers(len(tasks))

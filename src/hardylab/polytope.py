@@ -46,6 +46,7 @@ class LPSolution:
     status: str
     value: float
     assignment: np.ndarray
+    pivots: int  # simplex pivots over both phases
 
 
 @dataclass(frozen=True)
@@ -61,33 +62,32 @@ class BoundQuery:
 
 
 class _Unbounded(Exception):
-    pass
+    """Raised by the simplex loop; ``args[0]`` is its pivot count."""
 
 
 def _pivot(tab: np.ndarray, basis: list, row: int, col: int):
+    """Scale ``row`` to a unit pivot and eliminate ``col`` from every other
+    row whose entry there exceeds 1e-13, all such rows in one update."""
     tab[row] /= tab[row, col]
-    piv = tab[row]
-    for r in range(tab.shape[0]):
-        if r != row and abs(tab[r, col]) > 1e-13:
-            tab[r] -= tab[r, col] * piv
+    factors = tab[:, col].copy()
+    factors[row] = 0.0
+    rows = np.abs(factors) > 1e-13
+    tab[rows] -= np.outer(factors[rows], tab[row])
     basis[row] = col
 
 
-def _bland_loop(tab: np.ndarray, basis: list, max_iter: int, tol: float = 1e-11):
-    """Minimise the last tableau row in place; Bland's rule throughout."""
-    for _ in range(max_iter):
-        red = tab[-1, :-1]
-        enter = -1
-        for j in range(red.size):
-            if red[j] < -tol:
-                enter = j
-                break
-        if enter < 0:
-            return
+def _bland_loop(tab: np.ndarray, basis: list, max_iter: int, tol: float = 1e-11) -> int:
+    """Minimise the last tableau row in place; Bland's rule throughout.
+    Returns the number of pivots."""
+    for pivots in range(max_iter):
+        improving = np.flatnonzero(tab[-1, :-1] < -tol)
+        if improving.size == 0:
+            return pivots
+        enter = int(improving[0])
         col = tab[:-1, enter]
         rows = np.where(col > tol)[0]
         if rows.size == 0:
-            raise _Unbounded()
+            raise _Unbounded(pivots)
         ratios = tab[rows, -1] / col[rows]
         best = ratios.min()
         cand = rows[ratios <= best + 1e-12]
@@ -165,12 +165,12 @@ def lp_solve(lp: LinearProgram, max_iter: int | None = None) -> LPSolution:
     for r in range(m):
         tab[-1] -= tab[r]
     try:
-        _bland_loop(tab, basis, max_iter)
+        pivots = _bland_loop(tab, basis, max_iter)
     except _Unbounded:
         raise NumericError("phase-1 objective unbounded; malformed program")
     if tab[-1, -1] < -1e-7:
         return LPSolution(status="infeasible", value=float("nan"),
-                          assignment=np.full(nvar, np.nan))
+                          assignment=np.full(nvar, np.nan), pivots=pivots)
 
     # Clear leftover artificials from the basis (degenerate rows).
     drop_rows = []
@@ -180,6 +180,7 @@ def lp_solve(lp: LinearProgram, max_iter: int | None = None) -> LPSolution:
             cols = np.where(np.abs(sub) > 1e-9)[0]
             if cols.size:
                 _pivot(tab, basis, r, int(cols[0]))
+                pivots += 1
             else:
                 drop_rows.append(r)
     if drop_rows:
@@ -198,10 +199,11 @@ def lp_solve(lp: LinearProgram, max_iter: int | None = None) -> LPSolution:
         if tab[-1, bv] != 0.0:
             tab[-1] -= tab[-1, bv] * tab[r]
     try:
-        _bland_loop(tab, basis, max_iter)
-    except _Unbounded:
+        pivots += _bland_loop(tab, basis, max_iter)
+    except _Unbounded as exc:
         return LPSolution(status="unbounded", value=float("inf"),
-                          assignment=np.full(nvar, np.nan))
+                          assignment=np.full(nvar, np.nan),
+                          pivots=pivots + exc.args[0])
 
     xstd = np.zeros(ncols + nslack)
     for r in range(m):
@@ -221,7 +223,7 @@ def lp_solve(lp: LinearProgram, max_iter: int | None = None) -> LPSolution:
         if bad:
             raise NumericError(
                 f"optimal point violates a constraint by {abs(lhs - bnd):.2e}")
-    return LPSolution(status="optimal", value=value, assignment=x)
+    return LPSolution(status="optimal", value=value, assignment=x, pivots=pivots)
 
 
 def deterministic_vertices(n: int) -> list[BehaviorTensor]:

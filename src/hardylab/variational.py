@@ -35,7 +35,10 @@ incumbent tracker, which keeps the best point whose terms stay within
 FEAS_SLACK of the bound.  Restart 0 starts at the exact noiseless
 optimum and offers it before any step, so the result never falls below
 the ideal Hardy point; the other restarts draw their start from
-per-restart substreams of the seed.  numpy draws the starts and
+per-restart substreams of the seed.  At epsilon = 0 the multistart stops
+after the first restart whose incumbent is within PMAX_ROUNDOFF of
+pmax(3), the maximum over the noiseless constraints, since no later
+restart can exceed that beyond round-off.  numpy draws the starts and
 re-validates the incumbent through the behavior module, which stays the
 independent cross-check.
 """
@@ -54,6 +57,8 @@ from .linalg import StateVector
 from .states import pmax, tripartite_explicit, MeasurementPair
 
 FEAS_SLACK = 1e-8
+# at epsilon = 0 an incumbent this close to pmax(3) ends the multistart
+PMAX_ROUNDOFF = 1e-12
 ANGLE_MARGIN = 1e-3
 # lower_bound accepts error bounds in [0, EPSILON_MAX]
 EPSILON_MAX = 0.25
@@ -113,7 +118,7 @@ class LowerBoundResult:
     value: float
     params: AnsatzParams
     constraint_values: np.ndarray
-    restarts_used: int
+    restarts_used: int  # restarts run; fewer than requested at epsilon = 0
     seed: int
     evaluations: int  # value+gradient calls of hardy_terms
     iterations: int  # BFGS iterations over all restarts
@@ -378,12 +383,28 @@ def _restart_seeds(seed: int, restarts: int):
         yield ss.spawn(1)[0]
 
 
+def _start(r: int, child: np.random.SeedSequence) -> np.ndarray:
+    """Start of restart ``r``: the exact noiseless point for r = 0, else a
+    random point drawn from the restart's substream ``child``."""
+    if r == 0:
+        return canonical_start()
+    rng = np.random.default_rng(child)
+    x = np.empty(7)
+    x[:4] = rng.standard_normal(4)
+    rng.uniform(0.0, 2.0 * math.pi, 3)  # the phases are gauge
+    x[4:] = rng.uniform(0.3, math.pi - 0.3, 3)
+    return x
+
+
 def lower_bound(epsilon: float, restarts: int = 50, *, seed: int) -> LowerBoundResult:
     """Best feasible Hardy probability found over the ansatz family.
 
     Multistart augmented-Lagrangian BFGS over the gauge-fixed parameters:
     restart 0 starts at the exact noiseless point, the rest at random
-    points drawn from per-restart substreams of ``seed``.  The returned
+    points drawn from per-restart substreams of ``seed``.  At
+    ``epsilon == 0`` the remaining restarts are skipped once a finished
+    restart leaves the incumbent within PMAX_ROUNDOFF of pmax(3), so
+    ``restarts_used`` reports the restarts actually run.  The returned
     parameters are re-validated through the behavior module before
     reporting.
     """
@@ -393,28 +414,29 @@ def lower_bound(epsilon: float, restarts: int = 50, *, seed: int) -> LowerBoundR
     if restarts < 1:
         raise ValidationError("need at least one restart")
     tracker = _Tracker(epsilon)
+    target = pmax(3).p_max - PMAX_ROUNDOFF if epsilon == 0.0 else math.inf
     for r, child in enumerate(_restart_seeds(seed, restarts)):
-        if r == 0:
-            x = canonical_start()
-        else:
-            rng = np.random.default_rng(child)
-            x = np.empty(7)
-            x[:4] = rng.standard_normal(4)
-            rng.uniform(0.0, 2.0 * math.pi, 3)  # the phases are gauge
-            x[4:] = rng.uniform(0.3, math.pi - 0.3, 3)
-        _local_search(tracker, x)
+        _local_search(tracker, _start(r, child))
+        if tracker.best_p >= target:
+            break
+    return _validated_result(tracker, r + 1, seed)
+
+
+def _validated_result(tracker: _Tracker, restarts_used: int,
+                      seed: int) -> LowerBoundResult:
+    """The incumbent, re-validated through the behavior module."""
     if tracker.best_x is None:
         raise NumericError("no feasible ansatz point found (unexpected)")
     params = _params_from_vector(tracker.best_x)
 
     behavior = joint_distribution(ansatz_state(params), ansatz_measurements(params))
     stats = hardy_statistics(behavior)
-    if float(np.max(stats.zeros - epsilon)) > FEAS_SLACK:
+    if float(np.max(stats.zeros - tracker.epsilon)) > FEAS_SLACK:
         raise NumericError("re-validation found the incumbent infeasible")
     if abs(stats.p - tracker.best_p) > 1e-10:
         raise NumericError("fast evaluator disagrees with the behavior module")
     return LowerBoundResult(value=float(stats.p), params=params,
                             constraint_values=np.array(stats.zeros),
-                            restarts_used=restarts, seed=seed,
+                            restarts_used=restarts_used, seed=seed,
                             evaluations=tracker.evaluations,
                             iterations=tracker.iterations)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,8 +84,10 @@ class TestBounds:
         rc = main(["bounds", "--method", "variational", "--epsilon", "0",
                    "--restarts", "2", "--seed", "7"])
         assert rc == 0
-        value = float(capsys.readouterr().out.split("\n")[0])
-        assert value >= 0.018184
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert float(lines[0]) >= 0.018184
+        # the noiseless search stops once restart 0 reaches pmax(3)
+        assert json.loads(lines[-1])["restarts"] == 1
 
     def test_variational_diagnostics(self, capsys):
         rc = main(["bounds", "--method", "variational", "--epsilon", "0.05",
@@ -94,6 +97,16 @@ class TestBounds:
         assert isinstance(doc["evaluations"], int)
         assert isinstance(doc["iterations"], int)
         assert doc["evaluations"] > doc["iterations"] > 0
+        assert doc["restarts"] == 2
+
+    @pytest.mark.parametrize("method", ["local", "ns"])
+    def test_lp_pivots(self, method, capsys):
+        from hardylab.polytope import BoundQuery, local_max, nosignaling_max
+
+        assert main(["bounds", "--method", method, "--epsilon", "0.05"]) == 0
+        doc = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+        solve = local_max if method == "local" else nosignaling_max
+        assert doc["pivots"] == solve(BoundQuery(3, 0.05)).pivots > 0
 
     def test_epsilon_range(self):
         assert main(["bounds", "--method", "local", "--epsilon", "0.4"]) == 2
@@ -124,6 +137,7 @@ class TestScan:
             assert float(loc) <= float(npa) + 2e-3
             assert float(var) <= float(npa) + 2e-3
             assert float(npa) <= float(ns) + 2e-3
+            # the requested restarts, also on the eps=0 row that stops early
             assert (level, restarts, seed) == ("2", "2", "3")
 
     def test_byte_identical(self, tmp_path):
@@ -137,6 +151,29 @@ class TestScan:
 
     def test_bad_grid(self):
         assert main(["scan", "--eps-from", "0.2", "--eps-to", "0.1"]) == 2
+
+    def test_steps_cap_checked_before_the_grid(self, monkeypatch, capsys):
+        def no_grid(*args):
+            raise AssertionError("grid built for a rejected step count")
+
+        monkeypatch.setattr(cli, "_scan_grid", no_grid)
+        tracemalloc.start()
+        try:
+            rc = main(["scan", "--steps", str(10 ** 12), "--restarts", "1"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert f"outside [2, {cli.MAX_SCAN_STEPS}]" in capsys.readouterr().err
+        assert peak < 1 << 20
+        assert main(["scan", "--steps", str(cli.MAX_SCAN_STEPS + 1)]) == 2
+        assert main(["scan", "--steps", "1"]) == 2
+
+    def test_steps_cap_is_accepted(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_scan_point",
+                            lambda task: (task[0], (0.0, 0.0, 0.0, 0.0), None))
+        assert main(["scan", "--steps", str(cli.MAX_SCAN_STEPS), "--restarts", "1"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == cli.MAX_SCAN_STEPS + 1
 
     def test_grid_range_is_variational_range(self, capsys):
         assert main(["scan", "--eps-from", "0", "--eps-to", "0.3"]) == 2

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from hardylab import polytope
 from hardylab.behavior import (BehaviorTensor, Scenario, check_no_signaling,
                                hardy_statistics)
 from hardylab.errors import SizeError, ValidationError
 from hardylab.polytope import (BoundQuery, LinearProgram, LPSolution,
-                               deterministic_vertices, local_max, lp_solve,
-                               nosignaling_max)
+                               _pivot, deterministic_vertices, local_max,
+                               lp_solve, nosignaling_max)
 
 # First verified value of the tripartite no-signaling maximum at eps = 0
 # (cross-checked against an independent LP solver when frozen).
@@ -69,6 +70,81 @@ class TestLpSolve:
                                     method="highs")
             assert sol.status == "optimal" and ref.status == 0
             assert abs(sol.value - (-ref.fun)) < 1e-9
+
+
+def row_loop_pivot(tab, basis, row, col):
+    """Cross-check for ``polytope._pivot``: the same elimination, one
+    Python-level row update at a time."""
+    tab[row] /= tab[row, col]
+    piv = tab[row]
+    for r in range(tab.shape[0]):
+        if r != row and abs(tab[r, col]) > 1e-13:
+            tab[r] -= tab[r, col] * piv
+    basis[row] = col
+
+
+class TestPivot:
+    def test_matches_row_loop_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            m, k = rng.integers(2, 12), rng.integers(2, 20)
+            tab = rng.standard_normal((m, k))
+            # entries at and around the elimination threshold
+            tab[rng.random((m, k)) < 0.3] = 0.0
+            tab[rng.random((m, k)) < 0.1] = 1e-13 * rng.choice([-2.0, -1.0, 0.5, 1.0], 1)
+            row, col = int(rng.integers(m)), int(rng.integers(k))
+            tab[row, col] = rng.uniform(0.5, 2.0)
+            a, b = tab.copy(), tab.copy()
+            basis_a, basis_b = list(range(m)), list(range(m))
+            _pivot(a, basis_a, row, col)
+            row_loop_pivot(b, basis_b, row, col)
+            assert np.array_equal(a, b)
+            assert basis_a == basis_b
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_bounds_match_row_loop_bit_for_bit(self, n, monkeypatch):
+        grid = (0.0, 0.013, 0.05, 1.0 / 12.0, 1.0 / 6.0, 0.2, 0.25)
+        solve = (local_max, nosignaling_max)
+        fast = [f(BoundQuery(n, eps)) for eps in grid for f in solve]
+        monkeypatch.setattr(polytope, "_pivot", row_loop_pivot)
+        slow = [f(BoundQuery(n, eps)) for eps in grid for f in solve]
+        for a, b in zip(fast, slow):
+            assert a.value == b.value
+            assert np.array_equal(a.assignment, b.assignment)
+            assert a.pivots == b.pivots > 0
+
+
+class TestPivotCount:
+    def test_counts_every_pivot(self, monkeypatch):
+        calls = []
+
+        def counting_pivot(*args):
+            calls.append(args[2:])
+            row_loop_pivot(*args)
+
+        monkeypatch.setattr(polytope, "_pivot", counting_pivot)
+        for f in (local_max, nosignaling_max):
+            calls.clear()
+            sol = f(BoundQuery(3, 0.05))
+            assert sol.pivots == len(calls) > 0
+
+    def test_every_status_reports_pivots(self):
+        # max x st x <= 3: x replaces the artificial in phase 1, which
+        # leaves phase 2 optimal at once
+        lp = LinearProgram(objective=np.array([1.0]))
+        lp.add(np.array([1.0]), "<=", 3.0)
+        sol = lp_solve(lp)
+        assert (sol.status, sol.pivots) == ("optimal", 1)
+        # x <= -1: no column improves phase 1
+        lp = LinearProgram(objective=np.array([1.0]))
+        lp.add(np.array([1.0]), "<=", -1.0)
+        sol = lp_solve(lp)
+        assert (sol.status, sol.pivots) == ("infeasible", 0)
+        # max x st y <= 1: y enters in phase 1, x has no ratio in phase 2
+        lp = LinearProgram(objective=np.array([1.0, 0.0]))
+        lp.add(np.array([0.0, 1.0]), "<=", 1.0)
+        sol = lp_solve(lp)
+        assert (sol.status, sol.pivots) == ("unbounded", 1)
 
 
 class TestDeterministicVertices:

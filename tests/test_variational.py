@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from hardylab import variational
 from hardylab.behavior import hardy_statistics, joint_distribution
 from hardylab.errors import DegenerateMeasurementError, ValidationError
 from hardylab.states import MeasurementPair, hardy_state, pmax
 from hardylab.variational import (ANGLE_MARGIN, ANGLE_PENALTY, AnsatzParams,
-                                  _bfgs, _params_from_vector, _restart_seeds,
-                                  _Tracker, ansatz_measurements, ansatz_state,
-                                  canonical_start, hardy_terms, lower_bound)
+                                  _bfgs, _local_search, _params_from_vector,
+                                  _restart_seeds, _start, _Tracker,
+                                  _validated_result, ansatz_measurements,
+                                  ansatz_state, canonical_start, hardy_terms,
+                                  lower_bound)
 
 
 def symmetric_params(c, phases=(0.0, 0.0, 0.0), angle=None):
@@ -25,6 +28,15 @@ def random_vector(rng, margin=0.3):
     unnormalised amplitudes and three angles in (margin, pi - margin)."""
     return (rng.standard_normal(4).tolist()
             + rng.uniform(margin, math.pi - margin, 3).tolist())
+
+
+def full_multistart(epsilon, restarts, seed):
+    """Cross-check for ``lower_bound``: the same multistart with every
+    restart run to the end, never stopped early."""
+    tracker = _Tracker(epsilon)
+    for r, child in enumerate(_restart_seeds(seed, restarts)):
+        _local_search(tracker, _start(r, child))
+    return _validated_result(tracker, restarts, seed)
 
 
 def behavior_stats(params):
@@ -299,3 +311,36 @@ class TestLowerBound:
             for a, b in zip(lazy, eager):
                 assert a.spawn_key == b.spawn_key
                 assert np.array_equal(a.generate_state(8), b.generate_state(8))
+
+
+class TestNoiselessStop:
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_stopped_search_matches_full_multistart(self, seed):
+        # no later restart beats the noiseless start, not even inside the
+        # incumbent filter's FEAS_SLACK
+        stopped = lower_bound(0.0, restarts=8, seed=seed)
+        full = full_multistart(0.0, 8, seed)
+        assert stopped.value == full.value
+        assert stopped.params == full.params
+        assert stopped.restarts_used == 1
+        assert full.restarts_used == 8
+        assert stopped.evaluations < full.evaluations
+        assert abs(stopped.value - pmax(3).p_max) <= variational.PMAX_ROUNDOFF
+
+    @pytest.mark.parametrize("eps", [0.05, 0.1])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_noisy_search_runs_every_restart(self, eps, seed):
+        stopped = lower_bound(eps, restarts=4, seed=seed)
+        full = full_multistart(eps, 4, seed)
+        assert stopped.value == full.value
+        assert stopped.params == full.params
+        assert stopped.evaluations == full.evaluations
+        assert stopped.iterations == full.iterations
+        assert stopped.restarts_used == 4
+
+    def test_unreached_target_runs_every_restart(self, monkeypatch):
+        monkeypatch.setattr(variational, "PMAX_ROUNDOFF", -1.0)
+        res = lower_bound(0.0, restarts=3, seed=1)
+        full = full_multistart(0.0, 3, 1)
+        assert res.restarts_used == 3
+        assert (res.value, res.evaluations) == (full.value, full.evaluations)
