@@ -38,7 +38,11 @@ class Scenario:
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """Per-party projector pairs: projectors[party][setting][outcome]."""
+    """Per-party projector pairs: projectors[party][setting][outcome].
+
+    Every projector must be Hermitian and idempotent and each pair must
+    sum to the identity, all within 1e-12 * max(1, dim) in Frobenius norm.
+    """
 
     projectors: tuple
     dims: tuple[int, ...]
@@ -48,14 +52,17 @@ class MeasurementSet:
             if len(settings) != 2:
                 raise ValidationError(f"party {party}: expected two settings")
             eye = np.eye(dim)
+            tol = 1e-12 * max(1.0, dim)
             for pair in settings:
                 plus, minus = pair
                 if plus.shape != (dim, dim) or minus.shape != (dim, dim):
                     raise ValidationError(f"party {party}: projector shape mismatch")
-                if np.linalg.norm(plus + minus - eye) > 1e-12 * max(1.0, dim):
+                if np.linalg.norm(plus + minus - eye) > tol:
                     raise ValidationError(f"party {party}: projectors do not sum to identity")
                 for p in (plus, minus):
-                    if np.linalg.norm(p @ p - p) > 1e-12 * max(1.0, dim):
+                    if np.linalg.norm(p - p.conj().T) > tol:
+                        raise ValidationError(f"party {party}: projector not Hermitian")
+                    if np.linalg.norm(p @ p - p) > tol:
                         raise ValidationError(f"party {party}: projector not idempotent")
 
     @property
@@ -114,16 +121,10 @@ class NoSignalingReport:
 def measurements_from_pairs(pairs) -> MeasurementSet:
     """Rank-1 qubit projectors onto {|0>,|1>} (U) and {|+>,|->} (D)."""
     pairs = list(pairs)
-    projs = []
-    for pair in pairs:
-        if not isinstance(pair, MeasurementPair):
-            raise ValidationError("expected MeasurementPair instances")
-        plus = np.outer(pair.ket_plus, pair.ket_plus.conj())
-        minus = np.outer(pair.ket_minus, pair.ket_minus.conj())
-        u0 = np.diag([1.0, 0.0]).astype(complex)
-        u1 = np.diag([0.0, 1.0]).astype(complex)
-        projs.append(((u0, u1), (plus, minus)))
-    return MeasurementSet(projectors=tuple(projs), dims=(2,) * len(pairs))
+    if not all(isinstance(pair, MeasurementPair) for pair in pairs):
+        raise ValidationError("expected MeasurementPair instances")
+    return MeasurementSet(projectors=tuple(pair.projectors for pair in pairs),
+                          dims=(2,) * len(pairs))
 
 
 def measurements_from_observables(observables) -> MeasurementSet:

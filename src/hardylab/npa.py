@@ -267,11 +267,10 @@ def build_moment_problem(scenario: Scenario, level: int, epsilon: float) -> Mome
 
 def _word_operator(word: Word, pair) -> np.ndarray:
     """Matrix product of the '+' projectors along a one-party word."""
-    proj_u = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    proj_d = np.outer(pair.ket_plus, pair.ket_plus.conj())
+    projectors = pair.projectors
     out = np.eye(2, dtype=complex)
     for letter in word:
-        out = out @ (proj_u if letter == 0 else proj_d)
+        out = out @ projectors[letter][0]
     return out
 
 

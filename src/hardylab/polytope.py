@@ -226,6 +226,23 @@ def lp_solve(lp: LinearProgram, max_iter: int | None = None) -> LPSolution:
     return LPSolution(status="optimal", value=value, assignment=x, pivots=pivots)
 
 
+def _vertex_table(n: int) -> np.ndarray:
+    """The 4^n deterministic behaviors as the rows of a 0/1 matrix.
+
+    Row v is the strategy whose base-4 digits, party 1 most significant,
+    are 2 * (outcome at U) + (outcome at D); its columns follow the
+    flattened behavior table, settings first, then outcomes.
+    """
+    shifts = np.arange(n - 1, -1, -1)
+    digits = (np.arange(4 ** n)[:, None] >> 2 * shifts) & 3
+    settings = (np.arange(2 ** n)[:, None] >> shifts) & 1
+    outcomes = (digits[:, None, :] >> (1 - settings)) & 1  # (vertex, settings, party)
+    cols = np.arange(2 ** n) * 2 ** n + outcomes @ (1 << shifts)
+    table = np.zeros((4 ** n, 4 ** n))
+    np.put_along_axis(table, cols, 1.0, axis=1)
+    return table
+
+
 def deterministic_vertices(n: int) -> list[BehaviorTensor]:
     """All 4^n deterministic behaviors of the n-party (2, 2) scenario."""
     if n > 4:
@@ -233,23 +250,8 @@ def deterministic_vertices(n: int) -> list[BehaviorTensor]:
     if n < 2:
         raise ValidationError(f"need at least two parties, got n={n}")
     scenario = Scenario(n)
-    vertices = []
-    locals_ = list(product((0, 1), repeat=2))  # (output at U, output at D)
-    for strat in product(locals_, repeat=n):
-        tables = []
-        for party in range(n):
-            t = np.zeros((2, 2))
-            t[0, strat[party][0]] = 1.0
-            t[1, strat[party][1]] = 1.0
-            tables.append(t)
-        probs = tables[0]
-        for t in tables[1:]:
-            probs = np.multiply.outer(probs, t)
-        # axes currently (s1, o1, s2, o2, ...): regroup settings first
-        order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-        probs = probs.transpose(order)
-        vertices.append(BehaviorTensor(scenario=scenario, probs=probs))
-    return vertices
+    return [BehaviorTensor(scenario=scenario, probs=row.reshape((2,) * (2 * n)))
+            for row in _vertex_table(n)]
 
 
 def _hardy_rows(n: int):
@@ -265,14 +267,12 @@ def local_max(q: BoundQuery) -> LPSolution:
     """
     if q.n not in (2, 3):
         raise ValidationError("the noisy local bound is posed for n in {2, 3}")
-    vertices = deterministic_vertices(q.n)
+    table = _vertex_table(q.n)
     p_flat, z_flat = _hardy_rows(q.n)
-    pv = np.array([float(p_flat @ v.probs.reshape(-1)) for v in vertices])
-    zv = np.array([[float(z @ v.probs.reshape(-1)) for v in vertices] for z in z_flat])
-    lp = LinearProgram(objective=pv)
-    for row in zv:
+    lp = LinearProgram(objective=table @ p_flat)
+    for row in np.array(z_flat) @ table.T:
         lp.add(row, "<=", q.epsilon)
-    lp.add(np.ones(len(vertices)), "=", 1.0)
+    lp.add(np.ones(len(table)), "=", 1.0)
     return lp_solve(lp)
 
 

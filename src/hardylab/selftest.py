@@ -176,10 +176,8 @@ class SelfTestReport:
 
 def canonical_observables(n: int) -> list[ObservablePair]:
     """Qubit observable pairs realising the optimal Hardy point."""
-    t = pmax(n).t
-    pair = MeasurementPair.from_alpha_sq(t)
-    z = np.diag([1.0, -1.0]).astype(complex)
-    d = 2.0 * np.outer(pair.ket_plus, pair.ket_plus.conj()) - np.eye(2)
+    z, d = (2.0 * setting[0] - np.eye(2)
+            for setting in MeasurementPair.from_alpha_sq(pmax(n).t).projectors)
     return [ObservablePair(a1=z, a2=d) for _ in range(n)]
 
 

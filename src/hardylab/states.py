@@ -63,6 +63,13 @@ class MeasurementPair:
     def ket_minus(self) -> np.ndarray:
         return np.array([np.conj(self.beta), -np.conj(self.alpha)], dtype=complex)
 
+    @property
+    def projectors(self) -> tuple:
+        """((|0><0|, |1><1|), (|+><+|, |-><-|)): projectors[setting][outcome]."""
+        plus, minus = self.ket_plus, self.ket_minus
+        return ((np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)),
+                (np.outer(plus, plus.conj()), np.outer(minus, minus.conj())))
+
 
 @dataclass(frozen=True)
 class ProductBasis:

@@ -51,7 +51,8 @@ from operator import mul
 
 import numpy as np
 
-from .behavior import MeasurementSet, hardy_statistics, joint_distribution
+from .behavior import (MeasurementSet, hardy_statistics, joint_distribution,
+                       measurements_from_pairs)
 from .errors import DegenerateMeasurementError, NumericError, ValidationError
 from .linalg import StateVector
 from .states import pmax, tripartite_explicit, MeasurementPair
@@ -136,25 +137,15 @@ def ansatz_state(p: AnsatzParams) -> StateVector:
     return StateVector((2, 2, 2), c[_BITS.sum(axis=1)] * np.exp(-1j * phase))
 
 
-def _d_vectors(angle: float, phase: float):
-    half = 0.5 * angle
-    plus = np.array([math.cos(half), math.sin(half) * np.exp(1j * phase)])
-    minus = np.array([-math.sin(half), math.cos(half) * np.exp(1j * phase)])
-    return plus, minus
-
-
 def ansatz_measurements(p: AnsatzParams) -> MeasurementSet:
-    projs = []
+    pairs = []
     for angle, phase in zip((p.meas_alpha, p.meas_beta, p.meas_gamma), p.phases):
         if not ANGLE_MARGIN / 10 < angle < math.pi - ANGLE_MARGIN / 10:
             raise DegenerateMeasurementError(
                 f"angle {angle!r} too close to the boundary")
-        plus, minus = _d_vectors(angle, phase)
-        u0 = np.diag([1.0, 0.0]).astype(complex)
-        u1 = np.diag([0.0, 1.0]).astype(complex)
-        projs.append(((u0, u1),
-                      (np.outer(plus, plus.conj()), np.outer(minus, minus.conj()))))
-    return MeasurementSet(projectors=tuple(projs), dims=(2, 2, 2))
+        half = 0.5 * angle
+        pairs.append(MeasurementPair(math.cos(half), math.sin(half) * np.exp(1j * phase)))
+    return measurements_from_pairs(pairs)
 
 
 def _pair_term(co, si, c0, c1, c2):

@@ -102,6 +102,30 @@ class TestMeasurementsFromPairs:
             assert abs(np.trace(plus_d @ plus_u).real - abs(pair.alpha) ** 2) < 1e-12
 
 
+    def test_matches_outer_product_oracle(self):
+        # the construction every pair was built with before it moved to
+        # MeasurementPair.projectors
+        def oracle(pair):
+            u0 = np.diag([1.0, 0.0]).astype(complex)
+            u1 = np.diag([0.0, 1.0]).astype(complex)
+            return ((u0, u1), (np.outer(pair.ket_plus, pair.ket_plus.conj()),
+                               np.outer(pair.ket_minus, pair.ket_minus.conj())))
+
+        rng = np.random.default_rng(41)
+        for phases in (False, True):
+            pairs = random_pairs(rng, 6, complex_phases=phases)
+            m = measurements_from_pairs(pairs)
+            for got, pair in zip(m.projectors, pairs):
+                want = oracle(pair)
+                for s in range(2):
+                    for o in range(2):
+                        assert np.array_equal(got[s][o], want[s][o])
+
+    def test_rejects_other_types(self):
+        with pytest.raises(ValidationError):
+            measurements_from_pairs([MeasurementPair.from_alpha_sq(0.5), (0.6, 0.8)])
+
+
 class TestJointDistribution:
     def test_computational_basis(self):
         psi = computational_state(2)
@@ -318,6 +342,31 @@ class TestMeasurementsFromObservables:
             for o in range(2):
                 assert np.allclose(m_obs.projectors[0][s][o],
                                    m_pair.projectors[0][s][o], atol=1e-12)
+
+    def test_rejects_oblique_projectors(self):
+        # A = [[1, 2], [0, -1]] squares to I, so (I +/- A)/2 are complete
+        # idempotents, but they are not Hermitian: no quantum measurement
+        z = np.diag([1.0, -1.0])
+        oblique = np.array([[1.0, 2.0], [0.0, -1.0]])
+        amps = np.array([0.0, 0.6, 0.0, 0.8]) + 0j
+        psi = StateVector((2, 2), amps)
+        for state in (psi, psi.density()):
+            with pytest.raises(ValidationError, match="not Hermitian"):
+                joint_distribution(state, measurements_from_observables([(z, oblique)] * 2))
+        # the same idempotents as rank-1 qubit projectors, given directly
+        plus, minus = (np.eye(2) + oblique) / 2, (np.eye(2) - oblique) / 2
+        u = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            MeasurementSet(projectors=((u, (plus, minus)),) * 2, dims=(2, 2))
+
+    def test_accepts_round_off_asymmetry(self):
+        # Hermitian within the 1e-12 * max(1, dim) tolerance is accepted
+        pair = MeasurementPair.from_alpha_sq(0.3)
+        (u0, u1), (plus, minus) = pair.projectors
+        skew = np.array([[0.0, 1e-13], [-1e-13, 0.0]])
+        m = MeasurementSet(projectors=(((u0, u1), (plus + skew, minus - skew)),) * 2,
+                           dims=(2, 2))
+        assert m.is_rank1_qubits()
 
     def test_rejects_non_dichotomic(self):
         with pytest.raises(ValidationError):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from eig_certificate import certified_error
+
 from hardylab.errors import NumericError, SizeError, ValidationError
-from hardylab.linalg import (StateVector, eig_herm, eig_sym, kron,
-                             partial_trace, psd_project, schmidt_spectrum)
+from hardylab.linalg import (StateVector, eig_herm, kron, partial_trace,
+                             schmidt_spectrum)
 
 
 def random_orthogonal_from_givens(n, n_rotations, rng):
@@ -18,15 +20,6 @@ def random_orthogonal_from_givens(n, n_rotations, rng):
         g[j, i] = -np.sin(theta)
         q = q @ g
     return q
-
-
-def hermitian_embedding(h):
-    """Real symmetric 2d x 2d embedding [[Re, -Im], [Im, Re]] of Hermitian h.
-
-    Its spectrum is that of h with every eigenvalue doubled, so the Jacobi
-    ``eig_sym`` on it cross-checks the LAPACK ``eig_herm``.
-    """
-    return np.block([[h.real, -h.imag], [h.imag, h.real]])
 
 
 def random_hermitian(d, rng):
@@ -70,13 +63,20 @@ class TestKron:
 
 
 class TestEigSym:
+    """``eig_herm`` on real symmetric matrices with known spectra."""
+
+    # identity and Pauli X are exact in floating point, so their known
+    # spectra must lie within the certified bound itself
     def test_identity(self):
-        res = eig_sym(np.eye(3))
-        assert np.allclose(res.eigenvalues, [1.0, 1.0, 1.0])
+        vals, vecs = eig_herm(np.eye(3))
+        bound = certified_error(np.eye(3), vals, vecs)
+        assert np.max(np.abs(vals - [1.0, 1.0, 1.0])) <= bound
 
     def test_pauli_x(self):
-        res = eig_sym(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(res.eigenvalues, [-1.0, 1.0])
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        vals, vecs = eig_herm(x)
+        bound = certified_error(x, vals, vecs)
+        assert np.max(np.abs(vals - [-1.0, 1.0])) <= bound
 
     def test_conjugated_diagonal(self):
         # Oracle: spectrum is invariant under orthogonal conjugation, so the
@@ -84,57 +84,26 @@ class TestEigSym:
         rng = np.random.default_rng(11)
         diag = np.diag([5.0, -2.0, 0.0])
         q = random_orthogonal_from_givens(3, 20, rng)
-        res = eig_sym(q @ diag @ q.T)
-        assert np.allclose(res.eigenvalues, [-2.0, 0.0, 5.0], atol=1e-12)
+        a = q @ diag @ q.T
+        vals, vecs = eig_herm(a)
+        certified_error(a, vals, vecs)
+        assert np.allclose(vals, [-2.0, 0.0, 5.0], atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 5, 17, 60, 200])
     def test_reconstruction_and_orthonormality(self, n):
         rng = np.random.default_rng(n)
         a = rng.standard_normal((n, n))
         a = a + a.T
-        res = eig_sym(a)
-        v, w = res.eigenvectors, res.eigenvalues
+        w, v = eig_herm(a)
+        certified_error(a, w, v)
         scale = np.linalg.norm(a)
-        assert np.linalg.norm((v * w) @ v.T - a) <= 1e-10 * scale
-        assert np.linalg.norm(v.T @ v - np.eye(n)) <= 1e-10
+        assert np.linalg.norm((v * w) @ v.conj().T - a) <= 1e-10 * scale
         for i in range(n):
             assert np.linalg.norm(a @ v[:, i] - w[i] * v[:, i]) <= 1e-10 * scale
-        assert np.all(np.diff(w) >= 0)
 
     def test_rejects_nonsymmetric(self):
         with pytest.raises(ValidationError):
-            eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestPsdProject:
-    def test_matches_jacobi_projection(self):
-        rng = np.random.default_rng(12)
-        a = rng.standard_normal((9, 9))
-        a = a + a.T
-        ref = eig_sym(a)
-        want = (ref.eigenvectors * np.maximum(ref.eigenvalues, 0.0)) @ ref.eigenvectors.T
-        assert np.linalg.norm(psd_project(a) - want) <= 1e-10 * np.linalg.norm(a)
-
-    def test_clips_negative_eigenvalue(self):
-        out = psd_project(np.diag([2.0, -3.0]))
-        assert np.allclose(out, np.diag([2.0, 0.0]), atol=1e-12)
-
-    def test_fixed_point_on_psd(self):
-        rng = np.random.default_rng(3)
-        g = rng.standard_normal((6, 6))
-        a = g @ g.T
-        assert np.allclose(psd_project(a), a, atol=1e-10)
-
-    def test_all_negative(self):
-        assert np.allclose(psd_project(-np.eye(2)), np.zeros((2, 2)), atol=1e-12)
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(4)
-        for _ in range(5):
-            a = rng.standard_normal((8, 8))
-            a = a + a.T
-            once = psd_project(a)
-            assert np.allclose(psd_project(once), once, atol=1e-10)
+            eig_herm(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestEigHerm:
@@ -157,13 +126,17 @@ class TestEigHerm:
         assert np.linalg.norm((vecs * vals) @ vecs.conj().T - h) <= 1e-9
 
     @pytest.mark.parametrize("d", [1, 2, 7, 16])
-    def test_matches_jacobi_on_real_embedding(self, d):
+    def test_residual_certificate(self, d):
+        # the certificate bounds the true spectrum, so it also bounds the
+        # error of the eigenvalue-only LAPACK driver, up to that driver's
+        # own round-off
         rng = np.random.default_rng(20 + d)
         h = random_hermitian(d, rng)
-        vals, _ = eig_herm(h)
-        doubled = eig_sym(hermitian_embedding(h)).eigenvalues
-        assert np.allclose(doubled[0::2], vals, rtol=0, atol=1e-9)
-        assert np.allclose(doubled[1::2], vals, rtol=0, atol=1e-9)
+        vals, vecs = eig_herm(h)
+        bound = certified_error(h, vals, vecs)
+        assert bound <= 1e-12 * np.linalg.norm(h)
+        only = np.linalg.eigvalsh(h)
+        assert np.max(np.abs(only - vals)) <= bound + 1e-13 * np.linalg.norm(h)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(1, 1), (0, 2)])
@@ -175,8 +148,6 @@ class TestEigHerm:
         h[where[::-1]] = bad
         with pytest.raises(ValidationError):
             eig_herm(h)
-        with pytest.raises(ValidationError):
-            psd_project(h.real)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError):

@@ -153,6 +153,27 @@ class TestMomentVectors:
         for row, rhs in p.inequalities:
             assert abs(sum(c * m[k] for k, c in row.items())) < 1e-12
 
+    def test_word_operator_matches_oracle(self):
+        # the product of '+' projectors as built before it read
+        # MeasurementPair.projectors
+        from conftest import random_pairs
+        from hardylab.npa import _word_operator
+
+        def oracle(word, pair):
+            proj_u = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+            proj_d = np.outer(pair.ket_plus, pair.ket_plus.conj())
+            out = np.eye(2, dtype=complex)
+            for letter in word:
+                out = out @ (proj_u if letter == 0 else proj_d)
+            return out
+
+        rng = np.random.default_rng(47)
+        words = [(), (0,), (1,), (0, 1), (1, 0), (0, 1, 0), (1, 0, 1, 0)]
+        for phases in (False, True):
+            for pair in random_pairs(rng, 10, complex_phases=phases):
+                for word in words:
+                    assert np.array_equal(_word_operator(word, pair), oracle(word, pair))
+
     def test_quantum_vector_matches_behavior(self):
         # success probability moment equals the Born-rule value
         from hardylab.behavior import (hardy_statistics, joint_distribution,

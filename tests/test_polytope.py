@@ -1,9 +1,11 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from hardylab import polytope
 from hardylab.behavior import (BehaviorTensor, Scenario, check_no_signaling,
-                               hardy_statistics)
+                               hardy_functionals, hardy_statistics)
 from hardylab.errors import SizeError, ValidationError
 from hardylab.polytope import (BoundQuery, LinearProgram, LPSolution,
                                _pivot, deterministic_vertices, local_max,
@@ -83,6 +85,35 @@ def row_loop_pivot(tab, basis, row, col):
     basis[row] = col
 
 
+def vertex_loop(n):
+    """Cross-check for ``polytope._vertex_table``: each deterministic
+    behavior as an outer product of per-party 0/1 tables, one at a time."""
+    vertices = []
+    for strat in product(product((0, 1), repeat=2), repeat=n):
+        probs = np.ones(())
+        for out_u, out_d in strat:
+            t = np.zeros((2, 2))
+            t[0, out_u] = t[1, out_d] = 1.0
+            probs = np.multiply.outer(probs, t)
+        # axes (s1, o1, s2, o2, ...): regroup settings first
+        vertices.append(probs.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))))
+    return vertices
+
+
+def vertex_loop_local_max(q):
+    """Cross-check for ``local_max``: the same LP, its rows evaluated one
+    vertex at a time."""
+    vertices = vertex_loop(q.n)
+    p_coeff, zs = hardy_functionals(q.n)
+    lp = LinearProgram(objective=np.array(
+        [float(p_coeff.reshape(-1) @ v.reshape(-1)) for v in vertices]))
+    for z in zs:
+        lp.add(np.array([float(z.reshape(-1) @ v.reshape(-1)) for v in vertices]),
+               "<=", q.epsilon)
+    lp.add(np.ones(len(vertices)), "=", 1.0)
+    return lp_solve(lp)
+
+
 class TestPivot:
     def test_matches_row_loop_bit_for_bit(self):
         rng = np.random.default_rng(5)
@@ -109,6 +140,16 @@ class TestPivot:
         monkeypatch.setattr(polytope, "_pivot", row_loop_pivot)
         slow = [f(BoundQuery(n, eps)) for eps in grid for f in solve]
         for a, b in zip(fast, slow):
+            assert a.value == b.value
+            assert np.array_equal(a.assignment, b.assignment)
+            assert a.pivots == b.pivots > 0
+
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_local_max_matches_vertex_loop_bit_for_bit(self, n):
+        for eps in (0.0, 0.013, 0.05, 1.0 / 12.0, 1.0 / 6.0, 0.2, 0.25):
+            a = local_max(BoundQuery(n, eps))
+            b = vertex_loop_local_max(BoundQuery(n, eps))
             assert a.value == b.value
             assert np.array_equal(a.assignment, b.assignment)
             assert a.pivots == b.pivots > 0
@@ -151,6 +192,14 @@ class TestDeterministicVertices:
     def test_counts(self):
         assert len(deterministic_vertices(2)) == 16
         assert len(deterministic_vertices(3)) == 64
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_table_matches_vertex_loop(self, n):
+        got = deterministic_vertices(n)
+        want = vertex_loop(n)
+        assert len(got) == len(want) == 4 ** n
+        for v, w in zip(got, want):
+            assert np.array_equal(v.probs, w)
 
     def test_vertices_are_no_signaling(self):
         for v in deterministic_vertices(2):

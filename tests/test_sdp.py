@@ -5,11 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from eig_certificate import certified_error
 from full_moment import build_full_problem
 
 from hardylab.behavior import Scenario
 from hardylab.errors import ValidationError
-from hardylab.linalg import eig_sym
+from hardylab.linalg import eig_herm
 from hardylab.npa import (MomentProblem, build_moment_problem, identity_monomial,
                           problem_from_text, problem_to_text)
 from hardylab.sdp import (DEFAULT_SHIFT, DUAL_RESIDUAL, _Compiled, _cholesky,
@@ -256,15 +257,16 @@ def reference_cases():
 class TestHardyProblems:
     def test_feasibility_audit(self):
         # returned moments reshape into a near-PSD matrix and respect the
-        # error constraints; the Jacobi eigensolver cross-checks the
-        # solver's own LAPACK audit
+        # error constraints; a residual-certified eigendecomposition
+        # cross-checks the solver's own eigenvalue-only audit
         p = build_full_problem(Scenario(2), 2, 0.02)
         sol = sdp_solve(p, tol=1e-6)
         assert sol.converged
-        comp = _Compiled(p)
-        audit = eig_sym(comp.mat(sol.moments), tol=1e-8)
-        assert audit.eigenvalues[0] >= -1e-6
-        assert abs(sol.psd_residual - max(0.0, -audit.eigenvalues[0])) <= 1e-10
+        mat = _Compiled(p).mat(sol.moments)
+        vals, vecs = eig_herm(mat, tol=1e-8)
+        bound = certified_error(mat, vals, vecs)
+        assert vals[0] >= -1e-6
+        assert abs(sol.psd_residual - max(0.0, -vals[0])) <= 1e-10 + bound
         for row, rhs in p.inequalities:
             lhs = sum(c * sol.moments[k] for k, c in row.items())
             assert lhs <= rhs + 1e-6
@@ -281,9 +283,11 @@ class TestHardyProblems:
         sol = sdp_solve(p, tol=1e-6)
         assert sol.converged
         assert sol.psd_residual <= 1e-9
-        audit = eig_sym(_Compiled(p).mat(sol.moments), tol=1e-12)
-        assert audit.eigenvalues[0] >= -1e-9
-        assert abs(sol.psd_residual - max(0.0, -audit.eigenvalues[0])) <= 1e-10
+        mat = _Compiled(p).mat(sol.moments)
+        vals, vecs = eig_herm(mat, tol=1e-12)
+        bound = certified_error(mat, vals, vecs)
+        assert vals[0] >= -1e-9
+        assert abs(sol.psd_residual - max(0.0, -vals[0])) <= 1e-10 + bound
         # feasible for the shifted rows up to the dual residual of the
         # stopping rule
         for row, rhs in p.inequalities:

@@ -70,6 +70,21 @@ class TestObservablePair:
             ObservablePair(a1=a, a2=np.diag([1.0, -1.0]))
 
 
+class TestCanonicalObservables:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_match_outer_product_oracle(self, n):
+        # Z and 2|+><+| - I, as built before they read
+        # MeasurementPair.projectors
+        pair = MeasurementPair.from_alpha_sq(pmax(n).t)
+        z = np.diag([1.0, -1.0]).astype(complex)
+        d = 2.0 * np.outer(pair.ket_plus, pair.ket_plus.conj()) - np.eye(2)
+        obs = canonical_observables(n)
+        assert len(obs) == n
+        for o in obs:
+            assert np.array_equal(o.a1, z)
+            assert np.array_equal(o.a2, d)
+
+
 class TestJordanBlocks:
     def test_single_qubit_block(self):
         z, d = qubit_pair_observables(0.6)

@@ -48,6 +48,24 @@ class TestMeasurementPair:
         assert abs(np.vdot(p.ket_plus, p.ket_minus)) < 1e-15
         assert abs(np.linalg.norm(p.ket_minus) - 1.0) < 1e-15
 
+    def test_projectors_are_rank1_projections(self):
+        rng = np.random.default_rng(31)
+        pairs = random_pairs(rng, 20) + random_pairs(rng, 5, complex_phases=False)
+        pairs += [MeasurementPair.from_alpha_sq(pmax(n).t) for n in range(2, 9)]
+        for pair in pairs:
+            for plus, minus in pair.projectors:
+                assert np.linalg.norm(plus + minus - np.eye(2)) < 1e-15
+                for proj in (plus, minus):
+                    assert proj.shape == (2, 2) and proj.dtype == complex
+                    assert np.linalg.norm(proj - proj.conj().T) < 1e-15
+                    assert np.linalg.norm(proj @ proj - proj) < 1e-15
+                    assert abs(np.trace(proj) - 1.0) < 1e-15
+                    assert np.linalg.matrix_rank(proj) == 1
+            # D's '+' projector is |+><+|, U's is |0><0|
+            plus_d = pair.projectors[1][0]
+            assert np.linalg.norm(plus_d @ pair.ket_plus - pair.ket_plus) < 1e-15
+            assert np.array_equal(pair.projectors[0][0], np.diag([1.0, 0.0]))
+
 
 class TestProductBasis:
     def test_all_bits_one_is_computational_zero(self):

@@ -109,9 +109,40 @@ class TestAnsatzMeasurements:
         plus_d = m.projectors[0][1][0]
         assert abs(plus_d[0, 0].real - t) < 1e-12
 
+    def test_matches_d_vector_oracle(self):
+        # the D eigenvectors cos(a/2)|0> + e^{ip} sin(a/2)|1> and
+        # -sin(a/2)|0> + e^{ip} cos(a/2)|1>, as built before the ansatz
+        # went through MeasurementPair
+        def oracle(angle, phase):
+            half = 0.5 * angle
+            plus = np.array([math.cos(half), math.sin(half) * np.exp(1j * phase)])
+            minus = np.array([-math.sin(half), math.cos(half) * np.exp(1j * phase)])
+            return np.outer(plus, plus.conj()), np.outer(minus, minus.conj())
+
+        rng = np.random.default_rng(43)
+        angles = np.concatenate([[ANGLE_MARGIN, math.pi - ANGLE_MARGIN, math.pi / 2],
+                                 rng.uniform(ANGLE_MARGIN, math.pi - ANGLE_MARGIN, 297)])
+        for triple in angles.reshape(-1, 3):
+            for phases in ((0.0, 0.0, 0.0), tuple(rng.uniform(-math.pi, math.pi, 3))):
+                p = AnsatzParams(0.0, 0.0, 0.0, 1.0, *phases, *triple)
+                m = ansatz_measurements(p)
+                for party, (angle, phase) in enumerate(zip(triple, phases)):
+                    assert np.array_equal(m.projectors[party][0][0], np.diag([1.0, 0.0]))
+                    assert np.array_equal(m.projectors[party][0][1], np.diag([0.0, 1.0]))
+                    for got, want in zip(m.projectors[party][1], oracle(angle, phase)):
+                        if phase == 0.0:
+                            assert np.array_equal(got, want)
+                        else:
+                            assert np.max(np.abs(got - want)) <= 1e-15
+
     def test_rejects_boundary_angle(self):
         with pytest.raises(DegenerateMeasurementError):
             symmetric_params([0.0, 0.0, 0.0, 1.0], angle=0.0)
+        # below about 8.9e-4, cos(a/2) is within 1e-7 of 1 and
+        # MeasurementPair calls the two observables commuting
+        with pytest.raises(DegenerateMeasurementError, match="commute"):
+            ansatz_measurements(symmetric_params([0.0, 0.0, 0.0, 1.0],
+                                                 angle=0.5 * ANGLE_MARGIN))
 
 
 class TestHardyTerms:
