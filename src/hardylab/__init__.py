@@ -15,10 +15,9 @@ from .polytope import (BoundQuery, LinearProgram, LPSolution,
 from .sdp import MomentSolution, sdp_solve
 from .selftest import (JordanDecomposition, ObservablePair, SelfTestReport,
                        canonical_observables, jordan_blocks, selftest_report)
-from .states import (MeasurementPair, PmaxResult, ProductBasis,
-                     TripartiteCoefficients, hardy_state,
-                     is_genuinely_entangled, optimal_alpha_sq_tripartite,
-                     pmax, product_basis, success_prob_closed,
+from .states import (MeasurementPair, PmaxResult, TripartiteCoefficients,
+                     hardy_state, is_genuinely_entangled,
+                     optimal_alpha_sq_tripartite, pmax, success_prob_closed,
                      tripartite_explicit)
 from .variational import (AnsatzParams, LowerBoundResult, ansatz_measurements,
                           ansatz_state, lower_bound)

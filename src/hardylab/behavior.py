@@ -19,6 +19,7 @@ from .linalg import StateVector
 from .states import MeasurementPair
 
 NEGATIVITY_FLOOR = -1e-12
+NS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -26,14 +27,10 @@ class Scenario:
     """n parties, two settings per party, two outcomes per setting."""
 
     n: int
-    settings_per_party: int = 2
-    outcomes_per_setting: int = 2
 
     def __post_init__(self):
         if self.n < 2:
             raise ValidationError(f"need at least two parties, got n={self.n}")
-        if self.settings_per_party != 2 or self.outcomes_per_setting != 2:
-            raise ValidationError("only the (2, 2) scenario is supported")
 
 
 @dataclass(frozen=True)
@@ -242,20 +239,18 @@ def hardy_functionals(n: int) -> tuple[np.ndarray, list[np.ndarray]]:
     return p_coeff, zs
 
 
-def hardy_statistics(b: BehaviorTensor, ns_tol: float | None = 1e-6) -> HardyStats:
+def hardy_statistics(b: BehaviorTensor) -> HardyStats:
     """Hardy statistic set of a behavior.
 
     Marginal terms are only meaningful for no-signaling behaviors, so the
-    no-signaling property is asserted (within ``ns_tol``) unless disabled
-    with ``ns_tol=None``.
+    no-signaling property is asserted within ``NS_TOL``.
     """
     n = b.n
-    if ns_tol is not None:
-        report = check_no_signaling(b)
-        if report.max_violation > ns_tol:
-            raise ValidationError(
-                f"behavior signals (violation {report.max_violation:.3e}); "
-                "Hardy marginals would be convention-dependent")
+    report = check_no_signaling(b)
+    if report.max_violation > NS_TOL:
+        raise ValidationError(
+            f"behavior signals (violation {report.max_violation:.3e}); "
+            "Hardy marginals would be convention-dependent")
     p_coeff, zs = hardy_functionals(n)
     p = float(np.tensordot(p_coeff, b.probs, axes=2 * n))
     zeros = np.array([float(np.tensordot(z, b.probs, axes=2 * n)) for z in zs])
@@ -280,13 +275,13 @@ def _subset_marginals(marg: np.ndarray, n: int, keep: list[int], start: int):
             yield from _subset_marginals(child, n, sub, party + 1)
 
 
-def check_no_signaling(b: BehaviorTensor, tol: float = 1e-10) -> NoSignalingReport:
+def check_no_signaling(b: BehaviorTensor) -> NoSignalingReport:
     """Largest marginal discrepancy over parties traced out of the behavior.
 
     For every proper nonempty subset of kept parties, the outcome marginal
-    must not depend on the settings of the complement.  ``tol`` is only
-    advisory here; the raw maximum is reported, for the subset with the
-    smallest bit mask among those that reach it.
+    must not depend on the settings of the complement.  The raw maximum is
+    reported, for the subset with the smallest bit mask among those that
+    reach it.
     """
     n = b.n
     worst = NoSignalingReport(0.0, (), (), ())

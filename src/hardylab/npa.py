@@ -301,8 +301,7 @@ def hardy_moment_vector(problem: MomentProblem) -> np.ndarray:
 
 
 def npa_upper_bound(scenario: Scenario, level: int, epsilon: float,
-                    tol: float = 1e-6, max_iter: int | None = None,
-                    **solver_kwargs) -> float:
+                    tol: float = 1e-6) -> float:
     """Converged moment-relaxation value; an upper bound on the quantum
     noisy Hardy probability at the given hierarchy level.
 
@@ -310,11 +309,9 @@ def npa_upper_bound(scenario: Scenario, level: int, epsilon: float,
     Raises NumericError when the optimiser does not reach its stopping
     rule and residual targets.
     """
-    from .sdp import DEFAULT_MAX_ITER, sdp_solve
+    from .sdp import sdp_solve
 
-    sol = sdp_solve(build_moment_problem(scenario, level, epsilon), tol=tol,
-                    max_iter=DEFAULT_MAX_ITER if max_iter is None else max_iter,
-                    **solver_kwargs)
+    sol = sdp_solve(build_moment_problem(scenario, level, epsilon), tol=tol)
     if not sol.converged:
         raise NumericError(
             f"moment SDP did not converge after {sol.iterations} iterations "

@@ -205,8 +205,8 @@ def _max_step_lin(v: np.ndarray, dv: np.ndarray) -> float:
     return float(np.min(-v[neg] / dv[neg])) if neg.any() else np.inf
 
 
-def sdp_solve(problem, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-              slack_shift: float | None = None) -> MomentSolution:
+def sdp_solve(problem, tol: float = DEFAULT_TOL,
+              max_iter: int = DEFAULT_MAX_ITER) -> MomentSolution:
     """Primal-dual interior-point solve of a moment problem.
 
     No start point is needed.  ``max_iter`` caps the number of iterations;
@@ -214,12 +214,11 @@ def sdp_solve(problem, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITE
     returned moments pass the PSD and affine audits to ``tol``.
     """
     comp = _Compiled(problem)
-    shift = DEFAULT_SHIFT if slack_shift is None else slack_shift
     nb, nj = comp.nb, comp.nj
     null = comp.null
     b = null.T @ comp.c
     gn = comp.g @ null
-    rhs_lin = comp.eps + shift
+    rhs_lin = comp.eps + DEFAULT_SHIFT
     degree = nb + nj
     eye = np.eye(nb)
 

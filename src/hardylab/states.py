@@ -8,8 +8,8 @@ The first has eigenbasis {|0>, |1>}, the second {|+>, |->} with
 |alpha|^2 + |beta|^2 = 1 and 0 < |alpha| < 1.  The Hardy point asks for
 P(+..+|U..U) = p > 0 while the cyclic pair terms P(++|D_i, U_{i+1}) and
 the all-minus term P(-..-|D..D) vanish.  A unique pure state satisfies
-these conditions for every valid choice of observables; it is recovered
-here by Gram-Schmidt orthogonalisation of an explicit product basis.
+these conditions for every valid choice of observables; it is built
+here in closed form, as |1..1> with its component along |-..-> removed.
 """
 
 from __future__ import annotations
@@ -72,38 +72,6 @@ class MeasurementPair:
 
 
 @dataclass(frozen=True)
-class ProductBasis:
-    """The 2^n product vectors (phi_minus, phi_1, ..., phi_{2^n - 1}).
-
-    phi_k tensors |0> (bit 1) or |+> (bit 0) per party, with party i
-    supplying bit 2^(i-1) of k; phi_minus is |--...->.  phi_minus is
-    orthogonal to phi_k for every k < 2^n - 1 and the listed vectors are
-    linearly independent, so together they form a (non-orthogonal) basis.
-
-    ``matrix`` is stored, read-only, as the 2^n x 2^n array whose column
-    k is phi_k for k >= 1 and whose column 0 is phi_minus.
-    """
-
-    n: int
-    matrix: np.ndarray
-
-    def phi(self, k: int) -> StateVector:
-        """phi_k for k in 1..2^n-1 (column 0 of ``matrix`` is phi_minus)."""
-        if not 1 <= k <= 2 ** self.n - 1:
-            raise ValidationError(f"k = {k} out of range")
-        return StateVector((2,) * self.n, self.matrix[:, k])
-
-    @property
-    def phi_minus(self) -> StateVector:
-        return StateVector((2,) * self.n, self.matrix[:, 0])
-
-    @property
-    def vectors(self) -> tuple[StateVector, ...]:
-        """(phi_minus, phi_1, ..., phi_{2^n - 1}), one StateVector per column."""
-        return tuple(StateVector((2,) * self.n, col) for col in self.matrix.T)
-
-
-@dataclass(frozen=True)
 class PmaxResult:
     """Optimal uniform |alpha|^2 = t and the maximal success probability."""
 
@@ -139,67 +107,29 @@ def _check_scenario(n: int, pairs) -> list[MeasurementPair]:
     return pairs
 
 
-def product_basis(n: int, pairs) -> ProductBasis:
-    """Build the product basis used to pin down the Hardy state.
-
-    One running Kronecker product of the per-party column pairs
-    [|+>_i, |0>] gives every phi_k at once.  Each step makes party i's
-    row bit the least significant and, unlike ``np.kron``, its column bit
-    the most significant, so column k takes bit 2^(i-1) from party i
-    while the rows keep party 1 most significant.  Column 0 (all |+>) is
-    then overwritten with phi_minus.
-    """
-    pairs = _check_scenario(n, pairs)
-    ket0 = np.array([1.0, 0.0], dtype=complex)
-    mat = np.ones((1, 1), dtype=complex)
-    minus = np.ones(1, dtype=complex)
-    for p in pairs:
-        cols = np.stack([p.ket_plus, ket0], axis=1)
-        rows = mat.shape[0]
-        mat = (mat[:, None, None, :] * cols[None, :, :, None]).reshape(2 * rows, 2 * rows)
-        minus = np.kron(minus, p.ket_minus)
-    mat[:, 0] = minus
-    mat.flags.writeable = False
-    return ProductBasis(n=n, matrix=mat)
-
-
 def hardy_state(n: int, pairs) -> StateVector:
     """The unique state satisfying all Hardy conditions for ``pairs``.
 
-    Modified Gram-Schmidt (with one re-orthogonalisation pass) over
-    (phi_minus, phi_1, ..., phi_{2^n - 2}) spans the excluded subspace;
-    the state is the normalised residual of phi_{2^n - 1}, multiplied by
-    overlap/|overlap| with overlap = <psi|phi_{2^n - 1}>, so that the
-    overlap of the returned state is real and positive.
+    It is orthogonal to M = |-..-> and to every product vector phi_k,
+    1 <= k <= 2^n - 2, holding |0> on some parties and |+> on the others.
+    Each phi_k has a |0> factor, so <phi_k|1..1> = 0, and a |+> factor, so
+    <phi_k|M> = 0.  Projecting |1..1> off M thus leaves the state:
+
+        psi = (|1..1> - conj(M[-1]) M) / sqrt(1 - prod |alpha_i|^2),
+
+    multiplied by a phase that makes <0..0|psi> real and positive.
     """
-    basis = product_basis(n, pairs)
-    dim = 2 ** n
-    # rows of qh are the conjugated orthonormal vectors, so a projection
-    # sum_k q_k <q_k|v> is conj(conj(qh v) @ qh) and conjugates only
-    # vectors, never the growing basis block
-    qh = np.empty((dim - 1, dim), dtype=complex)
-    for k in range(dim - 1):
-        v = basis.matrix[:, k].copy()
-        for _ in range(2):
-            if k:
-                v -= ((qh[:k] @ v).conj() @ qh[:k]).conj()
-        nrm = np.linalg.norm(v)
-        if nrm < 1e-12:
-            raise NumericError("product basis numerically degenerate")
-        qh[k] = v.conj() / nrm
-    target = basis.matrix[:, dim - 1]
-    resid = target.copy()
-    for _ in range(2):
-        resid -= ((qh @ resid).conj() @ qh).conj()
-    nrm = np.linalg.norm(resid)
-    if nrm < 1e-12:
-        raise NumericError("Hardy residual vanished; basis numerically degenerate")
-    psi = resid / nrm
-    overlap = np.vdot(psi, target)
-    psi = psi * (overlap / abs(overlap))
-    worst = float(np.max(np.abs(qh @ psi)))
-    if worst > 1e-10:
-        raise NumericError(f"orthogonality loss {worst:.2e} exceeds 1e-10")
+    pairs = _check_scenario(n, pairs)
+    minus = np.ones(1, dtype=complex)
+    for p in pairs:
+        minus = np.kron(minus, p.ket_minus)
+    psi = -np.conj(minus[-1]) * minus
+    psi[-1] += 1.0
+    psi /= np.linalg.norm(psi)
+    psi *= np.conj(psi[0]) / abs(psi[0])
+    leak = abs(np.vdot(minus, psi))
+    if leak > 1e-10:
+        raise NumericError(f"overlap {leak:.2e} with |-..-> exceeds 1e-10")
     return StateVector((2,) * n, psi)
 
 

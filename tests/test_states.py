@@ -1,15 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_pairs
+from gram_schmidt import hardy_state as gram_schmidt_state
+from gram_schmidt import product_basis
 from hardylab.errors import (DegenerateMeasurementError, ScenarioError,
                              ValidationError)
 from hardylab.linalg import StateVector
 from hardylab.states import (MeasurementPair, hardy_state,
                              is_genuinely_entangled,
-                             optimal_alpha_sq_tripartite, pmax, product_basis,
+                             optimal_alpha_sq_tripartite, pmax,
                              success_prob_closed, tripartite_explicit)
 
 # Bipartite optimum, analytic: t = (sqrt(5)-1)/2, p = (5*sqrt(5)-11)/2.
@@ -68,6 +71,8 @@ class TestMeasurementPair:
 
 
 class TestProductBasis:
+    """The Gram-Schmidt oracle's basis (tests/gram_schmidt.py) stays right."""
+
     def test_all_bits_one_is_computational_zero(self):
         pairs = [MeasurementPair.from_alpha_sq(0.5)] * 2
         basis = product_basis(2, pairs)
@@ -143,13 +148,33 @@ class TestHardyState:
 
     def test_orthogonality_to_excluded_subspace(self):
         rng = np.random.default_rng(42)
-        for n in (2, 3, 4):
+        for n in range(2, 9):
             pairs = random_pairs(rng, n)
             psi = hardy_state(n, pairs)
             basis = product_basis(n, pairs)
-            assert abs(np.vdot(basis.phi_minus.amps, psi.amps)) < 1e-10
-            for k in range(1, 2 ** n - 1):
-                assert abs(np.vdot(basis.phi(k).amps, psi.amps)) < 1e-10
+            assert abs(np.vdot(basis.phi_minus.amps, psi.amps)) <= 1e-12
+            overlaps = basis.matrix[:, 1:-1].conj().T @ psi.amps
+            assert np.max(np.abs(overlaps)) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_gram_schmidt_oracle(self, n):
+        rng = np.random.default_rng(200 + n)
+        for _ in range(6):
+            pairs = random_pairs(rng, n, complex_phases=True)
+            psi = hardy_state(n, pairs)
+            assert psi.dims == (2,) * n
+            assert np.max(np.abs(psi.amps - gram_schmidt_state(n, pairs).amps)) <= 1e-13
+
+    def test_large_n_allocates_no_square_matrix(self):
+        # the 2^n x 2^n basis at n = 12 would be 256 MiB; allow eight vectors
+        pairs = [MeasurementPair.from_alpha_sq(pmax(12).t)] * 12
+        tracemalloc.start()
+        try:
+            hardy_state(12, pairs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 16 * 2 ** 12
 
     def test_phase_convention(self):
         rng = np.random.default_rng(1)
@@ -175,7 +200,7 @@ class TestSuccessProbClosed:
 
     def test_matches_construction_overlap(self):
         rng = np.random.default_rng(5)
-        for n in (2, 3, 4, 5, 6):
+        for n in range(2, 13):
             for _ in range(20):
                 pairs = random_pairs(rng, n)
                 psi = hardy_state(n, pairs)
@@ -251,7 +276,7 @@ class TestTripartiteExplicit:
         for _ in range(10):
             pair = random_pairs(rng, 1)[0]
             _, psi = tripartite_explicit(pair)
-            ref = hardy_state(3, [pair] * 3)
+            ref = gram_schmidt_state(3, [pair] * 3)
             phase = np.vdot(ref.amps, psi.amps)
             phase /= abs(phase)
             assert np.linalg.norm(psi.amps - phase * ref.amps) < 1e-9
