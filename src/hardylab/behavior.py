@@ -2,10 +2,13 @@
 
 Index layout, fixed across the package: ``probs`` has shape (2,)*2n with
 the first n axes holding the settings (0 = U, 1 = D) of parties 1..n and
-the last n axes the outcomes (0 = +1, 1 = -1).  Two-party Hardy terms
-marginalise the remaining parties over their outcomes at setting U; that
-choice is immaterial for no-signaling behaviors and no-signaling is
-verified at use.
+the last n axes the outcomes (0 = +1, 1 = -1).  ``hardy_values`` reads
+the success probability and the n+1 Hardy terms off such a table, or off
+a batch of them; the polytope LPs take their rows from it too.  Two-party
+Hardy terms marginalise the remaining parties over their outcomes at
+setting U; that choice is immaterial for no-signaling behaviors and
+no-signaling is verified at use.  Tables and projectors with non-finite
+entries are rejected.
 """
 
 from __future__ import annotations
@@ -54,6 +57,8 @@ class MeasurementSet:
                 plus, minus = pair
                 if plus.shape != (dim, dim) or minus.shape != (dim, dim):
                     raise ValidationError(f"party {party}: projector shape mismatch")
+                if not (np.isfinite(plus).all() and np.isfinite(minus).all()):
+                    raise ValidationError(f"party {party}: projector has non-finite entries")
                 if np.linalg.norm(plus + minus - eye) > tol:
                     raise ValidationError(f"party {party}: projectors do not sum to identity")
                 for p in (plus, minus):
@@ -85,6 +90,8 @@ class BehaviorTensor:
         if probs.shape != (2,) * (2 * n):
             raise ValidationError(
                 f"probs shape {probs.shape}, expected {(2,) * (2 * n)}")
+        if not np.isfinite(probs).all():
+            raise ValidationError("probs has non-finite entries")
         if probs.min() < NEGATIVITY_FLOOR:
             raise ValidationError(
                 f"negative probability {probs.min()!r} below the clamp floor")
@@ -213,30 +220,24 @@ def joint_distribution(state, m: MeasurementSet) -> BehaviorTensor:
     return BehaviorTensor(scenario=Scenario(n=n), probs=probs)
 
 
-def hardy_functionals(n: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Coefficient tensors over the behavior table for p and the zero terms.
+def hardy_values(probs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Success probability and Hardy terms of behavior tables.
 
-    Returns (p_coeff, [z_1, ..., z_n, z_minus]); z_i marginalises the
-    parties other than (i, i+1 cyclic) at setting U.
+    The trailing 2n axes of ``probs`` are one table each; any leading axes
+    are kept.  Returns p and the terms [z_1, ..., z_n, z_minus] stacked on
+    a last axis; z_i marginalises the parties other than (i, i+1 cyclic)
+    at setting U.
     """
-    shape = (2,) * (2 * n)
-    p_coeff = np.zeros(shape)
-    p_coeff[(0,) * (2 * n)] = 1.0
+    probs = np.asarray(probs)
     zs = []
     for i in range(n):
-        j = (i + 1) % n
-        coeff = np.zeros(shape)
         settings = [0] * n
         settings[i] = 1
-        sel = [slice(None)] * n
-        sel[i] = 0
-        sel[j] = 0
-        coeff[tuple(settings) + tuple(sel)] = 1.0
-        zs.append(coeff)
-    last = np.zeros(shape)
-    last[(1,) * (2 * n)] = 1.0
-    zs.append(last)
-    return p_coeff, zs
+        outcomes = [slice(None)] * n
+        outcomes[i] = outcomes[(i + 1) % n] = 0
+        zs.append(probs[(..., *settings, *outcomes)].sum(axis=tuple(range(2 - n, 0))))
+    zs.append(probs[(...,) + (1,) * (2 * n)])
+    return probs[(...,) + (0,) * (2 * n)], np.stack(zs, axis=-1)
 
 
 def hardy_statistics(b: BehaviorTensor) -> HardyStats:
@@ -245,16 +246,13 @@ def hardy_statistics(b: BehaviorTensor) -> HardyStats:
     Marginal terms are only meaningful for no-signaling behaviors, so the
     no-signaling property is asserted within ``NS_TOL``.
     """
-    n = b.n
     report = check_no_signaling(b)
     if report.max_violation > NS_TOL:
         raise ValidationError(
             f"behavior signals (violation {report.max_violation:.3e}); "
             "Hardy marginals would be convention-dependent")
-    p_coeff, zs = hardy_functionals(n)
-    p = float(np.tensordot(p_coeff, b.probs, axes=2 * n))
-    zeros = np.array([float(np.tensordot(z, b.probs, axes=2 * n)) for z in zs])
-    return HardyStats(p=p, zeros=zeros)
+    p, zeros = hardy_values(b.probs, b.n)
+    return HardyStats(p=float(p), zeros=zeros)
 
 
 def _subset_marginals(marg: np.ndarray, n: int, keep: list[int], start: int):

@@ -31,7 +31,9 @@ from itertools import product
 import numpy as np
 
 from .behavior import Scenario
-from .errors import CapabilityError, NumericError, SizeError, ValidationError
+from .errors import (CapabilityError, NumericError, ScenarioError, SizeError,
+                     ValidationError)
+from .states import MAX_PARTIES, MeasurementPair, hardy_state, pmax
 
 LETTERS = "UD"
 MAX_BASIS = 5000
@@ -104,27 +106,41 @@ def _sort_key(m: Monomial):
 
 
 def _party_words(max_len: int) -> list[Word]:
-    """All reduced words of one party up to ``max_len`` letters."""
-    words: list[Word] = [()]
-    for length in range(1, max_len + 1):
-        for first in (0, 1):
-            words.append(tuple((first + k) % 2 for k in range(length)))
-    return words
+    """All reduced words of one party up to ``max_len`` letters, ascending."""
+    return [()] + [tuple((first + k) % 2 for k in range(length))
+                   for first in (0, 1) for length in range(1, max_len + 1)]
+
+
+def _monomials_of_degree(n: int, d: int):
+    """Canonical n-party monomials of total degree exactly ``d``, ascending."""
+    for word in _party_words(d):
+        if n == 1:
+            if len(word) == d:
+                yield (word,)
+        else:
+            for rest in _monomials_of_degree(n - 1, d - len(word)):
+                yield (word,) + rest
 
 
 def monomial_list(scenario: Scenario, level: int) -> list[Monomial]:
-    """Canonical monomials of total degree <= level, deterministically ordered."""
+    """Canonical monomials of total degree <= level, deterministically ordered.
+
+    They are generated degree by degree, each degree in ascending order,
+    and a SizeError is raised as soon as their count passes MAX_BASIS, so
+    the work stays within the cap for any level.
+    """
     if level < 1:
         raise ValidationError(f"level must be >= 1, got {level}")
     n = scenario.n
-    per_party = _party_words(level)
+    if n > MAX_PARTIES:
+        raise ScenarioError(f"n={n} exceeds the supported cap {MAX_PARTIES}")
     out = []
-    for combo in product(per_party, repeat=n):
-        if sum(len(w) for w in combo) <= level:
-            out.append(tuple(combo))
-    out.sort(key=_sort_key)
-    if len(out) > MAX_BASIS:
-        raise SizeError(f"basis would hold {len(out)} monomials (cap {MAX_BASIS})")
+    for d in range(level + 1):
+        for mono in _monomials_of_degree(n, d):
+            out.append(mono)
+            if len(out) > MAX_BASIS:
+                raise SizeError(f"basis passes the cap of {MAX_BASIS} monomials "
+                                f"at degree {d} of level {level}")
     return out
 
 
@@ -293,8 +309,6 @@ def quantum_moment_vector(problem: MomentProblem, psi, pairs) -> np.ndarray:
 
 def hardy_moment_vector(problem: MomentProblem) -> np.ndarray:
     """Moments of the optimal n-qubit Hardy realization (exact Hardy point)."""
-    from .states import MeasurementPair, hardy_state, pmax
-
     n = problem.scenario.n
     pairs = [MeasurementPair.from_alpha_sq(pmax(n).t)] * n
     return quantum_moment_vector(problem, hardy_state(n, pairs), pairs)

@@ -1,20 +1,22 @@
 """Linear programming over the local and no-signaling polytopes.
 
 The solver is a dense two-phase primal simplex with Bland's rule, which
-precludes cycling on the heavily degenerate systems produced here.  The
-local problem is posed in the vertex-weight basis (one variable per
-deterministic strategy); the no-signaling problem directly in behavior
-entries with a deliberately redundant family of marginal equalities.
+precludes cycling on the heavily degenerate systems produced here; its
+variables are nonnegative.  Both problems take their objective and error
+rows from ``behavior.hardy_values``.  The local problem is posed in the
+vertex-weight basis (one variable per deterministic strategy); the
+no-signaling problem directly in behavior entries, with one family of
+equalities per party: summed over that party's outcome, the table does
+not depend on its setting.  These n families imply no-signaling for every
+party subset, which ``check_no_signaling`` audits on the solution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
-
 import numpy as np
 
-from .behavior import BehaviorTensor, Scenario, check_no_signaling, hardy_functionals
+from .behavior import BehaviorTensor, Scenario, check_no_signaling, hardy_values
 from .errors import NumericError, SizeError, ValidationError
 
 FEAS_TOL = 1e-9
@@ -22,15 +24,10 @@ FEAS_TOL = 1e-9
 
 @dataclass
 class LinearProgram:
-    """maximize objective . x subject to rows (coeffs, relation, bound).
-
-    ``bounds[i] = (lo, hi)`` with ``lo=None`` meaning free and ``hi=None``
-    unbounded above; the default for every variable is (0, None).
-    """
+    """maximize objective . x subject to x >= 0 and rows (coeffs, relation, bound)."""
 
     objective: np.ndarray
     constraints: list = field(default_factory=list)
-    bounds: list | None = None
 
     def add(self, coeffs, relation: str, bound: float):
         if relation not in ("<=", "=", ">="):
@@ -76,9 +73,10 @@ def _pivot(tab: np.ndarray, basis: list, row: int, col: int):
     basis[row] = col
 
 
-def _bland_loop(tab: np.ndarray, basis: list, max_iter: int, tol: float = 1e-11) -> int:
+def _bland_loop(tab: np.ndarray, basis: list, max_iter: int) -> int:
     """Minimise the last tableau row in place; Bland's rule throughout.
     Returns the number of pivots."""
+    tol = 1e-11
     for pivots in range(max_iter):
         improving = np.flatnonzero(tab[-1, :-1] < -tol)
         if improving.size == 0:
@@ -96,43 +94,14 @@ def _bland_loop(tab: np.ndarray, basis: list, max_iter: int, tol: float = 1e-11)
     raise NumericError("simplex cycling guard exceeded")
 
 
-def lp_solve(lp: LinearProgram, max_iter: int | None = None) -> LPSolution:
+def lp_solve(lp: LinearProgram) -> LPSolution:
     """Two-phase primal simplex for small dense linear programs."""
     c = np.asarray(lp.objective, dtype=float)
     nvar = c.size
-    bounds = lp.bounds if lp.bounds is not None else [(0.0, None)] * nvar
-    if len(bounds) != nvar:
-        raise ValidationError("bounds length does not match objective")
-
-    # Shift finite lower bounds to zero, split free variables into x+ - x-.
-    shift = np.zeros(nvar)
-    split = []
-    for i, (lo, hi) in enumerate(bounds):
-        if lo is None:
-            split.append(i)
-        else:
-            shift[i] = lo
-    ncols = nvar + len(split)
-
-    def expand(vec):
-        out = np.zeros(ncols)
-        out[:nvar] = vec
-        for k, i in enumerate(split):
-            out[nvar + k] = -vec[i]
-        return out
-
-    rows = []
-    for coeffs, rel, bnd in lp.constraints:
-        rows.append((expand(coeffs), rel, bnd - float(coeffs @ shift)))
-    for i, (lo, hi) in enumerate(bounds):
-        if hi is not None:
-            e = np.zeros(nvar)
-            e[i] = 1.0
-            rows.append((expand(e), "<=", hi - shift[i]))
 
     # Normalise signs so every right-hand side is nonnegative.
     norm_rows = []
-    for a, rel, b in rows:
+    for a, rel, b in lp.constraints:
         if b < 0:
             a, b = -a, -b
             rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
@@ -140,14 +109,14 @@ def lp_solve(lp: LinearProgram, max_iter: int | None = None) -> LPSolution:
 
     m = len(norm_rows)
     nslack = sum(1 for _, rel, _ in norm_rows if rel in ("<=", ">="))
-    total = ncols + nslack + m  # artificials for every row keeps phase 1 simple
+    total = nvar + nslack + m  # artificials for every row keeps phase 1 simple
     tab = np.zeros((m + 1, total + 1))
     basis = [0] * m
-    s_at = ncols
-    a_at = ncols + nslack
+    s_at = nvar
+    a_at = nvar + nslack
     si = 0
     for r, (a, rel, b) in enumerate(norm_rows):
-        tab[r, :ncols] = a
+        tab[r, :nvar] = a
         tab[r, -1] = b
         if rel == "<=":
             tab[r, s_at + si] = 1.0
@@ -157,8 +126,7 @@ def lp_solve(lp: LinearProgram, max_iter: int | None = None) -> LPSolution:
             si += 1
         tab[r, a_at + r] = 1.0
         basis[r] = a_at + r
-    if max_iter is None:
-        max_iter = 2000 + 200 * (m + total)
+    max_iter = 2000 + 200 * (m + total)
 
     # Phase 1: minimise the sum of artificials.
     tab[-1, a_at:a_at + m] = 1.0
@@ -192,8 +160,7 @@ def lp_solve(lp: LinearProgram, max_iter: int | None = None) -> LPSolution:
     # Phase 2 on the original objective (maximise c => minimise -c).
     tab = np.delete(tab, np.s_[a_at:a_at + len(norm_rows)], axis=1)
     tab[-1] = 0.0
-    cx = expand(c)
-    tab[-1, :ncols] = -cx
+    tab[-1, :nvar] = -c
     for r in range(m):
         bv = basis[r]
         if tab[-1, bv] != 0.0:
@@ -205,14 +172,11 @@ def lp_solve(lp: LinearProgram, max_iter: int | None = None) -> LPSolution:
                           assignment=np.full(nvar, np.nan),
                           pivots=pivots + exc.args[0])
 
-    xstd = np.zeros(ncols + nslack)
+    xstd = np.zeros(nvar + nslack)
     for r in range(m):
         if basis[r] < xstd.size:
             xstd[basis[r]] = tab[r, -1]
-    x = xstd[:nvar].copy()
-    for k, i in enumerate(split):
-        x[i] -= xstd[nvar + k]
-    x += shift
+    x = xstd[:nvar]
     value = float(c @ x)
 
     for coeffs, rel, bnd in lp.constraints:
@@ -254,11 +218,6 @@ def deterministic_vertices(n: int) -> list[BehaviorTensor]:
             for row in _vertex_table(n)]
 
 
-def _hardy_rows(n: int):
-    p_coeff, zs = hardy_functionals(n)
-    return p_coeff.reshape(-1), [z.reshape(-1) for z in zs]
-
-
 def local_max(q: BoundQuery) -> LPSolution:
     """Exact maximum of the noisy Hardy probability over local behaviors.
 
@@ -267,12 +226,11 @@ def local_max(q: BoundQuery) -> LPSolution:
     """
     if q.n not in (2, 3):
         raise ValidationError("the noisy local bound is posed for n in {2, 3}")
-    table = _vertex_table(q.n)
-    p_flat, z_flat = _hardy_rows(q.n)
-    lp = LinearProgram(objective=table @ p_flat)
-    for row in np.array(z_flat) @ table.T:
+    p, zs = hardy_values(_vertex_table(q.n).reshape((4 ** q.n,) + (2,) * (2 * q.n)), q.n)
+    lp = LinearProgram(objective=p)
+    for row in zs.T:
         lp.add(row, "<=", q.epsilon)
-    lp.add(np.ones(len(table)), "=", 1.0)
+    lp.add(np.ones(len(p)), "=", 1.0)
     return lp_solve(lp)
 
 
@@ -280,45 +238,26 @@ def nosignaling_max(q: BoundQuery) -> LPSolution:
     """Maximum of the noisy Hardy probability over no-signaling behaviors.
 
     Variables are the full behavior table; constraints are positivity,
-    per-setting normalisation, marginal equalities for every party subset
-    against every pair of complement settings (redundant members kept for
-    auditability), and the n+1 error constraints.
+    per-setting normalisation, the per-party no-signaling equalities and
+    the n+1 error constraints.
     """
     if q.n not in (2, 3):
         raise ValidationError("the no-signaling bound is posed for n in {2, 3}")
     n = q.n
     shape = (2,) * (2 * n)
-    nvars = 4 ** n
-    p_flat, z_flat = _hardy_rows(n)
-    lp = LinearProgram(objective=p_flat)
+    unit = np.eye(4 ** n).reshape((4 ** n,) + shape)  # unit[k] is 1 at entry k only
+    p, zs = hardy_values(unit, n)
+    lp = LinearProgram(objective=p)
 
-    for settings in product((0, 1), repeat=n):
-        coeff = np.zeros(shape)
-        coeff[settings] = 1.0
-        lp.add(coeff.reshape(-1), "=", 1.0)
+    for row in unit.sum(axis=tuple(range(n + 1, 2 * n + 1))).reshape(4 ** n, -1).T:
+        lp.add(row, "=", 1.0)
+    for i in range(n):
+        marg = unit.sum(axis=n + 1 + i)  # party i's outcome summed out
+        for row in (marg.take(0, axis=1 + i) - marg.take(1, axis=1 + i)).reshape(4 ** n, -1).T:
+            lp.add(row, "=", 0.0)
 
-    for mask in range(1, 2 ** n - 1):
-        keep = [i for i in range(n) if (mask >> i) & 1]
-        drop = [i for i in range(n) if not (mask >> i) & 1]
-        for s_keep in product((0, 1), repeat=len(keep)):
-            for o_keep in product((0, 1), repeat=len(keep)):
-                rows = []
-                for s_drop in product((0, 1), repeat=len(drop)):
-                    coeff = np.zeros(shape)
-                    sel = [0] * n + [slice(None)] * n
-                    for i, s in zip(keep, s_keep):
-                        sel[i] = s
-                    for i, s in zip(drop, s_drop):
-                        sel[i] = s
-                    for i, o in zip(keep, o_keep):
-                        sel[n + i] = o
-                    coeff[tuple(sel)] = 1.0
-                    rows.append(coeff.reshape(-1))
-                for a, b in combinations(range(len(rows)), 2):
-                    lp.add(rows[a] - rows[b], "=", 0.0)
-
-    for z in z_flat:
-        lp.add(z, "<=", q.epsilon)
+    for row in zs.T:
+        lp.add(row, "<=", q.epsilon)
 
     sol = lp_solve(lp)
     if sol.status == "optimal":

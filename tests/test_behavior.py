@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import random_pairs
+from dense_hardy import hardy_functionals
 
 from hardylab.behavior import (BehaviorTensor, MeasurementSet,
                                NoSignalingReport, Scenario, check_no_signaling,
-                               hardy_statistics, joint_distribution,
+                               hardy_statistics, hardy_values, joint_distribution,
                                measurements_from_observables,
                                measurements_from_pairs)
 from hardylab.errors import ValidationError
@@ -245,6 +246,51 @@ class TestHardyStatistics:
         b = BehaviorTensor(Scenario(2), probs)
         with pytest.raises(ValidationError):
             hardy_statistics(b)
+
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_dense_functionals(self, n):
+        rng = np.random.default_rng(40 + n)
+        p_coeff, zs = hardy_functionals(n)
+        tables = rng.random((3, 2) + (2,) * (2 * n))
+        p, terms = hardy_values(tables, n)
+        assert p.shape == (3, 2) and terms.shape == (3, 2, n + 1)
+        for idx in np.ndindex(3, 2):
+            table = tables[idx]
+            assert p[idx] == np.tensordot(p_coeff, table, axes=2 * n)
+            want = [np.tensordot(z, table, axes=2 * n) for z in zs]
+            assert np.max(np.abs(terms[idx] - want)) <= 1e-15
+
+    def test_statistics_match_dense_functionals(self):
+        rng = np.random.default_rng(8)
+        for n in (2, 3, 4, 5):
+            pairs = random_pairs(rng, n)
+            amps = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
+            psi = StateVector((2,) * n, amps / np.linalg.norm(amps))
+            b = joint_distribution(psi, measurements_from_pairs(pairs))
+            stats = hardy_statistics(b)
+            p_coeff, zs = hardy_functionals(n)
+            assert stats.p == float(np.tensordot(p_coeff, b.probs, axes=2 * n))
+            want = [float(np.tensordot(z, b.probs, axes=2 * n)) for z in zs]
+            assert np.max(np.abs(stats.zeros - want)) <= 1e-15
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_behavior_rejects_non_finite_entry(self, bad):
+        probs = np.full((2,) * 6, 0.125)
+        probs[0, 1, 0, 1, 1, 0] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            BehaviorTensor(Scenario(3), probs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_measurement_set_rejects_non_finite_entry(self, bad):
+        m = measurements_from_pairs([MeasurementPair.from_alpha_sq(0.4)] * 2)
+        plus = m.projectors[1][0][0].copy()
+        plus[1, 0] = bad
+        projectors = (m.projectors[0], ((plus, m.projectors[1][0][1]), m.projectors[1][1]))
+        with pytest.raises(ValidationError, match="non-finite"):
+            MeasurementSet(projectors=projectors, dims=(2, 2))
 
 
 class TestNoSignaling:

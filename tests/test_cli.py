@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from hardylab import cli
 from hardylab.cli import SCAN_HEADER, load_observables, main
+from hardylab.npa import MAX_BASIS
 from hardylab.selftest import canonical_observables
 
 
@@ -111,6 +113,13 @@ class TestBounds:
     def test_epsilon_range(self):
         assert main(["bounds", "--method", "local", "--epsilon", "0.4"]) == 2
 
+    def test_npa_party_cap_fails_fast(self, capsys):
+        start = time.perf_counter()
+        assert main(["bounds", "--method", "npa", "--n", "20", "--level", "1",
+                     "--epsilon", "0"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "exceeds the supported cap 12" in capsys.readouterr().err
+
     def test_variational_epsilon_range(self, capsys):
         assert main(["bounds", "--method", "local", "--epsilon", "0.28"]) == 0
         capsys.readouterr()
@@ -174,6 +183,16 @@ class TestScan:
                             lambda task: (task[0], (0.0, 0.0, 0.0, 0.0), None))
         assert main(["scan", "--steps", str(cli.MAX_SCAN_STEPS), "--restarts", "1"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == cli.MAX_SCAN_STEPS + 1
+
+    def test_level_cap_fails_fast(self, monkeypatch, capsys):
+        def no_point(task):
+            raise AssertionError("scan point run for a rejected level")
+
+        monkeypatch.setattr(cli, "_scan_point", no_point)
+        start = time.perf_counter()
+        assert main(["scan", "--level", "1000"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert f"cap of {MAX_BASIS} monomials" in capsys.readouterr().err
 
     def test_grid_range_is_variational_range(self, capsys):
         assert main(["scan", "--eps-from", "0", "--eps-to", "0.3"]) == 2

@@ -1,10 +1,13 @@
+import time
+from itertools import product
+
 import numpy as np
 import pytest
 
 from full_moment import build_full_problem, cyclic_reduction
 
 from hardylab.behavior import Scenario
-from hardylab.errors import CapabilityError, SizeError, ValidationError
+from hardylab.errors import CapabilityError, ScenarioError, SizeError, ValidationError
 from hardylab.npa import (_rotate, basis_shifts, build_moment_problem,
                           canonical_monomial, dagger, hardy_moment_vector,
                           identity_monomial, monomial_from_str, monomial_list,
@@ -73,6 +76,16 @@ class TestCanonicalMonomial:
             assert monomial_from_str(monomial_str(mono), 3) == mono
 
 
+def product_filter_monomials(n, level):
+    """Cross-check for ``monomial_list``: every per-party word tuple, kept
+    when its degree is within the level, then sorted by (degree, words)."""
+    words = [()] + [tuple((first + k) % 2 for k in range(length))
+                    for length in range(1, level + 1) for first in (0, 1)]
+    out = [combo for combo in product(words, repeat=n)
+           if sum(len(w) for w in combo) <= level]
+    return sorted(out, key=lambda m: (sum(len(w) for w in m), m))
+
+
 class TestMonomialList:
     @pytest.mark.parametrize("n,level,count", [
         (2, 1, 5), (3, 1, 7), (3, 2, 25), (2, 2, 13), (2, 3, 25), (3, 3, 63)])
@@ -88,6 +101,22 @@ class TestMonomialList:
     def test_size_guard(self):
         with pytest.raises(SizeError):
             monomial_list(Scenario(4), 10)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_matches_product_filter(self, n, level):
+        assert monomial_list(Scenario(n), level) == product_filter_monomials(n, level)
+
+    @pytest.mark.parametrize("n,level", [(2, 10 ** 9), (12, 4), (3, 1000)])
+    def test_size_guard_stops_at_cap(self, n, level):
+        start = time.perf_counter()
+        with pytest.raises(SizeError):
+            monomial_list(Scenario(n), level)
+        assert time.perf_counter() - start < 1.0
+
+    def test_rejects_too_many_parties(self):
+        with pytest.raises(ScenarioError):
+            monomial_list(Scenario(13), 1)
 
 
 class TestBuildMomentProblem:

@@ -1,11 +1,12 @@
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
+from dense_hardy import hardy_functionals
 from hardylab import polytope
 from hardylab.behavior import (BehaviorTensor, Scenario, check_no_signaling,
-                               hardy_functionals, hardy_statistics)
+                               hardy_statistics)
 from hardylab.errors import SizeError, ValidationError
 from hardylab.polytope import (BoundQuery, LinearProgram, LPSolution,
                                _pivot, deterministic_vertices, local_max,
@@ -42,19 +43,12 @@ class TestLpSolve:
 
     def test_equalities_and_bounds(self):
         # max x + 2y st x + y = 1, y <= 0.4
-        lp = LinearProgram(objective=np.array([1.0, 2.0]),
-                           bounds=[(0.0, None), (0.0, 0.4)])
+        lp = LinearProgram(objective=np.array([1.0, 2.0]))
         lp.add(np.array([1.0, 1.0]), "=", 1.0)
+        lp.add(np.array([0.0, 1.0]), "<=", 0.4)
         sol = lp_solve(lp)
         assert abs(sol.value - 1.4) < 1e-12
         assert np.allclose(sol.assignment, [0.6, 0.4], atol=1e-12)
-
-    def test_free_variable(self):
-        # max -x st x >= -2 (free var, optimum at x = -2)
-        lp = LinearProgram(objective=np.array([-1.0]), bounds=[(None, None)])
-        lp.add(np.array([1.0]), ">=", -2.0)
-        sol = lp_solve(lp)
-        assert abs(sol.value - 2.0) < 1e-12
 
     def test_against_scipy_on_random_problems(self):
         scipy_opt = pytest.importorskip("scipy.optimize")
@@ -64,9 +58,11 @@ class TestLpSolve:
             c = rng.standard_normal(nv)
             a = rng.standard_normal((nc, nv))
             b = rng.uniform(0.5, 2.0, nc)
-            lp = LinearProgram(objective=c, bounds=[(0.0, 1.0)] * nv)
+            lp = LinearProgram(objective=c)
             for row, rhs in zip(a, b):
                 lp.add(row, "<=", rhs)
+            for row in np.eye(nv):  # x_i <= 1
+                lp.add(row, "<=", 1.0)
             sol = lp_solve(lp)
             ref = scipy_opt.linprog(-c, A_ub=a, b_ub=b, bounds=[(0, 1)] * nv,
                                     method="highs")
@@ -111,6 +107,42 @@ def vertex_loop_local_max(q):
         lp.add(np.array([float(z.reshape(-1) @ v.reshape(-1)) for v in vertices]),
                "<=", q.epsilon)
     lp.add(np.ones(len(vertices)), "=", 1.0)
+    return lp_solve(lp)
+
+
+def redundant_nosignaling_max(q):
+    """Cross-check for ``nosignaling_max``: the same LP with the marginal
+    equalities of every party subset against every pair of complement
+    settings, the row family the package posed before the per-party rows."""
+    n = q.n
+    shape = (2,) * (2 * n)
+    p_coeff, zs = hardy_functionals(n)
+    lp = LinearProgram(objective=p_coeff.reshape(-1))
+    for settings in product((0, 1), repeat=n):
+        coeff = np.zeros(shape)
+        coeff[settings] = 1.0
+        lp.add(coeff.reshape(-1), "=", 1.0)
+    for mask in range(1, 2 ** n - 1):
+        keep = [i for i in range(n) if (mask >> i) & 1]
+        drop = [i for i in range(n) if not (mask >> i) & 1]
+        for s_keep in product((0, 1), repeat=len(keep)):
+            for o_keep in product((0, 1), repeat=len(keep)):
+                rows = []
+                for s_drop in product((0, 1), repeat=len(drop)):
+                    coeff = np.zeros(shape)
+                    sel = [0] * n + [slice(None)] * n
+                    for i, s in zip(keep, s_keep):
+                        sel[i] = s
+                    for i, s in zip(drop, s_drop):
+                        sel[i] = s
+                    for i, o in zip(keep, o_keep):
+                        sel[n + i] = o
+                    coeff[tuple(sel)] = 1.0
+                    rows.append(coeff.reshape(-1))
+                for a, b in combinations(range(len(rows)), 2):
+                    lp.add(rows[a] - rows[b], "=", 0.0)
+    for z in zs:
+        lp.add(z.reshape(-1), "<=", q.epsilon)
     return lp_solve(lp)
 
 
@@ -277,6 +309,27 @@ class TestNoSignalingMax:
 
     def test_quarter_epsilon_saturates(self):
         assert abs(nosignaling_max(BoundQuery(3, 0.25)).value - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_redundant_row_family(self, n):
+        for eps in np.linspace(0.0, 0.3, 31):
+            q = BoundQuery(n, float(eps))
+            got, want = nosignaling_max(q), redundant_nosignaling_max(q)
+            assert got.status == want.status == "optimal"
+            assert abs(got.value - want.value) <= 1e-15
+
+    def test_per_party_row_count(self, monkeypatch):
+        counts = []
+
+        def counting_solve(lp):
+            counts.append(len(lp.constraints))
+            return lp_solve(lp)
+
+        monkeypatch.setattr(polytope, "lp_solve", counting_solve)
+        nosignaling_max(BoundQuery(2, 0.1))
+        nosignaling_max(BoundQuery(3, 0.1))
+        # normalisation 2^n, no-signaling n 4^(n-1), Hardy terms n + 1
+        assert counts == [4 + 8 + 3, 8 + 48 + 4]
 
     def test_monotone_and_dominates_local(self):
         prev = -1.0
