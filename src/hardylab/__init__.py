@@ -4,8 +4,7 @@ from .behavior import (BehaviorTensor, HardyStats, MeasurementSet, Scenario,
                        check_no_signaling, hardy_statistics,
                        joint_distribution, measurements_from_observables,
                        measurements_from_pairs)
-from .linalg import (StateVector, eig_herm, kron, partial_trace,
-                     schmidt_spectrum)
+from .linalg import StateVector, eig_herm, kron, schmidt_spectrum
 from .npa import (MomentProblem, build_moment_problem, canonical_monomial,
                   monomial_list, npa_upper_bound, problem_from_text,
                   problem_to_text)

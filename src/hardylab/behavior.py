@@ -255,22 +255,23 @@ def hardy_statistics(b: BehaviorTensor) -> HardyStats:
     return HardyStats(p=float(p), zeros=zeros)
 
 
-def _subset_marginals(marg: np.ndarray, n: int, keep: list[int], start: int):
+def _subset_marginals(marg: np.ndarray, keep: list[int], start: int):
     """Yield (kept parties, outcome marginal) for every nonempty subset of
     ``keep`` reached by dropping parties >= ``start`` in increasing order.
 
-    Each marginal is the sum of its parent's two halves along one outcome
-    axis, and the walk is depth first, so at most n marginals are alive.
+    ``marg`` holds the outcomes of ``keep`` on its leading axes, so each
+    marginal is the sum of two contiguous blocks of its parent.  The walk
+    is depth first, so at most n marginals are alive.
     """
     if len(keep) == 1:
         return
     for pos, party in enumerate(keep):
         if party >= start:
             sub = keep[:pos] + keep[pos + 1:]
-            lead = (slice(None),) * (n + pos)
+            lead = (slice(None),) * pos
             child = marg[lead + (0,)] + marg[lead + (1,)]
             yield sub, child
-            yield from _subset_marginals(child, n, sub, party + 1)
+            yield from _subset_marginals(child, sub, party + 1)
 
 
 def check_no_signaling(b: BehaviorTensor) -> NoSignalingReport:
@@ -279,25 +280,26 @@ def check_no_signaling(b: BehaviorTensor) -> NoSignalingReport:
     For every proper nonempty subset of kept parties, the outcome marginal
     must not depend on the settings of the complement.  The raw maximum is
     reported, for the subset with the smallest bit mask among those that
-    reach it.
+    reach it.  The table is walked with the outcomes first; each marginal
+    is laid out as (settings of the complement, settings of the kept
+    parties, their outcomes) and reduced by one max and one min over the
+    complement's settings.
     """
     n = b.n
+    by_outcome = np.ascontiguousarray(
+        b.probs.transpose(list(range(n, 2 * n)) + list(range(n))))
     worst = NoSignalingReport(0.0, (), (), ())
     worst_mask = 0
-    for keep, marg in _subset_marginals(b.probs, n, list(range(n)), 0):
+    for keep, marg in _subset_marginals(by_outcome, list(range(n)), 0):
         drop = [i for i in range(n) if i not in keep]
-        hi = lo = marg
-        for party in reversed(drop):
-            lead = (slice(None),) * party
-            hi = np.maximum(hi[lead + (0,)], hi[lead + (1,)])
-            lo = np.minimum(lo[lead + (0,)], lo[lead + (1,)])
-        spread = hi - lo  # axes: settings of kept parties, then their outcomes
+        settings = [len(keep) + i for i in drop + keep]
+        flat = marg.transpose(settings + list(range(len(keep)))).reshape(2 ** len(drop), -1)
+        spread = flat.max(axis=0) - flat.min(axis=0)
         viol = float(spread.max())
         mask = sum(1 << i for i in keep)
         if viol > worst.max_violation or (
                 viol == worst.max_violation > 0.0 and mask < worst_mask):
             col = int(np.argmax(spread))
-            flat = np.moveaxis(marg, drop, range(len(drop))).reshape(2 ** len(drop), -1)
             unpack = lambda code: tuple((code >> k) & 1 for k in range(len(drop)))[::-1]
             worst = NoSignalingReport(viol, tuple(keep),
                                       unpack(int(np.argmax(flat[:, col]))),

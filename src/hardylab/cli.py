@@ -23,7 +23,7 @@ from .behavior import (Scenario, hardy_statistics, joint_distribution,
                        measurements_from_pairs)
 from .errors import (HypothesisUnmetError, NumericError, ValidationError)
 from .linalg import StateVector
-from .npa import monomial_list, npa_upper_bound
+from .npa import check_level, monomial_list, npa_upper_bound
 from .polytope import BoundQuery, local_max, nosignaling_max
 from .selftest import ObservablePair, canonical_observables, selftest_report
 from .states import (MeasurementPair, hardy_state, is_genuinely_entangled,
@@ -226,8 +226,10 @@ def cmd_scan(args) -> int:
     if not 0.0 <= args.eps_from < args.eps_to <= EPSILON_MAX:
         raise ValidationError(
             f"grid must satisfy 0 <= from < to <= {EPSILON_MAX}")
-    # a level whose basis passes the cap exits 2 before any point runs
+    # a level whose basis passes the cap, or that cannot express the
+    # Hardy moments, exits 2 before any point runs
     monomial_list(Scenario(3), args.level)
+    check_level(Scenario(3), args.level)
     grid = _scan_grid(args.eps_from, args.eps_to, args.steps)
     tasks = [(k, eps, args.level, args.restarts, args.seed, args.tol)
              for k, eps in enumerate(grid)]

@@ -92,32 +92,11 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
-def partial_trace(rho: np.ndarray, dims, keep) -> np.ndarray:
-    """Trace out all parties not listed in ``keep`` (0-based indices)."""
-    dims = tuple(int(d) for d in dims)
-    rho = np.asarray(rho)
-    total = int(np.prod(dims))
-    if rho.shape != (total, total):
-        raise ValidationError(
-            f"density matrix shape {rho.shape} does not match dims {dims}")
-    keep = sorted(set(int(k) for k in keep))
-    if any(k < 0 or k >= len(dims) for k in keep):
-        raise ValidationError(f"keep indices {keep} out of range for {len(dims)} parties")
-    n = len(dims)
-    t = rho.reshape(dims + dims)
-    traced = [i for i in range(n) if i not in keep]
-    for off, i in enumerate(sorted(traced, reverse=True)):
-        cur = n - off
-        t = np.trace(t, axis1=i, axis2=cur + i)
-    dk = int(np.prod([dims[k] for k in keep])) if keep else 1
-    return t.reshape(dk, dk)
-
-
 def schmidt_spectrum(psi: StateVector, bipartition) -> np.ndarray:
     """Eigenvalues (descending) of the reduced state on ``bipartition``.
 
     Computed from the Gram matrix of the reshaped amplitude matrix; the
-    ``partial_trace`` route is the independent cross-check used in tests.
+    tests cross-check it against a partial trace of the density matrix.
     """
     keep = sorted(set(int(k) for k in bipartition))
     n = psi.n_parties

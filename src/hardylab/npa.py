@@ -198,6 +198,24 @@ def hardy_constraint_terms(n: int) -> list[dict]:
     return terms
 
 
+def check_level(scenario: Scenario, level: int) -> None:
+    """Raise CapabilityError unless the level-``level`` moment matrix holds
+    every moment the noisy Hardy problem reads.
+
+    A cell's moment has degree at most 2 * level, and every moment of such
+    a degree is a cell: each party's reduced word splits at any letter
+    into the reversed word of the row monomial and the word of the column
+    monomial, so the splits can give each side degree at most ``level``.
+    """
+    n = scenario.n
+    needed = [canonical_monomial([(i, 0) for i in range(n)], n)]
+    needed += [mono for term in hardy_constraint_terms(n) for mono in term]
+    for mono in needed:
+        if degree(mono) > 2 * level:
+            raise CapabilityError(
+                f"moment {monomial_str(mono)} is not expressible at level {level}")
+
+
 def _rotate(m: Monomial, s: int) -> Monomial:
     """Party shift i -> i + s (mod n) of a monomial."""
     return m[-s:] + m[:-s] if s else m
@@ -231,6 +249,7 @@ def build_moment_problem(scenario: Scenario, level: int, epsilon: float) -> Mome
         raise ValidationError(f"epsilon = {epsilon!r} must be nonnegative")
     n = scenario.n
     basis = monomial_list(scenario, level)
+    check_level(scenario, level)
     nb = len(basis)
     shifts = basis_shifts(basis)
     daggers = [dagger(b) for b in basis]
@@ -259,11 +278,7 @@ def build_moment_problem(scenario: Scenario, level: int, epsilon: float) -> Mome
     moment_index = {key: k for k, key in enumerate(variables)}
 
     def lookup(mono: Monomial) -> int:
-        var = moment_index.get(_orbit_key(mono))
-        if var is None:
-            raise CapabilityError(
-                f"moment {monomial_str(mono)} is not expressible at level {level}")
-        return var
+        return moment_index[_orbit_key(mono)]
 
     objective = {lookup(canonical_monomial([(i, 0) for i in range(n)], n)): 1.0}
     equalities = [({lookup(identity_monomial(n)): 1.0}, 1.0)]

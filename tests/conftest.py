@@ -1,5 +1,6 @@
 import numpy as np
 
+from hardylab.linalg import StateVector
 from hardylab.states import MeasurementPair
 
 
@@ -16,3 +17,10 @@ def random_pair(rng, complex_phases=True):
 
 def random_pairs(rng, n, complex_phases=True):
     return [random_pair(rng, complex_phases) for _ in range(n)]
+
+
+def random_state(rng, dims):
+    """Pure state on ``dims`` with independent complex Gaussian amplitudes."""
+    total = int(np.prod(dims))
+    amps = rng.standard_normal(total) + 1j * rng.standard_normal(total)
+    return StateVector(tuple(dims), amps / np.linalg.norm(amps))

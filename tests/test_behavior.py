@@ -4,7 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import random_pairs
+from conftest import random_pairs, random_state
 from dense_hardy import hardy_functionals
 
 from hardylab.behavior import (BehaviorTensor, MeasurementSet,
@@ -149,9 +149,7 @@ class TestJointDistribution:
         # the rank-1 path's axis bookkeeping depends on n
         rng = np.random.default_rng(3)
         for n, _ in product((2, 3, 4, 5), range(3)):
-            amps = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
-            amps /= np.linalg.norm(amps)
-            psi = StateVector((2,) * n, amps)
+            psi = random_state(rng, (2,) * n)
             m = measurements_from_pairs(random_pairs(rng, n))
             assert m.is_rank1_qubits()
             fast = joint_distribution(psi, m)
@@ -193,9 +191,7 @@ class TestJointDistribution:
     def test_normalisation_and_no_signaling(self):
         rng = np.random.default_rng(4)
         for n in (2, 3, 4):
-            amps = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
-            amps /= np.linalg.norm(amps)
-            psi = StateVector((2,) * n, amps)
+            psi = random_state(rng, (2,) * n)
             b = joint_distribution(psi, measurements_from_pairs(random_pairs(rng, n)))
             sums = b.probs.sum(axis=tuple(range(n, 2 * n)))
             assert np.max(np.abs(sums - 1.0)) < 1e-10
@@ -265,8 +261,7 @@ class TestHardyStatistics:
         rng = np.random.default_rng(8)
         for n in (2, 3, 4, 5):
             pairs = random_pairs(rng, n)
-            amps = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
-            psi = StateVector((2,) * n, amps / np.linalg.norm(amps))
+            psi = random_state(rng, (2,) * n)
             b = joint_distribution(psi, measurements_from_pairs(pairs))
             stats = hardy_statistics(b)
             p_coeff, zs = hardy_functionals(n)
@@ -350,6 +345,41 @@ class TestNoSignaling:
             gap = np.abs(marg[tuple(idx_a)] - marg[tuple(idx_b)]).max()
             assert abs(gap - report.max_violation) <= 1e-15
 
+    @pytest.mark.parametrize("s_a, s_b", [((0, 0), (0, 1)), ((1, 0), (0, 1))])
+    def test_column_ties_break_in_table_order(self, s_a, s_b):
+        # Party 3's setting moves the (1, 2) marginal by delta = 1/32 in two
+        # columns, (s_a, o = 10) and (s_b, o = 00), and single parties by
+        # delta / 2 at most.  The first column in (settings, outcomes)
+        # order names the complement settings; an outcomes-first order or
+        # reversed kept settings would pick the other and swap them.
+        delta = 1 / 32
+        probs = np.full((2,) * 6, 1 / 8)
+        moves = {s_a: {(0, 0): delta / 2, (1, 0): -delta, (1, 1): delta / 2},
+                 s_b: {(0, 0): delta, (0, 1): -delta / 2, (1, 0): -delta / 2}}
+        for (s1, s2), move in moves.items():
+            for (o1, o2), c in move.items():
+                probs[s1, s2, 1, o1, o2, 0] += c
+        b = BehaviorTensor(Scenario(3), probs)
+        first = min(s_a, s_b)
+        want = ((0,), (1,)) if first == s_a else ((1,), (0,))
+        report = check_no_signaling(b)
+        assert report == NoSignalingReport(delta, (0, 1), *want)
+        assert report == reduction_walk_report(b)
+
+    def test_audit_memory(self):
+        # the outcome-first copy of the table, the depth-first marginals
+        # (under one table together) and one marginal's settings-first copy
+        # (at most half a table) with its column maxima and minima
+        psi, m = optimal_setup(8)
+        b = joint_distribution(psi, m)
+        tracemalloc.start()
+        try:
+            check_no_signaling(b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * b.probs.nbytes
+
     def test_quantum_behaviors_pass(self):
         psi, m = optimal_setup(3)
         b = joint_distribution(psi, m)
@@ -360,8 +390,7 @@ class TestNoSignaling:
         # cross-check: the same depth-first walk with numpy reductions over
         # the length-2 axes; the reports agree exactly, ties included
         rng = np.random.default_rng(60 + n)
-        amps = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
-        psi = StateVector((2,) * n, amps / np.linalg.norm(amps))
+        psi = random_state(rng, (2,) * n)
         exact = joint_distribution(psi, measurements_from_pairs(random_pairs(rng, n))).probs
         behaviors = [exact, np.full((2,) * (2 * n), 0.5 ** n)]
         for scale in (1e-12, 1e-3):

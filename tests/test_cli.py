@@ -194,6 +194,16 @@ class TestScan:
         assert time.perf_counter() - start < 1.0
         assert f"cap of {MAX_BASIS} monomials" in capsys.readouterr().err
 
+    def test_level_too_low_fails_before_any_point(self, monkeypatch, capsys):
+        def no_point(task):
+            raise AssertionError("scan point run for a level that cannot express p")
+
+        monkeypatch.setattr(cli, "_scan_point", no_point)
+        assert main(["scan", "--level", "1", "--steps", "3", "--restarts", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "moment p1:U.p2:U.p3:U is not expressible at level 1" in captured.err
+
     def test_grid_range_is_variational_range(self, capsys):
         assert main(["scan", "--eps-from", "0", "--eps-to", "0.3"]) == 2
         assert "<= 0.25" in capsys.readouterr().err

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import random_state
 from eig_certificate import certified_error
+from partial_trace import partial_trace
 
 from hardylab.errors import NumericError, SizeError, ValidationError
-from hardylab.linalg import (StateVector, eig_herm, kron, partial_trace,
-                             schmidt_spectrum)
+from hardylab.linalg import StateVector, eig_herm, kron, schmidt_spectrum
 
 
 def random_orthogonal_from_givens(n, n_rotations, rng):
@@ -204,9 +205,7 @@ class TestSchmidtSpectrum:
     def test_against_partial_trace_oracle(self):
         rng = np.random.default_rng(13)
         for _ in range(5):
-            amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-            amps /= np.linalg.norm(amps)
-            psi = StateVector((2, 2, 2), amps)
+            psi = random_state(rng, (2, 2, 2))
             for keep in ([0], [1], [0, 1]):
                 spec = schmidt_spectrum(psi, keep)
                 rho = partial_trace(psi.density(), psi.dims, keep)
@@ -219,9 +218,7 @@ class TestSchmidtSpectrum:
         # the kept block has 2, 4 or 8 rows, so the Gram matrix is smaller,
         # equal to or larger than its complement's
         rng = np.random.default_rng(17 + len(keep))
-        amps = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        amps /= np.linalg.norm(amps)
-        psi = StateVector((2, 2, 2, 2), amps)
+        psi = random_state(rng, (2, 2, 2, 2))
         spec = schmidt_spectrum(psi, keep)
         rho = partial_trace(psi.density(), psi.dims, keep)
         oracle = np.sort(np.linalg.eigvalsh(rho))[::-1]

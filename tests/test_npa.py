@@ -9,7 +9,8 @@ from full_moment import build_full_problem, cyclic_reduction
 from hardylab.behavior import Scenario
 from hardylab.errors import CapabilityError, ScenarioError, SizeError, ValidationError
 from hardylab.npa import (_rotate, basis_shifts, build_moment_problem,
-                          canonical_monomial, dagger, hardy_moment_vector,
+                          canonical_monomial, check_level, dagger,
+                          hardy_constraint_terms, hardy_moment_vector,
                           identity_monomial, monomial_from_str, monomial_list,
                           monomial_str, mul, npa_upper_bound, problem_from_text,
                           problem_to_text, quantum_moment_vector)
@@ -144,6 +145,22 @@ class TestBuildMomentProblem:
             build_moment_problem(Scenario(3), 1, 0.0)
         with pytest.raises(CapabilityError):
             build_full_problem(Scenario(3), 1, 0.0)
+
+    @pytest.mark.parametrize("n, level", [(2, 1), (2, 2), (3, 1), (3, 2),
+                                          (4, 1), (4, 2), (5, 2)])
+    def test_check_level_matches_cell_words(self, n, level):
+        # Oracle: the moments the problem reads are all among the products
+        # dagger(u) v of two basis monomials
+        basis = monomial_list(Scenario(n), level)
+        cells = {mul(dagger(u), v) for u in basis for v in basis}
+        needed = [canonical_monomial([(i, 0) for i in range(n)], n)]
+        needed += [mono for term in hardy_constraint_terms(n) for mono in term]
+        if all(mono in cells for mono in needed):
+            check_level(Scenario(n), level)
+            build_moment_problem(Scenario(n), level, 0.0)
+        else:
+            with pytest.raises(CapabilityError, match=f"not expressible at level {level}"):
+                check_level(Scenario(n), level)
 
     def test_matrix_symmetry(self):
         for n, level in ((2, 2), (3, 2)):

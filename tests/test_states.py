@@ -4,13 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_pairs
+from conftest import random_pairs, random_state
 from gram_schmidt import hardy_state as gram_schmidt_state
 from gram_schmidt import product_basis
 from hardylab.errors import (DegenerateMeasurementError, ScenarioError,
                              ValidationError)
-from hardylab.linalg import StateVector
-from hardylab.states import (MeasurementPair, hardy_state,
+from hardylab.linalg import StateVector, schmidt_spectrum
+from hardylab.states import (CUT_BATCH, MeasurementPair, hardy_state,
                              is_genuinely_entangled,
                              optimal_alpha_sq_tripartite, pmax,
                              success_prob_closed, tripartite_explicit)
@@ -18,6 +18,38 @@ from hardylab.states import (MeasurementPair, hardy_state,
 # Bipartite optimum, analytic: t = (sqrt(5)-1)/2, p = (5*sqrt(5)-11)/2.
 T2 = (math.sqrt(5.0) - 1.0) / 2.0
 P2 = (5.0 * math.sqrt(5.0) - 11.0) / 2.0
+
+
+def cuts(n):
+    """(kept parties, the rest) for every bipartition, the last party in the rest."""
+    for mask in range(1, 2 ** (n - 1)):
+        yield ([i for i in range(n) if (mask >> i) & 1],
+               [i for i in range(n) if not (mask >> i) & 1])
+
+
+def per_cut_genuinely_entangled(psi, tol):
+    """Cross-check for ``is_genuinely_entangled``: the loop it replaced, one
+    ``schmidt_spectrum`` of the kept side per bipartition."""
+    for keep, _ in cuts(psi.n_parties):
+        spec = schmidt_spectrum(psi, keep)
+        if len(spec) < 2 or spec[1] <= tol:
+            return False
+    return True
+
+
+def second_schmidt_coefficients(psi):
+    return [schmidt_spectrum(psi, keep)[1] for keep, _ in cuts(psi.n_parties)]
+
+
+def joined_state(dims, keep, rest, t):
+    """State on ``dims`` from a tensor whose axes run over ``keep + rest``."""
+    t = t.reshape([dims[i] for i in keep + rest]).transpose(np.argsort(keep + rest))
+    return StateVector(dims, t)
+
+
+def orthonormal_pair(rng, d):
+    g = rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2))
+    return np.linalg.qr(g)[0].T
 
 
 def three_qubit_closed_form(pair):
@@ -308,3 +340,65 @@ class TestGenuineEntanglement:
         amps = np.array([1.0, 0.0], dtype=complex)
         with pytest.raises(ValidationError):
             is_genuinely_entangled(StateVector((2,), amps))
+
+
+class TestBatchedCutSpectra:
+    @pytest.mark.parametrize("dims", [(2,) * n for n in range(2, 8)]
+                             + [(2, 3, 4), (3, 2, 2, 2)])
+    def test_random_states_match_per_cut_oracle(self, dims):
+        # tol just below and just above the weakest cut's second Schmidt
+        # coefficient puts that cut on each side of the threshold
+        rng = np.random.default_rng([400, *dims])
+        for _ in range(3):
+            psi = random_state(rng, dims)
+            weakest = min(second_schmidt_coefficients(psi))
+            for tol, want in ((1e-9, True), (weakest * (1 - 1e-6), True),
+                              (weakest * (1 + 1e-6), False)):
+                assert per_cut_genuinely_entangled(psi, tol) is want
+                assert is_genuinely_entangled(psi, tol) is want
+
+    @pytest.mark.parametrize("dims", [(2,) * 5, (3, 2, 2, 2), (2, 3, 4)])
+    def test_product_across_one_cut(self, dims):
+        rng = np.random.default_rng([410, *dims])
+        for keep, rest in cuts(len(dims)):
+            a = random_state(rng, [dims[i] for i in keep])
+            b = random_state(rng, [dims[i] for i in rest])
+            psi = joined_state(dims, keep, rest, np.outer(a.amps, b.amps))
+            # every other cut stays entangled
+            assert sum(c <= 1e-9 for c in second_schmidt_coefficients(psi)) == 1
+            assert not per_cut_genuinely_entangled(psi, 1e-9)
+            assert not is_genuinely_entangled(psi)
+
+    @pytest.mark.parametrize("dims", [(2,) * 4, (2, 3, 4)])
+    def test_second_coefficient_at_tol(self, dims):
+        # sqrt(1 - s) a0 b0 + sqrt(s) a1 b1 has Schmidt coefficients
+        # (1 - s, s) across the cut; s misses tol by 1e-12, far above the
+        # round-off of either spectrum
+        tol = 1e-6
+        rng = np.random.default_rng([420, *dims])
+        for keep, rest in cuts(len(dims)):
+            a = orthonormal_pair(rng, math.prod(dims[i] for i in keep))
+            b = orthonormal_pair(rng, math.prod(dims[i] for i in rest))
+            for s, want in ((tol * (1 + 1e-6), True), (tol * (1 - 1e-6), False)):
+                t = (math.sqrt(1 - s) * np.outer(a[0], b[0])
+                     + math.sqrt(s) * np.outer(a[1], b[1]))
+                psi = joined_state(dims, keep, rest, t)
+                assert per_cut_genuinely_entangled(psi, tol) is want
+                assert is_genuinely_entangled(psi, tol) is want
+
+    def test_one_dimensional_side_is_product(self):
+        psi = random_state(np.random.default_rng(430), (2, 1, 3))
+        assert not per_cut_genuinely_entangled(psi, 1e-9)
+        assert not is_genuinely_entangled(psi)
+
+    def test_memory_bounded_by_batch(self):
+        # one batch of CUT_BATCH cuts holds their blocks, the blocks'
+        # conjugates and Gram matrices of at most the state's size each
+        psi = hardy_state(10, [MeasurementPair.from_alpha_sq(pmax(10).t)] * 10)
+        tracemalloc.start()
+        try:
+            assert is_genuinely_entangled(psi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (3 * CUT_BATCH + 8) * psi.amps.nbytes
