@@ -4,13 +4,11 @@ from .behavior import (BehaviorTensor, HardyStats, MeasurementSet, Scenario,
                        check_no_signaling, hardy_statistics,
                        joint_distribution, measurements_from_observables,
                        measurements_from_pairs)
-from .linalg import StateVector, eig_herm, kron, schmidt_spectrum
+from .linalg import StateVector, eig_herm
 from .npa import (MomentProblem, build_moment_problem, canonical_monomial,
-                  monomial_list, npa_upper_bound, problem_from_text,
-                  problem_to_text)
-from .polytope import (BoundQuery, LinearProgram, LPSolution,
-                       deterministic_vertices, local_max, lp_solve,
-                       nosignaling_max)
+                  monomial_list, npa_upper_bound)
+from .polytope import (BoundQuery, LinearProgram, LPSolution, local_max,
+                       lp_solve, nosignaling_max)
 from .sdp import MomentSolution, sdp_solve
 from .selftest import (JordanDecomposition, ObservablePair, SelfTestReport,
                        canonical_observables, jordan_blocks, selftest_report)

@@ -1,17 +1,18 @@
 """Command-line interface: state construction, bounds, noise scans, self-tests.
 
-Exit codes: 0 success, 2 validation failure, 3 solver nonconvergence,
-4 certification hypothesis unmet.  Scan rows are computed concurrently
-(HARDYLAB_WORKERS processes, default all cores, clamped to between one
-and the smaller of the grid size and the core count) with per-point
-seeds derived from the master seed, so the CSV is byte-identical for
-identical flags regardless of the worker count.
+Exit codes: 0 success, 1 self-test verdict FAIL, 2 validation failure,
+3 solver nonconvergence, 4 certification hypothesis unmet.  Scan rows
+are computed concurrently (HARDYLAB_WORKERS processes, default all
+cores, clamped to between one and the smaller of the grid size and the
+core count) with per-point seeds derived from the master seed, so the
+CSV is byte-identical for identical flags regardless of the worker count.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import traceback
@@ -21,13 +22,14 @@ import numpy as np
 
 from .behavior import (Scenario, hardy_statistics, joint_distribution,
                        measurements_from_pairs)
-from .errors import (HypothesisUnmetError, NumericError, ValidationError)
+from .errors import (HypothesisUnmetError, NumericError, ScenarioError,
+                     SizeError, ValidationError)
 from .linalg import StateVector
 from .npa import check_level, monomial_list, npa_upper_bound
 from .polytope import BoundQuery, local_max, nosignaling_max
 from .selftest import ObservablePair, canonical_observables, selftest_report
-from .states import (MeasurementPair, hardy_state, is_genuinely_entangled,
-                     pmax)
+from .states import (MAX_PARTIES, MeasurementPair, hardy_state,
+                     is_genuinely_entangled, pmax)
 from .variational import EPSILON_MAX, lower_bound
 
 SCHEMA = 1
@@ -49,18 +51,26 @@ def _pairs_from_spec(spec: dict) -> list[MeasurementPair]:
 
 
 def load_state_spec(path: str):
-    """Parse a state spec file: measurement pairs, optional amplitudes."""
+    """Parse a state spec file: measurement pairs, optional amplitudes.
+
+    The party count and the state's dimensions are capped at MAX_PARTIES
+    qubits before any array is built.
+    """
     with open(path) as fh:
         spec = json.load(fh)
     if spec.get("schema") != SCHEMA:
         raise ValidationError(f"unsupported schema {spec.get('schema')!r}")
     n = int(spec["n"])
+    if not 2 <= n <= MAX_PARTIES:
+        raise ScenarioError(f"n={n} outside [2, {MAX_PARTIES}]")
     pairs = _pairs_from_spec(spec) if "pairs" in spec else None
     state = None
     if "amplitudes" in spec:
         amp = spec["amplitudes"]
-        amps = np.array(amp["re"], dtype=float) + 1j * np.array(amp["im"], dtype=float)
         dims = tuple(int(d) for d in amp.get("dims", [2] * n))
+        if len(dims) > MAX_PARTIES or math.prod(dims) > 2 ** MAX_PARTIES:
+            raise SizeError(f"state dims {dims} exceed {MAX_PARTIES} qubits")
+        amps = np.array(amp["re"], dtype=float) + 1j * np.array(amp["im"], dtype=float)
         state = StateVector(dims, amps)
     return n, pairs, state
 
@@ -70,6 +80,8 @@ def load_observables(path: str) -> list[ObservablePair]:
         spec = json.load(fh)
     if spec.get("schema") != SCHEMA:
         raise ValidationError(f"unsupported schema {spec.get('schema')!r}")
+    if len(spec["parties"]) > MAX_PARTIES:
+        raise ScenarioError(f"{len(spec['parties'])} parties exceed {MAX_PARTIES}")
     out = []
     for party in spec["parties"]:
         mats = []
@@ -318,6 +330,14 @@ def cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
+def _tol(text: str) -> float:
+    """Type of every --tol: a finite number above zero."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hardylab",
@@ -329,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_state.add_argument("--alpha-sq", dest="alpha_sq", type=float)
     p_state.add_argument("--spec", type=str)
     p_state.add_argument("--out", type=str)
-    p_state.add_argument("--tol", type=float, default=1e-9)
+    p_state.add_argument("--tol", type=_tol, default=1e-9)
     p_state.set_defaults(func=cmd_state)
 
     p_pmax = sub.add_parser("pmax", help="optimal success probability")
@@ -344,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--level", type=int, default=2)
     p_bounds.add_argument("--restarts", type=int, default=50)
     p_bounds.add_argument("--seed", type=int, default=0)
-    p_bounds.add_argument("--tol", type=float, default=1e-6)
+    p_bounds.add_argument("--tol", type=_tol, default=1e-6)
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_scan = sub.add_parser("scan", help="noise scan (CSV)")
@@ -354,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--level", type=int, default=2)
     p_scan.add_argument("--restarts", type=int, default=50)
     p_scan.add_argument("--seed", type=int, default=0)
-    p_scan.add_argument("--tol", type=float, default=1e-6)
+    p_scan.add_argument("--tol", type=_tol, default=1e-6)
     p_scan.add_argument("--out", type=str)
     p_scan.set_defaults(func=cmd_scan)
 
@@ -362,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_self.add_argument("--state", type=str)
     p_self.add_argument("--canonical", type=int)
     p_self.add_argument("--observables", type=str)
-    p_self.add_argument("--tol", type=float, default=1e-6)
+    p_self.add_argument("--tol", type=_tol, default=1e-6)
     p_self.add_argument("--out", type=str)
     p_self.set_defaults(func=cmd_selftest)
     return parser

@@ -11,9 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, SizeError, ValidationError
-
-MAX_KRON_ENTRIES = 1 << 26
+from .errors import NumericError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -79,38 +77,3 @@ def eig_herm(h: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]
     if np.linalg.norm(h - h.conj().T) > tol * max(float(np.linalg.norm(h)), 1.0):
         raise ValidationError("matrix is not Hermitian within tolerance")
     return _lapack(np.linalg.eigh, 0.5 * (h + h.conj().T))
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor (Kronecker) product with a desk-scale size guard."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.size * b.size > MAX_KRON_ENTRIES:
-        raise SizeError(
-            f"kron result would hold {a.size * b.size} entries "
-            f"(cap {MAX_KRON_ENTRIES})")
-    return np.kron(a, b)
-
-
-def schmidt_spectrum(psi: StateVector, bipartition) -> np.ndarray:
-    """Eigenvalues (descending) of the reduced state on ``bipartition``.
-
-    Computed from the Gram matrix of the reshaped amplitude matrix; the
-    tests cross-check it against a partial trace of the density matrix.
-    """
-    keep = sorted(set(int(k) for k in bipartition))
-    n = psi.n_parties
-    if any(k < 0 or k >= n for k in keep):
-        raise ValidationError(f"bipartition {keep} out of range")
-    if len(keep) == 0 or len(keep) == n:
-        raise ValidationError("bipartition must be a proper nonempty subset")
-    rest = [i for i in range(n) if i not in keep]
-    t = psi.tensor().transpose(keep + rest)
-    da = int(np.prod([psi.dims[k] for k in keep]))
-    m = t.reshape(da, -1)
-    vals = _lapack(np.linalg.eigvalsh, m @ m.conj().T)
-    vals = np.clip(vals[::-1], 0.0, None)
-    s = vals.sum()
-    if abs(s - 1.0) > 1e-10:
-        raise NumericError(f"Schmidt spectrum sums to {s!r}, not 1")
-    return vals

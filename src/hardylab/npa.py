@@ -33,7 +33,7 @@ import numpy as np
 from .behavior import Scenario
 from .errors import (CapabilityError, NumericError, ScenarioError, SizeError,
                      ValidationError)
-from .states import MAX_PARTIES, MeasurementPair, hardy_state, pmax
+from .states import MAX_PARTIES
 
 LETTERS = "UD"
 MAX_BASIS = 5000
@@ -86,19 +86,6 @@ def monomial_str(m: Monomial) -> str:
     parts = [f"p{i + 1}:" + "".join(LETTERS[x] for x in w)
              for i, w in enumerate(m) if w]
     return ".".join(parts) if parts else "1"
-
-
-def monomial_from_str(s: str, n: int) -> Monomial:
-    if s == "1":
-        return identity_monomial(n)
-    words = [()] * n
-    for part in s.split("."):
-        head, _, body = part.partition(":")
-        party = int(head[1:]) - 1
-        if not 0 <= party < n:
-            raise ValidationError(f"party token {head!r} out of range")
-        words[party] = reduce_word(LETTERS.index(ch) for ch in body)
-    return tuple(words)
 
 
 def _sort_key(m: Monomial):
@@ -296,39 +283,6 @@ def build_moment_problem(scenario: Scenario, level: int, epsilon: float) -> Mome
                          inequalities=inequalities)
 
 
-def _word_operator(word: Word, pair) -> np.ndarray:
-    """Matrix product of the '+' projectors along a one-party word."""
-    projectors = pair.projectors
-    out = np.eye(2, dtype=complex)
-    for letter in word:
-        out = out @ projectors[letter][0]
-    return out
-
-
-def quantum_moment_vector(problem: MomentProblem, psi, pairs) -> np.ndarray:
-    """Moments <psi| W |psi> of a qubit realization, per problem variable."""
-    n = problem.scenario.n
-    tensor = psi.tensor()
-    moments = np.empty(problem.n_vars)
-    for idx, mono in enumerate(problem.variables):
-        t = tensor
-        for party, word in enumerate(mono):
-            if not word:
-                continue
-            op = _word_operator(word, pairs[party])
-            t = np.tensordot(op, t, axes=([1], [party]))
-            t = np.moveaxis(t, 0, party)
-        moments[idx] = float(np.vdot(tensor, t).real)
-    return moments
-
-
-def hardy_moment_vector(problem: MomentProblem) -> np.ndarray:
-    """Moments of the optimal n-qubit Hardy realization (exact Hardy point)."""
-    n = problem.scenario.n
-    pairs = [MeasurementPair.from_alpha_sq(pmax(n).t)] * n
-    return quantum_moment_vector(problem, hardy_state(n, pairs), pairs)
-
-
 def npa_upper_bound(scenario: Scenario, level: int, epsilon: float,
                     tol: float = 1e-6) -> float:
     """Converged moment-relaxation value; an upper bound on the quantum
@@ -347,78 +301,3 @@ def npa_upper_bound(scenario: Scenario, level: int, epsilon: float,
             f"(gap={sol.gap:.3e}, psd_residual={sol.psd_residual:.3e}, "
             f"affine_residual={sol.affine_residual:.3e})")
     return sol.value
-
-
-def problem_to_text(p: MomentProblem) -> str:
-    """Plain-text serialisation (documented, versioned) for debugging."""
-    lines = ["momentproblem/1",
-             f"scenario n={p.scenario.n} level={p.level} epsilon={p.epsilon!r}",
-             f"basis {p.n_basis}"]
-    lines += [monomial_str(b) for b in p.basis]
-    lines.append(f"variables {p.n_vars}")
-    lines += [monomial_str(v) for v in p.variables]
-    lines.append("matrix")
-    for i in range(p.n_basis):
-        lines.append(" ".join(str(int(v)) for v in p.cell_var[i]))
-    lines.append(f"objective {len(p.objective)}")
-    lines += [f"{k} {v!r}" for k, v in sorted(p.objective.items())]
-    for name, rows in (("equalities", p.equalities), ("inequalities", p.inequalities)):
-        lines.append(f"{name} {len(rows)}")
-        for row, rhs in rows:
-            body = " ".join(f"{k}:{v!r}" for k, v in sorted(row.items()))
-            lines.append(f"{rhs!r} | {body}")
-    return "\n".join(lines) + "\n"
-
-
-def problem_from_text(text: str) -> MomentProblem:
-    lines = text.strip().split("\n")
-    if lines[0] != "momentproblem/1":
-        raise ValidationError(f"unknown format header {lines[0]!r}")
-    meta = dict(tok.split("=") for tok in lines[1].split()[1:])
-    n = int(meta["n"])
-    level = int(meta["level"])
-    epsilon = float(meta["epsilon"])
-    pos = 2
-    nb = int(lines[pos].split()[1]); pos += 1
-    basis = [monomial_from_str(lines[pos + k], n) for k in range(nb)]
-    pos += nb
-    nv = int(lines[pos].split()[1]); pos += 1
-    variables = [monomial_from_str(lines[pos + k], n) for k in range(nv)]
-    pos += nv
-    if lines[pos] != "matrix":
-        raise ValidationError("expected matrix section")
-    pos += 1
-    cell_var = np.array([[int(t) for t in lines[pos + k].split()] for k in range(nb)],
-                        dtype=np.int32)
-    pos += nb
-
-    def parse_rows(count):
-        nonlocal pos
-        rows = []
-        for _ in range(count):
-            rhs_s, _, body = lines[pos].partition(" | ")
-            row = {}
-            if body:
-                for tok in body.split():
-                    k, v = tok.split(":")
-                    row[int(k)] = float(v)
-            rows.append((row, float(rhs_s)))
-            pos += 1
-        return rows
-
-    no = int(lines[pos].split()[1]); pos += 1
-    objective = {}
-    for _ in range(no):
-        k, v = lines[pos].split()
-        objective[int(k)] = float(v)
-        pos += 1
-    ne = int(lines[pos].split()[1]); pos += 1
-    equalities = parse_rows(ne)
-    ni = int(lines[pos].split()[1]); pos += 1
-    inequalities = parse_rows(ni)
-    return MomentProblem(scenario=Scenario(n), level=level, epsilon=epsilon,
-                         basis=basis,
-                         moment_index={v: i for i, v in enumerate(variables)},
-                         variables=variables, cell_var=cell_var,
-                         objective=objective, equalities=equalities,
-                         inequalities=inequalities)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .behavior import BehaviorTensor, Scenario, check_no_signaling, hardy_values
-from .errors import NumericError, SizeError, ValidationError
+from .errors import NumericError, ValidationError
 
 FEAS_TOL = 1e-9
 
@@ -205,17 +205,6 @@ def _vertex_table(n: int) -> np.ndarray:
     table = np.zeros((4 ** n, 4 ** n))
     np.put_along_axis(table, cols, 1.0, axis=1)
     return table
-
-
-def deterministic_vertices(n: int) -> list[BehaviorTensor]:
-    """All 4^n deterministic behaviors of the n-party (2, 2) scenario."""
-    if n > 4:
-        raise SizeError(f"vertex enumeration capped at n=4, got n={n}")
-    if n < 2:
-        raise ValidationError(f"need at least two parties, got n={n}")
-    scenario = Scenario(n)
-    return [BehaviorTensor(scenario=scenario, probs=row.reshape((2,) * (2 * n)))
-            for row in _vertex_table(n)]
 
 
 def local_max(q: BoundQuery) -> LPSolution:

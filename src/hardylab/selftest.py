@@ -210,15 +210,14 @@ def _project_combo(rho_tensor, bases, n):
     return t.reshape(k, k)
 
 
-def selftest_report(state, observables, tol: float = 1e-6,
-                    loose: bool = False) -> SelfTestReport:
+def selftest_report(state, observables, tol: float = 1e-6) -> SelfTestReport:
     """Blockwise fidelity of a near-optimal realization to the Hardy state.
 
     ``state`` is a StateVector or density matrix over the observables'
-    dimensions.  Unless ``loose`` is set, the observed statistics must
-    sit at the Hardy point within ``tol`` (all constrained terms at most
-    tol, success probability within tol of the optimum); otherwise the
-    certification hypothesis is unmet and HypothesisUnmetError is raised.
+    dimensions.  The observed statistics must sit at the Hardy point
+    within ``tol`` (all constrained terms at most tol, success probability
+    within tol of the optimum); otherwise the certification hypothesis is
+    unmet and HypothesisUnmetError is raised.
     """
     observables = list(observables)
     n = len(observables)
@@ -230,14 +229,13 @@ def selftest_report(state, observables, tol: float = 1e-6,
     ms = measurements_from_observables([(o.a1, o.a2) for o in observables])
     stats = hardy_statistics(joint_distribution(rho, ms))
     ref = pmax(n)
-    if not loose:
-        worst_zero = float(np.max(stats.zeros))
-        p_gap = abs(stats.p - ref.p_max)
-        if worst_zero > tol or p_gap > tol:
-            raise HypothesisUnmetError(
-                f"statistics are not a near-optimal Hardy point: "
-                f"max constrained term {worst_zero:.3e}, "
-                f"|p - p_max| = {p_gap:.3e} (tol {tol:.1e})")
+    worst_zero = float(np.max(stats.zeros))
+    p_gap = abs(stats.p - ref.p_max)
+    if worst_zero > tol or p_gap > tol:
+        raise HypothesisUnmetError(
+            f"statistics are not a near-optimal Hardy point: "
+            f"max constrained term {worst_zero:.3e}, "
+            f"|p - p_max| = {p_gap:.3e} (tol {tol:.1e})")
 
     decomps = tuple(jordan_blocks(o, tol=min(tol, 1e-8)) for o in observables)
     psi_ref = hardy_state(n, [MeasurementPair.from_alpha_sq(ref.t)] * n).amps

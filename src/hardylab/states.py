@@ -246,6 +246,8 @@ def is_genuinely_entangled(psi: StateVector, tol: float = 1e-9) -> bool:
     n = psi.n_parties
     if n < 2:
         raise ValidationError("genuine entanglement needs at least two parties")
+    if not 0.0 <= tol < math.inf:
+        raise ValidationError(f"tol = {tol!r} must be finite and nonnegative")
     t = psi.tensor()
     groups: dict[int, list[list[int]]] = {}  # Gram dimension -> axis orders
     for mask in range(1, 2 ** (n - 1)):

@@ -1,4 +1,4 @@
-"""Cross-check for ``linalg.schmidt_spectrum``: the reduced density matrix
+"""Cross-check for ``schmidt_spectrum.py``: the reduced density matrix
 by partial trace, the route the Gram-matrix spectrum replaces.
 
 ``partial_trace(rho, dims, keep)`` traces every party not in ``keep``

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hardylab import cli
-from hardylab.cli import SCAN_HEADER, load_observables, main
+from hardylab.cli import SCAN_HEADER, load_observables, load_state_spec, main
 from hardylab.npa import MAX_BASIS
 from hardylab.selftest import canonical_observables
 
@@ -334,3 +334,80 @@ class TestSelftest:
 
     def test_missing_input(self):
         assert main(["selftest"]) == 2
+
+
+def product_spec(n, dims=None):
+    """State spec of |0..0> with n pairs at |alpha|^2 = 1/2; ``dims``
+    overrides the amplitude layout (default n qubits)."""
+    dims = [2] * n if dims is None else dims
+    size = int(np.prod(dims))
+    pair = {"alpha": [0.5 ** 0.5, 0.0], "beta": [0.5 ** 0.5, 0.0]}
+    return {"schema": 1, "n": n, "pairs": [pair] * n,
+            "amplitudes": {"re": [1.0] + [0.0] * (size - 1), "im": [0.0] * size,
+                           "dims": dims}}
+
+
+class TestTol:
+    BAD = ["-1", "nan", "0", "inf", "-inf"]
+
+    @pytest.mark.parametrize("tol", BAD)
+    @pytest.mark.parametrize("argv", [
+        ["state", "--n", "3", "--alpha-sq", "0.5"],
+        ["bounds", "--method", "npa", "--epsilon", "0.05"],
+        ["bounds", "--method", "local", "--epsilon", "0.05"],
+        ["scan", "--steps", "2", "--restarts", "1"],
+        ["selftest", "--canonical", "3"],
+    ], ids=["state", "bounds-npa", "bounds-local", "scan", "selftest"])
+    def test_rejected_before_any_work(self, argv, tol, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tol", tol])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_product_spec_not_reported_entangled(self, tmp_path, tol, capsys):
+        # a negative or NaN tol passed every cut's "second coefficient <=
+        # tol" test, so the product state read as genuinely entangled
+        path = tmp_path / "product.json"
+        path.write_text(json.dumps(product_spec(3)))
+        with pytest.raises(SystemExit) as exc:
+            main(["state", "--spec", str(path), "--tol", tol])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["state", "--spec", str(path), "--tol", "1e-9"]) == 0
+        assert json.loads(capsys.readouterr().out)["genuinely_entangled"] is False
+
+    def test_small_positive_tol_accepted(self, capsys):
+        assert main(["state", "--n", "3", "--alpha-sq", "0.5", "--tol", "1e-300"]) == 0
+        assert json.loads(capsys.readouterr().out)["genuinely_entangled"] is True
+
+
+class TestSpecCaps:
+    @pytest.mark.parametrize("command", ["state", "selftest"])
+    @pytest.mark.parametrize("n,dims", [(13, None), (3, [2] * 13), (3, [4096, 2]),
+                                        (1, None)],
+                             ids=["13-parties", "13-dims", "8192-dim", "1-party"])
+    def test_spec_rejected_fast(self, tmp_path, command, n, dims, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(product_spec(n, dims)))
+        flag = "--spec" if command == "state" else "--state"
+        start = time.perf_counter()
+        assert main([command, flag, str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "error:" in capsys.readouterr().err
+
+    def test_largest_dims_accepted(self, tmp_path):
+        # 2^MAX_PARTIES amplitudes on fewer parties pass the cap
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(product_spec(3, [16, 16, 16])))
+        n, pairs, state = load_state_spec(str(path))
+        assert (n, len(pairs), state.dims) == (3, 3, (16, 16, 16))
+
+    def test_observables_party_cap(self, tmp_path, capsys):
+        o = canonical_observables(2)[0]
+        party = {"a1": {"re": o.a1.real.tolist(), "im": o.a1.imag.tolist()},
+                 "a2": {"re": o.a2.real.tolist(), "im": o.a2.imag.tolist()}}
+        path = tmp_path / "obs.json"
+        path.write_text(json.dumps({"schema": 1, "parties": [party] * 13}))
+        assert main(["selftest", "--canonical", "3", "--observables", str(path)]) == 2
+        assert "13 parties exceed 12" in capsys.readouterr().err

@@ -4,9 +4,10 @@ import pytest
 from conftest import random_state
 from eig_certificate import certified_error
 from partial_trace import partial_trace
+from schmidt_spectrum import schmidt_spectrum
 
-from hardylab.errors import NumericError, SizeError, ValidationError
-from hardylab.linalg import StateVector, eig_herm, kron, schmidt_spectrum
+from hardylab.errors import ValidationError
+from hardylab.linalg import StateVector, eig_herm
 
 
 def random_orthogonal_from_givens(n, n_rotations, rng):
@@ -32,35 +33,6 @@ def bell_state():
     amps = np.zeros(4, dtype=complex)
     amps[0] = amps[3] = 1 / np.sqrt(2)
     return StateVector((2, 2), amps)
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_diagonal(self):
-        out = kron(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
-        assert np.allclose(out, np.diag([3.0, 4.0, 6.0, 8.0]))
-
-    def test_basis_action(self):
-        proj0 = np.diag([1.0, 0.0])
-        x = np.array([[0.0, 1.0], [1.0, 0.0]])
-        op = kron(proj0, x)
-        ket01 = np.zeros(4)
-        ket01[1] = 1.0
-        ket00 = np.zeros(4)
-        ket00[0] = 1.0
-        assert np.allclose(op @ ket01, ket00)
-
-    def test_associativity(self):
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            a, b, c = (rng.standard_normal((2, 2)) for _ in range(3))
-            assert np.allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-12)
-
-    def test_size_guard(self):
-        with pytest.raises(SizeError):
-            kron(np.ones((5000, 5000)), np.ones((5000, 5000)))
 
 
 class TestEigSym:

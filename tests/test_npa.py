@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 
 from full_moment import build_full_problem, cyclic_reduction
+from moment_point import hardy_moment_vector, quantum_moment_vector, word_operator
 
 from hardylab.behavior import Scenario
-from hardylab.errors import CapabilityError, ScenarioError, SizeError, ValidationError
+from hardylab.errors import CapabilityError, ScenarioError, SizeError
 from hardylab.npa import (_rotate, basis_shifts, build_moment_problem,
                           canonical_monomial, check_level, dagger,
-                          hardy_constraint_terms, hardy_moment_vector,
-                          identity_monomial, monomial_from_str, monomial_list,
-                          monomial_str, mul, npa_upper_bound, problem_from_text,
-                          problem_to_text, quantum_moment_vector)
+                          hardy_constraint_terms, identity_monomial,
+                          monomial_list, mul, npa_upper_bound)
 from hardylab.sdp import DEFAULT_SHIFT, _Compiled, sdp_solve
+from hardylab.states import pmax
 
 
 def random_realization(rng, n):
@@ -67,14 +67,6 @@ class TestCanonicalMonomial:
             mono = canonical_monomial(ops, 3)
             flat = [(p, letter) for p, word in enumerate(mono) for letter in word]
             assert canonical_monomial(flat, 3) == mono
-
-    def test_string_round_trip(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            ops = [(int(rng.integers(0, 3)), int(rng.integers(0, 2)))
-                   for _ in range(rng.integers(0, 6))]
-            mono = canonical_monomial(ops, 3)
-            assert monomial_from_str(monomial_str(mono), 3) == mono
 
 
 def product_filter_monomials(n, level):
@@ -187,12 +179,13 @@ class TestBuildMomentProblem:
 
 
 class TestMomentVectors:
-    def test_hardy_point_objective_and_psd(self):
-        from hardylab.states import pmax
-        p = build_moment_problem(Scenario(3), 3, 0.0)
+    @pytest.mark.parametrize("n,level", [(2, 2), (3, 2), (3, 3), (4, 2)])
+    def test_hardy_point_objective_and_psd(self, n, level):
+        # the bases of the benchmark's moment jobs
+        p = build_moment_problem(Scenario(n), level, 0.0)
         m = hardy_moment_vector(p)
         obj_var = next(iter(p.objective))
-        assert abs(m[obj_var] - pmax(3).p_max) < 1e-12
+        assert abs(m[obj_var] - pmax(n).p_max) < 1e-12
         comp = _Compiled(p)
         w = np.linalg.eigvalsh(comp.mat(m))
         assert w.min() > -1e-10
@@ -203,7 +196,6 @@ class TestMomentVectors:
         # the product of '+' projectors as built before it read
         # MeasurementPair.projectors
         from conftest import random_pairs
-        from hardylab.npa import _word_operator
 
         def oracle(word, pair):
             proj_u = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -218,7 +210,7 @@ class TestMomentVectors:
         for phases in (False, True):
             for pair in random_pairs(rng, 10, complex_phases=phases):
                 for word in words:
-                    assert np.array_equal(_word_operator(word, pair), oracle(word, pair))
+                    assert np.array_equal(word_operator(word, pair), oracle(word, pair))
 
     def test_quantum_vector_matches_behavior(self):
         # success probability moment equals the Born-rule value
@@ -235,23 +227,6 @@ class TestMomentVectors:
             stats = hardy_statistics(joint_distribution(psi, measurements_from_pairs(pairs)))
             obj_var = next(iter(p.objective))
             assert abs(m[obj_var] - stats.p) < 1e-12
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        p = build_moment_problem(Scenario(3), 2, 0.05)
-        q = problem_from_text(problem_to_text(p))
-        assert q.basis == p.basis
-        assert q.variables == p.variables
-        assert (q.cell_var == p.cell_var).all()
-        assert q.objective == p.objective
-        assert q.equalities == p.equalities
-        assert q.inequalities == p.inequalities
-        assert q.epsilon == p.epsilon
-
-    def test_rejects_unknown_header(self):
-        with pytest.raises(ValidationError):
-            problem_from_text("momentproblem/9\n")
 
 
 class TestUpperBound:
@@ -313,7 +288,6 @@ class TestCyclicReduction:
         assert got.objective == want.objective
         assert got.equalities == want.equalities
         assert got.inequalities == want.inequalities
-        assert problem_to_text(got) == problem_to_text(want)
 
     def test_basis_shifts(self):
         basis = monomial_list(Scenario(3), 2)

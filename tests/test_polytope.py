@@ -7,10 +7,10 @@ from dense_hardy import hardy_functionals
 from hardylab import polytope
 from hardylab.behavior import (BehaviorTensor, Scenario, check_no_signaling,
                                hardy_statistics)
-from hardylab.errors import SizeError, ValidationError
+from hardylab.errors import ValidationError
 from hardylab.polytope import (BoundQuery, LinearProgram, LPSolution,
-                               _pivot, deterministic_vertices, local_max,
-                               lp_solve, nosignaling_max)
+                               _pivot, _vertex_table, local_max, lp_solve,
+                               nosignaling_max)
 
 # First verified value of the tripartite no-signaling maximum at eps = 0
 # (cross-checked against an independent LP solver when frozen).
@@ -220,31 +220,33 @@ class TestPivotCount:
         assert (sol.status, sol.pivots) == ("unbounded", 1)
 
 
+def vertex_behaviors(n):
+    """The rows of ``polytope._vertex_table(n)`` as behavior tables."""
+    return [BehaviorTensor(Scenario(n), row.reshape((2,) * (2 * n)))
+            for row in _vertex_table(n)]
+
+
 class TestDeterministicVertices:
     def test_counts(self):
-        assert len(deterministic_vertices(2)) == 16
-        assert len(deterministic_vertices(3)) == 64
+        assert len(_vertex_table(2)) == 16
+        assert len(_vertex_table(3)) == 64
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_table_matches_vertex_loop(self, n):
-        got = deterministic_vertices(n)
+        got = _vertex_table(n)
         want = vertex_loop(n)
         assert len(got) == len(want) == 4 ** n
-        for v, w in zip(got, want):
-            assert np.array_equal(v.probs, w)
+        for row, w in zip(got, want):
+            assert np.array_equal(row.reshape(w.shape), w)
 
     def test_vertices_are_no_signaling(self):
-        for v in deterministic_vertices(2):
+        for v in vertex_behaviors(2):
             assert check_no_signaling(v).max_violation == 0.0
-
-    def test_size_guard(self):
-        with pytest.raises(SizeError):
-            deterministic_vertices(5)
 
     def test_local_bound_inequality_on_mixtures(self):
         # every local behavior obeys p <= z_1 + ... + z_{n+1}
         rng = np.random.default_rng(3)
-        vertices = deterministic_vertices(3)
+        vertices = vertex_behaviors(3)
         for _ in range(20):
             w = rng.dirichlet(np.ones(len(vertices)))
             probs = sum(wi * v.probs for wi, v in zip(w, vertices))
@@ -273,7 +275,7 @@ class TestLocalMax:
         # four strategies each violating exactly one constraint, weight eps
         # apiece, remainder on a silent strategy: p = 4 eps is feasible.
         eps = 0.07
-        vertices = deterministic_vertices(3)
+        vertices = vertex_behaviors(3)
         p_target = []
         for v in vertices:
             stats = hardy_statistics(v)

@@ -177,13 +177,6 @@ class TestSelfTestReport:
         with pytest.raises(HypothesisUnmetError):
             selftest_report(psi, canonical_observables(3))
 
-    def test_loose_mode_reports_anyway(self):
-        amps = np.zeros(8, dtype=complex)
-        amps[0] = 1.0
-        psi = StateVector((2, 2, 2), amps)
-        report = selftest_report(psi, canonical_observables(3), loose=True)
-        assert report.total_fidelity < 0.5
-
     def test_weight_consistency_full_space_traces(self):
         rng = np.random.default_rng(17)
         state, obs, _ = embedded_hardy_setup(rng, (2, 2, 2))

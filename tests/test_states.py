@@ -7,9 +7,10 @@ import pytest
 from conftest import random_pairs, random_state
 from gram_schmidt import hardy_state as gram_schmidt_state
 from gram_schmidt import product_basis
+from schmidt_spectrum import schmidt_spectrum
 from hardylab.errors import (DegenerateMeasurementError, ScenarioError,
                              ValidationError)
-from hardylab.linalg import StateVector, schmidt_spectrum
+from hardylab.linalg import StateVector
 from hardylab.states import (CUT_BATCH, MeasurementPair, hardy_state,
                              is_genuinely_entangled,
                              optimal_alpha_sq_tripartite, pmax,
@@ -340,6 +341,21 @@ class TestGenuineEntanglement:
         amps = np.array([1.0, 0.0], dtype=complex)
         with pytest.raises(ValidationError):
             is_genuinely_entangled(StateVector((2,), amps))
+
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_rejects_negative_or_non_finite_tol(self, tol):
+        # such a tol decides every cut the same way, so a product state
+        # would read as genuinely entangled (NaN, negative) or a GHZ state
+        # as not (inf)
+        amps = np.zeros(8, dtype=complex)
+        amps[0] = 1.0
+        with pytest.raises(ValidationError, match="finite and nonnegative"):
+            is_genuinely_entangled(StateVector((2, 2, 2), amps), tol)
+
+    def test_zero_tol_allowed(self):
+        amps = np.zeros(8, dtype=complex)
+        amps[0] = amps[7] = 1 / np.sqrt(2)
+        assert is_genuinely_entangled(StateVector((2, 2, 2), amps), 0.0)
 
 
 class TestBatchedCutSpectra:
