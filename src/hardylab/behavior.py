@@ -9,11 +9,18 @@ Hardy terms marginalise the remaining parties over their outcomes at
 setting U; that choice is immaterial for no-signaling behaviors and
 no-signaling is verified at use.  Tables and projectors with non-finite
 entries are rejected.
+
+The Born rule of a pure qubit state contracts one party at a time with
+complex multiply-adds, never with BLAS: the products have inner
+dimension 2 and are just large enough (from about eight qubits) to wake
+the OpenBLAS thread pool, whose helper thread then spins through the
+rest of the run and doubles its CPU time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -152,30 +159,59 @@ def measurements_from_observables(observables) -> MeasurementSet:
 
 
 def _joint_pure_rank1(psi: StateVector, m: MeasurementSet) -> np.ndarray:
-    """All Born probabilities of a pure qubit state, one contraction per party.
+    """All Born probabilities of a pure qubit state, one party at a time.
 
     Party i's conjugated eigenvectors are stacked as rows of shape
-    (setting, outcome, 2).  Contracting them against party i's axis of
-    the amplitude block puts (s_i, o_i) in front, so after n contractions
-    the block holds every setting and outcome.  The rows are the left
-    factor and party 1 is contracted first, the order a contraction per
-    setting tuple uses, so each amplitude rounds the same way as there.
-    The first party's two settings are taken one at a time, which keeps
-    the complex block no larger than the real probability table it fills.
+    (setting, outcome, 2).  The parties are contracted from the last to
+    the first, each against the trailing open qubit of a block laid out
+    as (open qubits, settings, outcomes); the new setting goes in front
+    of the settings and the new outcome in front of the outcomes, so the
+    block ends in the table's own order and needs no transpose.  The
+    first party comes last, one (setting, outcome) of it and one setting
+    of the second party at a time, squared straight into the table, so no
+    complex block is larger than the real table it fills.
     """
     n = m.n_parties
     rows = [np.array([[_rank1_vector(proj).conj() for proj in setting]
                       for setting in m.projectors[party]])
             for party in range(n)]
-    # block axes (s_n, o_n, ..., s_2, o_2, o_1) -> (s_2..s_n, o_1..o_n)
-    order = list(range(2 * n - 4, -1, -2)) + [2 * n - 2] + list(range(2 * n - 3, 0, -2))
+    amp = psi.amps.reshape(-1, 2, 1, 1)
+    for party in range(n - 1, 0, -1):
+        block = _contract(rows[party], amp)
+        amp = block.reshape(block.shape[0] // 2, 2, -1, 2 * block.shape[-1])
     probs = np.empty((2,) * (2 * n))
-    for s1 in range(2):
-        amp = np.tensordot(rows[0][s1], psi.tensor(), axes=([1], [0]))
-        for party in range(1, n):
-            amp = np.tensordot(rows[party], amp, axes=([2], [2 * party - 1]))
-        probs[s1] = (np.abs(amp) ** 2).transpose(order)
+    half = amp.shape[2] // 2
+    # (s_1, s_2, s_3..s_n, o_1, o_2..o_n) and (q_1, s_2, s_3..s_n, o_2..o_n)
+    table = probs.reshape(2, 2, half, 2, amp.shape[3])
+    amp = amp.reshape(2, 2, half, amp.shape[3])
+    term = np.empty(amp.shape[2:], dtype=complex)
+    other = np.empty_like(term)
+    for s1, o1, s2 in product(range(2), repeat=3):
+        c0, c1 = rows[0][s1, o1]
+        np.multiply(amp[0, s2], c0, out=term)
+        term += np.multiply(amp[1, s2], c1, out=other)
+        out = table[s1, s2, :, o1]
+        np.abs(term, out=out)
+        np.square(out, out=out)
     return probs
+
+
+def _contract(rows: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """One party's (setting, outcome, 2) rows against axis 1 of an
+    (open, 2, settings, outcomes) block, giving (open, setting, settings,
+    outcome, outcomes).
+
+    Each (setting, outcome) slice is two complex multiply-adds over
+    contiguous runs of the outcome axis (see the module notes on BLAS).
+    """
+    lead, _, settings, outcomes = amp.shape
+    out = np.empty((lead, 2, settings, 2, outcomes), dtype=complex)
+    term = np.empty((lead, settings, outcomes), dtype=complex)
+    for s, o in product(range(2), repeat=2):
+        view = out[:, s, :, o]
+        np.multiply(amp[:, 0], rows[s, o, 0], out=view)
+        view += np.multiply(amp[:, 1], rows[s, o, 1], out=term)
+    return out
 
 
 def _rank1_vector(proj: np.ndarray) -> np.ndarray:

@@ -54,7 +54,8 @@ def load_state_spec(path: str):
     """Parse a state spec file: measurement pairs, optional amplitudes.
 
     The party count and the state's dimensions are capped at MAX_PARTIES
-    qubits before any array is built.
+    qubits before any array is built, and the spec's ``n`` must equal the
+    number of pairs and of amplitude dims.
     """
     with open(path) as fh:
         spec = json.load(fh)
@@ -64,12 +65,16 @@ def load_state_spec(path: str):
     if not 2 <= n <= MAX_PARTIES:
         raise ScenarioError(f"n={n} outside [2, {MAX_PARTIES}]")
     pairs = _pairs_from_spec(spec) if "pairs" in spec else None
+    if pairs is not None and len(pairs) != n:
+        raise ValidationError(f"spec has n={n} but {len(pairs)} measurement pairs")
     state = None
     if "amplitudes" in spec:
         amp = spec["amplitudes"]
         dims = tuple(int(d) for d in amp.get("dims", [2] * n))
         if len(dims) > MAX_PARTIES or math.prod(dims) > 2 ** MAX_PARTIES:
             raise SizeError(f"state dims {dims} exceed {MAX_PARTIES} qubits")
+        if len(dims) != n:
+            raise ValidationError(f"spec has n={n} but {len(dims)} amplitude dims")
         amps = np.array(amp["re"], dtype=float) + 1j * np.array(amp["im"], dtype=float)
         state = StateVector(dims, amps)
     return n, pairs, state
@@ -390,7 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # usage errors (2) and --help (0)
+        return exc.code
     try:
         return args.func(args)
     except NumericError as exc:

@@ -1,14 +1,20 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hardylab
 from hardylab import cli
 from hardylab.cli import SCAN_HEADER, load_observables, load_state_spec, main
 from hardylab.npa import MAX_BASIS
 from hardylab.selftest import canonical_observables
+from hardylab.states import pmax
 
 
 @pytest.fixture(autouse=True)
@@ -359,9 +365,7 @@ class TestTol:
         ["selftest", "--canonical", "3"],
     ], ids=["state", "bounds-npa", "bounds-local", "scan", "selftest"])
     def test_rejected_before_any_work(self, argv, tol, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--tol", tol])
-        assert exc.value.code == 2
+        assert main(argv + ["--tol", tol]) == 2
         assert "--tol" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tol", ["-1", "nan"])
@@ -370,16 +374,106 @@ class TestTol:
         # tol" test, so the product state read as genuinely entangled
         path = tmp_path / "product.json"
         path.write_text(json.dumps(product_spec(3)))
-        with pytest.raises(SystemExit) as exc:
-            main(["state", "--spec", str(path), "--tol", tol])
-        assert exc.value.code == 2
-        capsys.readouterr()
+        assert main(["state", "--spec", str(path), "--tol", tol]) == 2
+        assert "--tol" in capsys.readouterr().err
         assert main(["state", "--spec", str(path), "--tol", "1e-9"]) == 0
         assert json.loads(capsys.readouterr().out)["genuinely_entangled"] is False
 
     def test_small_positive_tol_accepted(self, capsys):
         assert main(["state", "--n", "3", "--alpha-sq", "0.5", "--tol", "1e-300"]) == 0
         assert json.loads(capsys.readouterr().out)["genuinely_entangled"] is True
+
+
+class TestUsage:
+    def test_unknown_flag_returns_2(self, capsys):
+        assert main(["state", "--n", "3", "--bogus"]) == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+    def test_help_returns_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage: hardylab" in capsys.readouterr().out
+
+
+class TestSpecPartyCount:
+    @pytest.fixture
+    def hardy_spec(self, capsys):
+        assert main(["state", "--n", "3", "--alpha-sq", repr(pmax(3).t)]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("command", ["state", "selftest"])
+    def test_consistent_spec_accepted(self, tmp_path, hardy_spec, command):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(hardy_spec))
+        flag = "--spec" if command == "state" else "--state"
+        assert main([command, flag, str(path)]) == 0
+
+    @pytest.mark.parametrize("command", ["state", "selftest"])
+    @pytest.mark.parametrize("edit,message", [
+        ("n", "n=5 but 3 measurement pairs"),
+        ("pairs", "n=3 but 4 measurement pairs"),
+        ("dims", "n=3 but 2 amplitude dims"),
+        ("n-no-pairs", "n=5 but 3 amplitude dims"),
+    ])
+    def test_mismatch_exits_2(self, tmp_path, hardy_spec, command, edit,
+                              message, capsys):
+        # a spec saying n=5 around the 3-qubit Hardy state passed the
+        # self-test, which reads the party count off the amplitudes
+        spec = dict(hardy_spec)
+        if edit.startswith("n"):
+            spec["n"] = 5
+        if edit == "n-no-pairs":
+            del spec["pairs"]
+        if edit == "pairs":
+            spec["pairs"] = spec["pairs"] + spec["pairs"][:1]
+        if edit == "dims":
+            spec["amplitudes"] = dict(spec["amplitudes"], dims=[4, 2])
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        flag = "--spec" if command == "state" else "--state"
+        assert main([command, flag, str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+
+# Runs ``state --n 8`` and ``selftest --canonical 6`` in a loop and prints
+# the best loop's wall and process CPU seconds (every thread counts).
+BLAS_POOL_LOOP = """
+import io, sys, time
+from contextlib import redirect_stdout
+from hardylab.cli import main
+from hardylab.states import pmax
+jobs = [["state", "--n", "8", "--alpha-sq", repr(pmax(8).t)],
+        ["selftest", "--canonical", "6"]]
+best = None
+for _ in range(4):
+    c0, t0 = time.process_time(), time.perf_counter()
+    for _ in range(10):
+        for job in jobs:
+            with redirect_stdout(io.StringIO()):
+                assert main(job) == 0
+    run = (time.perf_counter() - t0, time.process_time() - c0)
+    best = run if best is None or run[0] < best[0] else best
+print(*best)
+"""
+
+
+def test_certify_path_keeps_off_the_blas_pool():
+    # State construction and the self-test make only small products; a
+    # BLAS call above the threading threshold wakes the pool, whose helper
+    # thread then spins through the job and doubles the CPU time
+    env = dict(os.environ)
+    src = str(Path(hardylab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    times = {}
+    for threads in (None, "1"):
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        done = subprocess.run([sys.executable, "-c", BLAS_POOL_LOOP], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        times[threads] = [float(v) for v in done.stdout.split()]
+    (wall, cpu), (wall_1, cpu_1) = times[None], times["1"]
+    assert wall <= 1.5 * wall_1
+    assert cpu <= 1.5 * cpu_1
 
 
 class TestSpecCaps:

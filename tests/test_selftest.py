@@ -6,8 +6,8 @@ import pytest
 from hardylab.errors import HypothesisUnmetError, ValidationError
 from hardylab.linalg import StateVector
 from hardylab.selftest import (JordanDecomposition, ObservablePair,
-                               canonical_observables, jordan_blocks,
-                               selftest_report)
+                               _expectation, canonical_observables,
+                               jordan_blocks, selftest_report)
 from hardylab.states import MeasurementPair, hardy_state, pmax
 
 
@@ -216,3 +216,17 @@ class TestSelfTestReport:
             state, obs, _ = embedded_hardy_setup(rng, junk_dims)
             report = selftest_report(state, obs)
             assert report.total_fidelity >= 1.0 - 1e-6, (trial, junk_dims)
+
+
+@pytest.mark.parametrize("d", [2, 8, 64])
+def test_expectation_matches_matrix_vector_product(d):
+    # the fidelity's einsum sums in another order than vdot(psi, sigma @ psi)
+    rng = np.random.default_rng(d)
+    for _ in range(10):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        sigma = (g + g.conj().T) / 2
+        sigma /= np.linalg.norm(sigma, 2)
+        psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        psi /= np.linalg.norm(psi)
+        want = float(np.vdot(psi, sigma @ psi).real)
+        assert abs(_expectation(psi, sigma) - want) <= 1e-15
