@@ -10,6 +10,13 @@ setting U; that choice is immaterial for no-signaling behaviors and
 no-signaling is verified at use.  Tables and projectors with non-finite
 entries are rejected.
 
+No-signaling is defined once, by ``signaling_gaps``: summed over a
+party's outcome, the table must not depend on that party's setting.  The
+no-signaling LP takes its rows from it and ``check_no_signaling`` reads
+its largest entry.  These n conditions imply no-signaling for every
+subset: flipping k dropped parties' settings one at a time moves the
+kept parties' marginal by at most k * 2^(k-1) times the largest gap.
+
 The Born rule of a pure qubit state contracts one party at a time with
 complex multiply-adds, never with BLAS: the products have inner
 dimension 2 and are just large enough (from about eight qubits) to wake
@@ -29,7 +36,11 @@ from .linalg import StateVector
 from .states import MeasurementPair
 
 NEGATIVITY_FLOOR = -1e-12
+# Largest per-party gap ``hardy_statistics`` accepts; a marginal with k
+# parties dropped then moves by at most k * 2^(k-1) * NS_TOL.
 NS_TOL = 1e-6
+# parties left to ``_square_into``; two would keep a half-table block alive
+_OPEN_PARTIES = 3
 
 
 @dataclass(frozen=True)
@@ -99,10 +110,12 @@ class BehaviorTensor:
                 f"probs shape {probs.shape}, expected {(2,) * (2 * n)}")
         if not np.isfinite(probs).all():
             raise ValidationError("probs has non-finite entries")
-        if probs.min() < NEGATIVITY_FLOOR:
+        low = probs.min()
+        if low < NEGATIVITY_FLOOR:
             raise ValidationError(
-                f"negative probability {probs.min()!r} below the clamp floor")
-        probs = np.clip(probs, 0.0, None)
+                f"negative probability {low!r} below the clamp floor")
+        if low < 0.0:
+            probs = np.clip(probs, 0.0, None)
         sums = probs.sum(axis=tuple(range(n, 2 * n)))
         if np.max(np.abs(sums - 1.0)) > 1e-10:
             raise ValidationError("per-setting outcome sums deviate from 1")
@@ -119,14 +132,6 @@ class HardyStats:
 
     p: float
     zeros: np.ndarray
-
-
-@dataclass(frozen=True)
-class NoSignalingReport:
-    max_violation: float
-    subset: tuple[int, ...]
-    settings_a: tuple[int, ...]
-    settings_b: tuple[int, ...]
 
 
 def measurements_from_pairs(pairs) -> MeasurementSet:
@@ -167,33 +172,42 @@ def _joint_pure_rank1(psi: StateVector, m: MeasurementSet) -> np.ndarray:
     as (open qubits, settings, outcomes); the new setting goes in front
     of the settings and the new outcome in front of the outcomes, so the
     block ends in the table's own order and needs no transpose.  The
-    first party comes last, one (setting, outcome) of it and one setting
-    of the second party at a time, squared straight into the table, so no
-    complex block is larger than the real table it fills.
+    first ``_OPEN_PARTIES`` parties stay open, a quarter-table block
+    that ``_square_into`` finishes, so about 1.5 tables are alive at the end.
     """
     n = m.n_parties
     rows = [np.array([[_rank1_vector(proj).conj() for proj in setting]
                       for setting in m.projectors[party]])
             for party in range(n)]
+    k = min(n, _OPEN_PARTIES)
     amp = psi.amps.reshape(-1, 2, 1, 1)
-    for party in range(n - 1, 0, -1):
+    for party in range(n - 1, k - 1, -1):
         block = _contract(rows[party], amp)
         amp = block.reshape(block.shape[0] // 2, 2, -1, 2 * block.shape[-1])
+    side = 2 ** (n - k)
     probs = np.empty((2,) * (2 * n))
-    half = amp.shape[2] // 2
-    # (s_1, s_2, s_3..s_n, o_1, o_2..o_n) and (q_1, s_2, s_3..s_n, o_2..o_n)
-    table = probs.reshape(2, 2, half, 2, amp.shape[3])
-    amp = amp.reshape(2, 2, half, amp.shape[3])
-    term = np.empty(amp.shape[2:], dtype=complex)
-    other = np.empty_like(term)
-    for s1, o1, s2 in product(range(2), repeat=3):
-        c0, c1 = rows[0][s1, o1]
-        np.multiply(amp[0, s2], c0, out=term)
-        term += np.multiply(amp[1, s2], c1, out=other)
-        out = table[s1, s2, :, o1]
-        np.abs(term, out=out)
-        np.square(out, out=out)
+    _square_into(probs.reshape((2,) * k + (side,) + (2,) * k + (side,)),
+                 amp.reshape(2 ** k, side, side), rows[:k])
     return probs
+
+
+def _square_into(table: np.ndarray, amp: np.ndarray, rows: list) -> None:
+    """Square ``amp`` (open qubits, settings, outcomes), contracted with the
+    open parties' ``rows``, into ``table`` (open settings, settings, open
+    outcomes, outcomes): the last open party one (setting, outcome) at a
+    time with ``_contract``'s multiply-adds, the rest recursively."""
+    k = len(rows)
+    amp = amp.reshape(-1, 2, *amp.shape[1:])
+    for s, o in product(range(2), repeat=2):
+        c0, c1 = rows[-1][s, o]
+        block = amp[:, 0] * c0
+        block += amp[:, 1] * c1
+        out = table[(slice(None),) * (k - 1) + (s,) + (slice(None),) * k + (o,)]
+        if k > 1:
+            _square_into(out, block, rows[:-1])
+        else:
+            np.abs(block[0], out=out)
+            np.square(out, out=out)
 
 
 def _contract(rows: np.ndarray, amp: np.ndarray) -> np.ndarray:
@@ -282,63 +296,32 @@ def hardy_statistics(b: BehaviorTensor) -> HardyStats:
     Marginal terms are only meaningful for no-signaling behaviors, so the
     no-signaling property is asserted within ``NS_TOL``.
     """
-    report = check_no_signaling(b)
-    if report.max_violation > NS_TOL:
+    gap = check_no_signaling(b)
+    if gap > NS_TOL:
         raise ValidationError(
-            f"behavior signals (violation {report.max_violation:.3e}); "
+            f"behavior signals (violation {gap:.3e}); "
             "Hardy marginals would be convention-dependent")
     p, zeros = hardy_values(b.probs, b.n)
     return HardyStats(p=float(p), zeros=zeros)
 
 
-def _subset_marginals(marg: np.ndarray, keep: list[int], start: int):
-    """Yield (kept parties, outcome marginal) for every nonempty subset of
-    ``keep`` reached by dropping parties >= ``start`` in increasing order.
+def signaling_gaps(probs: np.ndarray, n: int):
+    """Per-party no-signaling gaps of behavior tables.
 
-    ``marg`` holds the outcomes of ``keep`` on its leading axes, so each
-    marginal is the sum of two contiguous blocks of its parent.  The walk
-    is depth first, so at most n marginals are alive.
+    The trailing 2n axes of ``probs`` are one table each; any leading axes
+    are kept.  Yields, for parties i = 0..n-1 in turn, the table summed
+    over party i's outcome at setting U minus the same at setting D, with
+    shape (..., settings of the other parties, their outcomes).  A table
+    is no-signaling exactly when every gap is zero.
     """
-    if len(keep) == 1:
-        return
-    for pos, party in enumerate(keep):
-        if party >= start:
-            sub = keep[:pos] + keep[pos + 1:]
-            lead = (slice(None),) * pos
-            child = marg[lead + (0,)] + marg[lead + (1,)]
-            yield sub, child
-            yield from _subset_marginals(child, sub, party + 1)
+    probs = np.asarray(probs)
+    for i in range(n):
+        rest = (slice(None),) * (2 * n - 1 - i)
+        gap = probs[(..., 0, *rest)].sum(axis=i - n)
+        gap -= probs[(..., 1, *rest)].sum(axis=i - n)
+        yield gap
 
 
-def check_no_signaling(b: BehaviorTensor) -> NoSignalingReport:
-    """Largest marginal discrepancy over parties traced out of the behavior.
-
-    For every proper nonempty subset of kept parties, the outcome marginal
-    must not depend on the settings of the complement.  The raw maximum is
-    reported, for the subset with the smallest bit mask among those that
-    reach it.  The table is walked with the outcomes first; each marginal
-    is laid out as (settings of the complement, settings of the kept
-    parties, their outcomes) and reduced by one max and one min over the
-    complement's settings.
-    """
-    n = b.n
-    by_outcome = np.ascontiguousarray(
-        b.probs.transpose(list(range(n, 2 * n)) + list(range(n))))
-    worst = NoSignalingReport(0.0, (), (), ())
-    worst_mask = 0
-    for keep, marg in _subset_marginals(by_outcome, list(range(n)), 0):
-        drop = [i for i in range(n) if i not in keep]
-        settings = [len(keep) + i for i in drop + keep]
-        flat = marg.transpose(settings + list(range(len(keep)))).reshape(2 ** len(drop), -1)
-        spread = flat.max(axis=0) - flat.min(axis=0)
-        viol = float(spread.max())
-        mask = sum(1 << i for i in keep)
-        if viol > worst.max_violation or (
-                viol == worst.max_violation > 0.0 and mask < worst_mask):
-            col = int(np.argmax(spread))
-            unpack = lambda code: tuple((code >> k) & 1 for k in range(len(drop)))[::-1]
-            worst = NoSignalingReport(viol, tuple(keep),
-                                      unpack(int(np.argmax(flat[:, col]))),
-                                      unpack(int(np.argmin(flat[:, col]))))
-            worst_mask = mask
-    return worst
+def check_no_signaling(b: BehaviorTensor) -> float:
+    """Largest absolute per-party gap of a behavior (see ``signaling_gaps``)."""
+    return max(float(np.abs(gap, out=gap).max()) for gap in signaling_gaps(b.probs, b.n))

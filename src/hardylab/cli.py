@@ -17,6 +17,7 @@ import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -50,6 +51,20 @@ def _pairs_from_spec(spec: dict) -> list[MeasurementPair]:
     return pairs
 
 
+@contextmanager
+def _spec_file(path: str):
+    """Yield an input file's JSON object; a structural error in reading it
+    (a list for an object, a number for a matrix) is a ValidationError."""
+    with open(path) as fh:
+        spec = json.load(fh)
+    try:
+        if spec.get("schema") != SCHEMA:
+            raise ValidationError(f"unsupported schema {spec.get('schema')!r}")
+        yield spec
+    except (AttributeError, IndexError, TypeError) as exc:
+        raise ValidationError(f"{path}: malformed input file ({exc})") from exc
+
+
 def load_state_spec(path: str):
     """Parse a state spec file: measurement pairs, optional amplitudes.
 
@@ -57,44 +72,38 @@ def load_state_spec(path: str):
     qubits before any array is built, and the spec's ``n`` must equal the
     number of pairs and of amplitude dims.
     """
-    with open(path) as fh:
-        spec = json.load(fh)
-    if spec.get("schema") != SCHEMA:
-        raise ValidationError(f"unsupported schema {spec.get('schema')!r}")
-    n = int(spec["n"])
-    if not 2 <= n <= MAX_PARTIES:
-        raise ScenarioError(f"n={n} outside [2, {MAX_PARTIES}]")
-    pairs = _pairs_from_spec(spec) if "pairs" in spec else None
-    if pairs is not None and len(pairs) != n:
-        raise ValidationError(f"spec has n={n} but {len(pairs)} measurement pairs")
-    state = None
-    if "amplitudes" in spec:
-        amp = spec["amplitudes"]
-        dims = tuple(int(d) for d in amp.get("dims", [2] * n))
-        if len(dims) > MAX_PARTIES or math.prod(dims) > 2 ** MAX_PARTIES:
-            raise SizeError(f"state dims {dims} exceed {MAX_PARTIES} qubits")
-        if len(dims) != n:
-            raise ValidationError(f"spec has n={n} but {len(dims)} amplitude dims")
-        amps = np.array(amp["re"], dtype=float) + 1j * np.array(amp["im"], dtype=float)
-        state = StateVector(dims, amps)
+    with _spec_file(path) as spec:
+        n = int(spec["n"])
+        if not 2 <= n <= MAX_PARTIES:
+            raise ScenarioError(f"n={n} outside [2, {MAX_PARTIES}]")
+        pairs = _pairs_from_spec(spec) if "pairs" in spec else None
+        if pairs is not None and len(pairs) != n:
+            raise ValidationError(f"spec has n={n} but {len(pairs)} measurement pairs")
+        state = None
+        if "amplitudes" in spec:
+            amp = spec["amplitudes"]
+            dims = tuple(int(d) for d in amp.get("dims", [2] * n))
+            if len(dims) > MAX_PARTIES or math.prod(dims) > 2 ** MAX_PARTIES:
+                raise SizeError(f"state dims {dims} exceed {MAX_PARTIES} qubits")
+            if len(dims) != n:
+                raise ValidationError(f"spec has n={n} but {len(dims)} amplitude dims")
+            amps = np.array(amp["re"], dtype=float) + 1j * np.array(amp["im"], dtype=float)
+            state = StateVector(dims, amps)
     return n, pairs, state
 
 
 def load_observables(path: str) -> list[ObservablePair]:
-    with open(path) as fh:
-        spec = json.load(fh)
-    if spec.get("schema") != SCHEMA:
-        raise ValidationError(f"unsupported schema {spec.get('schema')!r}")
-    if len(spec["parties"]) > MAX_PARTIES:
-        raise ScenarioError(f"{len(spec['parties'])} parties exceed {MAX_PARTIES}")
-    out = []
-    for party in spec["parties"]:
-        mats = []
-        for key in ("a1", "a2"):
-            entry = party[key]
-            mats.append(np.array(entry["re"], dtype=float)
-                        + 1j * np.array(entry["im"], dtype=float))
-        out.append(ObservablePair(a1=mats[0], a2=mats[1]))
+    with _spec_file(path) as spec:
+        if len(spec["parties"]) > MAX_PARTIES:
+            raise ScenarioError(f"{len(spec['parties'])} parties exceed {MAX_PARTIES}")
+        out = []
+        for party in spec["parties"]:
+            mats = []
+            for key in ("a1", "a2"):
+                entry = party[key]
+                mats.append(np.array(entry["re"], dtype=float)
+                            + 1j * np.array(entry["im"], dtype=float))
+            out.append(ObservablePair(a1=mats[0], a2=mats[1]))
     return out
 
 

@@ -5,10 +5,11 @@ precludes cycling on the heavily degenerate systems produced here; its
 variables are nonnegative.  Both problems take their objective and error
 rows from ``behavior.hardy_values``.  The local problem is posed in the
 vertex-weight basis (one variable per deterministic strategy); the
-no-signaling problem directly in behavior entries, with one family of
-equalities per party: summed over that party's outcome, the table does
-not depend on its setting.  These n families imply no-signaling for every
-party subset, which ``check_no_signaling`` audits on the solution.
+no-signaling problem directly in behavior entries, with the per-party
+equalities of ``behavior.signaling_gaps``: summed over a party's outcome,
+the table does not depend on its setting.  They imply no-signaling for
+every subset (k dropped parties move a marginal by at most k * 2^(k-1)
+times the largest gap); ``check_no_signaling`` audits them on the solution.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 
-from .behavior import BehaviorTensor, Scenario, check_no_signaling, hardy_values
+from .behavior import (BehaviorTensor, Scenario, check_no_signaling, hardy_values,
+                       signaling_gaps)
 from .errors import NumericError, ValidationError
 
 FEAS_TOL = 1e-9
@@ -240,9 +242,8 @@ def nosignaling_max(q: BoundQuery) -> LPSolution:
 
     for row in unit.sum(axis=tuple(range(n + 1, 2 * n + 1))).reshape(4 ** n, -1).T:
         lp.add(row, "=", 1.0)
-    for i in range(n):
-        marg = unit.sum(axis=n + 1 + i)  # party i's outcome summed out
-        for row in (marg.take(0, axis=1 + i) - marg.take(1, axis=1 + i)).reshape(4 ** n, -1).T:
+    for gap in signaling_gaps(unit, n):
+        for row in gap.reshape(4 ** n, -1).T:
             lp.add(row, "=", 0.0)
 
     for row in zs.T:
@@ -251,8 +252,7 @@ def nosignaling_max(q: BoundQuery) -> LPSolution:
     sol = lp_solve(lp)
     if sol.status == "optimal":
         behavior = BehaviorTensor(Scenario(n), np.clip(sol.assignment, 0.0, None).reshape(shape))
-        report = check_no_signaling(behavior)
-        if report.max_violation > 1e-8:
-            raise NumericError(
-                f"no-signaling LP solution signals by {report.max_violation:.2e}")
+        gap = check_no_signaling(behavior)
+        if gap > 1e-8:
+            raise NumericError(f"no-signaling LP solution signals by {gap:.2e}")
     return sol

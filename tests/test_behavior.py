@@ -7,9 +7,9 @@ import pytest
 from conftest import random_pairs, random_state
 from dense_hardy import hardy_functionals
 
-from hardylab.behavior import (BehaviorTensor, MeasurementSet,
-                               NoSignalingReport, Scenario, check_no_signaling,
-                               hardy_statistics, hardy_values, joint_distribution,
+from hardylab.behavior import (BehaviorTensor, MeasurementSet, Scenario,
+                               check_no_signaling, hardy_statistics,
+                               hardy_values, joint_distribution,
                                measurements_from_observables,
                                measurements_from_pairs)
 from hardylab.errors import ValidationError
@@ -52,27 +52,42 @@ def reduction_walk_marginals(marg, n, keep, start):
 
 
 def reduction_walk_report(b):
-    """Reference no-signaling audit: per subset, the spread of each column
-    of the complement's settings, by max/min reductions."""
+    """Subset oracle for the no-signaling audit: for every proper nonempty
+    subset of kept parties, the largest spread (max - min over the
+    settings of the parties left out) of its outcome marginal, keyed by
+    the kept parties."""
     n = b.n
-    worst = NoSignalingReport(0.0, (), (), ())
-    worst_mask = 0
+    spreads = {}
     for keep, marg in reduction_walk_marginals(b.probs, n, list(range(n)), 0):
         drop = [i for i in range(n) if i not in keep]
         flat = np.moveaxis(marg, drop, range(len(drop))).reshape(2 ** len(drop), -1)
-        spread = flat.max(axis=0) - flat.min(axis=0)
-        col = int(np.argmax(spread))
-        viol = float(spread[col])
-        mask = sum(1 << i for i in keep)
-        if viol > worst.max_violation or (
-                viol == worst.max_violation > 0.0 and mask < worst_mask):
-            unpack = lambda code: tuple((code >> k) & 1 for k in range(len(drop)))[::-1]
-            worst = NoSignalingReport(
-                max_violation=viol, subset=tuple(keep),
-                settings_a=unpack(int(np.argmax(flat[:, col]))),
-                settings_b=unpack(int(np.argmin(flat[:, col]))))
-            worst_mask = mask
-    return worst
+        spreads[tuple(keep)] = float((flat.max(axis=0) - flat.min(axis=0)).max())
+    return spreads
+
+
+def direct_marginal_spreads(probs, n):
+    """The same spreads with each subset's marginal summed straight from
+    the table."""
+    spreads = {}
+    for mask in range(1, 2 ** n - 1):
+        keep = tuple(i for i in range(n) if (mask >> i) & 1)
+        drop = [i for i in range(n) if not (mask >> i) & 1]
+        marg = probs.sum(axis=tuple(n + i for i in drop))
+        flat = np.moveaxis(marg, drop, range(len(drop))).reshape(2 ** len(drop), -1)
+        spreads[keep] = float((flat.max(axis=0) - flat.min(axis=0)).max())
+    return spreads
+
+
+def assert_audit_matches_subsets(gap, spreads, n):
+    """The per-party audit against subset spreads: it equals the largest
+    spread over the n subsets of n - 1 parties, bounds every subset with k
+    parties dropped by k * 2^(k-1) times itself, and is zero exactly when
+    every spread is."""
+    assert gap == max(v for keep, v in spreads.items() if len(keep) == n - 1)
+    for keep, spread in spreads.items():
+        k = n - len(keep)
+        assert spread <= k * 2 ** (k - 1) * gap
+    assert (gap == 0.0) == (max(spreads.values()) == 0.0)
 
 
 def optimal_setup(n):
@@ -158,8 +173,9 @@ class TestJointDistribution:
             assert np.max(np.abs(fast.probs - slow.probs)) <= 1e-12
 
     def test_pure_rank1_memory(self):
-        # The complex amplitude block is built for one first-party setting
-        # at a time; all settings at once would double it
+        # The first three parties are finished one (setting, outcome) at a
+        # time from a quarter-table complex block; contracting them like
+        # the others would leave a full-table block beside the table
         psi, m = optimal_setup(8)
         table = 8 * 4 ** 8
         tracemalloc.start()
@@ -169,6 +185,19 @@ class TestJointDistribution:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * table
+
+    def test_behavior_memory(self):
+        # the table, the quarter-table block it is squared from and that
+        # block's halves; the behavior keeps the table, since nothing in a
+        # Born-rule table is negative and so nothing is clipped
+        psi, m = optimal_setup(10)
+        tracemalloc.start()
+        try:
+            b = joint_distribution(psi, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * b.probs.nbytes
 
     @pytest.mark.parametrize("dims", [(2, 3, 4), (4, 4, 4)])
     def test_general_path_matches_kron_trace(self, dims):
@@ -196,7 +225,7 @@ class TestJointDistribution:
             b = joint_distribution(psi, measurements_from_pairs(random_pairs(rng, n)))
             sums = b.probs.sum(axis=tuple(range(n, 2 * n)))
             assert np.max(np.abs(sums - 1.0)) < 1e-10
-            assert check_no_signaling(b).max_violation < 1e-10
+            assert check_no_signaling(b) <= 1e-14
 
     def test_dimension_mismatch(self):
         m = measurements_from_pairs([MeasurementPair.from_alpha_sq(0.5)] * 3)
@@ -292,7 +321,7 @@ class TestNonFiniteInput:
 class TestNoSignaling:
     def test_uniform_zero(self):
         b = BehaviorTensor(Scenario(2), np.full((2, 2, 2, 2), 0.25))
-        assert check_no_signaling(b).max_violation == 0.0
+        assert check_no_signaling(b) == 0.0
 
     def test_designed_violation(self):
         eps = 0.37
@@ -302,75 +331,31 @@ class TestNoSignaling:
         probs[:, 1, 0, 0] = 1.0 - eps
         probs[:, 1, 1, 0] = eps
         b = BehaviorTensor(Scenario(2), probs)
-        report = check_no_signaling(b)
-        assert abs(report.max_violation - eps) < 1e-12
-        assert report.subset == (0,)
+        assert abs(check_no_signaling(b) - eps) < 1e-12
 
     def test_detects_joint_marginal_signaling(self):
         # Parties 1 and 2 output equal bits when party 3 measures U and
         # opposite bits when it measures D: every single-party marginal is
-        # uniform, only the pair (1, 2) signals
+        # uniform, only the pair (1, 2) signals, and party 3's gap sees it
         probs = np.zeros((2,) * 6)
         for s1, s2, s3, o1, o3 in product(range(2), repeat=5):
             probs[s1, s2, s3, o1, o1 ^ s3, o3] = 0.25
-        report = check_no_signaling(BehaviorTensor(Scenario(3), probs))
-        assert abs(report.max_violation - 0.5) < 1e-15
-        assert report.subset == (0, 1)
+        assert abs(check_no_signaling(BehaviorTensor(Scenario(3), probs)) - 0.5) < 1e-15
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_direct_marginal_oracle(self, n):
-        # Oracle: each subset's marginal summed straight from the table,
-        # subsets in increasing bit-mask order, first maximum kept
+        # Oracle: each subset's marginal summed straight from the table
         rng = np.random.default_rng(40 + n)
         for _ in range(3):
             probs = rng.random((2,) * (2 * n)) ** 3
             probs /= probs.sum(axis=tuple(range(n, 2 * n)), keepdims=True)
-            want, want_subset = 0.0, ()
-            for mask in range(1, 2 ** n - 1):
-                keep = [i for i in range(n) if (mask >> i) & 1]
-                drop = [i for i in range(n) if not (mask >> i) & 1]
-                marg = probs.sum(axis=tuple(n + i for i in drop))
-                flat = np.moveaxis(marg, drop, range(len(drop))).reshape(2 ** len(drop), -1)
-                viol = float((flat.max(axis=0) - flat.min(axis=0)).max())
-                if viol > want:
-                    want, want_subset = viol, tuple(keep)
-            report = check_no_signaling(BehaviorTensor(Scenario(n), probs))
-            assert abs(report.max_violation - want) <= 1e-15
-            assert report.subset == want_subset
-            # the reported settings of the complement reach the violation
-            drop = [i for i in range(n) if i not in report.subset]
-            marg = probs.sum(axis=tuple(n + i for i in drop))
-            idx_a, idx_b = [slice(None)] * n, [slice(None)] * n
-            for party, a, b in zip(drop, report.settings_a, report.settings_b):
-                idx_a[party], idx_b[party] = a, b
-            gap = np.abs(marg[tuple(idx_a)] - marg[tuple(idx_b)]).max()
-            assert abs(gap - report.max_violation) <= 1e-15
-
-    @pytest.mark.parametrize("s_a, s_b", [((0, 0), (0, 1)), ((1, 0), (0, 1))])
-    def test_column_ties_break_in_table_order(self, s_a, s_b):
-        # Party 3's setting moves the (1, 2) marginal by delta = 1/32 in two
-        # columns, (s_a, o = 10) and (s_b, o = 00), and single parties by
-        # delta / 2 at most.  The first column in (settings, outcomes)
-        # order names the complement settings; an outcomes-first order or
-        # reversed kept settings would pick the other and swap them.
-        delta = 1 / 32
-        probs = np.full((2,) * 6, 1 / 8)
-        moves = {s_a: {(0, 0): delta / 2, (1, 0): -delta, (1, 1): delta / 2},
-                 s_b: {(0, 0): delta, (0, 1): -delta / 2, (1, 0): -delta / 2}}
-        for (s1, s2), move in moves.items():
-            for (o1, o2), c in move.items():
-                probs[s1, s2, 1, o1, o2, 0] += c
-        b = BehaviorTensor(Scenario(3), probs)
-        first = min(s_a, s_b)
-        want = ((0,), (1,)) if first == s_a else ((1,), (0,))
-        report = check_no_signaling(b)
-        assert report == NoSignalingReport(delta, (0, 1), *want)
-        assert report == reduction_walk_report(b)
+            gap = check_no_signaling(BehaviorTensor(Scenario(n), probs))
+            assert gap > 0.0
+            assert_audit_matches_subsets(gap, direct_marginal_spreads(probs, n), n)
 
     def test_audit_memory(self):
-        # the outcome-first copy of the table, the depth-first marginals
-        # (under one table together) and one marginal's settings-first copy
-        # (at most half a table) with its column maxima and minima
+        # one party's two half-sums (a quarter table each) and the gap of
+        # the party before, which the generator still holds
         psi, m = optimal_setup(8)
         b = joint_distribution(psi, m)
         tracemalloc.start()
@@ -379,17 +364,17 @@ class TestNoSignaling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * b.probs.nbytes
+        assert peak <= 1.5 * b.probs.nbytes
 
     def test_quantum_behaviors_pass(self):
         psi, m = optimal_setup(3)
         b = joint_distribution(psi, m)
-        assert check_no_signaling(b).max_violation <= 1e-10
+        assert check_no_signaling(b) <= 1e-14
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_matches_reduction_walk(self, n):
-        # cross-check: the same depth-first walk with numpy reductions over
-        # the length-2 axes; the reports agree exactly, ties included
+        # cross-check against the depth-first subset walk with numpy
+        # reductions over the length-2 axes
         rng = np.random.default_rng(60 + n)
         psi = random_state(rng, (2,) * n)
         exact = joint_distribution(psi, measurements_from_pairs(random_pairs(rng, n))).probs
@@ -404,7 +389,9 @@ class TestNoSignaling:
         behaviors.append(tied)
         for probs in behaviors:
             b = BehaviorTensor(Scenario(n), probs)
-            assert check_no_signaling(b) == reduction_walk_report(b)
+            gap = check_no_signaling(b)
+            assert_audit_matches_subsets(gap, reduction_walk_report(b), n)
+        assert check_no_signaling(BehaviorTensor(Scenario(n), exact)) <= 1e-14
 
 
 class TestMeasurementsFromObservables:

@@ -505,3 +505,33 @@ class TestSpecCaps:
         path.write_text(json.dumps({"schema": 1, "parties": [party] * 13}))
         assert main(["selftest", "--canonical", "3", "--observables", str(path)]) == 2
         assert "13 parties exceed 12" in capsys.readouterr().err
+
+
+class TestMalformedFiles:
+    # each shape once raised out of main (TypeError, IndexError,
+    # AttributeError) and the console script exited 1, a self-test FAIL
+    def test_scalar_pair_amplitude(self, tmp_path, capsys):
+        spec = product_spec(2)
+        spec["pairs"][0] = dict(spec["pairs"][0], alpha=0.5)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["state", "--spec", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_scalar_observable(self, tmp_path, capsys):
+        o = canonical_observables(2)[0]
+        party = {"a1": {"re": 1, "im": 0},
+                 "a2": {"re": o.a2.real.tolist(), "im": o.a2.imag.tolist()}}
+        path = tmp_path / "obs.json"
+        path.write_text(json.dumps({"schema": 1, "parties": [party] * 2}))
+        assert main(["selftest", "--canonical", "2", "--observables", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["state", "--spec"],
+                                      ["selftest", "--state"],
+                                      ["selftest", "--canonical", "2", "--observables"]])
+    def test_top_level_list(self, tmp_path, argv, capsys):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps([product_spec(2)]))
+        assert main(argv + [str(path)]) == 2
+        assert str(path) in capsys.readouterr().err

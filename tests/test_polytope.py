@@ -6,7 +6,7 @@ import pytest
 from dense_hardy import hardy_functionals
 from hardylab import polytope
 from hardylab.behavior import (BehaviorTensor, Scenario, check_no_signaling,
-                               hardy_statistics)
+                               hardy_statistics, hardy_values)
 from hardylab.errors import ValidationError
 from hardylab.polytope import (BoundQuery, LinearProgram, LPSolution,
                                _pivot, _vertex_table, local_max, lp_solve,
@@ -241,7 +241,7 @@ class TestDeterministicVertices:
 
     def test_vertices_are_no_signaling(self):
         for v in vertex_behaviors(2):
-            assert check_no_signaling(v).max_violation == 0.0
+            assert check_no_signaling(v) == 0.0
 
     def test_local_bound_inequality_on_mixtures(self):
         # every local behavior obeys p <= z_1 + ... + z_{n+1}
@@ -319,6 +319,35 @@ class TestNoSignalingMax:
             got, want = nosignaling_max(q), redundant_nosignaling_max(q)
             assert got.status == want.status == "optimal"
             assert abs(got.value - want.value) <= 1e-15
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rows_match_marginal_differences(self, n, monkeypatch):
+        # Oracle: the rows as built before they came from
+        # behavior.signaling_gaps, party i's outcome summed out of the unit
+        # batch and its two settings subtracted
+        posed = []
+
+        def recording_solve(lp):
+            posed.append(lp)
+            return lp_solve(lp)
+
+        monkeypatch.setattr(polytope, "lp_solve", recording_solve)
+        nosignaling_max(BoundQuery(n, 0.05))
+        unit = np.eye(4 ** n).reshape((4 ** n,) + (2,) * (2 * n))
+        p, zs = hardy_values(unit, n)
+        want = [(row, "=", 1.0) for row in
+                unit.sum(axis=tuple(range(n + 1, 2 * n + 1))).reshape(4 ** n, -1).T]
+        for i in range(n):
+            marg = unit.sum(axis=n + 1 + i)
+            gaps = marg.take(0, axis=1 + i) - marg.take(1, axis=1 + i)
+            want += [(row, "=", 0.0) for row in gaps.reshape(4 ** n, -1).T]
+        want += [(row, "<=", 0.05) for row in zs.T]
+        (lp,) = posed
+        assert np.array_equal(lp.objective, p)
+        assert len(lp.constraints) == len(want)
+        for (got_row, got_rel, got_b), (want_row, want_rel, want_b) in zip(lp.constraints, want):
+            assert np.array_equal(got_row, want_row)
+            assert (got_rel, got_b) == (want_rel, want_b)
 
     def test_per_party_row_count(self, monkeypatch):
         counts = []
