@@ -12,11 +12,9 @@ from .polytope import (BoundQuery, LinearProgram, LPSolution, local_max,
 from .sdp import MomentSolution, sdp_solve
 from .selftest import (JordanDecomposition, ObservablePair, SelfTestReport,
                        canonical_observables, jordan_blocks, selftest_report)
-from .states import (MeasurementPair, PmaxResult, TripartiteCoefficients,
-                     hardy_state, is_genuinely_entangled,
-                     optimal_alpha_sq_tripartite, pmax, success_prob_closed,
-                     tripartite_explicit)
-from .variational import (AnsatzParams, LowerBoundResult, ansatz_measurements,
-                          ansatz_state, lower_bound)
+from .states import (MeasurementPair, PmaxResult, hardy_state,
+                     is_genuinely_entangled, optimal_alpha_sq_tripartite, pmax,
+                     success_prob_closed, tripartite_explicit)
+from .variational import LowerBoundResult, ansatz, lower_bound
 
 __version__ = "0.1.0"

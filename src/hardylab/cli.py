@@ -249,6 +249,8 @@ def cmd_scan(args) -> int:
     if not 2 <= args.steps <= MAX_SCAN_STEPS:
         raise ValidationError(
             f"--steps = {args.steps} outside [2, {MAX_SCAN_STEPS}]")
+    if args.restarts < 1:
+        raise ValidationError(f"--restarts = {args.restarts} must be at least 1")
     if not 0.0 <= args.eps_from < args.eps_to <= EPSILON_MAX:
         raise ValidationError(
             f"grid must satisfy 0 <= from < to <= {EPSILON_MAX}")

@@ -139,7 +139,6 @@ class MomentProblem:
     level: int
     epsilon: float
     basis: list
-    moment_index: dict
     variables: list
     cell_var: np.ndarray
     objective: dict
@@ -156,7 +155,7 @@ class MomentProblem:
 
     @property
     def identity_var(self) -> int:
-        return self.moment_index[identity_monomial(self.scenario.n)]
+        return self.variables.index(identity_monomial(self.scenario.n))
 
 
 def _variable_key(m: Monomial) -> Monomial:
@@ -277,8 +276,7 @@ def build_moment_problem(scenario: Scenario, level: int, epsilon: float) -> Mome
             row[var] = row.get(var, 0.0) + coef
         inequalities.append((row, float(epsilon)))
     return MomentProblem(scenario=scenario, level=level, epsilon=float(epsilon),
-                         basis=basis, moment_index=moment_index,
-                         variables=variables, cell_var=renumber[cell_ids],
+                         basis=basis, variables=variables, cell_var=renumber[cell_ids],
                          objective=objective, equalities=equalities,
                          inequalities=inequalities)
 

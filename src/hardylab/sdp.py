@@ -205,11 +205,10 @@ def _max_step_lin(v: np.ndarray, dv: np.ndarray) -> float:
     return float(np.min(-v[neg] / dv[neg])) if neg.any() else np.inf
 
 
-def sdp_solve(problem, tol: float = DEFAULT_TOL,
-              max_iter: int = DEFAULT_MAX_ITER) -> MomentSolution:
+def sdp_solve(problem, tol: float = DEFAULT_TOL) -> MomentSolution:
     """Primal-dual interior-point solve of a moment problem.
 
-    No start point is needed.  ``max_iter`` caps the number of iterations;
+    No start point is needed.  DEFAULT_MAX_ITER caps the number of iterations;
     ``converged`` reports whether the stopping rule was met and the
     returned moments pass the PSD and affine audits to ``tol``.
     """
@@ -237,7 +236,7 @@ def sdp_solve(problem, tol: float = DEFAULT_TOL,
         if gap <= GAP_FRACTION * tol and dual_res <= DUAL_RESIDUAL:
             converged = True
             break
-        if iters >= max_iter:
+        if iters >= DEFAULT_MAX_ITER:
             break
         x_low, z_low = _cholesky(x_mat), _cholesky(z_mat)
         if x_low is None or z_low is None:

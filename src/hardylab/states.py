@@ -82,22 +82,6 @@ class PmaxResult:
     p_max: float
 
 
-@dataclass(frozen=True)
-class TripartiteCoefficients:
-    """Coefficients (c0, c1, c2, c3) of the symmetric three-qubit closed form."""
-
-    c0: complex
-    c1: complex
-    c2: complex
-    c3: complex
-
-    def __post_init__(self):
-        total = (abs(self.c0) ** 2 + 3 * abs(self.c1) ** 2
-                 + 3 * abs(self.c2) ** 2 + abs(self.c3) ** 2)
-        if abs(total - 1.0) > 1e-10:
-            raise ValidationError(f"coefficient norm {total!r}, expected 1")
-
-
 def _check_scenario(n: int, pairs) -> list[MeasurementPair]:
     if n < 2:
         raise ScenarioError(f"need at least two parties, got n={n}")
@@ -193,7 +177,7 @@ def optimal_alpha_sq_tripartite() -> float:
     return (c * c - c - 2.0) / (3.0 * c)
 
 
-def tripartite_explicit(pair: MeasurementPair) -> tuple[TripartiteCoefficients, StateVector]:
+def tripartite_explicit(pair: MeasurementPair) -> StateVector:
     """Three-qubit Hardy state in its symmetric closed form.
 
     With a = |alpha|, b = |beta| and N = sqrt(1 - a^6):
@@ -212,16 +196,11 @@ def tripartite_explicit(pair: MeasurementPair) -> tuple[TripartiteCoefficients, 
     beta = pair.beta
     norm = math.sqrt(1.0 - a ** 6)
     ph = np.conj(pair.alpha) / a
-    c0 = complex(a ** 3 * b ** 3 / norm)
-    c1 = -beta * a ** 4 * b / norm * ph
-    c2 = beta ** 2 * a ** 5 / (b * norm) * ph ** 2
-    c3 = beta ** 3 * norm / b ** 3 * ph ** 3
-    coeffs = TripartiteCoefficients(c0=c0, c1=c1, c2=c2, c3=c3)
-    amps = np.zeros(8, dtype=complex)
-    for idx in range(8):
-        weight = bin(idx).count("1")
-        amps[idx] = (c0, c1, c2, c3)[weight]
-    return coeffs, StateVector((2, 2, 2), amps)
+    coeffs = np.array([a ** 3 * b ** 3 / norm,
+                       -beta * a ** 4 * b / norm * ph,
+                       beta ** 2 * a ** 5 / (b * norm) * ph ** 2,
+                       beta ** 3 * norm / b ** 3 * ph ** 3])
+    return StateVector((2, 2, 2), coeffs[[bin(idx).count("1") for idx in range(8)]])
 
 
 def _gram_spectra(t: np.ndarray, dim: int, orders) -> np.ndarray:

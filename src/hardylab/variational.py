@@ -1,29 +1,36 @@
 """Quantum lower bound from a three-qubit ansatz and projective measurements.
 
-The state family carries four real amplitudes, one per Hamming weight of
-the computational pattern, and three phases (phi, xi, theta), one per
-party, attached to every basis state through the parties showing |0>:
+The ansatz is one gauge-fixed seven-vector x: four real amplitudes, one
+per Hamming weight of the computational pattern, and three measurement
+angles, one per party.  ``ansatz(x)`` builds the state
 
-    c000 e^{-i(phi+xi+theta)} |000>
-  + c001 (e^{-i(phi+theta)} |010> + e^{-i(xi+theta)} |100> + e^{-i(phi+xi)} |001>)
-  + c011 (e^{-i phi} |011> + e^{-i xi} |101> + e^{-i theta} |110>)
-  + c111 |111>
+    x0 |000> + x1 (|001> + |010> + |100>) + x2 (|011> + |101> + |110>) + x3 |111>
 
-Party j's first observable is computational; the second has eigenvectors
-cos(a_j/2)|0> + e^{i p_j} sin(a_j/2)|1> and its orthogonal complement,
-with the phase p_j shared with the state.
+and, for party j, a computational first observable and a second one
+with eigenvectors cos(a_j/2)|0> + sin(a_j/2)|1> and its orthogonal
+complement, a_j = x[4 + j].
 
-The phases are gauge.  The state is (U_1 (x) U_2 (x) U_3) applied to its
-zero-phase version, with U_j = diag(e^{-i p_j}, 1), and U_j maps party j's
-zero-phase outcome vectors to its phased ones up to a global phase, while
-it commutes with the computational projectors.  Every probability is
+The vector carries no phases because phases are gauge.  Give party j's
+D eigenvectors a phase, cos(a_j/2)|0> + e^{i p_j} sin(a_j/2)|1>, and
+attach the same p_j to every basis state through the parties showing
+|0>:
+
+    x0 e^{-i(p1+p2+p3)} |000>
+  + x1 (e^{-i(p1+p3)} |010> + e^{-i(p2+p3)} |100> + e^{-i(p1+p2)} |001>)
+  + x2 (e^{-i p1} |011> + e^{-i p2} |101> + e^{-i p3} |110>)
+  + x3 |111>
+
+This state is (U_1 (x) U_2 (x) U_3) applied to its zero-phase version,
+with U_j = diag(e^{-i p_j}, 1), and U_j maps party j's zero-phase
+outcome vectors to its phased ones up to a global phase, while it
+commutes with the computational projectors.  Every probability is
 therefore independent of the phases, and so is every Hardy statistic.
 The amplitudes enter only through their normalised values, so their
-scale is flat as well.  The search therefore runs over the gauge-fixed
-seven-parameter vector x = (four unnormalised amplitudes, three angles)
-with the phases at 0; there ``hardy_terms`` is a real closed form that
-also returns analytic gradients, carried through the weighted
-normalisation c = x / N, N^2 = x0^2 + 3 x1^2 + 3 x2^2 + x3^2.
+scale is flat as well.  The search therefore runs over unnormalised
+seven-vectors; there ``hardy_terms`` is a real closed form that also
+returns analytic gradients, carried through the weighted normalisation
+c = x / N, N^2 = x0^2 + 3 x1^2 + 3 x2^2 + x3^2.  The reported point is
+normalised, N = 1.
 
 The local solver is an augmented Lagrangian (Powell-Hestenes-Rockafellar
 form) for max p subject to z_j <= eps, with a smooth quadratic penalty
@@ -53,7 +60,7 @@ import numpy as np
 
 from .behavior import (MeasurementSet, hardy_statistics, joint_distribution,
                        measurements_from_pairs)
-from .errors import DegenerateMeasurementError, NumericError, ValidationError
+from .errors import NumericError, ValidationError
 from .linalg import StateVector
 from .states import pmax, tripartite_explicit, MeasurementPair
 
@@ -86,38 +93,9 @@ def _norm_sq(c) -> float:
 
 
 @dataclass(frozen=True)
-class AnsatzParams:
-    """Parameters of the three-qubit state family and its measurements."""
-
-    c000: float
-    c001: float
-    c011: float
-    c111: float
-    phi: float
-    xi: float
-    theta: float
-    meas_alpha: float
-    meas_beta: float
-    meas_gamma: float
-
-    def __post_init__(self):
-        total = _norm_sq((self.c000, self.c001, self.c011, self.c111))
-        if abs(total - 1.0) > 1e-10:
-            raise ValidationError(f"amplitude norm {total!r}, expected 1")
-        for ang in (self.meas_alpha, self.meas_beta, self.meas_gamma):
-            if not 0.0 < ang < math.pi:
-                raise DegenerateMeasurementError(
-                    f"measurement angle {ang!r} outside (0, pi)")
-
-    @property
-    def phases(self) -> tuple[float, float, float]:
-        return (self.phi, self.xi, self.theta)
-
-
-@dataclass(frozen=True)
 class LowerBoundResult:
     value: float
-    params: AnsatzParams
+    x: tuple  # normalised gauge-fixed vector: four amplitudes, three angles
     constraint_values: np.ndarray
     restarts_used: int  # restarts run; fewer than requested at epsilon = 0
     seed: int
@@ -125,27 +103,17 @@ class LowerBoundResult:
     iterations: int  # BFGS iterations over all restarts
 
 
-# bits[idx] = (a, b, c) of basis state |abc> at index 4a + 2b + c
-_BITS = (np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1
+# Hamming weight of the basis state at index 4a + 2b + c
+_WEIGHTS = [0, 1, 1, 2, 1, 2, 2, 3]
 
 
-def ansatz_state(p: AnsatzParams) -> StateVector:
-    """Amplitude c_w e^{-i (phases of the parties showing |0>)} on every
-    basis state of Hamming weight w."""
-    c = np.array([p.c000, p.c001, p.c011, p.c111])
-    phase = (1 - _BITS) @ np.array(p.phases)
-    return StateVector((2, 2, 2), c[_BITS.sum(axis=1)] * np.exp(-1j * phase))
-
-
-def ansatz_measurements(p: AnsatzParams) -> MeasurementSet:
-    pairs = []
-    for angle, phase in zip((p.meas_alpha, p.meas_beta, p.meas_gamma), p.phases):
-        if not ANGLE_MARGIN / 10 < angle < math.pi - ANGLE_MARGIN / 10:
-            raise DegenerateMeasurementError(
-                f"angle {angle!r} too close to the boundary")
-        half = 0.5 * angle
-        pairs.append(MeasurementPair(math.cos(half), math.sin(half) * np.exp(1j * phase)))
-    return measurements_from_pairs(pairs)
+def ansatz(x) -> tuple[StateVector, MeasurementSet]:
+    """State and measurements of the normalised gauge-fixed vector ``x``:
+    amplitude x[w] on every basis state of Hamming weight w, and party j's
+    pair (cos(a/2), sin(a/2)) at angle a = x[4 + j]."""
+    psi = StateVector((2, 2, 2), np.array(x[:4])[_WEIGHTS])
+    pairs = [MeasurementPair(math.cos(0.5 * a), math.sin(0.5 * a)) for a in x[4:]]
+    return psi, measurements_from_pairs(pairs)
 
 
 def _pair_term(co, si, c0, c1, c2):
@@ -219,25 +187,12 @@ def hardy_terms(x):
     return p, (z1, z2, z3, r * r), dp, (dz1, dz2, dz3, dz4)
 
 
-def _params_from_vector(x) -> AnsatzParams:
-    """Normalised amplitudes and angles of a gauge-fixed vector, phases 0."""
-    nrm = math.sqrt(_norm_sq(x))
-    if not nrm > 1e-12:
-        raise NumericError("degenerate amplitude vector")
-    return AnsatzParams(c000=float(x[0] / nrm), c001=float(x[1] / nrm),
-                        c011=float(x[2] / nrm), c111=float(x[3] / nrm),
-                        phi=0.0, xi=0.0, theta=0.0,
-                        meas_alpha=float(x[4]), meas_beta=float(x[5]),
-                        meas_gamma=float(x[6]))
-
-
 def canonical_start() -> np.ndarray:
     """Gauge-fixed parameter vector of the exact noiseless optimum."""
     t = pmax(3).t
-    coeffs, _ = tripartite_explicit(MeasurementPair.from_alpha_sq(t))
+    amps = tripartite_explicit(MeasurementPair.from_alpha_sq(t)).amps
     angle = 2.0 * math.acos(math.sqrt(t))
-    return np.array([coeffs.c0.real, coeffs.c1.real, coeffs.c2.real,
-                     coeffs.c3.real, angle, angle, angle])
+    return np.concatenate([amps[[0, 1, 3, 7]].real, [angle, angle, angle]])
 
 
 class _Tracker:
@@ -395,8 +350,8 @@ def lower_bound(epsilon: float, restarts: int = 50, *, seed: int) -> LowerBoundR
     points drawn from per-restart substreams of ``seed``.  At
     ``epsilon == 0`` the remaining restarts are skipped once a finished
     restart leaves the incumbent within PMAX_ROUNDOFF of pmax(3), so
-    ``restarts_used`` reports the restarts actually run.  The returned
-    parameters are re-validated through the behavior module before
+    ``restarts_used`` reports the restarts actually run.  The incumbent
+    is normalised and re-validated through the behavior module before
     reporting.
     """
     if not 0.0 <= epsilon <= EPSILON_MAX:
@@ -418,15 +373,14 @@ def _validated_result(tracker: _Tracker, restarts_used: int,
     """The incumbent, re-validated through the behavior module."""
     if tracker.best_x is None:
         raise NumericError("no feasible ansatz point found (unexpected)")
-    params = _params_from_vector(tracker.best_x)
-
-    behavior = joint_distribution(ansatz_state(params), ansatz_measurements(params))
-    stats = hardy_statistics(behavior)
+    nrm = math.sqrt(_norm_sq(tracker.best_x))
+    x = tuple([v / nrm for v in tracker.best_x[:4]] + tracker.best_x[4:])
+    stats = hardy_statistics(joint_distribution(*ansatz(x)))
     if float(np.max(stats.zeros - tracker.epsilon)) > FEAS_SLACK:
         raise NumericError("re-validation found the incumbent infeasible")
     if abs(stats.p - tracker.best_p) > 1e-10:
         raise NumericError("fast evaluator disagrees with the behavior module")
-    return LowerBoundResult(value=float(stats.p), params=params,
+    return LowerBoundResult(value=float(stats.p), x=x,
                             constraint_values=np.array(stats.zeros),
                             restarts_used=restarts_used, seed=seed,
                             evaluations=tracker.evaluations,

@@ -54,8 +54,7 @@ def build_full_problem(scenario, level, epsilon):
             row[var] = row.get(var, 0.0) + coef
         inequalities.append((row, float(epsilon)))
     return MomentProblem(scenario=scenario, level=level, epsilon=float(epsilon),
-                         basis=basis, moment_index=moment_index,
-                         variables=variables, cell_var=cell_var,
+                         basis=basis, variables=variables, cell_var=cell_var,
                          objective=objective, equalities=equalities,
                          inequalities=inequalities)
 
@@ -85,8 +84,8 @@ def cyclic_reduction(problem):
 
     reduced = MomentProblem(
         scenario=problem.scenario, level=problem.level, epsilon=problem.epsilon,
-        basis=problem.basis, moment_index=orbit_index,
-        variables=list(orbit_index), cell_var=orbit_of[problem.cell_var],
+        basis=problem.basis, variables=list(orbit_index),
+        cell_var=orbit_of[problem.cell_var],
         objective=remap(problem.objective),
         equalities=[(remap(row), rhs) for row, rhs in problem.equalities],
         inequalities=[(remap(row), rhs) for row, rhs in problem.inequalities])

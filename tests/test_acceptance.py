@@ -106,7 +106,7 @@ def test_criterion_03_construction_consistency():
             assert float(np.max(stats.zeros)) <= 1e-10
     for _ in range(20):
         pair = random_pairs(rng, 1)[0]
-        _, explicit = tripartite_explicit(pair)
+        explicit = tripartite_explicit(pair)
         ref = hardy_state(3, [pair] * 3)
         phase = np.vdot(ref.amps, explicit.amps)
         phase /= abs(phase)

@@ -210,6 +210,17 @@ class TestScan:
         assert captured.out == ""
         assert "moment p1:U.p2:U.p3:U is not expressible at level 1" in captured.err
 
+    @pytest.mark.parametrize("restarts", ["0", "-3"])
+    def test_restarts_checked_before_any_point(self, monkeypatch, capsys, restarts):
+        def no_point(task):
+            raise AssertionError("scan point run for a rejected restart count")
+
+        monkeypatch.setattr(cli, "_scan_point", no_point)
+        assert main(["scan", "--steps", "3", "--restarts", restarts]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--restarts = {restarts} must be at least 1" in captured.err
+
     def test_grid_range_is_variational_range(self, capsys):
         assert main(["scan", "--eps-from", "0", "--eps-to", "0.3"]) == 2
         assert "<= 0.25" in capsys.readouterr().err

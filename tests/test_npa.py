@@ -282,7 +282,6 @@ class TestCyclicReduction:
         assert got.cell_var.dtype == want.cell_var.dtype
         assert np.array_equal(got.cell_var, want.cell_var)
         assert got.variables == want.variables
-        assert list(got.moment_index.items()) == list(want.moment_index.items())
         assert got.basis == want.basis
         assert (got.scenario, got.level, got.epsilon) == (want.scenario, want.level, want.epsilon)
         assert got.objective == want.objective

@@ -8,6 +8,7 @@ import pytest
 from eig_certificate import certified_error
 from full_moment import build_full_problem
 
+from hardylab import sdp
 from hardylab.behavior import Scenario
 from hardylab.errors import ValidationError
 from hardylab.linalg import eig_herm
@@ -26,7 +27,6 @@ def toy_problem(equalities=None, inequalities=None, objective=None):
     return MomentProblem(
         scenario=Scenario(2), level=1, epsilon=0.0,
         basis=[ident, yname],
-        moment_index={ident: 0, yname: 1},
         variables=[ident, yname],
         cell_var=np.array([[0, 1], [1, 0]], dtype=np.int32),
         objective=objective if objective is not None else {1: 1.0},
@@ -232,8 +232,9 @@ class TestToyProblems:
         sol = sdp_solve(toy_problem(objective={1: -1.0}), tol=1e-6)
         assert abs(sol.value - 1.0) < 1e-6  # -y maximised at y = -1
 
-    def test_nonconverged_status(self):
-        sol = sdp_solve(toy_problem(), tol=1e-6, max_iter=1)
+    def test_nonconverged_status(self, monkeypatch):
+        monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", 1)
+        sol = sdp_solve(toy_problem(), tol=1e-6)
         assert not sol.converged
         assert sol.iterations == 1
 

@@ -294,21 +294,21 @@ class TestOptimalAlphaSq:
 class TestTripartiteExplicit:
     def test_reference_coefficients(self):
         pair = MeasurementPair.from_alpha_sq(0.543689)
-        coeffs, _ = tripartite_explicit(pair)
-        assert abs(coeffs.c0 - 0.134883) < 1e-5
-        assert abs(coeffs.c3 - 0.916126) < 1e-5
+        amps = tripartite_explicit(pair).amps
+        assert abs(amps[0] - 0.134883) < 1e-5
+        assert abs(amps[7] - 0.916126) < 1e-5
 
     def test_c0_squared_is_success_probability(self):
         pair = MeasurementPair.from_alpha_sq(0.543689)
-        coeffs, psi = tripartite_explicit(pair)
-        assert abs(abs(coeffs.c0) ** 2 - 0.0181934) < 1e-5
+        psi = tripartite_explicit(pair)
+        assert abs(abs(psi.amps[0]) ** 2 - 0.0181934) < 1e-5
         assert abs(abs(psi.amps[0]) ** 2 - success_prob_closed([pair] * 3)) < 1e-12
 
     def test_matches_gram_schmidt_construction(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
             pair = random_pairs(rng, 1)[0]
-            _, psi = tripartite_explicit(pair)
+            psi = tripartite_explicit(pair)
             ref = gram_schmidt_state(3, [pair] * 3)
             phase = np.vdot(ref.amps, psi.amps)
             phase /= abs(phase)

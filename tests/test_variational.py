@@ -4,23 +4,27 @@ import numpy as np
 import pytest
 
 from hardylab import variational
-from hardylab.behavior import hardy_statistics, joint_distribution
+from hardylab.behavior import MeasurementSet, hardy_statistics, joint_distribution
 from hardylab.errors import DegenerateMeasurementError, ValidationError
+from hardylab.linalg import StateVector
 from hardylab.states import MeasurementPair, hardy_state, pmax
-from hardylab.variational import (ANGLE_MARGIN, ANGLE_PENALTY, AnsatzParams,
-                                  _bfgs, _local_search, _params_from_vector,
-                                  _restart_seeds, _start, _Tracker,
-                                  _validated_result, ansatz_measurements,
-                                  ansatz_state, canonical_start, hardy_terms,
-                                  lower_bound)
+from hardylab.variational import (ANGLE_MARGIN, ANGLE_PENALTY, _bfgs,
+                                  _local_search, _norm_sq, _restart_seeds,
+                                  _start, _Tracker, _validated_result, ansatz,
+                                  canonical_start, hardy_terms, lower_bound)
 
 
-def symmetric_params(c, phases=(0.0, 0.0, 0.0), angle=None):
+def symmetric_x(c, angle=None):
+    """Gauge-fixed vector with amplitudes ``c`` and one angle for all
+    parties, by default the noiseless optimum's."""
     if angle is None:
         angle = 2.0 * math.acos(math.sqrt(pmax(3).t))
-    return AnsatzParams(c000=c[0], c001=c[1], c011=c[2], c111=c[3],
-                        phi=phases[0], xi=phases[1], theta=phases[2],
-                        meas_alpha=angle, meas_beta=angle, meas_gamma=angle)
+    return list(c) + [angle] * 3
+
+
+def normalised(x):
+    nrm = math.sqrt(_norm_sq(x))
+    return [v / nrm for v in x[:4]] + list(x[4:])
 
 
 def random_vector(rng, margin=0.3):
@@ -39,24 +43,39 @@ def full_multistart(epsilon, restarts, seed):
     return _validated_result(tracker, restarts, seed)
 
 
-def behavior_stats(params):
-    return hardy_statistics(joint_distribution(ansatz_state(params),
-                                               ansatz_measurements(params)))
+def phased(x, phases):
+    """Test-only cross-check of the gauge claim: ``ansatz(x)`` with the
+    local unitaries U_j = diag(e^{-i p_j}, 1) applied to its state and to
+    every party's D kets (so each D projector P becomes U_j P U_j^H), as
+    (StateVector, MeasurementSet)."""
+    psi, meas = ansatz(x)
+    units = [np.diag([np.exp(-1j * p), 1.0]) for p in phases]
+    amps = np.einsum("ai,bj,ck,ijk->abc", *units, psi.tensor())
+    projectors = []
+    for u, (comp, d_pair) in zip(units, meas.projectors):
+        projectors.append((comp, tuple(u @ proj @ u.conj().T for proj in d_pair)))
+    return (StateVector((2, 2, 2), amps.reshape(-1)),
+            MeasurementSet(tuple(projectors), (2, 2, 2)))
+
+
+def behavior_stats(x, phases=None):
+    psi, meas = ansatz(x) if phases is None else phased(x, phases)
+    return hardy_statistics(joint_distribution(psi, meas))
 
 
 class TestAnsatzState:
     def test_basis_state(self):
-        p = symmetric_params([0.0, 0.0, 0.0, 1.0], phases=(0.3, 1.1, 2.0))
-        psi = ansatz_state(p)
+        psi, _ = ansatz(symmetric_x([0.0, 0.0, 0.0, 1.0]))
         want = np.zeros(8)
         want[7] = 1.0
-        assert np.allclose(psi.amps, want)
+        assert np.array_equal(psi.amps, want)
 
     def test_phase_pattern(self):
+        # the phased family of the module docstring is the gauge transform
+        # of the zero-phase state
         phi, xi, theta = 0.4, 1.2, 2.5
         c = np.array([0.4, 0.3, 0.2, math.sqrt(1 - 0.16 - 3 * 0.09 - 3 * 0.04)])
-        p = symmetric_params(c, phases=(phi, xi, theta))
-        amps = ansatz_state(p).amps
+        amps = phased(symmetric_x(c), (phi, xi, theta))[0].amps
         # |010>: parties 1 and 3 show |0>, so phases phi + theta
         assert np.allclose(amps[0b010], c[1] * np.exp(-1j * (phi + theta)))
         # |100>: parties 2 and 3 show |0>
@@ -72,13 +91,11 @@ class TestAnsatzState:
 
     def test_rejects_unnormalised(self):
         with pytest.raises(ValidationError):
-            symmetric_params([1.0, 1.0, 0.0, 0.0])
+            ansatz(symmetric_x([1.0, 1.0, 0.0, 0.0]))
 
     def test_optimum_matches_construction(self):
         t = pmax(3).t
-        x = canonical_start()
-        p = symmetric_params(x[:4])
-        psi = ansatz_state(p)
+        psi, _ = ansatz(canonical_start())
         ref = hardy_state(3, [MeasurementPair.from_alpha_sq(t)] * 3)
         assert np.linalg.norm(psi.amps - ref.amps) < 1e-12
         assert abs(abs(psi.amps[0]) ** 2 - 0.0181934) < 1e-4
@@ -86,16 +103,13 @@ class TestAnsatzState:
 
 class TestAnsatzMeasurements:
     def test_half_angle(self):
-        p = symmetric_params([0.0, 0.0, 0.0, 1.0], angle=math.pi / 2)
-        m = ansatz_measurements(p)
+        _, m = ansatz(symmetric_x([0.0, 0.0, 0.0, 1.0], angle=math.pi / 2))
         plus = m.projectors[0][1][0]
         vec = np.full(2, 1 / math.sqrt(2))
         assert np.allclose(plus, np.outer(vec, vec), atol=1e-12)
 
     def test_completeness(self):
-        p = symmetric_params([0.0, 0.0, 0.0, 1.0], phases=(0.2, 0.9, 1.7),
-                             angle=1.1)
-        m = ansatz_measurements(p)
+        _, m = ansatz([0.0, 0.0, 0.0, 1.0, 1.1, 0.4, 2.9])
         for party in range(3):
             for setting in range(2):
                 a, b = m.projectors[party][setting]
@@ -104,15 +118,14 @@ class TestAnsatzMeasurements:
     def test_overlap_from_optimal_angle(self):
         t = pmax(3).t
         angle = 2.0 * math.acos(math.sqrt(t))
-        p = symmetric_params([0.0, 0.0, 0.0, 1.0], angle=angle)
-        m = ansatz_measurements(p)
+        _, m = ansatz(symmetric_x([0.0, 0.0, 0.0, 1.0], angle=angle))
         plus_d = m.projectors[0][1][0]
         assert abs(plus_d[0, 0].real - t) < 1e-12
 
     def test_matches_d_vector_oracle(self):
         # the D eigenvectors cos(a/2)|0> + e^{ip} sin(a/2)|1> and
-        # -sin(a/2)|0> + e^{ip} cos(a/2)|1>, as built before the ansatz
-        # went through MeasurementPair
+        # -sin(a/2)|0> + e^{ip} cos(a/2)|1>: at p = 0 those of ansatz(x),
+        # otherwise those of its gauge transform
         def oracle(angle, phase):
             half = 0.5 * angle
             plus = np.array([math.cos(half), math.sin(half) * np.exp(1j * phase)])
@@ -123,9 +136,9 @@ class TestAnsatzMeasurements:
         angles = np.concatenate([[ANGLE_MARGIN, math.pi - ANGLE_MARGIN, math.pi / 2],
                                  rng.uniform(ANGLE_MARGIN, math.pi - ANGLE_MARGIN, 297)])
         for triple in angles.reshape(-1, 3):
+            x = [0.0, 0.0, 0.0, 1.0, *triple]
             for phases in ((0.0, 0.0, 0.0), tuple(rng.uniform(-math.pi, math.pi, 3))):
-                p = AnsatzParams(0.0, 0.0, 0.0, 1.0, *phases, *triple)
-                m = ansatz_measurements(p)
+                m = ansatz(x)[1] if phases == (0.0, 0.0, 0.0) else phased(x, phases)[1]
                 for party, (angle, phase) in enumerate(zip(triple, phases)):
                     assert np.array_equal(m.projectors[party][0][0], np.diag([1.0, 0.0]))
                     assert np.array_equal(m.projectors[party][0][1], np.diag([0.0, 1.0]))
@@ -137,12 +150,11 @@ class TestAnsatzMeasurements:
 
     def test_rejects_boundary_angle(self):
         with pytest.raises(DegenerateMeasurementError):
-            symmetric_params([0.0, 0.0, 0.0, 1.0], angle=0.0)
+            ansatz(symmetric_x([0.0, 0.0, 0.0, 1.0], angle=0.0))
         # below about 8.9e-4, cos(a/2) is within 1e-7 of 1 and
         # MeasurementPair calls the two observables commuting
         with pytest.raises(DegenerateMeasurementError, match="commute"):
-            ansatz_measurements(symmetric_params([0.0, 0.0, 0.0, 1.0],
-                                                 angle=0.5 * ANGLE_MARGIN))
+            ansatz(symmetric_x([0.0, 0.0, 0.0, 1.0], angle=0.5 * ANGLE_MARGIN))
 
 
 class TestHardyTerms:
@@ -150,26 +162,22 @@ class TestHardyTerms:
         rng = np.random.default_rng(9)
         for _ in range(20):
             x = random_vector(rng)
-            stats = behavior_stats(_params_from_vector(x))
+            stats = behavior_stats(normalised(x))
             p, zs, _, _ = hardy_terms(x)
             assert abs(p - stats.p) < 1e-12
             assert max(abs(a - b) for a, b in zip(zs, stats.zeros)) < 1e-12
 
     def test_phases_are_gauge(self):
-        # shared phases act as the local unitaries diag(e^{-i p_j}, 1) on
-        # the state and on the outcome vectors alike
+        # cross-check of the module docstring's gauge argument: the
+        # phased family, built here from the local unitaries, has the
+        # Hardy statistics of the zero-phase ansatz
         rng = np.random.default_rng(21)
         for _ in range(20):
-            base = _params_from_vector(random_vector(rng))
+            x = normalised(random_vector(rng))
             phases = rng.uniform(0.0, 2.0 * math.pi, 3)
-            phased = AnsatzParams(
-                c000=base.c000, c001=base.c001, c011=base.c011, c111=base.c111,
-                phi=phases[0], xi=phases[1], theta=phases[2],
-                meas_alpha=base.meas_alpha, meas_beta=base.meas_beta,
-                meas_gamma=base.meas_gamma)
-            assert np.linalg.norm(ansatz_state(phased).amps
-                                  - ansatz_state(base).amps) > 1e-3
-            want, got = behavior_stats(base), behavior_stats(phased)
+            psi, _ = ansatz(x)
+            assert np.linalg.norm(phased(x, phases)[0].amps - psi.amps) > 1e-3
+            want, got = behavior_stats(x), behavior_stats(x, phases)
             assert abs(got.p - want.p) < 1e-12
             assert np.max(np.abs(got.zeros - want.zeros)) < 1e-12
 
@@ -218,7 +226,7 @@ class TestHardyTerms:
         start = canonical_start().tolist()
         for k in range(21):
             x = start if k == 0 else random_vector(rng)
-            stats = behavior_stats(_params_from_vector(x))
+            stats = behavior_stats(normalised(x))
             # random points are mostly infeasible at a random bound, so
             # every other one gets a bound just above its largest term
             if k % 2:
@@ -318,11 +326,12 @@ class TestLowerBound:
 
     def test_reported_values_reproducible(self):
         res = lower_bound(0.05, restarts=3, seed=17)
-        stats = behavior_stats(res.params)
+        stats = behavior_stats(res.x)
         assert abs(stats.p - res.value) < 1e-10
         assert np.allclose(stats.zeros, res.constraint_values, atol=1e-8)
         assert np.all(res.constraint_values <= 0.05 + 1e-8)
-        assert res.params.phases == (0.0, 0.0, 0.0)
+        assert len(res.x) == 7
+        assert abs(_norm_sq(res.x) - 1.0) < 1e-15
         assert res.evaluations > res.iterations > 0
 
     def test_reaches_ansatz_optimum(self):
@@ -352,7 +361,7 @@ class TestNoiselessStop:
         stopped = lower_bound(0.0, restarts=8, seed=seed)
         full = full_multistart(0.0, 8, seed)
         assert stopped.value == full.value
-        assert stopped.params == full.params
+        assert stopped.x == full.x
         assert stopped.restarts_used == 1
         assert full.restarts_used == 8
         assert stopped.evaluations < full.evaluations
@@ -364,7 +373,7 @@ class TestNoiselessStop:
         stopped = lower_bound(eps, restarts=4, seed=seed)
         full = full_multistart(eps, 4, seed)
         assert stopped.value == full.value
-        assert stopped.params == full.params
+        assert stopped.x == full.x
         assert stopped.evaluations == full.evaluations
         assert stopped.iterations == full.iterations
         assert stopped.restarts_used == 4
