@@ -235,6 +235,9 @@ def _rank1_vector(proj: np.ndarray) -> np.ndarray:
 
 
 def _joint_general(rho: np.ndarray, m: MeasurementSet) -> np.ndarray:
+    # The one place a density matrix is formed: for projectors that are
+    # not rank-1 qubit ones, its D^2 entries bound the memory, where a
+    # pure-state contraction would carry 4^n copies of the D amplitudes.
     # Tr[rho (P_1 x ... x P_n)] contracts each party's row index with
     # axis 1 of its projector and column index with axis 0.  One tensordot
     # per party against its stacked (setting, outcome, d, d) projectors
@@ -249,25 +252,18 @@ def _joint_general(rho: np.ndarray, m: MeasurementSet) -> np.ndarray:
         list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))))
 
 
-def joint_distribution(state, m: MeasurementSet) -> BehaviorTensor:
-    """Born-rule behavior of a pure state or density matrix under ``m``."""
-    n = m.n_parties
-    total = int(np.prod(m.dims))
-    if isinstance(state, StateVector):
-        if state.dims != m.dims:
-            raise ValidationError(
-                f"state dims {state.dims} do not match measurement dims {m.dims}")
-        if m.is_rank1_qubits():
-            probs = _joint_pure_rank1(state, m)
-        else:
-            probs = _joint_general(state.density(), m)
+def joint_distribution(state: StateVector, m: MeasurementSet) -> BehaviorTensor:
+    """Born-rule behavior of a pure state under ``m``."""
+    if not isinstance(state, StateVector):
+        raise ValidationError(f"expected a StateVector, got {type(state).__name__}")
+    if state.dims != m.dims:
+        raise ValidationError(
+            f"state dims {state.dims} do not match measurement dims {m.dims}")
+    if m.is_rank1_qubits():
+        probs = _joint_pure_rank1(state, m)
     else:
-        rho = np.asarray(state, dtype=complex)
-        if rho.shape != (total, total):
-            raise ValidationError(
-                f"density shape {rho.shape} does not match measurement dims {m.dims}")
-        probs = _joint_general(rho, m)
-    return BehaviorTensor(scenario=Scenario(n=n), probs=probs)
+        probs = _joint_general(state.density(), m)
+    return BehaviorTensor(scenario=Scenario(n=m.n_parties), probs=probs)
 
 
 def hardy_values(probs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

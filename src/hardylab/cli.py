@@ -17,7 +17,7 @@ import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .polytope import BoundQuery, local_max, nosignaling_max
 from .selftest import ObservablePair, canonical_observables, selftest_report
 from .states import (MAX_PARTIES, MeasurementPair, hardy_state,
                      is_genuinely_entangled, pmax)
-from .variational import EPSILON_MAX, lower_bound
+from .variational import EPSILON_MAX, MAX_RESTARTS, lower_bound
 
 SCHEMA = 1
 SCAN_HEADER = ("epsilon,local,no_signaling,npa_upper,npa_level,"
@@ -249,8 +249,9 @@ def cmd_scan(args) -> int:
     if not 2 <= args.steps <= MAX_SCAN_STEPS:
         raise ValidationError(
             f"--steps = {args.steps} outside [2, {MAX_SCAN_STEPS}]")
-    if args.restarts < 1:
-        raise ValidationError(f"--restarts = {args.restarts} must be at least 1")
+    if not 1 <= args.restarts <= MAX_RESTARTS:
+        raise ValidationError(
+            f"--restarts = {args.restarts} outside [1, {MAX_RESTARTS}]")
     if not 0.0 <= args.eps_from < args.eps_to <= EPSILON_MAX:
         raise ValidationError(
             f"grid must satisfy 0 <= from < to <= {EPSILON_MAX}")
@@ -259,48 +260,45 @@ def cmd_scan(args) -> int:
     monomial_list(Scenario(3), args.level)
     check_level(Scenario(3), args.level)
     grid = _scan_grid(args.eps_from, args.eps_to, args.steps)
-    tasks = [(k, eps, args.level, args.restarts, args.seed, args.tol)
-             for k, eps in enumerate(grid)]
-    workers = _scan_workers(len(tasks))
-    results = {}
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for idx, row, err in pool.map(_scan_point, tasks):
+    workers = _scan_workers(len(grid))
+    # an unwritable --out fails here, before any point runs
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
+        tasks = [(k, eps, args.level, args.restarts, args.seed, args.tol)
+                 for k, eps in enumerate(grid)]
+        results = {}
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                for idx, row, err in pool.map(_scan_point, tasks):
+                    results[idx] = (row, err)
+        else:
+            for task in tasks:
+                idx, row, err = _scan_point(task)
                 results[idx] = (row, err)
-    else:
-        for task in tasks:
-            idx, row, err = _scan_point(task)
-            results[idx] = (row, err)
 
-    problems = []
-    prev = None
-    lines = [SCAN_HEADER]
-    for k, eps in enumerate(grid):
-        row, err = results[k]
-        if err is not None:
-            problems.append(f"epsilon={eps:.6f}: {err}")
-            lines.append(f"{eps:.6f},nan,nan,nan,{args.level},nan,"
-                         f"{args.restarts},{args.seed}")
-            prev = None
-            continue
-        loc, ns, npa, var = row
-        problems += _check_row(eps, loc, ns, npa, var)
-        if prev is not None:
-            for name, cur, old in (("no_signaling", ns, prev[1]),
-                                   ("npa_upper", npa, prev[2]),
-                                   ("variational_lower", var, prev[3])):
-                if cur < old - ROW_SLACK:
-                    problems.append(
-                        f"epsilon={eps:.6f}: {name} decreased from {old:.6f} to {cur:.6f}")
-        prev = (loc, ns, npa, var)
-        lines.append(f"{eps:.6f},{loc:.9f},{ns:.9f},{npa:.9f},{args.level},"
-                     f"{var:.9f},{args.restarts},{args.seed}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        problems = []
+        prev = None
+        lines = [SCAN_HEADER]
+        for k, eps in enumerate(grid):
+            row, err = results[k]
+            if err is not None:
+                problems.append(f"epsilon={eps:.6f}: {err}")
+                lines.append(f"{eps:.6f},nan,nan,nan,{args.level},nan,"
+                             f"{args.restarts},{args.seed}")
+                prev = None
+                continue
+            loc, ns, npa, var = row
+            problems += _check_row(eps, loc, ns, npa, var)
+            if prev is not None:
+                for name, cur, old in (("no_signaling", ns, prev[1]),
+                                       ("npa_upper", npa, prev[2]),
+                                       ("variational_lower", var, prev[3])):
+                    if cur < old - ROW_SLACK:
+                        problems.append(
+                            f"epsilon={eps:.6f}: {name} decreased from {old:.6f} to {cur:.6f}")
+            prev = (loc, ns, npa, var)
+            lines.append(f"{eps:.6f},{loc:.9f},{ns:.9f},{npa:.9f},{args.level},"
+                         f"{var:.9f},{args.restarts},{args.seed}")
+        out.write("\n".join(lines) + "\n")
     if problems:
         for p in problems:
             print(f"scan check failed: {p}", file=sys.stderr)

@@ -11,8 +11,13 @@ block to the canonical frame must recover the reference Hardy state on
 the qubit factors, up to the uncharacterised junk carried by the block
 multiplicities.  The report quantifies exactly that: per-combination
 weights, per-combination fidelities against the reference state, and
-their weighted total.  Each fidelity is one einsum over the projected
-block, not a matrix-vector product: BLAS would hand products of these
+their weighted total.
+
+The state is a pure state psi (a mixed state is certified through a
+purification held by one party), projected directly: contracting each
+party's axis with the conjugate of its block basis gives phi, whose
+squared norm is the weight and |<psi_ref|phi>|^2 / weight the fidelity.
+These are einsums, not BLAS products: BLAS would hand products of these
 sizes to its thread pool, whose helper thread then spins through the
 rest of the run.
 """
@@ -184,59 +189,25 @@ def canonical_observables(n: int) -> list[ObservablePair]:
     return [ObservablePair(a1=z, a2=d) for _ in range(n)]
 
 
-def _as_density(state, dims) -> np.ndarray:
-    total = int(np.prod(dims))
-    if isinstance(state, StateVector):
-        if tuple(state.dims) != tuple(dims):
-            raise ValidationError(
-                f"state dims {state.dims} do not match observables {tuple(dims)}")
-        return state.density()
-    rho = np.asarray(state, dtype=complex)
-    if rho.shape != (total, total):
-        raise ValidationError(
-            f"density shape {rho.shape} does not match observables, dim {total}")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > 1e-10:
-        raise ValidationError(f"density trace {tr!r}, expected 1")
-    return rho
-
-
-def _project_combo(rho_tensor, bases, n):
-    t = rho_tensor
-    for p, b in enumerate(bases):
-        t = np.tensordot(b.conj().T, t, axes=([1], [p]))
-        t = np.moveaxis(t, 0, p)
-    for p, b in enumerate(bases):
-        t = np.tensordot(t, b, axes=([n + p], [0]))
-        t = np.moveaxis(t, -1, n + p)
-    k = int(np.prod([b.shape[1] for b in bases]))
-    return t.reshape(k, k)
-
-
-def _expectation(psi: np.ndarray, sigma: np.ndarray) -> float:
-    """Real part of <psi|sigma|psi> by einsum: a 64 x 64 matrix-vector
-    product (six parties) already wakes the BLAS thread pool."""
-    return float(np.einsum("i,ij,j->", psi.conj(), sigma, psi).real)
-
-
-def selftest_report(state, observables, tol: float = 1e-6) -> SelfTestReport:
+def selftest_report(state: StateVector, observables,
+                    tol: float = 1e-6) -> SelfTestReport:
     """Blockwise fidelity of a near-optimal realization to the Hardy state.
 
-    ``state`` is a StateVector or density matrix over the observables'
-    dimensions.  The observed statistics must sit at the Hardy point
-    within ``tol`` (all constrained terms at most tol, success probability
-    within tol of the optimum); otherwise the certification hypothesis is
-    unmet and HypothesisUnmetError is raised.
+    ``state`` is a StateVector over the observables' dimensions; a mixed
+    state is certified through a purification held by one party.  The
+    observed statistics must sit at the Hardy point within ``tol`` (all
+    constrained terms at most tol, success probability within tol of the
+    optimum); otherwise the certification hypothesis is unmet and
+    HypothesisUnmetError is raised.
     """
     observables = list(observables)
     n = len(observables)
     if n < 2:
         raise ValidationError("need at least two parties")
-    dims = tuple(o.dim for o in observables)
-    rho = _as_density(state, dims)
 
+    # joint_distribution rejects all but a StateVector of these dims
     ms = measurements_from_observables([(o.a1, o.a2) for o in observables])
-    stats = hardy_statistics(joint_distribution(rho, ms))
+    stats = hardy_statistics(joint_distribution(state, ms))
     ref = pmax(n)
     worst_zero = float(np.max(stats.zeros))
     p_gap = abs(stats.p - ref.p_max)
@@ -249,7 +220,6 @@ def selftest_report(state, observables, tol: float = 1e-6) -> SelfTestReport:
     decomps = tuple(jordan_blocks(o, tol=min(tol, 1e-8)) for o in observables)
     psi_ref = hardy_state(n, [MeasurementPair.from_alpha_sq(ref.t)] * n).amps
 
-    rho_tensor = rho.reshape(dims + dims)
     counts = tuple(len(dc.blocks) for dc in decomps)
     weights = np.zeros(counts)
     fidelities = np.zeros(counts)
@@ -257,8 +227,14 @@ def selftest_report(state, observables, tol: float = 1e-6) -> SelfTestReport:
     total = 0.0
     for combo in product(*(range(c) for c in counts)):
         blocks = [decomps[p].blocks[combo[p]] for p in range(n)]
-        sigma = _project_combo(rho_tensor, [b.basis for b in blocks], n)
-        weight = float(np.trace(sigma).real)
+        # contract the parties' axes in turn, each appending its block
+        # axis, so phi ends in the order of psi_ref
+        phi = state.amps
+        for b in blocks:
+            phi = np.einsum("dr,dk->rk", phi.reshape(b.basis.shape[0], -1),
+                            b.basis.conj())
+        phi = phi.reshape(-1)
+        weight = float(np.einsum("i,i->", phi.conj(), phi).real)
         weights[combo] = weight
         if any(b.degenerate for b in blocks):
             if weight > WEIGHT_FLOOR:
@@ -266,7 +242,7 @@ def selftest_report(state, observables, tol: float = 1e-6) -> SelfTestReport:
             continue
         if weight <= WEIGHT_FLOOR:
             continue
-        fid = _expectation(psi_ref, sigma) / weight
+        fid = abs(np.einsum("i,i->", psi_ref.conj(), phi)) ** 2 / weight
         fidelities[combo] = fid
         total += weight * fid
 

@@ -70,6 +70,9 @@ PMAX_ROUNDOFF = 1e-12
 ANGLE_MARGIN = 1e-3
 # lower_bound accepts error bounds in [0, EPSILON_MAX]
 EPSILON_MAX = 0.25
+# lower_bound accepts restart counts in [1, MAX_RESTARTS]; a restart
+# takes about 13 ms, so the cap bounds one call near 13 s
+MAX_RESTARTS = 1_000
 # weight of the quadratic penalty on angles past the margin
 ANGLE_PENALTY = 1e4
 # augmented-Lagrangian schedule: initial and largest penalty parameter,
@@ -321,14 +324,6 @@ def _local_search(tracker: _Tracker, x) -> None:
         prev = kkt
 
 
-def _restart_seeds(seed: int, restarts: int):
-    """Child r of SeedSequence(seed) for restart r, spawned one at a time:
-    the same streams as ``spawn(restarts)``, in constant memory."""
-    ss = np.random.SeedSequence(seed)
-    for _ in range(restarts):
-        yield ss.spawn(1)[0]
-
-
 def _start(r: int, child: np.random.SeedSequence) -> np.ndarray:
     """Start of restart ``r``: the exact noiseless point for r = 0, else a
     random point drawn from the restart's substream ``child``."""
@@ -357,11 +352,12 @@ def lower_bound(epsilon: float, restarts: int = 50, *, seed: int) -> LowerBoundR
     if not 0.0 <= epsilon <= EPSILON_MAX:
         raise ValidationError(
             f"epsilon = {epsilon!r} outside [0, {EPSILON_MAX}]")
-    if restarts < 1:
-        raise ValidationError("need at least one restart")
+    if not 1 <= restarts <= MAX_RESTARTS:
+        raise ValidationError(
+            f"restarts = {restarts} outside [1, {MAX_RESTARTS}]")
     tracker = _Tracker(epsilon)
     target = pmax(3).p_max - PMAX_ROUNDOFF if epsilon == 0.0 else math.inf
-    for r, child in enumerate(_restart_seeds(seed, restarts)):
+    for r, child in enumerate(np.random.SeedSequence(seed).spawn(restarts)):
         _local_search(tracker, _start(r, child))
         if tracker.best_p >= target:
             break

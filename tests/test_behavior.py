@@ -8,8 +8,9 @@ from conftest import random_pairs, random_state
 from dense_hardy import hardy_functionals
 
 from hardylab.behavior import (BehaviorTensor, MeasurementSet, Scenario,
-                               check_no_signaling, hardy_statistics,
-                               hardy_values, joint_distribution,
+                               _joint_general, check_no_signaling,
+                               hardy_statistics, hardy_values,
+                               joint_distribution,
                                measurements_from_observables,
                                measurements_from_pairs)
 from hardylab.errors import ValidationError
@@ -155,10 +156,15 @@ class TestJointDistribution:
         assert abs(b.probs[0, 0, 0, 0] - 0.0901699) < 1e-6
 
     def test_maximally_mixed(self):
+        # cross-check of the density kernel, called directly
         rng = np.random.default_rng(2)
         m = measurements_from_pairs(random_pairs(rng, 2))
-        b = joint_distribution(np.eye(4) / 4.0, m)
-        assert np.allclose(b.probs, 0.25, atol=1e-12)
+        assert np.allclose(_joint_general(np.eye(4) / 4.0, m), 0.25, atol=1e-12)
+
+    def test_rejects_density_matrix(self):
+        m = measurements_from_pairs([MeasurementPair.from_alpha_sq(0.5)] * 2)
+        with pytest.raises(ValidationError, match="expected a StateVector"):
+            joint_distribution(np.eye(4) / 4.0, m)
 
     def test_pure_rank1_path_matches_general_path(self):
         # the rank-1 path's axis bookkeeping and its chunking of the first
@@ -169,8 +175,9 @@ class TestJointDistribution:
             m = measurements_from_pairs(random_pairs(rng, n))
             assert m.is_rank1_qubits()
             fast = joint_distribution(psi, m)
-            slow = joint_distribution(psi.density(), m)
-            assert np.max(np.abs(fast.probs - slow.probs)) <= 1e-12
+            # cross-check: the density kernel, called directly
+            slow = _joint_general(psi.density(), m)
+            assert np.max(np.abs(fast.probs - slow)) <= 1e-12
 
     def test_pure_rank1_memory(self):
         # The first three parties are finished one (setting, outcome) at a
@@ -202,14 +209,15 @@ class TestJointDistribution:
     @pytest.mark.parametrize("dims", [(2, 3, 4), (4, 4, 4)])
     def test_general_path_matches_kron_trace(self, dims):
         # Oracle: Tr[rho (P1 x P2 x P3)] with the full operator built by
-        # kron; unequal dims catch a wrong party or row/column order
+        # kron; unequal dims catch a wrong party or row/column order.  The
+        # density kernel is called directly, as a cross-check
         rng = np.random.default_rng(sum(dims))
         total = int(np.prod(dims))
         g = rng.standard_normal((total, 3)) + 1j * rng.standard_normal((total, 3))
         rho = g @ g.conj().T
         rho /= np.trace(rho).real
         m = random_projectors(dims, rng)
-        probs = joint_distribution(rho, m).probs
+        probs = _joint_general(rho, m)
         for settings in product(range(2), repeat=3):
             for outcomes in product(range(2), repeat=3):
                 op = np.ones((1, 1))
@@ -413,9 +421,8 @@ class TestMeasurementsFromObservables:
         oblique = np.array([[1.0, 2.0], [0.0, -1.0]])
         amps = np.array([0.0, 0.6, 0.0, 0.8]) + 0j
         psi = StateVector((2, 2), amps)
-        for state in (psi, psi.density()):
-            with pytest.raises(ValidationError, match="not Hermitian"):
-                joint_distribution(state, measurements_from_observables([(z, oblique)] * 2))
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            joint_distribution(psi, measurements_from_observables([(z, oblique)] * 2))
         # the same idempotents as rank-1 qubit projectors, given directly
         plus, minus = (np.eye(2) + oblique) / 2, (np.eye(2) - oblique) / 2
         u = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))

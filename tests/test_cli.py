@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import hardylab
-from hardylab import cli
+from hardylab import cli, variational
 from hardylab.cli import SCAN_HEADER, load_observables, load_state_spec, main
 from hardylab.npa import MAX_BASIS
 from hardylab.selftest import canonical_observables
@@ -133,6 +133,15 @@ class TestBounds:
                      "--restarts", "1"]) == 2
         assert "outside [0, 0.25]" in capsys.readouterr().err
 
+    def test_variational_restarts_capped(self, monkeypatch, capsys):
+        def no_search(tracker, x):
+            raise AssertionError("restart run for a rejected restart count")
+
+        monkeypatch.setattr(variational, "_local_search", no_search)
+        assert main(["bounds", "--method", "variational", "--epsilon", "0.05",
+                     "--restarts", "1001"]) == 2
+        assert "restarts = 1001 outside [1, 1000]" in capsys.readouterr().err
+
 
 class TestScan:
     def test_small_grid(self, tmp_path):
@@ -210,7 +219,7 @@ class TestScan:
         assert captured.out == ""
         assert "moment p1:U.p2:U.p3:U is not expressible at level 1" in captured.err
 
-    @pytest.mark.parametrize("restarts", ["0", "-3"])
+    @pytest.mark.parametrize("restarts", ["0", "-3", "1001"])
     def test_restarts_checked_before_any_point(self, monkeypatch, capsys, restarts):
         def no_point(task):
             raise AssertionError("scan point run for a rejected restart count")
@@ -219,7 +228,18 @@ class TestScan:
         assert main(["scan", "--steps", "3", "--restarts", restarts]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"--restarts = {restarts} must be at least 1" in captured.err
+        assert f"--restarts = {restarts} outside [1, 1000]" in captured.err
+
+    def test_unwritable_out_fails_before_any_point(self, tmp_path, monkeypatch,
+                                                   capsys):
+        def no_point(task):
+            raise AssertionError("scan point run with an unwritable --out")
+
+        monkeypatch.setattr(cli, "_scan_point", no_point)
+        out = tmp_path / "missing" / "scan.csv"
+        assert main(["scan", "--steps", "3", "--restarts", "1",
+                     "--out", str(out)]) == 2
+        assert str(out) in capsys.readouterr().err
 
     def test_grid_range_is_variational_range(self, capsys):
         assert main(["scan", "--eps-from", "0", "--eps-to", "0.3"]) == 2

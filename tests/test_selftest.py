@@ -6,8 +6,8 @@ import pytest
 from hardylab.errors import HypothesisUnmetError, ValidationError
 from hardylab.linalg import StateVector
 from hardylab.selftest import (JordanDecomposition, ObservablePair,
-                               _expectation, canonical_observables,
-                               jordan_blocks, selftest_report)
+                               canonical_observables, jordan_blocks,
+                               selftest_report)
 from hardylab.states import MeasurementPair, hardy_state, pmax
 
 
@@ -160,15 +160,38 @@ class TestSelfTestReport:
             assert abs(report.block_weights.sum() - 1.0) < 1e-8
 
     def test_mixed_junk_certified(self):
-        # classically mixed junk under the same hidden unitaries
+        # classically mixed junk under the same hidden unitaries, certified
+        # through its purification: an ancilla qubit held by party 1
         rng = np.random.default_rng(13)
         state_a, obs, us = embedded_hardy_setup(rng, (2, 2, 2))
         junk_b = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         state_b, _, _ = embedded_hardy_setup(rng, (2, 2, 2), junk=junk_b,
                                              unitaries=us)
         rho = 0.6 * state_a.density() + 0.4 * state_b.density()
-        report = selftest_report(rho, obs)
+        with pytest.raises(ValidationError):
+            selftest_report(rho, obs)
+        # sqrt(0.6) |a>|0> + sqrt(0.4) |b>|1>, the ancilla beside party 1
+        full = np.stack([math.sqrt(0.6) * state_a.tensor(),
+                         math.sqrt(0.4) * state_b.tensor()], axis=1)
+        purified = StateVector((8, 4, 4), full.reshape(-1))
+        eye = np.eye(2)
+        obs = [ObservablePair(a1=np.kron(obs[0].a1, eye),
+                              a2=np.kron(obs[0].a2, eye))] + obs[1:]
+        report = selftest_report(purified, obs)
         assert report.total_fidelity >= 1.0 - 1e-6
+        assert report.junk_dims == (4, 2, 2)
+
+    def test_qubit_report_forms_no_density(self, monkeypatch):
+        # rank-1 qubit statistics and the block projections both work on
+        # the state vector
+        def no_density(self):
+            raise AssertionError("density matrix formed")
+
+        n = 8
+        psi = hardy_state(n, [MeasurementPair.from_alpha_sq(pmax(n).t)] * n)
+        monkeypatch.setattr(StateVector, "density", no_density)
+        report = selftest_report(psi, canonical_observables(n))
+        assert abs(report.total_fidelity - 1.0) < 1e-9
 
     def test_product_state_rejected(self):
         amps = np.zeros(8, dtype=complex)
@@ -216,17 +239,3 @@ class TestSelfTestReport:
             state, obs, _ = embedded_hardy_setup(rng, junk_dims)
             report = selftest_report(state, obs)
             assert report.total_fidelity >= 1.0 - 1e-6, (trial, junk_dims)
-
-
-@pytest.mark.parametrize("d", [2, 8, 64])
-def test_expectation_matches_matrix_vector_product(d):
-    # the fidelity's einsum sums in another order than vdot(psi, sigma @ psi)
-    rng = np.random.default_rng(d)
-    for _ in range(10):
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        sigma = (g + g.conj().T) / 2
-        sigma /= np.linalg.norm(sigma, 2)
-        psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        psi /= np.linalg.norm(psi)
-        want = float(np.vdot(psi, sigma @ psi).real)
-        assert abs(_expectation(psi, sigma) - want) <= 1e-15

@@ -9,9 +9,9 @@ from hardylab.errors import DegenerateMeasurementError, ValidationError
 from hardylab.linalg import StateVector
 from hardylab.states import MeasurementPair, hardy_state, pmax
 from hardylab.variational import (ANGLE_MARGIN, ANGLE_PENALTY, _bfgs,
-                                  _local_search, _norm_sq, _restart_seeds,
-                                  _start, _Tracker, _validated_result, ansatz,
-                                  canonical_start, hardy_terms, lower_bound)
+                                  _local_search, _norm_sq, _start, _Tracker,
+                                  _validated_result, ansatz, canonical_start,
+                                  hardy_terms, lower_bound)
 
 
 def symmetric_x(c, angle=None):
@@ -38,7 +38,7 @@ def full_multistart(epsilon, restarts, seed):
     """Cross-check for ``lower_bound``: the same multistart with every
     restart run to the end, never stopped early."""
     tracker = _Tracker(epsilon)
-    for r, child in enumerate(_restart_seeds(seed, restarts)):
+    for r, child in enumerate(np.random.SeedSequence(seed).spawn(restarts)):
         _local_search(tracker, _start(r, child))
     return _validated_result(tracker, restarts, seed)
 
@@ -343,14 +343,24 @@ class TestLowerBound:
         with pytest.raises(ValidationError):
             lower_bound(0.3, restarts=1, seed=0)
 
-    def test_restart_seeds_match_spawn(self):
-        for seed, count in ((0, 1), (7, 5), (2 ** 62 + 3, 9)):
-            lazy = list(_restart_seeds(seed, count))
-            eager = np.random.SeedSequence(seed).spawn(count)
-            assert len(lazy) == count
-            for a, b in zip(lazy, eager):
-                assert a.spawn_key == b.spawn_key
-                assert np.array_equal(a.generate_state(8), b.generate_state(8))
+    def test_restart_seeds_match_spawn(self, monkeypatch):
+        # restart r starts from child r of SeedSequence(seed): the stream
+        # earlier releases drew by spawning one child at a time
+        starts = []
+
+        def recording(tracker, x):
+            starts.append(np.asarray(x, dtype=float))
+            _local_search(tracker, x)
+
+        monkeypatch.setattr(variational, "_local_search", recording)
+        for seed, count in ((7, 5), (2 ** 62 + 3, 3)):
+            starts.clear()
+            lower_bound(0.05, restarts=count, seed=seed)
+            ss = np.random.SeedSequence(seed)
+            want = [_start(r, ss.spawn(1)[0]) for r in range(count)]
+            assert len(starts) == count
+            for got, expected in zip(starts, want):
+                assert np.array_equal(got, expected)
 
 
 class TestNoiselessStop:
