@@ -66,24 +66,26 @@ class MeasurementSet:
     dims: tuple[int, ...]
 
     def __post_init__(self):
+        # each (party, setting) pair of the right shape joins the stack of
+        # its local dimension, whose checks run as one batched call each
+        keys: dict[int, list] = {}
         for party, (dim, settings) in enumerate(zip(self.dims, self.projectors)):
+            if len(settings) == 2:
+                for setting, (plus, minus) in enumerate(settings):
+                    if plus.shape == minus.shape == (dim, dim):
+                        keys.setdefault(dim, []).append((party, setting))
+        faults = {}
+        for dim, group in keys.items():
+            stack = np.array([self.projectors[party][setting] for party, setting in group])
+            faults.update(zip(group, _projector_faults(stack)))
+        # the first fault in party, setting, check order
+        for party, settings in enumerate(self.projectors[:len(self.dims)]):
             if len(settings) != 2:
                 raise ValidationError(f"party {party}: expected two settings")
-            eye = np.eye(dim)
-            tol = 1e-12 * max(1.0, dim)
-            for pair in settings:
-                plus, minus = pair
-                if plus.shape != (dim, dim) or minus.shape != (dim, dim):
-                    raise ValidationError(f"party {party}: projector shape mismatch")
-                if not (np.isfinite(plus).all() and np.isfinite(minus).all()):
-                    raise ValidationError(f"party {party}: projector has non-finite entries")
-                if np.linalg.norm(plus + minus - eye) > tol:
-                    raise ValidationError(f"party {party}: projectors do not sum to identity")
-                for p in (plus, minus):
-                    if np.linalg.norm(p - p.conj().T) > tol:
-                        raise ValidationError(f"party {party}: projector not Hermitian")
-                    if np.linalg.norm(p @ p - p) > tol:
-                        raise ValidationError(f"party {party}: projector not idempotent")
+            for setting in range(2):
+                fault = faults.get((party, setting), "projector shape mismatch")
+                if fault:
+                    raise ValidationError(f"party {party}: {fault}")
 
     @property
     def n_parties(self) -> int:
@@ -132,6 +134,33 @@ class HardyStats:
 
     p: float
     zeros: np.ndarray
+
+
+_PROJECTOR_FAULTS = ("projector has non-finite entries",
+                     "projectors do not sum to identity",
+                     "projector not Hermitian", "projector not idempotent",
+                     "projector not Hermitian", "projector not idempotent")
+
+
+def _projector_faults(stack: np.ndarray) -> list:
+    """First failed check of each (plus, minus) pair in a (pairs, 2, d, d)
+    stack, in ``_PROJECTOR_FAULTS`` order, or None for a valid pair.
+
+    Non-finite pairs are zeroed before any norm is taken, so no check
+    computes inf - inf; they fail the first check anyway.
+    """
+    dim = stack.shape[-1]
+    tol = 1e-12 * max(1.0, dim)
+    finite = np.isfinite(stack).all(axis=(1, 2, 3))
+    if not finite.all():
+        stack = np.where(finite[:, None, None, None], stack, 0.0)
+    hermitian = np.linalg.norm(stack - stack.conj().swapaxes(-1, -2), axis=(-2, -1)) <= tol
+    idempotent = np.linalg.norm(stack @ stack - stack, axis=(-2, -1)) <= tol
+    complete = np.linalg.norm(stack[:, 0] + stack[:, 1] - np.eye(dim), axis=(-2, -1)) <= tol
+    passed = np.stack([finite, complete, hermitian[:, 0], idempotent[:, 0],
+                       hermitian[:, 1], idempotent[:, 1]], axis=1)
+    return [None if ok else _PROJECTOR_FAULTS[first]
+            for ok, first in zip(passed.all(axis=1).tolist(), passed.argmin(axis=1).tolist())]
 
 
 def measurements_from_pairs(pairs) -> MeasurementSet:
@@ -309,15 +338,29 @@ def signaling_gaps(probs: np.ndarray, n: int):
     over party i's outcome at setting U minus the same at setting D, with
     shape (..., settings of the other parties, their outcomes).  A table
     is no-signaling exactly when every gap is zero.
+
+    Each table is viewed as (2^i, setting, 2^(n-1), outcome, 2^(n-1-i)),
+    party i's setting and outcome split out, and the gap is formed from
+    four strided quarter-table slices as (P[U, +] + P[U, -]) - (P[D, +] +
+    P[D, -]).  A ``.sum`` over a length-2 axis in the middle of the table
+    gives the same numbers but walks it two elements at a time; the
+    additions here are the same and in the same order.  Forming a gap
+    takes two quarter tables; the previous gap is released first unless
+    the caller still holds it.
     """
-    probs = np.asarray(probs)
+    probs = np.ascontiguousarray(probs)
+    lead = probs.shape[:probs.ndim - 2 * n]
     for i in range(n):
-        rest = (slice(None),) * (2 * n - 1 - i)
-        gap = probs[(..., 0, *rest)].sum(axis=i - n)
-        gap -= probs[(..., 1, *rest)].sum(axis=i - n)
-        yield gap
+        view = probs.reshape(lead + (2 ** i, 2, 2 ** (n - 1), 2, 2 ** (n - 1 - i)))
+        gap = np.add(view[..., 0, :, 0, :], view[..., 0, :, 1, :])
+        gap -= np.add(view[..., 1, :, 0, :], view[..., 1, :, 1, :])
+        yield gap.reshape(lead + (2,) * (2 * n - 2))
+        del gap  # freed before the next gap unless the caller keeps it
 
 
 def check_no_signaling(b: BehaviorTensor) -> float:
     """Largest absolute per-party gap of a behavior (see ``signaling_gaps``)."""
-    return max(float(np.abs(gap, out=gap).max()) for gap in signaling_gaps(b.probs, b.n))
+    # map drops each gap before asking for the next, so at most two
+    # quarter tables are alive at a time
+    return max(map(lambda gap: float(np.abs(gap, out=gap).max()),
+                   signaling_gaps(b.probs, b.n)))

@@ -1,7 +1,8 @@
 """Command-line interface: state construction, bounds, noise scans, self-tests.
 
 Exit codes: 0 success, 1 self-test verdict FAIL, 2 validation failure,
-3 solver nonconvergence, 4 certification hypothesis unmet.  Scan rows
+3 solver nonconvergence or a failed scan point (a worker that died
+included), 4 certification hypothesis unmet.  Scan rows
 are computed concurrently (HARDYLAB_WORKERS processes, default all
 cores, clamped to between one and the smaller of the grid size and the
 core count) with per-point seeds derived from the master seed, so the
@@ -17,6 +18,7 @@ import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager, nullcontext
 
 import numpy as np
@@ -40,6 +42,9 @@ ROW_SLACK = 2e-3
 # largest scan grid; checked before the grid and task list are built,
 # whose size grows with it
 MAX_SCAN_STEPS = 10_000
+# largest --steps x --restarts: the default 26-point grid at the
+# --restarts cap, about 6 min of variational search at 13 ms a restart
+MAX_SCAN_RESTARTS = 26 * MAX_RESTARTS
 
 
 def _pairs_from_spec(spec: dict) -> list[MeasurementPair]:
@@ -252,6 +257,10 @@ def cmd_scan(args) -> int:
     if not 1 <= args.restarts <= MAX_RESTARTS:
         raise ValidationError(
             f"--restarts = {args.restarts} outside [1, {MAX_RESTARTS}]")
+    if args.steps * args.restarts > MAX_SCAN_RESTARTS:
+        raise ValidationError(
+            f"--steps x --restarts = {args.steps * args.restarts} passes the cap "
+            f"of {MAX_SCAN_RESTARTS} restarts per scan")
     if not 0.0 <= args.eps_from < args.eps_to <= EPSILON_MAX:
         raise ValidationError(
             f"grid must satisfy 0 <= from < to <= {EPSILON_MAX}")
@@ -267,9 +276,15 @@ def cmd_scan(args) -> int:
                  for k, eps in enumerate(grid)]
         results = {}
         if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for idx, row, err in pool.map(_scan_point, tasks):
-                    results[idx] = (row, err)
+            # a worker that exits abruptly (killed, out of memory) breaks
+            # the pool; every point left without a result fails its row
+            try:
+                with ProcessPoolExecutor(max_workers=workers) as pool:
+                    for idx, row, err in pool.map(_scan_point, tasks):
+                        results[idx] = (row, err)
+            except BrokenProcessPool:
+                for k in range(len(tasks)):
+                    results.setdefault(k, (None, "pool layer: worker died"))
         else:
             for task in tasks:
                 idx, row, err = _scan_point(task)

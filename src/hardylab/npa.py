@@ -36,7 +36,13 @@ from .errors import (CapabilityError, NumericError, ScenarioError, SizeError,
 from .states import MAX_PARTIES
 
 LETTERS = "UD"
-MAX_BASIS = 5000
+# Largest moment basis: level 4 at n = 4 (321 words, 573 variables; one
+# solve takes 12-21 s at a 196 MB peak on 2 cores), and n = 2 at level 12
+# (313 words, 12-17 s, 292 MB).  The solver's gathered Schur columns
+# take about 16 * basis^3 / n bytes, so the basis bounds both time and
+# memory: n = 6 at level 3 (377 words) takes 23 s and n = 3 at level 9
+# (1,159 words) would take 8 GB.
+MAX_BASIS = 321
 
 Word = tuple[int, ...]
 Monomial = tuple[Word, ...]

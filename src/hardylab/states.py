@@ -24,8 +24,11 @@ from .errors import (DegenerateMeasurementError, NumericError, ScenarioError,
 from .linalg import StateVector, _lapack
 
 MAX_PARTIES = 12
-# bipartitions whose spectra one batched eigvalsh call takes
+# bipartitions whose Gram matrices are formed together
 CUT_BATCH = 16
+# allowance for the round-off of a d x d cut's purity and spectrum, per
+# d^2: both err by a small multiple of d^2 * 2.2e-16
+PURITY_MARGIN = 1e-13
 
 
 @dataclass(frozen=True)
@@ -203,24 +206,49 @@ def tripartite_explicit(pair: MeasurementPair) -> StateVector:
     return StateVector((2, 2, 2), coeffs[[bin(idx).count("1") for idx in range(8)]])
 
 
-def _gram_spectra(t: np.ndarray, dim: int, orders) -> np.ndarray:
-    """Ascending spectra of M M^H, one row per axis order of ``t``, where M
-    is ``t`` transposed to that order and reshaped to ``dim`` rows."""
+def _has_weak_cut(t: np.ndarray, dim: int, orders, tol: float) -> bool:
+    """True iff some cut, given as an axis order of ``t`` whose leading
+    axes span ``dim`` rows, has second Schmidt coefficient at most ``tol``
+    (see ``is_genuinely_entangled``)."""
     blocks = np.stack([t.transpose(order).reshape(dim, -1) for order in orders])
-    return _lapack(np.linalg.eigvalsh, blocks @ blocks.conj().transpose(0, 2, 1))
+    grams = blocks @ blocks.conj().transpose(0, 2, 1)
+    del blocks
+    sums = np.einsum("kii->k", grams).real
+    bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-10)
+    if bad.size:
+        raise NumericError(f"Schmidt spectrum sums to {sums[bad[0]]!r}, not 1")
+    purity = (np.einsum("kij,kij->k", grams.real, grams.real)
+              + np.einsum("kij,kij->k", grams.imag, grams.imag))
+    near = (1.0 - purity <= 2 * (dim - 1) * tol + 2 * np.abs(1.0 - sums)
+            + PURITY_MARGIN * dim * dim)
+    if not near.any():
+        return False
+    vals = _lapack(np.linalg.eigvalsh, grams[near])
+    return bool((vals[:, -2] <= tol).any())
 
 
 def is_genuinely_entangled(psi: StateVector, tol: float = 1e-9) -> bool:
     """True iff every nontrivial bipartition has Schmidt rank at least 2,
     i.e. its second Schmidt coefficient exceeds ``tol``.
 
-    Each cut's spectrum is taken from the Gram matrix of the amplitude
-    block reshaped with the side of smaller dimension first, whose nonzero
-    eigenvalues are those of either reduced state.  Cuts with equal Gram
-    dimension share one batched ``eigvalsh``, ``CUT_BATCH`` cuts at a time;
-    a batch's blocks, their conjugates and its Gram matrices hold at most
+    Each cut's spectrum is that of the Gram matrix G of the amplitude
+    block reshaped with the side of smaller dimension d first, whose
+    nonzero eigenvalues are those of either reduced state.  Cuts with
+    equal Gram dimension are taken ``CUT_BATCH`` at a time; a batch's
+    blocks, their conjugates and its Gram matrices hold at most
     3 * CUT_BATCH copies of the state.  A cut with a one-dimensional side
     has rank 1.
+
+    Most cuts are settled by their purity Tr G^2 alone.  With eigenvalues
+    l_1 >= l_2 >= ... summing to s = Tr G, l_2 <= tol gives
+    l_1 >= s - (d - 1) tol, so
+
+        1 - Tr G^2 <= 1 - l_1^2 <= 2 (d - 1) tol + 2 |1 - s|.
+
+    A cut whose 1 - Tr G^2 exceeds that, plus ``PURITY_MARGIN`` * d^2 for
+    the round-off of the purity and of the spectrum, has l_2 > tol; only the
+    other cuts go to one batched ``eigvalsh``.  A genuinely entangled
+    state far from the threshold needs no spectrum at all.
     """
     n = psi.n_parties
     if n < 2:
@@ -237,13 +265,6 @@ def is_genuinely_entangled(psi: StateVector, tol: float = 1e-9) -> bool:
         groups.setdefault(min(da, db), []).append(keep + rest if da <= db else rest + keep)
     if 1 in groups:
         return False
-    for dim, orders in groups.items():
-        for start in range(0, len(orders), CUT_BATCH):
-            vals = np.clip(_gram_spectra(t, dim, orders[start:start + CUT_BATCH]), 0.0, None)
-            sums = vals.sum(axis=1)
-            bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-10)
-            if bad.size:
-                raise NumericError(f"Schmidt spectrum sums to {sums[bad[0]]!r}, not 1")
-            if (vals[:, -2] <= tol).any():
-                return False
-    return True
+    return not any(_has_weak_cut(t, dim, orders[start:start + CUT_BATCH], tol)
+                   for dim, orders in groups.items()
+                   for start in range(0, len(orders), CUT_BATCH))

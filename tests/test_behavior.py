@@ -6,13 +6,14 @@ import pytest
 
 from conftest import random_pairs, random_state
 from dense_hardy import hardy_functionals
+from sum_gaps import sum_axis_gaps
 
 from hardylab.behavior import (BehaviorTensor, MeasurementSet, Scenario,
                                _joint_general, check_no_signaling,
                                hardy_statistics, hardy_values,
                                joint_distribution,
                                measurements_from_observables,
-                               measurements_from_pairs)
+                               measurements_from_pairs, signaling_gaps)
 from hardylab.errors import ValidationError
 from hardylab.linalg import StateVector
 from hardylab.states import MeasurementPair, hardy_state, pmax
@@ -326,6 +327,58 @@ class TestNonFiniteInput:
             MeasurementSet(projectors=projectors, dims=(2, 2))
 
 
+def faulty_measurements(fault):
+    """Three qubit parties whose middle one, party 1, has ``fault`` at
+    setting 1; party 2 has a different fault, which must not be reported."""
+    (u, d) = MeasurementPair.from_alpha_sq(0.4).projectors
+    z0, z1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    oblique = np.array([[1.0, 2.0], [0.0, -1.0]])  # squares to I, not Hermitian
+    bad = {"non-finite": (np.array([[np.inf, 0.0], [0.0, 0.0]]), z1),
+           "sum": (z0, z0),
+           "hermitian": ((np.eye(2) + oblique) / 2, (np.eye(2) - oblique) / 2),
+           "idempotent": (np.eye(2) / 2, np.eye(2) / 2)}[fault]
+    later = (u, (z0, z0))
+    return ((u, d), (u, bad), later)
+
+
+class TestMeasurementSetFaults:
+    @pytest.mark.parametrize("fault,message", [
+        ("non-finite", "party 1: projector has non-finite entries"),
+        ("sum", "party 1: projectors do not sum to identity"),
+        ("hermitian", "party 1: projector not Hermitian"),
+        ("idempotent", "party 1: projector not idempotent"),
+    ])
+    def test_first_fault_reported(self, fault, message):
+        with pytest.raises(ValidationError) as info:
+            MeasurementSet(projectors=faulty_measurements(fault), dims=(2, 2, 2))
+        assert str(info.value) == message
+
+    def test_value_fault_before_later_shape_fault(self):
+        # party 1's setting 0 is checked in full before its setting 1's shape
+        (u, d) = MeasurementPair.from_alpha_sq(0.4).projectors
+        skew = np.array([[0.0, 1e-3], [0.0, 0.0]])
+        skewed = (d[0] + skew, d[1] - skew)
+        projectors = ((u, d), (skewed, (np.eye(3), np.eye(3))), (u, d))
+        with pytest.raises(ValidationError) as info:
+            MeasurementSet(projectors=projectors, dims=(2, 2, 2))
+        assert str(info.value) == "party 1: projector not Hermitian"
+        projectors = ((u, d), (u, (np.eye(3), np.eye(3))), (u, d))
+        with pytest.raises(ValidationError) as info:
+            MeasurementSet(projectors=projectors, dims=(2, 2, 2))
+        assert str(info.value) == "party 1: projector shape mismatch"
+
+    def test_mixed_dimensions(self):
+        # stacks of different local dimensions are checked apart
+        rng = np.random.default_rng(75)
+        m = random_projectors((2, 3, 4), rng)
+        projectors = list(m.projectors)
+        plus, minus = projectors[1][1]
+        projectors[1] = (projectors[1][0], (plus, 0.5 * (minus + plus)))
+        with pytest.raises(ValidationError) as info:
+            MeasurementSet(projectors=tuple(projectors), dims=(2, 3, 4))
+        assert str(info.value) == "party 1: projectors do not sum to identity"
+
+
 class TestNoSignaling:
     def test_uniform_zero(self):
         b = BehaviorTensor(Scenario(2), np.full((2, 2, 2, 2), 0.25))
@@ -362,8 +415,8 @@ class TestNoSignaling:
             assert_audit_matches_subsets(gap, direct_marginal_spreads(probs, n), n)
 
     def test_audit_memory(self):
-        # one party's two half-sums (a quarter table each) and the gap of
-        # the party before, which the generator still holds
+        # one party's gap and its second outcome sum, a quarter table
+        # each, plus the ufunc buffers of the strided additions
         psi, m = optimal_setup(8)
         b = joint_distribution(psi, m)
         tracemalloc.start()
@@ -373,6 +426,20 @@ class TestNoSignaling:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * b.probs.nbytes
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 2)], ids=["table", "batch", "batch2d"])
+    def test_gaps_match_sum_reference(self, n, lead):
+        # bit for bit, shapes and yield order included: the no-signaling LP
+        # takes its rows from these gaps
+        rng = np.random.default_rng([70, n, len(lead)])
+        probs = rng.random(lead + (2,) * (2 * n))
+        got = list(signaling_gaps(probs, n))
+        want = sum_axis_gaps(probs, n)
+        assert len(got) == len(want) == n
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == lead + (2,) * (2 * n - 2)
+            assert np.array_equal(g, w)
 
     def test_quantum_behaviors_pass(self):
         psi, m = optimal_setup(3)

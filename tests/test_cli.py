@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -20,6 +21,19 @@ from hardylab.states import pmax
 @pytest.fixture(autouse=True)
 def serial_scan(monkeypatch):
     monkeypatch.setenv("HARDYLAB_WORKERS", "1")
+
+
+def die_in_worker(task):
+    """Stands in for ``cli._scan_point``: the pool worker exits at once,
+    as one killed by the operating system would."""
+    if multiprocessing.parent_process() is None:
+        raise AssertionError("scan point run outside a pool worker")
+    os._exit(1)
+
+
+def constant_point(task):
+    """Stands in for ``cli._scan_point``: a valid row, with no solve."""
+    return task[0], (0.1, 0.3, 0.2, 0.15), None
 
 
 class TestPmax:
@@ -229,6 +243,41 @@ class TestScan:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"--restarts = {restarts} outside [1, 1000]" in captured.err
+
+    def test_restart_product_capped_before_any_point(self, monkeypatch, capsys):
+        def no_point(task):
+            raise AssertionError("scan point run past the restart product cap")
+
+        monkeypatch.setattr(cli, "_scan_point", no_point)
+        assert main(["scan", "--steps", "27", "--restarts", "1000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("--steps x --restarts = 27000 passes the cap of 26000 restarts"
+                in captured.err)
+
+    def test_restart_product_cap_is_accepted(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "_scan_point",
+                            lambda task: calls.append(task) or constant_point(task))
+        assert cli.MAX_SCAN_RESTARTS == 26 * variational.MAX_RESTARTS
+        assert main(["scan", "--steps", "26", "--restarts", "1000"]) == 0
+        assert len(calls) == 26
+        assert len(capsys.readouterr().out.splitlines()) == 27
+
+    def test_dead_worker_fails_its_rows(self, tmp_path, monkeypatch, capsys):
+        # a worker that exits abruptly breaks the pool; the scan reports
+        # the pool layer for every point without a result and exits 3
+        monkeypatch.setattr(cli, "_scan_point", die_in_worker)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("HARDYLAB_WORKERS", "2")
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--steps", "2", "--restarts", "1", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        for eps in ("0.000000", "0.250000"):
+            assert f"scan check failed: epsilon={eps}: pool layer: worker died" in err
+        assert "Traceback" not in err
+        rows = out.read_text().strip().split("\n")[1:]
+        assert [r.split(",")[1:4] for r in rows] == [["nan"] * 3] * 2
 
     def test_unwritable_out_fails_before_any_point(self, tmp_path, monkeypatch,
                                                    capsys):
@@ -490,8 +539,11 @@ print(*best)
 def test_certify_path_keeps_off_the_blas_pool():
     # State construction and the self-test make only small products; a
     # BLAS call above the threading threshold wakes the pool, whose helper
-    # thread then spins through the job and doubles the CPU time
+    # thread then spins through the job and doubles the CPU time.  Within
+    # one process CPU then reads about twice the wall time on two cores,
+    # a ratio that host load lowers rather than raises.
     env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
     src = str(Path(hardylab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     times = {}
@@ -502,8 +554,8 @@ def test_certify_path_keeps_off_the_blas_pool():
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         times[threads] = [float(v) for v in done.stdout.split()]
-    (wall, cpu), (wall_1, cpu_1) = times[None], times["1"]
-    assert wall <= 1.5 * wall_1
+    (wall, cpu), (_, cpu_1) = times[None], times["1"]
+    assert cpu <= 1.3 * wall
     assert cpu <= 1.5 * cpu_1
 
 

@@ -407,6 +407,17 @@ class TestBatchedCutSpectra:
         assert not per_cut_genuinely_entangled(psi, 1e-9)
         assert not is_genuinely_entangled(psi)
 
+    def test_hardy_state_needs_no_spectrum(self, monkeypatch):
+        # every cut's purity is far from 1, which rules out a second Schmidt
+        # coefficient below tol without an eigensolver
+        psi = hardy_state(10, [MeasurementPair.from_alpha_sq(pmax(10).t)] * 10)
+
+        def no_spectrum(a):
+            raise AssertionError("eigvalsh called for a genuinely entangled state")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_spectrum)
+        assert is_genuinely_entangled(psi)
+
     def test_memory_bounded_by_batch(self):
         # one batch of CUT_BATCH cuts holds their blocks, the blocks'
         # conjugates and Gram matrices of at most the state's size each
