@@ -7,8 +7,8 @@ from .behavior import (BehaviorTensor, HardyStats, MeasurementSet, Scenario,
 from .linalg import StateVector, eig_herm
 from .npa import (MomentProblem, build_moment_problem, canonical_monomial,
                   monomial_list, npa_upper_bound)
-from .polytope import (BoundQuery, LinearProgram, LPSolution, local_max,
-                       lp_solve, nosignaling_max)
+from .polytope import (BoundQuery, LPSolution, local_max, lp_solve,
+                       nosignaling_max)
 from .sdp import MomentSolution, sdp_solve
 from .selftest import (JordanDecomposition, ObservablePair, SelfTestReport,
                        canonical_observables, jordan_blocks, selftest_report)

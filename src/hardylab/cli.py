@@ -204,18 +204,13 @@ def _scan_point(task):
     errors also print their traceback to stderr.
     """
     idx, epsilon, level, restarts, seed, tol = task
-    layer = "local"
+    values = []
     try:
-        q = BoundQuery(3, epsilon)
-        loc = local_max(q).value
-        layer = "no_signaling"
-        ns = nosignaling_max(q).value
-        layer = "npa"
-        npa = npa_upper_bound(Scenario(3), level, epsilon, tol=tol)
-        layer = "variational"
-        var = lower_bound(epsilon, restarts=restarts,
-                          seed=scan_point_seed(seed, idx)).value
-        return idx, (loc, ns, npa, var), None
+        for layer, method in (("local", "local"), ("no_signaling", "ns"),
+                              ("npa", "npa"), ("variational", "variational")):
+            values.append(_bound_value(method, 3, epsilon, level, restarts,
+                                       scan_point_seed(seed, idx), tol)[0])
+        return idx, tuple(values), None
     except Exception as exc:
         if not isinstance(exc, (ValidationError, NumericError)):
             traceback.print_exc()

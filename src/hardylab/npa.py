@@ -139,7 +139,13 @@ def monomial_list(scenario: Scenario, level: int) -> list[Monomial]:
 
 @dataclass
 class MomentProblem:
-    """Moment-matrix SDP instance for the noisy Hardy maximisation."""
+    """Moment-matrix SDP instance for the noisy Hardy maximisation.
+
+    Variable 0 is the identity moment, fixed to 1 by the solver: it is
+    cell (0, 0), the first cell in row-major order, because the basis
+    starts with the identity monomial.  ``objective`` maps variables to
+    coefficients, and each of ``inequalities`` is a (row, bound) pair.
+    """
 
     scenario: Scenario
     level: int
@@ -148,7 +154,6 @@ class MomentProblem:
     variables: list
     cell_var: np.ndarray
     objective: dict
-    equalities: list
     inequalities: list
 
     @property
@@ -273,7 +278,6 @@ def build_moment_problem(scenario: Scenario, level: int, epsilon: float) -> Mome
         return moment_index[_orbit_key(mono)]
 
     objective = {lookup(canonical_monomial([(i, 0) for i in range(n)], n)): 1.0}
-    equalities = [({lookup(identity_monomial(n)): 1.0}, 1.0)]
     inequalities = []
     for term in hardy_constraint_terms(n):
         row: dict = {}
@@ -283,8 +287,7 @@ def build_moment_problem(scenario: Scenario, level: int, epsilon: float) -> Mome
         inequalities.append((row, float(epsilon)))
     return MomentProblem(scenario=scenario, level=level, epsilon=float(epsilon),
                          basis=basis, variables=variables, cell_var=renumber[cell_ids],
-                         objective=objective, equalities=equalities,
-                         inequalities=inequalities)
+                         objective=objective, inequalities=inequalities)
 
 
 def npa_upper_bound(scenario: Scenario, level: int, epsilon: float,
@@ -294,7 +297,7 @@ def npa_upper_bound(scenario: Scenario, level: int, epsilon: float,
 
     The solve runs on the cyclic orbit problem and needs no start point.
     Raises NumericError when the optimiser does not reach its stopping
-    rule and residual targets.
+    rule and residual targets; the message names what ended the solve.
     """
     from .sdp import sdp_solve
 
@@ -302,6 +305,7 @@ def npa_upper_bound(scenario: Scenario, level: int, epsilon: float,
     if not sol.converged:
         raise NumericError(
             f"moment SDP did not converge after {sol.iterations} iterations "
-            f"(gap={sol.gap:.3e}, psd_residual={sol.psd_residual:.3e}, "
+            f"(stopped by {sol.stopped_by}; gap={sol.gap:.3e}, "
+            f"psd_residual={sol.psd_residual:.3e}, "
             f"affine_residual={sol.affine_residual:.3e})")
     return sol.value

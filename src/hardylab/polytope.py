@@ -1,9 +1,11 @@
 """Linear programming over the local and no-signaling polytopes.
 
 The solver is a dense two-phase primal simplex with Bland's rule, which
-precludes cycling on the heavily degenerate systems produced here; its
-variables are nonnegative.  Both problems take their objective and error
-rows from ``behavior.hardy_values``.  The local problem is posed in the
+precludes cycling on the heavily degenerate systems produced here.  It
+takes the one form both problems have: arrays of equality rows and of
+``<=`` rows over nonnegative variables, with nonnegative right-hand
+sides.  Both problems take their objective and error rows from
+``behavior.hardy_values``.  The local problem is posed in the
 vertex-weight basis (one variable per deterministic strategy); the
 no-signaling problem directly in behavior entries, with the per-party
 equalities of ``behavior.signaling_gaps``: summed over a party's outcome,
@@ -14,7 +16,7 @@ times the largest gap); ``check_no_signaling`` audits them on the solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
 from .behavior import (BehaviorTensor, Scenario, check_no_signaling, hardy_values,
@@ -22,22 +24,6 @@ from .behavior import (BehaviorTensor, Scenario, check_no_signaling, hardy_value
 from .errors import NumericError, ValidationError
 
 FEAS_TOL = 1e-9
-
-
-@dataclass
-class LinearProgram:
-    """maximize objective . x subject to x >= 0 and rows (coeffs, relation, bound)."""
-
-    objective: np.ndarray
-    constraints: list = field(default_factory=list)
-
-    def add(self, coeffs, relation: str, bound: float):
-        if relation not in ("<=", "=", ">="):
-            raise ValidationError(f"unknown relation {relation!r}")
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != np.asarray(self.objective).shape:
-            raise ValidationError("constraint length does not match objective")
-        self.constraints.append((coeffs, relation, float(bound)))
 
 
 @dataclass(frozen=True)
@@ -96,39 +82,35 @@ def _bland_loop(tab: np.ndarray, basis: list, max_iter: int) -> int:
     raise NumericError("simplex cycling guard exceeded")
 
 
-def lp_solve(lp: LinearProgram) -> LPSolution:
-    """Two-phase primal simplex for small dense linear programs."""
-    c = np.asarray(lp.objective, dtype=float)
+def lp_solve(c, a_eq, b_eq, a_ub, b_ub) -> LPSolution:
+    """Two-phase primal simplex for small dense linear programs:
+    maximise c.x subject to a_eq x = b_eq, a_ub x <= b_ub and x >= 0.
+
+    Every right-hand side must be nonnegative, so that the artificials
+    start as a feasible basis.  Tableau columns are the variables, one
+    slack per ``<=`` row and one artificial per row; the equality rows
+    come first.
+    """
+    c = np.asarray(c, dtype=float)
     nvar = c.size
+    a_eq, a_ub = np.asarray(a_eq, dtype=float), np.asarray(a_ub, dtype=float)
+    n_eq, nslack = len(b_eq), len(b_ub)
+    if a_eq.shape != (n_eq, nvar) or a_ub.shape != (nslack, nvar):
+        raise ValidationError(
+            f"constraint rows must have {nvar} entries, one per right-hand side")
+    b = np.concatenate((b_eq, b_ub))
+    if not np.all(b >= 0.0):
+        raise ValidationError("right-hand sides must be nonnegative")
 
-    # Normalise signs so every right-hand side is nonnegative.
-    norm_rows = []
-    for a, rel, b in lp.constraints:
-        if b < 0:
-            a, b = -a, -b
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        norm_rows.append((a, rel, b))
-
-    m = len(norm_rows)
-    nslack = sum(1 for _, rel, _ in norm_rows if rel in ("<=", ">="))
-    total = nvar + nslack + m  # artificials for every row keeps phase 1 simple
-    tab = np.zeros((m + 1, total + 1))
-    basis = [0] * m
-    s_at = nvar
+    m = n_eq + nslack
     a_at = nvar + nslack
-    si = 0
-    for r, (a, rel, b) in enumerate(norm_rows):
-        tab[r, :nvar] = a
-        tab[r, -1] = b
-        if rel == "<=":
-            tab[r, s_at + si] = 1.0
-            si += 1
-        elif rel == ">=":
-            tab[r, s_at + si] = -1.0
-            si += 1
-        tab[r, a_at + r] = 1.0
-        basis[r] = a_at + r
-    max_iter = 2000 + 200 * (m + total)
+    tab = np.zeros((m + 1, a_at + m + 1))
+    tab[:m, :nvar] = np.vstack((a_eq, a_ub))
+    tab[:m, -1] = b
+    tab[np.arange(n_eq, m), np.arange(nvar, a_at)] = 1.0
+    tab[np.arange(m), np.arange(a_at, a_at + m)] = 1.0
+    basis = list(range(a_at, a_at + m))
+    max_iter = 2000 + 200 * (2 * m + a_at)
 
     # Phase 1: minimise the sum of artificials.
     tab[-1, a_at:a_at + m] = 1.0
@@ -143,28 +125,23 @@ def lp_solve(lp: LinearProgram) -> LPSolution:
                           assignment=np.full(nvar, np.nan), pivots=pivots)
 
     # Clear leftover artificials from the basis (degenerate rows).
-    drop_rows = []
+    keep = []
     for r in range(m):
         if basis[r] >= a_at:
-            sub = tab[r, :a_at]
-            cols = np.where(np.abs(sub) > 1e-9)[0]
-            if cols.size:
-                _pivot(tab, basis, r, int(cols[0]))
-                pivots += 1
-            else:
-                drop_rows.append(r)
-    if drop_rows:
-        keep = [r for r in range(m) if r not in drop_rows]
-        tab = tab[keep + [m]]
-        basis = [basis[r] for r in keep]
-        m = len(keep)
+            cols = np.where(np.abs(tab[r, :a_at]) > 1e-9)[0]
+            if not cols.size:
+                continue
+            _pivot(tab, basis, r, int(cols[0]))
+            pivots += 1
+        keep.append(r)
+    tab = tab[keep + [m]]
+    basis = [basis[r] for r in keep]
 
     # Phase 2 on the original objective (maximise c => minimise -c).
-    tab = np.delete(tab, np.s_[a_at:a_at + len(norm_rows)], axis=1)
+    tab = np.delete(tab, np.s_[a_at:a_at + m], axis=1)
     tab[-1] = 0.0
     tab[-1, :nvar] = -c
-    for r in range(m):
-        bv = basis[r]
+    for r, bv in enumerate(basis):
         if tab[-1, bv] != 0.0:
             tab[-1] -= tab[-1, bv] * tab[r]
     try:
@@ -174,22 +151,16 @@ def lp_solve(lp: LinearProgram) -> LPSolution:
                           assignment=np.full(nvar, np.nan),
                           pivots=pivots + exc.args[0])
 
-    xstd = np.zeros(nvar + nslack)
-    for r in range(m):
-        if basis[r] < xstd.size:
-            xstd[basis[r]] = tab[r, -1]
+    xstd = np.zeros(a_at)
+    for r, bv in enumerate(basis):
+        if bv < a_at:
+            xstd[bv] = tab[r, -1]
     x = xstd[:nvar]
-    value = float(c @ x)
-
-    for coeffs, rel, bnd in lp.constraints:
-        lhs = float(coeffs @ x)
-        bad = ((rel == "<=" and lhs > bnd + FEAS_TOL)
-               or (rel == ">=" and lhs < bnd - FEAS_TOL)
-               or (rel == "=" and abs(lhs - bnd) > FEAS_TOL))
-        if bad:
-            raise NumericError(
-                f"optimal point violates a constraint by {abs(lhs - bnd):.2e}")
-    return LPSolution(status="optimal", value=value, assignment=x, pivots=pivots)
+    violation = np.concatenate((np.abs(a_eq @ x - b[:n_eq]), a_ub @ x - b[n_eq:]))
+    if violation.max(initial=0.0) > FEAS_TOL:
+        raise NumericError(
+            f"optimal point violates a constraint by {violation.max():.2e}")
+    return LPSolution(status="optimal", value=float(c @ x), assignment=x, pivots=pivots)
 
 
 def _vertex_table(n: int) -> np.ndarray:
@@ -218,11 +189,7 @@ def local_max(q: BoundQuery) -> LPSolution:
     if q.n not in (2, 3):
         raise ValidationError("the noisy local bound is posed for n in {2, 3}")
     p, zs = hardy_values(_vertex_table(q.n).reshape((4 ** q.n,) + (2,) * (2 * q.n)), q.n)
-    lp = LinearProgram(objective=p)
-    for row in zs.T:
-        lp.add(row, "<=", q.epsilon)
-    lp.add(np.ones(len(p)), "=", 1.0)
-    return lp_solve(lp)
+    return lp_solve(p, np.ones((1, len(p))), [1.0], zs.T, np.full(q.n + 1, q.epsilon))
 
 
 def nosignaling_max(q: BoundQuery) -> LPSolution:
@@ -238,18 +205,11 @@ def nosignaling_max(q: BoundQuery) -> LPSolution:
     shape = (2,) * (2 * n)
     unit = np.eye(4 ** n).reshape((4 ** n,) + shape)  # unit[k] is 1 at entry k only
     p, zs = hardy_values(unit, n)
-    lp = LinearProgram(objective=p)
-
-    for row in unit.sum(axis=tuple(range(n + 1, 2 * n + 1))).reshape(4 ** n, -1).T:
-        lp.add(row, "=", 1.0)
-    for gap in signaling_gaps(unit, n):
-        for row in gap.reshape(4 ** n, -1).T:
-            lp.add(row, "=", 0.0)
-
-    for row in zs.T:
-        lp.add(row, "<=", q.epsilon)
-
-    sol = lp_solve(lp)
+    norm = unit.sum(axis=tuple(range(n + 1, 2 * n + 1))).reshape(4 ** n, -1).T
+    a_eq = np.vstack([norm] + [gap.reshape(4 ** n, -1).T for gap in signaling_gaps(unit, n)])
+    b_eq = np.zeros(len(a_eq))
+    b_eq[:len(norm)] = 1.0
+    sol = lp_solve(p, a_eq, b_eq, zs.T, np.full(n + 1, q.epsilon))
     if sol.status == "optimal":
         behavior = BehaviorTensor(Scenario(n), np.clip(sol.assignment, 0.0, None).reshape(shape))
         gap = check_no_signaling(behavior)

@@ -5,13 +5,13 @@ Vanderbei & Wolkowicz, SIAM J. Optim. 6 (1996); Vandenberghe & Boyd,
 SIAM Rev. 38 (1996)).  The moment problem
 
     maximise c.m  subject to  M(m) = sum_k m_k E_k >= 0,  G m <= eps + shift,
-                              A m = b
+                              m_0 = 1
 
-is solved as the dual of a standard-form SDP.  The equality rows are
-eliminated by a null-space basis, m = m0 + N y (for the Hardy problems
-this only fixes the identity moment).  The moment matrix and the Hardy
-rows are the two cone blocks Z = M(m) and z = eps + shift - G m of the
-dual slack; X and x are the primal matrix and vector.  Neither side has
+is solved as the dual of a standard-form SDP.  Variable 0 is the
+identity moment, pinned to 1, so the iterates are the other moments,
+m = (1, y).  The moment matrix and the Hardy rows are the two cone
+blocks Z = M(m) and z = eps + shift - G m of the dual slack; X and x are
+the primal matrix and vector.  Neither side has
 to be feasible at the start: X = 100 I, x = 100, Z = I, z = 1 and y = 0
 are used, so no interior point has to be built.
 
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .npa import basis_shifts
+from .npa import basis_shifts, identity_monomial
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 100
@@ -78,6 +78,9 @@ class MomentSolution:
     iterations: int
     converged: bool
     gap: float  # complementarity Tr(XZ) + x.z at exit
+    # what ended the iterations: "stopping rule", "iteration cap",
+    # "X or Z factor" or "Schur factor" (a failed Cholesky factorisation)
+    stopped_by: str
 
 
 def _cholesky(a: np.ndarray):
@@ -122,6 +125,8 @@ class _Compiled:
         self.nb = nb = problem.n_basis
         self.nv = nv = problem.n_vars
         cell_var = problem.cell_var
+        if problem.variables[:1] != [identity_monomial(problem.scenario.n)]:
+            raise ValidationError("variable 0 must be the identity moment")
         # The Schur matrix rows and the Cholesky factors (which read one
         # triangle) both assume cell (i, j) and cell (j, i) share a variable.
         if not np.array_equal(cell_var, cell_var.T) or cell_var.shape != (nb, nb):
@@ -149,15 +154,6 @@ class _Compiled:
         self.bounds_by_var = np.searchsorted(cv[order], np.arange(nv + 1)).tolist()
 
         self.c = _dense([(problem.objective, 0.0)], nv)[0][0]
-        self.a_eq, self.b_eq = _dense(problem.equalities, nv)
-        # m = m0 + null @ y satisfies the equality rows for every y.
-        ne = len(self.b_eq)
-        q, r = np.linalg.qr(self.a_eq.T, mode="complete")
-        diag = np.abs(np.diag(r[:ne]))
-        if ne > nv or (ne and diag.min() <= 1e-12 * diag.max()):
-            raise ValidationError("equality rows are linearly dependent")
-        self.null = q[:, ne:]
-        self.m0 = q[:, :ne] @ np.linalg.solve(r[:ne].T, self.b_eq)
         self.g, self.eps = _dense(problem.inequalities, nv)
         self.nj = len(self.eps)
 
@@ -210,43 +206,44 @@ def sdp_solve(problem, tol: float = DEFAULT_TOL) -> MomentSolution:
 
     No start point is needed.  DEFAULT_MAX_ITER caps the number of iterations;
     ``converged`` reports whether the stopping rule was met and the
-    returned moments pass the PSD and affine audits to ``tol``.
+    returned moments pass the PSD and affine audits to ``tol``, and
+    ``stopped_by`` which exit ended the iterations.
     """
     comp = _Compiled(problem)
     nb, nj = comp.nb, comp.nj
-    null = comp.null
-    b = null.T @ comp.c
-    gn = comp.g @ null
+    # the objective and Hardy rows on y = (m_1, m_2, ...)
+    b, gn = comp.c[1:], comp.g[:, 1:]
     rhs_lin = comp.eps + DEFAULT_SHIFT
     degree = nb + nj
     eye = np.eye(nb)
 
     x_mat, x_lin = START_SCALE * eye, np.full(nj, START_SCALE)
     z_mat, z_lin = eye.copy(), np.ones(nj)
-    y = np.zeros(null.shape[1])
+    y = np.zeros(comp.nv - 1)
     iters = 0
-    converged = False
     while True:
-        m = comp.m0 + null @ y
+        m = np.concatenate(([1.0], y))
         res_mat = comp.mat(m) - z_mat
         res_lin = rhs_lin - comp.g @ m - z_lin
         gap = float(np.sum(x_mat * z_mat) + x_lin @ z_lin)
         dual_res = max(float(np.abs(res_mat).max()),
                        float(np.abs(res_lin).max(initial=0.0)))
         if gap <= GAP_FRACTION * tol and dual_res <= DUAL_RESIDUAL:
-            converged = True
+            stopped_by = "stopping rule"
             break
         if iters >= DEFAULT_MAX_ITER:
+            stopped_by = "iteration cap"
             break
         x_low, z_low = _cholesky(x_mat), _cholesky(z_mat)
         if x_low is None or z_low is None:
+            stopped_by = "X or Z factor"
             break
         iters += 1
         x_inv_low = _solve_lower(x_low, eye)
         z_inv_low = _solve_lower(z_low, eye)
         z_inv = z_inv_low.T @ z_inv_low
         d_lin = x_lin / z_lin
-        schur = null.T @ comp.schur_matrix(x_mat, z_inv) @ null + (gn.T * d_lin) @ gn
+        schur = comp.schur_matrix(x_mat, z_inv)[1:, 1:] + (gn.T * d_lin) @ gn
         # Jacobi-scale the Schur matrix: near the optimum of an eps = 0
         # problem its diagonal spans many orders of magnitude.
         scale = 1.0 / np.sqrt(np.diag(schur))
@@ -260,15 +257,16 @@ def sdp_solve(problem, tol: float = DEFAULT_TOL) -> MomentSolution:
             if low is not None:
                 break
         if low is None:
+            stopped_by = "Schur factor"
             break
 
         def direction(target, corr_mat, corr_lin):
             """HKM step for X Z = target I - corr_mat, x z = target - corr_lin."""
             w = target * z_inv - (x_mat @ res_mat + corr_mat) @ z_inv
-            rhs = (b + null.T @ comp.trace_by_var(w)
+            rhs = (b + comp.trace_by_var(w)[1:]
                    - gn.T @ ((target - corr_lin) / z_lin - d_lin * res_lin))
             dy = scale * _chol_solve(low, scale * rhs)
-            dz_mat = res_mat + comp.mat(null @ dy)
+            dz_mat = res_mat + comp.mat(np.concatenate(([0.0], dy)))
             dz_lin = res_lin - gn @ dy
             dx_mat = target * z_inv - x_mat - (x_mat @ dz_mat + corr_mat) @ z_inv
             dx_lin = (target - corr_lin) / z_lin - x_lin - d_lin * dz_lin
@@ -295,12 +293,9 @@ def sdp_solve(problem, tol: float = DEFAULT_TOL) -> MomentSolution:
 
     value = float(comp.c @ m)
     psd_residual = max(0.0, -float(np.linalg.eigvalsh(comp.mat(m))[0]))
-    affine = 0.0
-    if comp.a_eq.shape[0]:
-        affine = float(np.max(np.abs(comp.a_eq @ m - comp.b_eq)))
-    if nj:
-        affine = max(affine, float(np.max(comp.g @ m - comp.eps)))
-    converged = converged and psd_residual <= tol and affine <= tol
+    affine = float(np.max(comp.g @ m - comp.eps, initial=0.0))
+    converged = (stopped_by == "stopping rule" and psd_residual <= tol
+                 and affine <= tol)
     return MomentSolution(value=value, moments=m, psd_residual=psd_residual,
-                          affine_residual=max(0.0, affine), iterations=iters,
-                          converged=converged, gap=gap)
+                          affine_residual=affine, iterations=iters,
+                          converged=converged, gap=gap, stopped_by=stopped_by)

@@ -55,6 +55,9 @@ class ObservablePair:
         d = a1.shape[0]
         if a1.shape != (d, d) or a2.shape != (d, d):
             raise ValidationError("observables must be square and equally sized")
+        # a NaN entry fails both norm tests below and would pass them
+        if not (np.isfinite(a1).all() and np.isfinite(a2).all()):
+            raise ValidationError("observables must have finite entries")
         eye = np.eye(d)
         for name, a in (("a1", a1), ("a2", a2)):
             if np.linalg.norm(a - a.conj().T) > 1e-10 * d:

@@ -11,7 +11,7 @@ import numpy as np
 from hardylab.errors import CapabilityError, ValidationError
 from hardylab.npa import (MomentProblem, _rotate, _sort_key, _variable_key,
                           canonical_monomial, dagger, hardy_constraint_terms,
-                          identity_monomial, monomial_list, monomial_str, mul)
+                          monomial_list, monomial_str, mul)
 
 
 def build_full_problem(scenario, level, epsilon):
@@ -45,7 +45,6 @@ def build_full_problem(scenario, level, epsilon):
         return var
 
     objective = {lookup(canonical_monomial([(i, 0) for i in range(n)], n)): 1.0}
-    equalities = [({lookup(identity_monomial(n)): 1.0}, 1.0)]
     inequalities = []
     for term in hardy_constraint_terms(n):
         row: dict = {}
@@ -55,8 +54,7 @@ def build_full_problem(scenario, level, epsilon):
         inequalities.append((row, float(epsilon)))
     return MomentProblem(scenario=scenario, level=level, epsilon=float(epsilon),
                          basis=basis, variables=variables, cell_var=cell_var,
-                         objective=objective, equalities=equalities,
-                         inequalities=inequalities)
+                         objective=objective, inequalities=inequalities)
 
 
 def cyclic_reduction(problem):
@@ -87,6 +85,5 @@ def cyclic_reduction(problem):
         basis=problem.basis, variables=list(orbit_index),
         cell_var=orbit_of[problem.cell_var],
         objective=remap(problem.objective),
-        equalities=[(remap(row), rhs) for row, rhs in problem.equalities],
         inequalities=[(remap(row), rhs) for row, rhs in problem.inequalities])
     return reduced, orbit_of

@@ -13,6 +13,7 @@ import pytest
 import hardylab
 from hardylab import cli, variational
 from hardylab.cli import SCAN_HEADER, load_observables, load_state_spec, main
+from hardylab.errors import NumericError
 from hardylab.npa import MAX_BASIS
 from hardylab.selftest import canonical_observables
 from hardylab.states import pmax
@@ -355,6 +356,18 @@ class TestScan:
                     "RuntimeError: moment solver exploded") in err
         rows = out.read_text().strip().split("\n")[1:]
         assert [r.split(",")[1] for r in rows] == ["nan", "nan"]
+
+    @pytest.mark.parametrize("layer,solver", [
+        ("local", "local_max"), ("no_signaling", "nosignaling_max"),
+        ("npa", "npa_upper_bound"), ("variational", "lower_bound")])
+    def test_scan_point_names_each_layer(self, monkeypatch, layer, solver):
+        def stalled(*args, **kwargs):
+            raise NumericError("stalled")
+
+        monkeypatch.setattr(cli, solver, stalled)
+        idx, row, err = cli._scan_point((4, 0.05, 2, 1, 0, 1e-6))
+        assert (idx, row) == (4, None)
+        assert err == f"{layer} layer: NumericError: stalled"
 
     def test_rows_revalidate_through_library(self, tmp_path):
         from hardylab.behavior import Scenario

@@ -8,47 +8,61 @@ from hardylab import polytope
 from hardylab.behavior import (BehaviorTensor, Scenario, check_no_signaling,
                                hardy_statistics, hardy_values)
 from hardylab.errors import ValidationError
-from hardylab.polytope import (BoundQuery, LinearProgram, LPSolution,
-                               _pivot, _vertex_table, local_max, lp_solve,
-                               nosignaling_max)
+from hardylab.polytope import (BoundQuery, LPSolution, _pivot, _vertex_table,
+                               local_max, lp_solve, nosignaling_max)
 
 # First verified value of the tripartite no-signaling maximum at eps = 0
 # (cross-checked against an independent LP solver when frozen).
 NS_TRIPARTITE_EPS0 = 1.0 / 3.0
 
 
+def ub_only(c, a_ub, b_ub):
+    """``lp_solve`` on a program without equality rows."""
+    c = np.asarray(c, dtype=float)
+    return lp_solve(c, np.zeros((0, c.size)), [], a_ub, b_ub)
+
+
 class TestLpSolve:
     def test_single_variable(self):
-        lp = LinearProgram(objective=np.array([1.0]))
-        lp.add(np.array([1.0]), "<=", 3.0)
-        sol = lp_solve(lp)
+        sol = ub_only([1.0], [[1.0]], [3.0])
         assert sol.status == "optimal"
         assert abs(sol.value - 3.0) < 1e-12
 
     def test_two_variables(self):
-        lp = LinearProgram(objective=np.array([1.0, 1.0]))
-        lp.add(np.array([1.0, 1.0]), "<=", 1.0)
-        sol = lp_solve(lp)
+        sol = ub_only([1.0, 1.0], [[1.0, 1.0]], [1.0])
         assert abs(sol.value - 1.0) < 1e-12
 
     def test_infeasible(self):
-        lp = LinearProgram(objective=np.array([1.0]))
-        lp.add(np.array([1.0]), "<=", -1.0)
-        assert lp_solve(lp).status == "infeasible"
+        # max x st x = 1, x <= 0.5
+        sol = lp_solve([1.0], [[1.0]], [1.0], [[1.0]], [0.5])
+        assert sol.status == "infeasible"
 
     def test_unbounded(self):
-        lp = LinearProgram(objective=np.array([1.0, 0.0]))
-        lp.add(np.array([0.0, 1.0]), "<=", 1.0)
-        assert lp_solve(lp).status == "unbounded"
+        assert ub_only([1.0, 0.0], [[0.0, 1.0]], [1.0]).status == "unbounded"
 
     def test_equalities_and_bounds(self):
         # max x + 2y st x + y = 1, y <= 0.4
-        lp = LinearProgram(objective=np.array([1.0, 2.0]))
-        lp.add(np.array([1.0, 1.0]), "=", 1.0)
-        lp.add(np.array([0.0, 1.0]), "<=", 0.4)
-        sol = lp_solve(lp)
+        sol = lp_solve([1.0, 2.0], [[1.0, 1.0]], [1.0], [[0.0, 1.0]], [0.4])
         assert abs(sol.value - 1.4) < 1e-12
         assert np.allclose(sol.assignment, [0.6, 0.4], atol=1e-12)
+
+    @pytest.mark.parametrize("b_eq,b_ub", [([-1.0], [0.5]), ([1.0], [-0.5]),
+                                           ([np.nan], [0.5])])
+    def test_rejects_negative_right_hand_side(self, b_eq, b_ub):
+        # without the check the artificials would start infeasible, and the
+        # simplex would answer without an error
+        with pytest.raises(ValidationError, match="nonnegative"):
+            lp_solve([1.0], [[1.0]], b_eq, [[1.0]], b_ub)
+
+    @pytest.mark.parametrize("a_eq,b_eq,a_ub,b_ub", [
+        ([[1.0, 1.0]], [1.0], [[1.0]], [0.5]),    # equality row too wide
+        ([[1.0]], [1.0], [[1.0, 0.0]], [0.5]),    # inequality row too wide
+        ([1.0], [1.0], [[1.0]], [0.5]),           # a row, not a matrix
+        ([[1.0]], [1.0, 2.0], [[1.0]], [0.5]),    # more bounds than rows
+    ])
+    def test_rejects_mismatched_rows(self, a_eq, b_eq, a_ub, b_ub):
+        with pytest.raises(ValidationError, match="entries"):
+            lp_solve([1.0], a_eq, b_eq, a_ub, b_ub)
 
     def test_against_scipy_on_random_problems(self):
         scipy_opt = pytest.importorskip("scipy.optimize")
@@ -58,12 +72,8 @@ class TestLpSolve:
             c = rng.standard_normal(nv)
             a = rng.standard_normal((nc, nv))
             b = rng.uniform(0.5, 2.0, nc)
-            lp = LinearProgram(objective=c)
-            for row, rhs in zip(a, b):
-                lp.add(row, "<=", rhs)
-            for row in np.eye(nv):  # x_i <= 1
-                lp.add(row, "<=", 1.0)
-            sol = lp_solve(lp)
+            # x_i <= 1 as the last rows
+            sol = ub_only(c, np.vstack((a, np.eye(nv))), np.concatenate((b, np.ones(nv))))
             ref = scipy_opt.linprog(-c, A_ub=a, b_ub=b, bounds=[(0, 1)] * nv,
                                     method="highs")
             assert sol.status == "optimal" and ref.status == 0
@@ -101,13 +111,11 @@ def vertex_loop_local_max(q):
     vertex at a time."""
     vertices = vertex_loop(q.n)
     p_coeff, zs = hardy_functionals(q.n)
-    lp = LinearProgram(objective=np.array(
-        [float(p_coeff.reshape(-1) @ v.reshape(-1)) for v in vertices]))
-    for z in zs:
-        lp.add(np.array([float(z.reshape(-1) @ v.reshape(-1)) for v in vertices]),
-               "<=", q.epsilon)
-    lp.add(np.ones(len(vertices)), "=", 1.0)
-    return lp_solve(lp)
+    c = np.array([float(p_coeff.reshape(-1) @ v.reshape(-1)) for v in vertices])
+    a_ub = np.array([[float(z.reshape(-1) @ v.reshape(-1)) for v in vertices]
+                     for z in zs])
+    return lp_solve(c, np.ones((1, len(vertices))), [1.0], a_ub,
+                    np.full(len(zs), q.epsilon))
 
 
 def redundant_nosignaling_max(q):
@@ -117,11 +125,12 @@ def redundant_nosignaling_max(q):
     n = q.n
     shape = (2,) * (2 * n)
     p_coeff, zs = hardy_functionals(n)
-    lp = LinearProgram(objective=p_coeff.reshape(-1))
+    a_eq, b_eq = [], []
     for settings in product((0, 1), repeat=n):
         coeff = np.zeros(shape)
         coeff[settings] = 1.0
-        lp.add(coeff.reshape(-1), "=", 1.0)
+        a_eq.append(coeff.reshape(-1))
+        b_eq.append(1.0)
     for mask in range(1, 2 ** n - 1):
         keep = [i for i in range(n) if (mask >> i) & 1]
         drop = [i for i in range(n) if not (mask >> i) & 1]
@@ -140,10 +149,11 @@ def redundant_nosignaling_max(q):
                     coeff[tuple(sel)] = 1.0
                     rows.append(coeff.reshape(-1))
                 for a, b in combinations(range(len(rows)), 2):
-                    lp.add(rows[a] - rows[b], "=", 0.0)
-    for z in zs:
-        lp.add(z.reshape(-1), "<=", q.epsilon)
-    return lp_solve(lp)
+                    a_eq.append(rows[a] - rows[b])
+                    b_eq.append(0.0)
+    a_ub = np.array([z.reshape(-1) for z in zs])
+    return lp_solve(p_coeff.reshape(-1), np.array(a_eq), b_eq, a_ub,
+                    np.full(len(zs), q.epsilon))
 
 
 class TestPivot:
@@ -204,19 +214,14 @@ class TestPivotCount:
     def test_every_status_reports_pivots(self):
         # max x st x <= 3: x replaces the artificial in phase 1, which
         # leaves phase 2 optimal at once
-        lp = LinearProgram(objective=np.array([1.0]))
-        lp.add(np.array([1.0]), "<=", 3.0)
-        sol = lp_solve(lp)
+        sol = ub_only([1.0], [[1.0]], [3.0])
         assert (sol.status, sol.pivots) == ("optimal", 1)
-        # x <= -1: no column improves phase 1
-        lp = LinearProgram(objective=np.array([1.0]))
-        lp.add(np.array([1.0]), "<=", -1.0)
-        sol = lp_solve(lp)
-        assert (sol.status, sol.pivots) == ("infeasible", 0)
+        # x = 1, x <= 0.5: x enters in phase 1, and the equality row's
+        # artificial stays basic at 0.5
+        sol = lp_solve([1.0], [[1.0]], [1.0], [[1.0]], [0.5])
+        assert (sol.status, sol.pivots) == ("infeasible", 1)
         # max x st y <= 1: y enters in phase 1, x has no ratio in phase 2
-        lp = LinearProgram(objective=np.array([1.0, 0.0]))
-        lp.add(np.array([0.0, 1.0]), "<=", 1.0)
-        sol = lp_solve(lp)
+        sol = ub_only([1.0, 0.0], [[0.0, 1.0]], [1.0])
         assert (sol.status, sol.pivots) == ("unbounded", 1)
 
 
@@ -327,34 +332,35 @@ class TestNoSignalingMax:
         # batch and its two settings subtracted
         posed = []
 
-        def recording_solve(lp):
+        def recording_solve(*lp):
             posed.append(lp)
-            return lp_solve(lp)
+            return lp_solve(*lp)
 
         monkeypatch.setattr(polytope, "lp_solve", recording_solve)
         nosignaling_max(BoundQuery(n, 0.05))
         unit = np.eye(4 ** n).reshape((4 ** n,) + (2,) * (2 * n))
         p, zs = hardy_values(unit, n)
-        want = [(row, "=", 1.0) for row in
-                unit.sum(axis=tuple(range(n + 1, 2 * n + 1))).reshape(4 ** n, -1).T]
+        want_eq = [(row, 1.0) for row in
+                   unit.sum(axis=tuple(range(n + 1, 2 * n + 1))).reshape(4 ** n, -1).T]
         for i in range(n):
             marg = unit.sum(axis=n + 1 + i)
             gaps = marg.take(0, axis=1 + i) - marg.take(1, axis=1 + i)
-            want += [(row, "=", 0.0) for row in gaps.reshape(4 ** n, -1).T]
-        want += [(row, "<=", 0.05) for row in zs.T]
-        (lp,) = posed
-        assert np.array_equal(lp.objective, p)
-        assert len(lp.constraints) == len(want)
-        for (got_row, got_rel, got_b), (want_row, want_rel, want_b) in zip(lp.constraints, want):
-            assert np.array_equal(got_row, want_row)
-            assert (got_rel, got_b) == (want_rel, want_b)
+            want_eq += [(row, 0.0) for row in gaps.reshape(4 ** n, -1).T]
+        want_ub = [(row, 0.05) for row in zs.T]
+        ((c, a_eq, b_eq, a_ub, b_ub),) = posed
+        assert np.array_equal(c, p)
+        for rows, rhs, want in ((a_eq, b_eq, want_eq), (a_ub, b_ub, want_ub)):
+            assert len(rows) == len(rhs) == len(want)
+            for got_row, got_b, (want_row, want_b) in zip(rows, rhs, want):
+                assert np.array_equal(got_row, want_row)
+                assert got_b == want_b
 
     def test_per_party_row_count(self, monkeypatch):
         counts = []
 
-        def counting_solve(lp):
-            counts.append(len(lp.constraints))
-            return lp_solve(lp)
+        def counting_solve(c, a_eq, b_eq, a_ub, b_ub):
+            counts.append(len(a_eq) + len(a_ub))
+            return lp_solve(c, a_eq, b_eq, a_ub, b_ub)
 
         monkeypatch.setattr(polytope, "lp_solve", counting_solve)
         nosignaling_max(BoundQuery(2, 0.1))

@@ -10,9 +10,10 @@ from full_moment import build_full_problem
 
 from hardylab import sdp
 from hardylab.behavior import Scenario
-from hardylab.errors import ValidationError
+from hardylab.errors import NumericError, ValidationError
 from hardylab.linalg import eig_herm
-from hardylab.npa import MomentProblem, build_moment_problem, identity_monomial
+from hardylab.npa import (MomentProblem, build_moment_problem, identity_monomial,
+                          npa_upper_bound)
 from hardylab.sdp import (DEFAULT_SHIFT, DUAL_RESIDUAL, _Compiled, _cholesky,
                           _chol_solve, _solve_lower, sdp_solve)
 
@@ -20,7 +21,7 @@ REFERENCE = json.loads(
     (Path(__file__).resolve().parents[1] / "bench" / "reference.json").read_text())
 
 
-def toy_problem(equalities=None, inequalities=None, objective=None):
+def toy_problem(inequalities=None, objective=None):
     """2x2 moment matrix [[1, y], [y, 1]] with variables (id, y)."""
     ident = identity_monomial(2)
     yname = ((0,), ())
@@ -30,7 +31,6 @@ def toy_problem(equalities=None, inequalities=None, objective=None):
         variables=[ident, yname],
         cell_var=np.array([[0, 1], [1, 0]], dtype=np.int32),
         objective=objective if objective is not None else {1: 1.0},
-        equalities=equalities if equalities is not None else [({0: 1.0}, 1.0)],
         inequalities=inequalities if inequalities is not None else [],
     )
 
@@ -209,18 +209,22 @@ class TestCompiled:
         with pytest.raises(ValidationError, match=message):
             sdp_solve(problem)
 
+    @pytest.mark.parametrize("variables", [
+        [((0,), ()), identity_monomial(2)],   # identity second
+        [((0,), ()), ((1,), ())],             # no identity at all
+    ])
+    def test_rejects_variable_zero_not_identity(self, variables):
+        # the solver pins variable 0 to 1, so it must be the identity moment
+        problem = replace(toy_problem(), variables=variables)
+        with pytest.raises(ValidationError, match="identity"):
+            _Compiled(problem)
+
 
 class TestToyProblems:
     def test_psd_boundary(self):
         sol = sdp_solve(toy_problem(), tol=1e-6)
         assert sol.converged
         assert abs(sol.value - 1.0) < 1e-6
-
-    def test_equality_pinned(self):
-        sol = sdp_solve(toy_problem(
-            equalities=[({0: 1.0}, 1.0), ({1: 1.0}, 0.3)]), tol=1e-6)
-        assert sol.converged
-        assert abs(sol.value - 0.3) < 1e-9
 
     def test_inequality(self):
         sol = sdp_solve(toy_problem(
@@ -232,11 +236,44 @@ class TestToyProblems:
         sol = sdp_solve(toy_problem(objective={1: -1.0}), tol=1e-6)
         assert abs(sol.value - 1.0) < 1e-6  # -y maximised at y = -1
 
+    def test_identity_moment_pinned_exactly(self):
+        for problem in (toy_problem(), build_moment_problem(Scenario(3), 2, 0.05)):
+            sol = sdp_solve(problem, tol=1e-6)
+            assert sol.converged and sol.stopped_by == "stopping rule"
+            assert sol.moments[0] == 1.0
+
     def test_nonconverged_status(self, monkeypatch):
         monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", 1)
         sol = sdp_solve(toy_problem(), tol=1e-6)
         assert not sol.converged
         assert sol.iterations == 1
+
+
+class TestStoppedBy:
+    """``stopped_by`` names the exit, and ``npa_upper_bound`` reports it."""
+
+    def assert_reported(self, stopped_by, iterations):
+        sol = sdp_solve(build_moment_problem(Scenario(3), 2, 0.05))
+        assert not sol.converged
+        assert (sol.stopped_by, sol.iterations) == (stopped_by, iterations)
+        with pytest.raises(NumericError, match=f"after {iterations} iterations "
+                           f"\\(stopped by {stopped_by};"):
+            npa_upper_bound(Scenario(3), 2, 0.05)
+
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", 1)
+        self.assert_reported("iteration cap", 1)
+
+    def test_schur_factor(self, monkeypatch):
+        # a NaN Schur matrix fails the Cholesky factor at every jitter
+        monkeypatch.setattr(_Compiled, "schur_matrix",
+                            lambda self, x, w: np.full((self.nv, self.nv), np.nan))
+        self.assert_reported("Schur factor", 1)
+
+    def test_x_or_z_factor(self, monkeypatch):
+        # X starts negative definite
+        monkeypatch.setattr(sdp, "START_SCALE", -1.0)
+        self.assert_reported("X or Z factor", 0)
 
 
 def reference_cases():

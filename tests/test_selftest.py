@@ -69,6 +69,15 @@ class TestObservablePair:
         with pytest.raises(ValidationError):
             ObservablePair(a1=a, a2=np.diag([1.0, -1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("which", ["a1", "a2"])
+    def test_rejects_non_finite(self, bad, which):
+        # NaN fails both norm comparisons, so only an explicit check stops it
+        mats = {"a1": np.diag([1.0, -1.0]), "a2": np.array([[0.0, 1.0], [1.0, 0.0]])}
+        mats[which] = np.full((2, 2), bad)
+        with pytest.raises(ValidationError, match="finite"):
+            ObservablePair(**mats)
+
 
 class TestCanonicalObservables:
     @pytest.mark.parametrize("n", range(2, 9))
