@@ -1,14 +1,13 @@
 """n-party Hardy states, nonlocality bounds and self-testing checks."""
 
-from .behavior import (BehaviorTensor, HardyStats, MeasurementSet, Scenario,
+from .behavior import (BehaviorTensor, HardyStats, MeasurementSet,
                        check_no_signaling, hardy_statistics,
                        joint_distribution, measurements_from_observables,
                        measurements_from_pairs)
 from .linalg import StateVector, eig_herm
 from .npa import (MomentProblem, build_moment_problem, canonical_monomial,
                   monomial_list, npa_upper_bound)
-from .polytope import (BoundQuery, LPSolution, local_max, lp_solve,
-                       nosignaling_max)
+from .polytope import LPSolution, local_max, lp_solve, nosignaling_max
 from .sdp import MomentSolution, sdp_solve
 from .selftest import (JordanDecomposition, ObservablePair, SelfTestReport,
                        canonical_observables, jordan_blocks, selftest_report)

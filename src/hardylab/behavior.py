@@ -44,17 +44,6 @@ _OPEN_PARTIES = 3
 
 
 @dataclass(frozen=True)
-class Scenario:
-    """n parties, two settings per party, two outcomes per setting."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValidationError(f"need at least two parties, got n={self.n}")
-
-
-@dataclass(frozen=True)
 class MeasurementSet:
     """Per-party projector pairs: projectors[party][setting][outcome].
 
@@ -99,17 +88,16 @@ class MeasurementSet:
 
 @dataclass(frozen=True)
 class BehaviorTensor:
-    """Full table P(outcomes | settings) for an n-party (2, 2) scenario."""
+    """Full table P(outcomes | settings) of n = probs.ndim // 2 >= 2 parties."""
 
-    scenario: Scenario
     probs: np.ndarray
 
     def __post_init__(self):
-        n = self.scenario.n
         probs = np.asarray(self.probs, dtype=float)
-        if probs.shape != (2,) * (2 * n):
+        n = probs.ndim // 2
+        if n < 2 or probs.shape != (2,) * (2 * n):
             raise ValidationError(
-                f"probs shape {probs.shape}, expected {(2,) * (2 * n)}")
+                f"probs shape {probs.shape}, expected (2,) * 2n with n >= 2")
         if not np.isfinite(probs).all():
             raise ValidationError("probs has non-finite entries")
         low = probs.min()
@@ -125,7 +113,7 @@ class BehaviorTensor:
 
     @property
     def n(self) -> int:
-        return self.scenario.n
+        return self.probs.ndim // 2
 
 
 @dataclass(frozen=True)
@@ -292,7 +280,7 @@ def joint_distribution(state: StateVector, m: MeasurementSet) -> BehaviorTensor:
         probs = _joint_pure_rank1(state, m)
     else:
         probs = _joint_general(state.density(), m)
-    return BehaviorTensor(scenario=Scenario(n=m.n_parties), probs=probs)
+    return BehaviorTensor(probs)
 
 
 def hardy_values(probs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 self-test verdict FAIL, 2 validation failure,
 3 solver nonconvergence or a failed scan point (a worker that died
-included), 4 certification hypothesis unmet.  Scan rows
+included), 4 certification hypothesis unmet, 141 stdout closed by its
+reader (the shell's status for SIGPIPE; nothing is printed).  Scan rows
 are computed concurrently (HARDYLAB_WORKERS processes, default all
 cores, clamped to between one and the smaller of the grid size and the
 core count) with per-point seeds derived from the master seed, so the
@@ -23,13 +24,13 @@ from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
-from .behavior import (Scenario, hardy_statistics, joint_distribution,
-                       measurements_from_pairs)
+from .behavior import hardy_statistics, joint_distribution, measurements_from_pairs
 from .errors import (HypothesisUnmetError, NumericError, ScenarioError,
                      SizeError, ValidationError)
 from .linalg import StateVector
 from .npa import check_level, monomial_list, npa_upper_bound
-from .polytope import BoundQuery, local_max, nosignaling_max
+from .polytope import local_max, nosignaling_max
+from .sdp import TOL
 from .selftest import ObservablePair, canonical_observables, selftest_report
 from .states import (MAX_PARTIES, MeasurementPair, hardy_state,
                      is_genuinely_entangled, pmax)
@@ -70,15 +71,21 @@ def _spec_file(path: str):
         raise ValidationError(f"{path}: malformed input file ({exc})") from exc
 
 
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:  # a JSON integer: no float, string or boolean
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def load_state_spec(path: str):
     """Parse a state spec file: measurement pairs, optional amplitudes.
 
-    The party count and the state's dimensions are capped at MAX_PARTIES
-    qubits before any array is built, and the spec's ``n`` must equal the
-    number of pairs and of amplitude dims.
+    The party count and the state's dimensions are JSON integers, capped
+    at MAX_PARTIES qubits before any array is built, and the spec's ``n``
+    must equal the number of pairs and of amplitude dims.
     """
     with _spec_file(path) as spec:
-        n = int(spec["n"])
+        n = _json_int(spec["n"], "n")
         if not 2 <= n <= MAX_PARTIES:
             raise ScenarioError(f"n={n} outside [2, {MAX_PARTIES}]")
         pairs = _pairs_from_spec(spec) if "pairs" in spec else None
@@ -87,7 +94,7 @@ def load_state_spec(path: str):
         state = None
         if "amplitudes" in spec:
             amp = spec["amplitudes"]
-            dims = tuple(int(d) for d in amp.get("dims", [2] * n))
+            dims = tuple(_json_int(d, "dims entry") for d in amp.get("dims", [2] * n))
             if len(dims) > MAX_PARTIES or math.prod(dims) > 2 ** MAX_PARTIES:
                 raise SizeError(f"state dims {dims} exceed {MAX_PARTIES} qubits")
             if len(dims) != n:
@@ -158,14 +165,13 @@ def cmd_pmax(args) -> int:
 
 
 def _bound_value(method: str, n: int, epsilon: float, level: int,
-                 restarts: int, seed: int, tol: float):
+                 restarts: int, seed: int):
     if method in ("local", "ns"):
         solve = local_max if method == "local" else nosignaling_max
-        sol = solve(BoundQuery(n, epsilon))
+        sol = solve(n, epsilon)
         return sol.value, {"status": sol.status, "pivots": sol.pivots}
     if method == "npa":
-        value = npa_upper_bound(Scenario(n), level, epsilon, tol=tol)
-        return value, {"level": level, "tol": tol}
+        return npa_upper_bound(n, level, epsilon), {"level": level, "tol": TOL}
     if method == "variational":
         if n != 3:
             raise ValidationError("the variational family is three-party only")
@@ -185,7 +191,7 @@ def cmd_bounds(args) -> int:
     if not 0.0 <= args.epsilon <= hi:
         raise ValidationError(f"epsilon = {args.epsilon!r} outside [0, {hi}]")
     value, diag = _bound_value(args.method, args.n, args.epsilon, args.level,
-                               args.restarts, args.seed, args.tol)
+                               args.restarts, args.seed)
     print(f"{value:.6f}")
     print(json.dumps({"method": args.method, "epsilon": args.epsilon,
                       "n": args.n, "value": value, **diag}))
@@ -197,24 +203,24 @@ def scan_point_seed(seed: int, idx: int) -> int:
 
 
 def _scan_point(task):
-    """One scan row, or an error naming the layer that failed.
+    """One scan row as (values, None), or (None, an error naming the layer
+    that failed), for a task (epsilon, level, restarts, point seed).
 
     Runs in a pool worker, so every failure is returned as the row's
     error rather than raised; failures other than validation and solver
     errors also print their traceback to stderr.
     """
-    idx, epsilon, level, restarts, seed, tol = task
+    epsilon, level, restarts, seed = task
     values = []
     try:
         for layer, method in (("local", "local"), ("no_signaling", "ns"),
                               ("npa", "npa"), ("variational", "variational")):
-            values.append(_bound_value(method, 3, epsilon, level, restarts,
-                                       scan_point_seed(seed, idx), tol)[0])
-        return idx, tuple(values), None
+            values.append(_bound_value(method, 3, epsilon, level, restarts, seed)[0])
+        return tuple(values), None
     except Exception as exc:
         if not isinstance(exc, (ValidationError, NumericError)):
             traceback.print_exc()
-        return idx, None, f"{layer} layer: {type(exc).__name__}: {exc}"
+        return None, f"{layer} layer: {type(exc).__name__}: {exc}"
 
 
 def _check_row(epsilon, loc, ns, npa, var) -> list[str]:
@@ -261,35 +267,31 @@ def cmd_scan(args) -> int:
             f"grid must satisfy 0 <= from < to <= {EPSILON_MAX}")
     # a level whose basis passes the cap, or that cannot express the
     # Hardy moments, exits 2 before any point runs
-    monomial_list(Scenario(3), args.level)
-    check_level(Scenario(3), args.level)
+    monomial_list(3, args.level)
+    check_level(3, args.level)
     grid = _scan_grid(args.eps_from, args.eps_to, args.steps)
     workers = _scan_workers(len(grid))
     # an unwritable --out fails here, before any point runs
     with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
-        tasks = [(k, eps, args.level, args.restarts, args.seed, args.tol)
+        tasks = [(eps, args.level, args.restarts, scan_point_seed(args.seed, k))
                  for k, eps in enumerate(grid)]
-        results = {}
         if workers > 1:
             # a worker that exits abruptly (killed, out of memory) breaks
             # the pool; every point left without a result fails its row
+            results = []
             try:
                 with ProcessPoolExecutor(max_workers=workers) as pool:
-                    for idx, row, err in pool.map(_scan_point, tasks):
-                        results[idx] = (row, err)
+                    for result in pool.map(_scan_point, tasks):
+                        results.append(result)
             except BrokenProcessPool:
-                for k in range(len(tasks)):
-                    results.setdefault(k, (None, "pool layer: worker died"))
+                results += [(None, "pool layer: worker died")] * (len(tasks) - len(results))
         else:
-            for task in tasks:
-                idx, row, err = _scan_point(task)
-                results[idx] = (row, err)
+            results = [_scan_point(task) for task in tasks]
 
         problems = []
         prev = None
         lines = [SCAN_HEADER]
-        for k, eps in enumerate(grid):
-            row, err = results[k]
+        for eps, (row, err) in zip(grid, results):
             if err is not None:
                 problems.append(f"epsilon={eps:.6f}: {err}")
                 lines.append(f"{eps:.6f},nan,nan,nan,{args.level},nan,"
@@ -388,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--level", type=int, default=2)
     p_bounds.add_argument("--restarts", type=int, default=50)
     p_bounds.add_argument("--seed", type=int, default=0)
-    p_bounds.add_argument("--tol", type=_tol, default=1e-6)
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_scan = sub.add_parser("scan", help="noise scan (CSV)")
@@ -398,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--level", type=int, default=2)
     p_scan.add_argument("--restarts", type=int, default=50)
     p_scan.add_argument("--seed", type=int, default=0)
-    p_scan.add_argument("--tol", type=_tol, default=1e-6)
     p_scan.add_argument("--out", type=str)
     p_scan.set_defaults(func=cmd_scan)
 
@@ -419,7 +419,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # usage errors (2) and --help (0)
         return exc.code
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # stdout's reader has gone: exit quietly, as on SIGPIPE; devnull
+        # takes the interpreter's last flush of the unwritten output
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except NumericError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3

@@ -21,6 +21,10 @@ average of an optimal point over its n shifts is feasible and optimal,
 and it is shift-symmetric.  Some optimum therefore has equal moments on
 every Z_n orbit, and ``build_moment_problem`` builds the problem over one
 variable per orbit (Ioannou & Rosset, arXiv:2112.10803).
+
+``sdp.sdp_solve`` takes the problem as plain arrays: the objective
+vector c, the Hardy rows g, each bounded by epsilon, the variable of
+every matrix cell and the basis shifts the orbits were merged under.
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ from itertools import product
 
 import numpy as np
 
-from .behavior import Scenario
 from .errors import (CapabilityError, NumericError, ScenarioError, SizeError,
                      ValidationError)
+from .sdp import sdp_solve
 from .states import MAX_PARTIES
 
 LETTERS = "UD"
@@ -70,10 +74,6 @@ def canonical_monomial(ops, n: int) -> Monomial:
             raise ValidationError(f"party {party} out of range for n={n}")
         words[party].append(letter)
     return tuple(reduce_word(w) for w in words)
-
-
-def identity_monomial(n: int) -> Monomial:
-    return ((),) * n
 
 
 def dagger(m: Monomial) -> Monomial:
@@ -115,16 +115,18 @@ def _monomials_of_degree(n: int, d: int):
                 yield (word,) + rest
 
 
-def monomial_list(scenario: Scenario, level: int) -> list[Monomial]:
-    """Canonical monomials of total degree <= level, deterministically ordered.
+def monomial_list(n: int, level: int) -> list[Monomial]:
+    """Canonical n-party monomials of total degree <= level, for
+    2 <= n <= MAX_PARTIES, deterministically ordered.
 
     They are generated degree by degree, each degree in ascending order,
     and a SizeError is raised as soon as their count passes MAX_BASIS, so
     the work stays within the cap for any level.
     """
+    if n < 2:
+        raise ScenarioError(f"need at least two parties, got n={n}")
     if level < 1:
         raise ValidationError(f"level must be >= 1, got {level}")
-    n = scenario.n
     if n > MAX_PARTIES:
         raise ScenarioError(f"n={n} exceeds the supported cap {MAX_PARTIES}")
     out = []
@@ -139,22 +141,25 @@ def monomial_list(scenario: Scenario, level: int) -> list[Monomial]:
 
 @dataclass
 class MomentProblem:
-    """Moment-matrix SDP instance for the noisy Hardy maximisation.
+    """The noisy Hardy maximisation as arrays: maximise c.m subject to
+    g m <= epsilon row by row and m[cell_var] positive semidefinite.
 
-    Variable 0 is the identity moment, fixed to 1 by the solver: it is
-    cell (0, 0), the first cell in row-major order, because the basis
-    starts with the identity monomial.  ``objective`` maps variables to
-    coefficients, and each of ``inequalities`` is a (row, bound) pair.
+    ``variables`` names the entries of m and cell (i, j) over ``basis``
+    holds m[cell_var[i, j]].  Variable 0, cell (0, 0), is the identity
+    moment, which the solver fixes to 1.  ``shifts`` holds, one row per
+    party shift, the basis index of each shifted basis monomial when the
+    moments were merged into shift orbits, and None otherwise.
     """
 
-    scenario: Scenario
+    n: int
     level: int
     epsilon: float
     basis: list
     variables: list
     cell_var: np.ndarray
-    objective: dict
-    inequalities: list
+    c: np.ndarray
+    g: np.ndarray
+    shifts: np.ndarray | None
 
     @property
     def n_basis(self) -> int:
@@ -163,10 +168,6 @@ class MomentProblem:
     @property
     def n_vars(self) -> int:
         return len(self.variables)
-
-    @property
-    def identity_var(self) -> int:
-        return self.variables.index(identity_monomial(self.scenario.n))
 
 
 def _variable_key(m: Monomial) -> Monomial:
@@ -195,16 +196,17 @@ def hardy_constraint_terms(n: int) -> list[dict]:
     return terms
 
 
-def check_level(scenario: Scenario, level: int) -> None:
-    """Raise CapabilityError unless the level-``level`` moment matrix holds
-    every moment the noisy Hardy problem reads.
+def check_level(n: int, level: int) -> None:
+    """Raise CapabilityError unless the level-``level`` moment matrix of n
+    parties holds every moment the noisy Hardy problem reads.
 
     A cell's moment has degree at most 2 * level, and every moment of such
     a degree is a cell: each party's reduced word splits at any letter
     into the reversed word of the row monomial and the word of the column
     monomial, so the splits can give each side degree at most ``level``.
     """
-    n = scenario.n
+    if n < 2:
+        raise ScenarioError(f"need at least two parties, got n={n}")
     needed = [canonical_monomial([(i, 0) for i in range(n)], n)]
     needed += [mono for term in hardy_constraint_terms(n) for mono in term]
     for mono in needed:
@@ -233,7 +235,7 @@ def basis_shifts(basis) -> np.ndarray | None:
     return np.array(shifts)
 
 
-def build_moment_problem(scenario: Scenario, level: int, epsilon: float) -> MomentProblem:
+def build_moment_problem(n: int, level: int, epsilon: float) -> MomentProblem:
     """Assemble the level-``level`` relaxation of the noisy Hardy problem,
     with one moment variable per cyclic party-shift orbit.
 
@@ -244,9 +246,8 @@ def build_moment_problem(scenario: Scenario, level: int, epsilon: float) -> Mome
     """
     if epsilon < 0:
         raise ValidationError(f"epsilon = {epsilon!r} must be nonnegative")
-    n = scenario.n
-    basis = monomial_list(scenario, level)
-    check_level(scenario, level)
+    basis = monomial_list(n, level)
+    check_level(n, level)
     nb = len(basis)
     shifts = basis_shifts(basis)
     daggers = [dagger(b) for b in basis]
@@ -277,21 +278,18 @@ def build_moment_problem(scenario: Scenario, level: int, epsilon: float) -> Mome
     def lookup(mono: Monomial) -> int:
         return moment_index[_orbit_key(mono)]
 
-    objective = {lookup(canonical_monomial([(i, 0) for i in range(n)], n)): 1.0}
-    inequalities = []
-    for term in hardy_constraint_terms(n):
-        row: dict = {}
+    c = np.zeros(len(variables))
+    c[lookup(canonical_monomial([(i, 0) for i in range(n)], n))] = 1.0
+    g = np.zeros((n + 1, len(variables)))  # one row per Hardy term
+    for row, term in zip(g, hardy_constraint_terms(n)):
         for mono, coef in term.items():
-            var = lookup(mono)
-            row[var] = row.get(var, 0.0) + coef
-        inequalities.append((row, float(epsilon)))
-    return MomentProblem(scenario=scenario, level=level, epsilon=float(epsilon),
-                         basis=basis, variables=variables, cell_var=renumber[cell_ids],
-                         objective=objective, inequalities=inequalities)
+            row[lookup(mono)] += coef
+    return MomentProblem(n=n, level=level, epsilon=float(epsilon), basis=basis,
+                         variables=variables, cell_var=renumber[cell_ids],
+                         c=c, g=g, shifts=shifts)
 
 
-def npa_upper_bound(scenario: Scenario, level: int, epsilon: float,
-                    tol: float = 1e-6) -> float:
+def npa_upper_bound(n: int, level: int, epsilon: float) -> float:
     """Converged moment-relaxation value; an upper bound on the quantum
     noisy Hardy probability at the given hierarchy level.
 
@@ -299,9 +297,7 @@ def npa_upper_bound(scenario: Scenario, level: int, epsilon: float,
     Raises NumericError when the optimiser does not reach its stopping
     rule and residual targets; the message names what ended the solve.
     """
-    from .sdp import sdp_solve
-
-    sol = sdp_solve(build_moment_problem(scenario, level, epsilon), tol=tol)
+    sol = sdp_solve(build_moment_problem(n, level, epsilon))
     if not sol.converged:
         raise NumericError(
             f"moment SDP did not converge after {sol.iterations} iterations "

@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .behavior import (BehaviorTensor, Scenario, check_no_signaling, hardy_values,
-                       signaling_gaps)
+from .behavior import BehaviorTensor, check_no_signaling, hardy_values, signaling_gaps
 from .errors import NumericError, ValidationError
 
 FEAS_TOL = 1e-9
@@ -32,18 +31,6 @@ class LPSolution:
     value: float
     assignment: np.ndarray
     pivots: int  # simplex pivots over both phases
-
-
-@dataclass(frozen=True)
-class BoundQuery:
-    """Noisy Hardy bound query: party count and the uniform error bound."""
-
-    n: int
-    epsilon: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValidationError(f"epsilon = {self.epsilon!r} outside [0, 1]")
 
 
 class _Unbounded(Exception):
@@ -180,28 +167,33 @@ def _vertex_table(n: int) -> np.ndarray:
     return table
 
 
-def local_max(q: BoundQuery) -> LPSolution:
-    """Exact maximum of the noisy Hardy probability over local behaviors.
+def _check_query(n: int, epsilon: float, bound: str) -> None:
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValidationError(f"epsilon = {epsilon!r} outside [0, 1]")
+    if n not in (2, 3):
+        raise ValidationError(f"the {bound} bound is posed for n in {{2, 3}}")
+
+
+def local_max(n: int, epsilon: float) -> LPSolution:
+    """Exact maximum of the noisy Hardy probability over local behaviors
+    of n parties whose Hardy terms are each at most ``epsilon``.
 
     Posed over vertex weights: maximise sum_v w_v p_v subject to the n+1
     error constraints and sum_v w_v = 1, w >= 0.
     """
-    if q.n not in (2, 3):
-        raise ValidationError("the noisy local bound is posed for n in {2, 3}")
-    p, zs = hardy_values(_vertex_table(q.n).reshape((4 ** q.n,) + (2,) * (2 * q.n)), q.n)
-    return lp_solve(p, np.ones((1, len(p))), [1.0], zs.T, np.full(q.n + 1, q.epsilon))
+    _check_query(n, epsilon, "noisy local")
+    p, zs = hardy_values(_vertex_table(n).reshape((4 ** n,) + (2,) * (2 * n)), n)
+    return lp_solve(p, np.ones((1, len(p))), [1.0], zs.T, np.full(n + 1, epsilon))
 
 
-def nosignaling_max(q: BoundQuery) -> LPSolution:
+def nosignaling_max(n: int, epsilon: float) -> LPSolution:
     """Maximum of the noisy Hardy probability over no-signaling behaviors.
 
     Variables are the full behavior table; constraints are positivity,
     per-setting normalisation, the per-party no-signaling equalities and
     the n+1 error constraints.
     """
-    if q.n not in (2, 3):
-        raise ValidationError("the no-signaling bound is posed for n in {2, 3}")
-    n = q.n
+    _check_query(n, epsilon, "no-signaling")
     shape = (2,) * (2 * n)
     unit = np.eye(4 ** n).reshape((4 ** n,) + shape)  # unit[k] is 1 at entry k only
     p, zs = hardy_values(unit, n)
@@ -209,9 +201,9 @@ def nosignaling_max(q: BoundQuery) -> LPSolution:
     a_eq = np.vstack([norm] + [gap.reshape(4 ** n, -1).T for gap in signaling_gaps(unit, n)])
     b_eq = np.zeros(len(a_eq))
     b_eq[:len(norm)] = 1.0
-    sol = lp_solve(p, a_eq, b_eq, zs.T, np.full(n + 1, q.epsilon))
+    sol = lp_solve(p, a_eq, b_eq, zs.T, np.full(n + 1, epsilon))
     if sol.status == "optimal":
-        behavior = BehaviorTensor(Scenario(n), np.clip(sol.assignment, 0.0, None).reshape(shape))
+        behavior = BehaviorTensor(np.clip(sol.assignment, 0.0, None).reshape(shape))
         gap = check_no_signaling(behavior)
         if gap > 1e-8:
             raise NumericError(f"no-signaling LP solution signals by {gap:.2e}")

@@ -7,7 +7,9 @@ SIAM Rev. 38 (1996)).  The moment problem
     maximise c.m  subject to  M(m) = sum_k m_k E_k >= 0,  G m <= eps + shift,
                               m_0 = 1
 
-is solved as the dual of a standard-form SDP.  Variable 0 is the
+is solved as the dual of a standard-form SDP.  It arrives as arrays (see
+``npa.MomentProblem``): c, G, eps, the variable k of every cell of M
+and, for orbit problems, the party shifts of the basis.  Variable 0 is the
 identity moment, pinned to 1, so the iterates are the other moments,
 m = (1, y).  The moment matrix and the Hardy rows are the two cone
 blocks Z = M(m) and z = eps + shift - G m of the dual slack; X and x are
@@ -28,7 +30,7 @@ Both take 0.9 of the step to the cone boundary, at most a full step,
 separately on the primal and the dual side.
 
 The method stops when the complementarity gap Tr(XZ) + x.z is at most
-0.1 tol and every entry of the dual residuals M(m) - Z and
+0.1 TOL and every entry of the dual residuals M(m) - Z and
 eps + shift - G m - z is at most 1e-12, so the returned moments are
 feasible to that level.  The primal residual is not part of the rule: at
 eps = 0 it stalls near 4e-6, so no certified dual bound is claimed.
@@ -49,11 +51,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .npa import basis_shifts, identity_monomial
 
-DEFAULT_TOL = 1e-6
+TOL = 1e-6  # the moment audits' bound; GAP_FRACTION * TOL bounds the gap
 DEFAULT_MAX_ITER = 100
-# Exit when the complementarity gap is at most GAP_FRACTION * tol and every
+# Exit when the complementarity gap is at most GAP_FRACTION * TOL and every
 # dual residual entry at most DUAL_RESIDUAL.
 GAP_FRACTION = 0.1
 DUAL_RESIDUAL = 1e-12
@@ -110,14 +111,6 @@ def _chol_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(low.T, _solve_lower(low, b))
 
 
-def _dense(rows, nv: int):
-    """Coefficient matrix and right-hand sides of (row dict, rhs) pairs."""
-    mat = np.zeros((len(rows), nv))
-    for r, (row, _) in enumerate(rows):
-        mat[r, list(row)] = list(row.values())
-    return mat, np.array([rhs for _, rhs in rows], dtype=float)
-
-
 class _Compiled:
     """Moment problem preprocessed for interior-point iterations."""
 
@@ -125,7 +118,7 @@ class _Compiled:
         self.nb = nb = problem.n_basis
         self.nv = nv = problem.n_vars
         cell_var = problem.cell_var
-        if problem.variables[:1] != [identity_monomial(problem.scenario.n)]:
+        if problem.variables[:1] != [((),) * problem.n]:  # an empty word per party
             raise ValidationError("variable 0 must be the identity moment")
         # The Schur matrix rows and the Cholesky factors (which read one
         # triangle) both assume cell (i, j) and cell (j, i) share a variable.
@@ -137,9 +130,10 @@ class _Compiled:
             raise ValidationError(f"cell_var entries must lie in [0, {nv})")
         if np.any(np.bincount(cv, minlength=nv) == 0):
             raise ValidationError("moment variable without a matrix cell")
-        # the party shifts if each keeps every cell's variable, else the
-        # identity; a cell represents its orbit if no shift lowers its index
-        g = basis_shifts(problem.basis)
+        # the problem's party shifts if each keeps every cell's variable,
+        # else the identity; a cell represents its orbit if no shift lowers
+        # its index
+        g = problem.shifts
         if g is None or any(not np.array_equal(cell_var[np.ix_(p, p)], cell_var) for p in g):
             g = np.arange(nb)[None]
         self.shifts = g
@@ -152,10 +146,6 @@ class _Compiled:
         self.col_sorted = order % nb
         self.weight_sorted = np.bincount(images)[order].astype(float)
         self.bounds_by_var = np.searchsorted(cv[order], np.arange(nv + 1)).tolist()
-
-        self.c = _dense([(problem.objective, 0.0)], nv)[0][0]
-        self.g, self.eps = _dense(problem.inequalities, nv)
-        self.nj = len(self.eps)
 
     def mat(self, m: np.ndarray) -> np.ndarray:
         return m[self.cell_var].reshape(self.nb, self.nb)
@@ -201,19 +191,20 @@ def _max_step_lin(v: np.ndarray, dv: np.ndarray) -> float:
     return float(np.min(-v[neg] / dv[neg])) if neg.any() else np.inf
 
 
-def sdp_solve(problem, tol: float = DEFAULT_TOL) -> MomentSolution:
+def sdp_solve(problem) -> MomentSolution:
     """Primal-dual interior-point solve of a moment problem.
 
     No start point is needed.  DEFAULT_MAX_ITER caps the number of iterations;
     ``converged`` reports whether the stopping rule was met and the
-    returned moments pass the PSD and affine audits to ``tol``, and
+    returned moments pass the PSD and affine audits to TOL, and
     ``stopped_by`` which exit ended the iterations.
     """
     comp = _Compiled(problem)
-    nb, nj = comp.nb, comp.nj
+    c, g = problem.c, problem.g
+    nb, nj = comp.nb, len(g)
     # the objective and Hardy rows on y = (m_1, m_2, ...)
-    b, gn = comp.c[1:], comp.g[:, 1:]
-    rhs_lin = comp.eps + DEFAULT_SHIFT
+    b, gn = c[1:], g[:, 1:]
+    rhs_lin = problem.epsilon + DEFAULT_SHIFT  # every Hardy row's bound
     degree = nb + nj
     eye = np.eye(nb)
 
@@ -224,11 +215,11 @@ def sdp_solve(problem, tol: float = DEFAULT_TOL) -> MomentSolution:
     while True:
         m = np.concatenate(([1.0], y))
         res_mat = comp.mat(m) - z_mat
-        res_lin = rhs_lin - comp.g @ m - z_lin
+        res_lin = rhs_lin - g @ m - z_lin
         gap = float(np.sum(x_mat * z_mat) + x_lin @ z_lin)
         dual_res = max(float(np.abs(res_mat).max()),
                        float(np.abs(res_lin).max(initial=0.0)))
-        if gap <= GAP_FRACTION * tol and dual_res <= DUAL_RESIDUAL:
+        if gap <= GAP_FRACTION * TOL and dual_res <= DUAL_RESIDUAL:
             stopped_by = "stopping rule"
             break
         if iters >= DEFAULT_MAX_ITER:
@@ -291,11 +282,11 @@ def sdp_solve(problem, tol: float = DEFAULT_TOL) -> MomentSolution:
         x_mat, x_lin = comp.average(x_mat + ap * dx_mat), x_lin + ap * dx_lin
         y, z_mat, z_lin = y + ad * dy, z_mat + ad * dz_mat, z_lin + ad * dz_lin
 
-    value = float(comp.c @ m)
+    value = float(c @ m)
     psd_residual = max(0.0, -float(np.linalg.eigvalsh(comp.mat(m))[0]))
-    affine = float(np.max(comp.g @ m - comp.eps, initial=0.0))
-    converged = (stopped_by == "stopping rule" and psd_residual <= tol
-                 and affine <= tol)
+    affine = float(np.max(g @ m - problem.epsilon, initial=0.0))
+    converged = (stopped_by == "stopping rule" and psd_residual <= TOL
+                 and affine <= TOL)
     return MomentSolution(value=value, moments=m, psd_residual=psd_residual,
                           affine_residual=affine, iterations=iters,
                           converged=converged, gap=gap, stopped_by=stopped_by)

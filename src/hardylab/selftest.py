@@ -10,8 +10,8 @@ projecting the state into every combination of blocks and rotating each
 block to the canonical frame must recover the reference Hardy state on
 the qubit factors, up to the uncharacterised junk carried by the block
 multiplicities.  The report quantifies exactly that: per-combination
-weights, per-combination fidelities against the reference state, and
-their weighted total.
+weights, and the total of per-combination fidelities against the
+reference state weighted by them.
 
 The state is a pure state psi (a mixed state is certified through a
 purification held by one party), projected directly: contracting each
@@ -166,18 +166,15 @@ class SelfTestReport:
     """Blockwise certification result.
 
     ``block_weights[b1, ..., bn]`` is the probability mass on the block
-    combination; ``block_fidelities`` the overlap of its normalised qubit
-    part with the reference Hardy state (zero for combinations touching a
-    degenerate block, which cannot host it); ``total_fidelity`` their
-    weighted sum.  ``extracted_rotations`` hold each party's block bases
-    as unitary columns (2-dim blocks first, then degenerate directions);
-    ``junk_dims`` count the 2-dim blocks per party.
+    combination; ``total_fidelity`` the sum over combinations of that
+    weight times the overlap of its normalised qubit part with the
+    reference Hardy state (zero for combinations touching a degenerate
+    block, which cannot host it); ``junk_dims`` count the 2-dim blocks
+    per party.
     """
 
     block_weights: np.ndarray
-    block_fidelities: np.ndarray
     total_fidelity: float
-    extracted_rotations: tuple[np.ndarray, ...]
     junk_dims: tuple[int, ...]
     degenerate_weight: float
     observed_p: float
@@ -225,7 +222,6 @@ def selftest_report(state: StateVector, observables,
 
     counts = tuple(len(dc.blocks) for dc in decomps)
     weights = np.zeros(counts)
-    fidelities = np.zeros(counts)
     degenerate_weight = 0.0
     total = 0.0
     for combo in product(*(range(c) for c in counts)):
@@ -246,24 +242,15 @@ def selftest_report(state: StateVector, observables,
         if weight <= WEIGHT_FLOOR:
             continue
         fid = abs(np.einsum("i,i->", psi_ref.conj(), phi)) ** 2 / weight
-        fidelities[combo] = fid
         total += weight * fid
 
     wsum = float(weights.sum())
     if abs(wsum - 1.0) > 1e-8:
         raise NumericError(f"block weights sum to {wsum!r}, expected 1")
 
-    rotations = []
-    for dc in decomps:
-        cols = [b.basis for b in dc.two_dim_blocks()]
-        cols += [b.basis for b in dc.blocks if b.degenerate]
-        rot = np.column_stack(cols)
-        rotations.append(rot)
     junk_dims = tuple(len(dc.two_dim_blocks()) for dc in decomps)
 
-    return SelfTestReport(block_weights=weights, block_fidelities=fidelities,
-                          total_fidelity=float(total),
-                          extracted_rotations=tuple(rotations),
+    return SelfTestReport(block_weights=weights, total_fidelity=float(total),
                           junk_dims=junk_dims,
                           degenerate_weight=float(degenerate_weight),
                           observed_p=stats.p,

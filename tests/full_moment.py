@@ -10,17 +10,17 @@ import numpy as np
 
 from hardylab.errors import CapabilityError, ValidationError
 from hardylab.npa import (MomentProblem, _rotate, _sort_key, _variable_key,
-                          canonical_monomial, dagger, hardy_constraint_terms,
-                          monomial_list, monomial_str, mul)
+                          basis_shifts, canonical_monomial, dagger,
+                          hardy_constraint_terms, monomial_list, monomial_str, mul)
 
 
-def build_full_problem(scenario, level, epsilon):
+def build_full_problem(n, level, epsilon):
     """Level-``level`` relaxation with one variable per canonical word,
-    cell by cell over the whole basis."""
+    cell by cell over the whole basis; it merges no orbits, so its
+    ``shifts`` are None."""
     if epsilon < 0:
         raise ValidationError(f"epsilon = {epsilon!r} must be nonnegative")
-    n = scenario.n
-    basis = monomial_list(scenario, level)
+    basis = monomial_list(n, level)
     nb = len(basis)
     daggers = [dagger(b) for b in basis]
 
@@ -44,17 +44,15 @@ def build_full_problem(scenario, level, epsilon):
                 f"moment {monomial_str(mono)} is not expressible at level {level}")
         return var
 
-    objective = {lookup(canonical_monomial([(i, 0) for i in range(n)], n)): 1.0}
-    inequalities = []
-    for term in hardy_constraint_terms(n):
-        row: dict = {}
+    c = np.zeros(len(variables))
+    c[lookup(canonical_monomial([(i, 0) for i in range(n)], n))] = 1.0
+    terms = hardy_constraint_terms(n)
+    g = np.zeros((len(terms), len(variables)))
+    for row, term in zip(g, terms):
         for mono, coef in term.items():
-            var = lookup(mono)
-            row[var] = row.get(var, 0.0) + coef
-        inequalities.append((row, float(epsilon)))
-    return MomentProblem(scenario=scenario, level=level, epsilon=float(epsilon),
-                         basis=basis, variables=variables, cell_var=cell_var,
-                         objective=objective, inequalities=inequalities)
+            row[lookup(mono)] += coef
+    return MomentProblem(n=n, level=level, epsilon=float(epsilon), basis=basis,
+                         variables=variables, cell_var=cell_var, c=c, g=g, shifts=None)
 
 
 def cyclic_reduction(problem):
@@ -64,26 +62,21 @@ def cyclic_reduction(problem):
     variable of ``problem``.  An orbit is named by the smallest variable
     key, by ``_sort_key``, of its party shifts.  Rows keep their
     order and coefficients of merged variables are summed; all n cyclic
-    Hardy rows stay, identical after the merge.
+    Hardy rows stay, identical after the merge.  The reduced problem
+    carries the basis shifts the orbits were merged under.
     """
-    n = problem.scenario.n
+    n = problem.n
     orbit_index: dict = {}
     orbit_of = np.empty(problem.n_vars, dtype=np.int32)
     for k, var in enumerate(problem.variables):
         key = min((_variable_key(_rotate(var, s)) for s in range(n)), key=_sort_key)
         orbit_of[k] = orbit_index.setdefault(key, len(orbit_index))
 
-    def remap(row):
-        out: dict = {}
-        for k, coef in row.items():
-            o = int(orbit_of[k])
-            out[o] = out.get(o, 0.0) + coef
-        return out
-
+    # column o of merge sums the columns of orbit o's variables
+    merge = (orbit_of[:, None] == np.arange(len(orbit_index))).astype(float)
     reduced = MomentProblem(
-        scenario=problem.scenario, level=problem.level, epsilon=problem.epsilon,
+        n=n, level=problem.level, epsilon=problem.epsilon,
         basis=problem.basis, variables=list(orbit_index),
         cell_var=orbit_of[problem.cell_var],
-        objective=remap(problem.objective),
-        inequalities=[(remap(row), rhs) for row, rhs in problem.inequalities])
+        c=problem.c @ merge, g=problem.g @ merge, shifts=basis_shifts(problem.basis))
     return reduced, orbit_of

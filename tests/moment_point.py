@@ -39,6 +39,6 @@ def quantum_moment_vector(problem, psi, pairs) -> np.ndarray:
 
 def hardy_moment_vector(problem) -> np.ndarray:
     """Moments of the optimal n-qubit Hardy realization (exact Hardy point)."""
-    n = problem.scenario.n
+    n = problem.n
     pairs = [MeasurementPair.from_alpha_sq(pmax(n).t)] * n
     return quantum_moment_vector(problem, hardy_state(n, pairs), pairs)

@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 from conftest import random_pairs
-from hardylab.behavior import (Scenario, hardy_statistics, joint_distribution,
+from hardylab.behavior import (hardy_statistics, joint_distribution,
                                measurements_from_pairs)
 from hardylab.cli import SCAN_HEADER, main
 from hardylab.errors import HypothesisUnmetError
 from hardylab.linalg import StateVector
 from hardylab.npa import npa_upper_bound
-from hardylab.polytope import BoundQuery, local_max
+from hardylab.polytope import local_max
+from hardylab.sdp import TOL
 from hardylab.selftest import canonical_observables, selftest_report
 from hardylab.states import (MeasurementPair, hardy_state,
                              is_genuinely_entangled,
@@ -27,7 +28,6 @@ from hardylab.variational import lower_bound
 from test_selftest import embedded_hardy_setup
 
 EPS_GRID = (0.0, 0.02, 0.04, 0.06, 0.08)
-NPA_TOL = 1e-6
 
 
 def report(criterion, text):
@@ -40,7 +40,7 @@ def npa_level3(request):
 
     def get(eps):
         if eps not in cache:
-            cache[eps] = npa_upper_bound(Scenario(3), 3, eps, tol=NPA_TOL)
+            cache[eps] = npa_upper_bound(3, 3, eps)
         return cache[eps]
 
     return get
@@ -118,7 +118,7 @@ def test_criterion_04_local_bound():
     worst = 0.0
     for k in range(31):
         eps = 0.01 * k
-        sol = local_max(BoundQuery(3, eps))
+        sol = local_max(3, eps)
         assert sol.status == "optimal"
         worst = max(worst, abs(sol.value - min(4.0 * eps, 1.0)))
     assert worst <= 1e-9
@@ -126,7 +126,7 @@ def test_criterion_04_local_bound():
 
 
 def test_criterion_05_npa_bipartite():
-    value = npa_upper_bound(Scenario(2), 2, 0.0, tol=NPA_TOL)
+    value = npa_upper_bound(2, 2, 0.0)
     assert abs(value - 0.0901699) <= 5e-4
     report(5, f"bipartite level-2 bound {value:.7f} (target 0.0901699 +- 5e-4)")
 
@@ -135,9 +135,9 @@ def test_criterion_06_npa_tripartite(npa_level3):
     value0 = npa_level3(0.0)
     assert 0.018194 <= value0 <= 0.018694
     for eps in EPS_GRID:
-        l2 = npa_upper_bound(Scenario(3), 2, eps, tol=NPA_TOL)
+        l2 = npa_upper_bound(3, 2, eps)
         l3 = npa_level3(eps)
-        assert l3 <= l2 + 2.0 * NPA_TOL
+        assert l3 <= l2 + 2.0 * TOL
     report(6, f"level-3 bound at eps=0 is {value0:.7f}; level monotone on the grid")
 
 

@@ -8,7 +8,7 @@ from conftest import random_pairs, random_state
 from dense_hardy import hardy_functionals
 from sum_gaps import sum_axis_gaps
 
-from hardylab.behavior import (BehaviorTensor, MeasurementSet, Scenario,
+from hardylab.behavior import (BehaviorTensor, MeasurementSet,
                                _joint_general, check_no_signaling,
                                hardy_statistics, hardy_values,
                                joint_distribution,
@@ -269,7 +269,7 @@ class TestHardyStatistics:
         assert abs(stats.zeros[3] - b2 ** 3) < 1e-12
 
     def test_uniform_behavior_zeros_nonnegative(self):
-        b = BehaviorTensor(Scenario(2), np.full((2, 2, 2, 2), 0.25))
+        b = BehaviorTensor(np.full((2, 2, 2, 2), 0.25))
         stats = hardy_statistics(b)
         assert np.all(stats.zeros >= 0)
 
@@ -278,7 +278,7 @@ class TestHardyStatistics:
         # party 1 outputs + iff party 2 measured U
         probs[:, 0, 0, 0] = 1.0
         probs[:, 1, 1, 0] = 1.0
-        b = BehaviorTensor(Scenario(2), probs)
+        b = BehaviorTensor(probs)
         with pytest.raises(ValidationError):
             hardy_statistics(b)
 
@@ -309,13 +309,25 @@ class TestHardyStatistics:
             assert np.max(np.abs(stats.zeros - want)) <= 1e-15
 
 
+class TestBehaviorShape:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_party_count_is_half_the_rank(self, n):
+        assert BehaviorTensor(np.full((2,) * (2 * n), 0.5 ** n)).n == n
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 2, 2), (2, 2, 2, 3), (4, 4), ()])
+    def test_rejects_other_shapes(self, shape):
+        # one party, an odd rank and a non-binary axis are all refused
+        with pytest.raises(ValidationError, match="expected"):
+            BehaviorTensor(np.ones(shape))
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_behavior_rejects_non_finite_entry(self, bad):
         probs = np.full((2,) * 6, 0.125)
         probs[0, 1, 0, 1, 1, 0] = bad
         with pytest.raises(ValidationError, match="non-finite"):
-            BehaviorTensor(Scenario(3), probs)
+            BehaviorTensor(probs)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_measurement_set_rejects_non_finite_entry(self, bad):
@@ -381,7 +393,7 @@ class TestMeasurementSetFaults:
 
 class TestNoSignaling:
     def test_uniform_zero(self):
-        b = BehaviorTensor(Scenario(2), np.full((2, 2, 2, 2), 0.25))
+        b = BehaviorTensor(np.full((2, 2, 2, 2), 0.25))
         assert check_no_signaling(b) == 0.0
 
     def test_designed_violation(self):
@@ -391,7 +403,7 @@ class TestNoSignaling:
         probs[:, 0, 0, 0] = 1.0
         probs[:, 1, 0, 0] = 1.0 - eps
         probs[:, 1, 1, 0] = eps
-        b = BehaviorTensor(Scenario(2), probs)
+        b = BehaviorTensor(probs)
         assert abs(check_no_signaling(b) - eps) < 1e-12
 
     def test_detects_joint_marginal_signaling(self):
@@ -401,7 +413,7 @@ class TestNoSignaling:
         probs = np.zeros((2,) * 6)
         for s1, s2, s3, o1, o3 in product(range(2), repeat=5):
             probs[s1, s2, s3, o1, o1 ^ s3, o3] = 0.25
-        assert abs(check_no_signaling(BehaviorTensor(Scenario(3), probs)) - 0.5) < 1e-15
+        assert abs(check_no_signaling(BehaviorTensor(probs)) - 0.5) < 1e-15
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_direct_marginal_oracle(self, n):
@@ -410,7 +422,7 @@ class TestNoSignaling:
         for _ in range(3):
             probs = rng.random((2,) * (2 * n)) ** 3
             probs /= probs.sum(axis=tuple(range(n, 2 * n)), keepdims=True)
-            gap = check_no_signaling(BehaviorTensor(Scenario(n), probs))
+            gap = check_no_signaling(BehaviorTensor(probs))
             assert gap > 0.0
             assert_audit_matches_subsets(gap, direct_marginal_spreads(probs, n), n)
 
@@ -463,10 +475,10 @@ class TestNoSignaling:
         tied[(1,) * n + (1,) * n] -= 0.5 ** (n + 1)
         behaviors.append(tied)
         for probs in behaviors:
-            b = BehaviorTensor(Scenario(n), probs)
+            b = BehaviorTensor(probs)
             gap = check_no_signaling(b)
             assert_audit_matches_subsets(gap, reduction_walk_report(b), n)
-        assert check_no_signaling(BehaviorTensor(Scenario(n), exact)) <= 1e-14
+        assert check_no_signaling(BehaviorTensor(exact)) <= 1e-14
 
 
 class TestMeasurementsFromObservables:

@@ -32,9 +32,17 @@ def die_in_worker(task):
     os._exit(1)
 
 
+def src_env() -> dict:
+    """This environment with the tested hardylab's sources on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(hardylab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def constant_point(task):
     """Stands in for ``cli._scan_point``: a valid row, with no solve."""
-    return task[0], (0.1, 0.3, 0.2, 0.15), None
+    return (0.1, 0.3, 0.2, 0.15), None
 
 
 class TestPmax:
@@ -124,12 +132,12 @@ class TestBounds:
 
     @pytest.mark.parametrize("method", ["local", "ns"])
     def test_lp_pivots(self, method, capsys):
-        from hardylab.polytope import BoundQuery, local_max, nosignaling_max
+        from hardylab.polytope import local_max, nosignaling_max
 
         assert main(["bounds", "--method", method, "--epsilon", "0.05"]) == 0
         doc = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
         solve = local_max if method == "local" else nosignaling_max
-        assert doc["pivots"] == solve(BoundQuery(3, 0.05)).pivots > 0
+        assert doc["pivots"] == solve(3, 0.05).pivots > 0
 
     def test_epsilon_range(self):
         assert main(["bounds", "--method", "local", "--epsilon", "0.4"]) == 2
@@ -210,7 +218,7 @@ class TestScan:
 
     def test_steps_cap_is_accepted(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "_scan_point",
-                            lambda task: (task[0], (0.0, 0.0, 0.0, 0.0), None))
+                            lambda task: ((0.0, 0.0, 0.0, 0.0), None))
         assert main(["scan", "--steps", str(cli.MAX_SCAN_STEPS), "--restarts", "1"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == cli.MAX_SCAN_STEPS + 1
 
@@ -329,7 +337,7 @@ class TestScan:
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
         monkeypatch.setattr(cli, "_scan_point",
-                            lambda task: (task[0], (0.0, 0.0, 0.0, 0.0), None))
+                            lambda task: ((0.0, 0.0, 0.0, 0.0), None))
         monkeypatch.setenv("HARDYLAB_WORKERS", raw)
         assert main(["scan", "--steps", str(steps), "--restarts", "1"]) == 0
         # one worker runs in-process, without a pool
@@ -365,15 +373,14 @@ class TestScan:
             raise NumericError("stalled")
 
         monkeypatch.setattr(cli, solver, stalled)
-        idx, row, err = cli._scan_point((4, 0.05, 2, 1, 0, 1e-6))
-        assert (idx, row) == (4, None)
+        row, err = cli._scan_point((0.05, 2, 1, 0))
+        assert row is None
         assert err == f"{layer} layer: NumericError: stalled"
 
     def test_rows_revalidate_through_library(self, tmp_path):
-        from hardylab.behavior import Scenario
         from hardylab.cli import scan_point_seed
         from hardylab.npa import npa_upper_bound
-        from hardylab.polytope import BoundQuery, local_max, nosignaling_max
+        from hardylab.polytope import local_max, nosignaling_max
         from hardylab.variational import lower_bound
 
         out = tmp_path / "scan.csv"
@@ -383,11 +390,9 @@ class TestScan:
         for idx, line in enumerate(out.read_text().strip().split("\n")[1:]):
             eps, loc, ns, npa, _, var, restarts, seed = line.split(",")
             eps = float(eps)
-            q = BoundQuery(3, eps)
-            assert abs(local_max(q).value - float(loc)) < 1e-9
-            assert abs(nosignaling_max(q).value - float(ns)) < 1e-9
-            assert abs(npa_upper_bound(Scenario(3), 2, eps, tol=1e-6)
-                       - float(npa)) < 1e-9
+            assert abs(local_max(3, eps).value - float(loc)) < 1e-9
+            assert abs(nosignaling_max(3, eps).value - float(ns)) < 1e-9
+            assert abs(npa_upper_bound(3, 2, eps) - float(npa)) < 1e-9
             redo = lower_bound(eps, restarts=int(restarts),
                                seed=scan_point_seed(int(seed), idx))
             assert abs(redo.value - float(var)) < 1e-9
@@ -472,6 +477,15 @@ class TestTol:
         assert main(["state", "--spec", str(path), "--tol", "1e-9"]) == 0
         assert json.loads(capsys.readouterr().out)["genuinely_entangled"] is False
 
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--method", "npa", "--epsilon", "0.05"],
+        ["scan", "--steps", "2", "--restarts", "1"],
+    ], ids=["bounds", "scan"])
+    def test_bounds_and_scan_take_no_tol(self, argv, capsys):
+        # the moment solver's tolerance is the constant sdp.TOL
+        assert main(argv + ["--tol", "1e-6"]) == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
     def test_small_positive_tol_accepted(self, capsys):
         assert main(["state", "--n", "3", "--alpha-sq", "0.5", "--tol", "1e-300"]) == 0
         assert json.loads(capsys.readouterr().out)["genuinely_entangled"] is True
@@ -526,6 +540,44 @@ class TestSpecPartyCount:
         assert main([command, flag, str(path)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["state", "selftest"])
+    @pytest.mark.parametrize("field,value", [
+        ("n", 3.7), ("n", 3.0), ("n", "3"), ("n", True),
+        ("dims", [2, 2, 2.0]), ("dims", [2, "2", 2]), ("dims", [2, 2, True])])
+    def test_non_integer_count_exits_2(self, tmp_path, hardy_spec, command,
+                                       field, value, capsys):
+        # int() made "n": 3.7 a 3-party spec and accepted "n": "3"
+        spec = dict(hardy_spec)
+        if field == "n":
+            spec["n"] = value
+        else:
+            spec["amplitudes"] = dict(spec["amplitudes"], dims=value)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        flag = "--spec" if command == "state" else "--state"
+        assert main([command, flag, str(path)]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [
+        ["pmax", "--n", "3"],
+        ["bounds", "--method", "local", "--epsilon", "0.05"],
+        ["scan", "--steps", "2", "--restarts", "1"],
+    ], ids=["pmax", "bounds", "scan"])
+    def test_exits_141_quietly(self, argv):
+        # stdout is a pipe whose reader has already closed it, as in
+        # ``hardylab pmax --n 3 | true``
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run([sys.executable, "-m", "hardylab.cli", *argv],
+                                  stdout=write, stderr=subprocess.PIPE, env=src_env(),
+                                  timeout=300)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (141, b"")
+
 
 # Runs ``state --n 8`` and ``selftest --canonical 6`` in a loop and prints
 # the best loop's wall and process CPU seconds (every thread counts).
@@ -555,10 +607,8 @@ def test_certify_path_keeps_off_the_blas_pool():
     # thread then spins through the job and doubles the CPU time.  Within
     # one process CPU then reads about twice the wall time on two cores,
     # a ratio that host load lowers rather than raises.
-    env = dict(os.environ)
+    env = src_env()
     env.pop("OPENBLAS_NUM_THREADS", None)
-    src = str(Path(hardylab.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     times = {}
     for threads in (None, "1"):
         if threads is not None:

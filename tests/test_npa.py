@@ -7,12 +7,11 @@ import pytest
 from full_moment import build_full_problem, cyclic_reduction
 from moment_point import hardy_moment_vector, quantum_moment_vector, word_operator
 
-from hardylab.behavior import Scenario
 from hardylab.errors import CapabilityError, ScenarioError, SizeError
 from hardylab.npa import (_rotate, basis_shifts, build_moment_problem,
                           canonical_monomial, check_level, dagger,
-                          hardy_constraint_terms, identity_monomial,
-                          monomial_list, mul, npa_upper_bound)
+                          hardy_constraint_terms, monomial_list, mul,
+                          npa_upper_bound)
 from hardylab.sdp import DEFAULT_SHIFT, _Compiled, sdp_solve
 from hardylab.states import pmax
 
@@ -83,80 +82,87 @@ class TestMonomialList:
     @pytest.mark.parametrize("n,level,count", [
         (2, 1, 5), (3, 1, 7), (3, 2, 25), (2, 2, 13), (2, 3, 25), (3, 3, 63)])
     def test_counts(self, n, level, count):
-        assert len(monomial_list(Scenario(n), level)) == count
+        assert len(monomial_list(n, level)) == count
 
     def test_deterministic_order(self):
-        a = monomial_list(Scenario(3), 2)
-        b = monomial_list(Scenario(3), 2)
+        a = monomial_list(3, 2)
+        b = monomial_list(3, 2)
         assert a == b
-        assert a[0] == identity_monomial(3)
+        assert a[0] == ((), (), ())  # the identity
 
     def test_size_guard(self):
         with pytest.raises(SizeError):
-            monomial_list(Scenario(4), 10)
+            monomial_list(4, 10)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("level", [1, 2, 3])
     def test_matches_product_filter(self, n, level):
-        assert monomial_list(Scenario(n), level) == product_filter_monomials(n, level)
+        assert monomial_list(n, level) == product_filter_monomials(n, level)
 
     @pytest.mark.parametrize("n,level", [(2, 10 ** 9), (12, 4), (3, 1000)])
     def test_size_guard_stops_at_cap(self, n, level):
         start = time.perf_counter()
         with pytest.raises(SizeError):
-            monomial_list(Scenario(n), level)
+            monomial_list(n, level)
         assert time.perf_counter() - start < 1.0
 
     def test_rejects_too_many_parties(self):
         with pytest.raises(ScenarioError):
-            monomial_list(Scenario(13), 1)
+            monomial_list(13, 1)
+
+    @pytest.mark.parametrize("n", [1, 0, -2])
+    @pytest.mark.parametrize("entry", [monomial_list, check_level,
+                                       lambda n, level: build_moment_problem(n, level, 0.0),
+                                       lambda n, level: npa_upper_bound(n, level, 0.0)])
+    def test_rejects_fewer_than_two_parties(self, entry, n):
+        with pytest.raises(ScenarioError, match=f"need at least two parties, got n={n}"):
+            entry(n, 2)
 
 
 class TestBuildMomentProblem:
     def test_tripartite_level2_structure(self):
-        p = build_moment_problem(Scenario(3), 2, 0.0)
+        p = build_moment_problem(3, 2, 0.0)
         assert p.n_basis == 25
-        assert len(p.inequalities) == 4
-        assert len(p.objective) == 1
-        obj_var = next(iter(p.objective))
+        assert p.g.shape == (4, p.n_vars)
+        (obj_var,) = np.flatnonzero(p.c)
         assert p.variables[obj_var] == ((0,), (0,), (0,))
 
     def test_bipartite_level2_shape(self):
-        p = build_moment_problem(Scenario(2), 2, 0.0)
+        p = build_moment_problem(2, 2, 0.0)
         assert p.n_basis == 13
 
     def test_epsilon_one_inequalities_slack(self):
-        p = build_moment_problem(Scenario(3), 2, 1.0)
-        assert all(rhs == 1.0 for _, rhs in p.inequalities)
+        p = build_moment_problem(3, 2, 1.0)
+        assert p.epsilon == 1.0
         hardy = hardy_moment_vector(p)  # every Hardy term vanishes there
-        for row, rhs in p.inequalities:
-            assert sum(coef * hardy[k] for k, coef in row.items()) < rhs
+        for row in p.g:
+            assert sum(coef * hardy[k] for k, coef in enumerate(row)) < p.epsilon
 
     def test_level_too_low(self):
         with pytest.raises(CapabilityError):
-            build_moment_problem(Scenario(3), 1, 0.0)
+            build_moment_problem(3, 1, 0.0)
         with pytest.raises(CapabilityError):
-            build_full_problem(Scenario(3), 1, 0.0)
+            build_full_problem(3, 1, 0.0)
 
     @pytest.mark.parametrize("n, level", [(2, 1), (2, 2), (3, 1), (3, 2),
                                           (4, 1), (4, 2), (5, 2)])
     def test_check_level_matches_cell_words(self, n, level):
         # Oracle: the moments the problem reads are all among the products
         # dagger(u) v of two basis monomials
-        basis = monomial_list(Scenario(n), level)
+        basis = monomial_list(n, level)
         cells = {mul(dagger(u), v) for u in basis for v in basis}
         needed = [canonical_monomial([(i, 0) for i in range(n)], n)]
         needed += [mono for term in hardy_constraint_terms(n) for mono in term]
         if all(mono in cells for mono in needed):
-            check_level(Scenario(n), level)
-            build_moment_problem(Scenario(n), level, 0.0)
+            check_level(n, level)
+            build_moment_problem(n, level, 0.0)
         else:
             with pytest.raises(CapabilityError, match=f"not expressible at level {level}"):
-                check_level(Scenario(n), level)
+                check_level(n, level)
 
     def test_matrix_symmetry(self):
         for n, level in ((2, 2), (3, 2)):
-            p = build_full_problem(Scenario(n), level, 0.0)
+            p = build_full_problem(n, level, 0.0)
             assert (p.cell_var == p.cell_var.T).all()
             for i in range(p.n_basis):
                 for j in range(p.n_basis):
@@ -169,7 +175,7 @@ class TestBuildMomentProblem:
         # independent oracle: raw matrix products of random realizations
         rng = np.random.default_rng(11)
         for n, level in ((2, 3), (3, 2)):
-            p = build_full_problem(Scenario(n), level, 0.0)
+            p = build_full_problem(n, level, 0.0)
             for _ in range(3):
                 projs, psi = random_realization(rng, n)
                 gram = operator_gram(p, projs, psi)
@@ -182,15 +188,15 @@ class TestMomentVectors:
     @pytest.mark.parametrize("n,level", [(2, 2), (3, 2), (3, 3), (4, 2)])
     def test_hardy_point_objective_and_psd(self, n, level):
         # the bases of the benchmark's moment jobs
-        p = build_moment_problem(Scenario(n), level, 0.0)
+        p = build_moment_problem(n, level, 0.0)
         m = hardy_moment_vector(p)
-        obj_var = next(iter(p.objective))
+        (obj_var,) = np.flatnonzero(p.c)
         assert abs(m[obj_var] - pmax(n).p_max) < 1e-12
         comp = _Compiled(p)
         w = np.linalg.eigvalsh(comp.mat(m))
         assert w.min() > -1e-10
-        for row, rhs in p.inequalities:
-            assert abs(sum(c * m[k] for k, c in row.items())) < 1e-12
+        for row in p.g:
+            assert abs(sum(c * m[k] for k, c in enumerate(row))) < 1e-12
 
     def test_word_operator_matches_oracle(self):
         # the product of '+' projectors as built before it read
@@ -218,29 +224,29 @@ class TestMomentVectors:
                                        measurements_from_pairs)
         from hardylab.states import MeasurementPair, hardy_state
         rng = np.random.default_rng(5)
-        p = build_moment_problem(Scenario(2), 2, 0.0)
+        p = build_moment_problem(2, 2, 0.0)
         for _ in range(5):
             a2 = rng.uniform(0.2, 0.8)
             pairs = [MeasurementPair.from_alpha_sq(a2)] * 2
             psi = hardy_state(2, pairs)
             m = quantum_moment_vector(p, psi, pairs)
             stats = hardy_statistics(joint_distribution(psi, measurements_from_pairs(pairs)))
-            obj_var = next(iter(p.objective))
+            (obj_var,) = np.flatnonzero(p.c)
             assert abs(m[obj_var] - stats.p) < 1e-12
 
 
 class TestUpperBound:
     def test_bipartite_level2(self):
-        val = npa_upper_bound(Scenario(2), 2, 0.0, tol=1e-6)
+        val = npa_upper_bound(2, 2, 0.0)
         assert abs(val - 0.0901699) < 5e-4
 
     def test_saturation_at_quarter(self):
-        val = npa_upper_bound(Scenario(3), 2, 0.25, tol=1e-6)
+        val = npa_upper_bound(3, 2, 0.25)
         assert abs(val - 1.0) < 5e-4
 
     def test_deterministic(self):
-        a = npa_upper_bound(Scenario(2), 2, 0.03, tol=1e-6)
-        b = npa_upper_bound(Scenario(2), 2, 0.03, tol=1e-6)
+        a = npa_upper_bound(2, 2, 0.03)
+        b = npa_upper_bound(2, 2, 0.03)
         assert a == b
 
 
@@ -253,7 +259,7 @@ class TestCyclicReduction:
     @pytest.mark.parametrize("n,level,full,orbits", [
         (3, 3, 250, 86), (3, 2, 93, 33), (2, 2, 31, 18), (4, 2, 229, 62)])
     def test_structure(self, n, level, full, orbits):
-        p = build_full_problem(Scenario(n), level, 0.05)
+        p = build_full_problem(n, level, 0.05)
         r, orbit_of = cyclic_reduction(p)
         assert (p.n_vars, r.n_vars) == (full, orbits)
         assert orbit_of.shape == (full,)
@@ -261,11 +267,12 @@ class TestCyclicReduction:
         assert (r.cell_var == r.cell_var.T).all()
         _Compiled(r)
         # every cyclic row is kept, identical after the merge
-        assert len(r.inequalities) == n + 1
-        assert all(rhs == 0.05 for _, rhs in r.inequalities)
-        assert all(row == r.inequalities[0][0] for row, _ in r.inequalities[:n])
-        assert r.objective == {r.variables.index(((0,),) * n): 1.0}
-        assert r.identity_var == 0
+        assert r.g.shape == (n + 1, r.n_vars)
+        assert r.epsilon == 0.05
+        assert all(np.array_equal(row, r.g[0]) for row in r.g[:n])
+        assert np.flatnonzero(r.c).tolist() == [r.variables.index(((0,),) * n)]
+        assert r.c.max() == 1.0
+        assert r.variables[0] == ((),) * n  # the identity
         # each orbit is named by its smallest shifted variable key
         for k, var in enumerate(p.variables):
             key = r.variables[orbit_of[k]]
@@ -277,19 +284,20 @@ class TestCyclicReduction:
     def test_builder_matches_reduced_full_problem(self, n, level, eps):
         # cross-check: the orbit builder against the reduction of the
         # test-only full problem, field for field
-        want, _ = cyclic_reduction(build_full_problem(Scenario(n), level, eps))
-        got = build_moment_problem(Scenario(n), level, eps)
+        want, _ = cyclic_reduction(build_full_problem(n, level, eps))
+        got = build_moment_problem(n, level, eps)
         assert got.cell_var.dtype == want.cell_var.dtype
         assert np.array_equal(got.cell_var, want.cell_var)
         assert got.variables == want.variables
         assert got.basis == want.basis
-        assert (got.scenario, got.level, got.epsilon) == (want.scenario, want.level, want.epsilon)
-        assert got.objective == want.objective
-        assert got.identity_var == want.identity_var == 0
-        assert got.inequalities == want.inequalities
+        assert (got.n, got.level, got.epsilon) == (want.n, want.level, want.epsilon)
+        assert np.array_equal(got.c, want.c)
+        assert got.variables[0] == ((),) * n
+        assert np.array_equal(got.g, want.g)
+        assert np.array_equal(got.shifts, want.shifts)
 
     def test_basis_shifts(self):
-        basis = monomial_list(Scenario(3), 2)
+        basis = monomial_list(3, 2)
         shifts = basis_shifts(basis)
         assert shifts.shape == (3, len(basis))
         for s, perm in enumerate(shifts):
@@ -302,7 +310,7 @@ class TestCyclicReduction:
         from hardylab.states import MeasurementPair, hardy_state
         rng = np.random.default_rng(13)
         for n, level in ((2, 3), (3, 2), (4, 2)):
-            p = build_full_problem(Scenario(n), level, 0.0)
+            p = build_full_problem(n, level, 0.0)
             r, _ = cyclic_reduction(p)
             pair = MeasurementPair.from_alpha_sq(0.37)
             projs = [(np.diag([1.0 + 0j, 0.0]),
@@ -318,17 +326,17 @@ class TestCyclicReduction:
         ids=["2-0.03", "3-0.05", "3-0.02-level3", "4-0.0"])
     def test_unreduced_solve_agrees(self, n, eps, level):
         # cross-check: the full problem, test-only
-        p = build_full_problem(Scenario(n), level, eps)
-        full = sdp_solve(p, tol=1e-6)
+        p = build_full_problem(n, level, eps)
+        full = sdp_solve(p)
         assert full.converged
-        assert abs(full.value - npa_upper_bound(Scenario(n), level, eps, tol=1e-6)) < 1e-7
+        assert abs(full.value - npa_upper_bound(n, level, eps)) < 1e-7
         # the orbit average of the full optimum is the party-shift average
         # of its moment matrix: feasible for the reduced problem, same value
         r, orbit_of = cyclic_reduction(p)
         avg = np.bincount(orbit_of, weights=full.moments) / np.bincount(orbit_of)
         assert np.linalg.eigvalsh(_Compiled(r).mat(avg))[0] >= -1e-9
-        for row, rhs in r.inequalities:
-            lhs = sum(c * avg[k] for k, c in row.items())
-            assert lhs <= rhs + DEFAULT_SHIFT + 1e-12
-        (obj,) = r.objective
+        for row in r.g:
+            lhs = sum(c * avg[k] for k, c in enumerate(row))
+            assert lhs <= r.epsilon + DEFAULT_SHIFT + 1e-12
+        (obj,) = np.flatnonzero(r.c)
         assert abs(avg[obj] - full.value) <= 1e-15

@@ -5,10 +5,10 @@ import pytest
 
 from dense_hardy import hardy_functionals
 from hardylab import polytope
-from hardylab.behavior import (BehaviorTensor, Scenario, check_no_signaling,
+from hardylab.behavior import (BehaviorTensor, check_no_signaling,
                                hardy_statistics, hardy_values)
 from hardylab.errors import ValidationError
-from hardylab.polytope import (BoundQuery, LPSolution, _pivot, _vertex_table,
+from hardylab.polytope import (LPSolution, _pivot, _vertex_table,
                                local_max, lp_solve, nosignaling_max)
 
 # First verified value of the tripartite no-signaling maximum at eps = 0
@@ -106,23 +106,22 @@ def vertex_loop(n):
     return vertices
 
 
-def vertex_loop_local_max(q):
+def vertex_loop_local_max(n, epsilon):
     """Cross-check for ``local_max``: the same LP, its rows evaluated one
     vertex at a time."""
-    vertices = vertex_loop(q.n)
-    p_coeff, zs = hardy_functionals(q.n)
+    vertices = vertex_loop(n)
+    p_coeff, zs = hardy_functionals(n)
     c = np.array([float(p_coeff.reshape(-1) @ v.reshape(-1)) for v in vertices])
     a_ub = np.array([[float(z.reshape(-1) @ v.reshape(-1)) for v in vertices]
                      for z in zs])
     return lp_solve(c, np.ones((1, len(vertices))), [1.0], a_ub,
-                    np.full(len(zs), q.epsilon))
+                    np.full(len(zs), epsilon))
 
 
-def redundant_nosignaling_max(q):
+def redundant_nosignaling_max(n, epsilon):
     """Cross-check for ``nosignaling_max``: the same LP with the marginal
     equalities of every party subset against every pair of complement
     settings, the row family the package posed before the per-party rows."""
-    n = q.n
     shape = (2,) * (2 * n)
     p_coeff, zs = hardy_functionals(n)
     a_eq, b_eq = [], []
@@ -153,7 +152,7 @@ def redundant_nosignaling_max(q):
                     b_eq.append(0.0)
     a_ub = np.array([z.reshape(-1) for z in zs])
     return lp_solve(p_coeff.reshape(-1), np.array(a_eq), b_eq, a_ub,
-                    np.full(len(zs), q.epsilon))
+                    np.full(len(zs), epsilon))
 
 
 class TestPivot:
@@ -178,9 +177,9 @@ class TestPivot:
     def test_bounds_match_row_loop_bit_for_bit(self, n, monkeypatch):
         grid = (0.0, 0.013, 0.05, 1.0 / 12.0, 1.0 / 6.0, 0.2, 0.25)
         solve = (local_max, nosignaling_max)
-        fast = [f(BoundQuery(n, eps)) for eps in grid for f in solve]
+        fast = [f(n, eps) for eps in grid for f in solve]
         monkeypatch.setattr(polytope, "_pivot", row_loop_pivot)
-        slow = [f(BoundQuery(n, eps)) for eps in grid for f in solve]
+        slow = [f(n, eps) for eps in grid for f in solve]
         for a, b in zip(fast, slow):
             assert a.value == b.value
             assert np.array_equal(a.assignment, b.assignment)
@@ -190,8 +189,8 @@ class TestPivot:
     @pytest.mark.parametrize("n", [2, 3])
     def test_local_max_matches_vertex_loop_bit_for_bit(self, n):
         for eps in (0.0, 0.013, 0.05, 1.0 / 12.0, 1.0 / 6.0, 0.2, 0.25):
-            a = local_max(BoundQuery(n, eps))
-            b = vertex_loop_local_max(BoundQuery(n, eps))
+            a = local_max(n, eps)
+            b = vertex_loop_local_max(n, eps)
             assert a.value == b.value
             assert np.array_equal(a.assignment, b.assignment)
             assert a.pivots == b.pivots > 0
@@ -208,7 +207,7 @@ class TestPivotCount:
         monkeypatch.setattr(polytope, "_pivot", counting_pivot)
         for f in (local_max, nosignaling_max):
             calls.clear()
-            sol = f(BoundQuery(3, 0.05))
+            sol = f(3, 0.05)
             assert sol.pivots == len(calls) > 0
 
     def test_every_status_reports_pivots(self):
@@ -227,7 +226,7 @@ class TestPivotCount:
 
 def vertex_behaviors(n):
     """The rows of ``polytope._vertex_table(n)`` as behavior tables."""
-    return [BehaviorTensor(Scenario(n), row.reshape((2,) * (2 * n)))
+    return [BehaviorTensor(row.reshape((2,) * (2 * n)))
             for row in _vertex_table(n)]
 
 
@@ -255,24 +254,24 @@ class TestDeterministicVertices:
         for _ in range(20):
             w = rng.dirichlet(np.ones(len(vertices)))
             probs = sum(wi * v.probs for wi, v in zip(w, vertices))
-            stats = hardy_statistics(BehaviorTensor(Scenario(3), probs))
+            stats = hardy_statistics(BehaviorTensor(probs))
             assert stats.p <= stats.zeros.sum() + 1e-10
 
 
 class TestLocalMax:
     def test_zero_epsilon(self):
-        assert abs(local_max(BoundQuery(3, 0.0)).value) < 1e-9
+        assert abs(local_max(3, 0.0).value) < 1e-9
 
     def test_four_epsilon(self):
-        sol = local_max(BoundQuery(3, 0.05))
+        sol = local_max(3, 0.05)
         assert abs(sol.value - 0.2) < 1e-9
 
     def test_saturation(self):
-        assert abs(local_max(BoundQuery(3, 0.30)).value - 1.0) < 1e-9
+        assert abs(local_max(3, 0.30).value - 1.0) < 1e-9
 
     def test_matches_min_4eps_on_grid(self):
         for eps in np.arange(0.0, 0.301, 0.01):
-            sol = local_max(BoundQuery(3, float(eps)))
+            sol = local_max(3, float(eps))
             assert sol.status == "optimal"
             assert abs(sol.value - min(4.0 * eps, 1.0)) < 1e-9
 
@@ -294,34 +293,33 @@ class TestLocalMax:
                 silent = v
                 break
         probs = (1 - 4 * eps) * silent.probs + eps * sum(v.probs for v in p_target)
-        stats = hardy_statistics(BehaviorTensor(Scenario(3), probs))
+        stats = hardy_statistics(BehaviorTensor(probs))
         assert abs(stats.p - 4 * eps) < 1e-12
         assert np.all(stats.zeros <= eps + 1e-12)
 
     def test_rejects_unsupported_n(self):
         with pytest.raises(ValidationError):
-            local_max(BoundQuery(4, 0.1))
+            local_max(4, 0.1)
 
 
 class TestNoSignalingMax:
     def test_eps0_golden_and_sandwich(self):
-        sol = nosignaling_max(BoundQuery(3, 0.0))
+        sol = nosignaling_max(3, 0.0)
         assert sol.status == "optimal"
         assert 0.0181940 <= sol.value <= 1.0
         assert abs(sol.value - NS_TRIPARTITE_EPS0) < 1e-9
 
     def test_bipartite_literature_value(self):
-        sol = nosignaling_max(BoundQuery(2, 0.0))
+        sol = nosignaling_max(2, 0.0)
         assert abs(sol.value - 0.5) < 1e-9
 
     def test_quarter_epsilon_saturates(self):
-        assert abs(nosignaling_max(BoundQuery(3, 0.25)).value - 1.0) < 1e-9
+        assert abs(nosignaling_max(3, 0.25).value - 1.0) < 1e-9
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_redundant_row_family(self, n):
         for eps in np.linspace(0.0, 0.3, 31):
-            q = BoundQuery(n, float(eps))
-            got, want = nosignaling_max(q), redundant_nosignaling_max(q)
+            got, want = nosignaling_max(n, eps), redundant_nosignaling_max(n, eps)
             assert got.status == want.status == "optimal"
             assert abs(got.value - want.value) <= 1e-15
 
@@ -337,7 +335,7 @@ class TestNoSignalingMax:
             return lp_solve(*lp)
 
         monkeypatch.setattr(polytope, "lp_solve", recording_solve)
-        nosignaling_max(BoundQuery(n, 0.05))
+        nosignaling_max(n, 0.05)
         unit = np.eye(4 ** n).reshape((4 ** n,) + (2,) * (2 * n))
         p, zs = hardy_values(unit, n)
         want_eq = [(row, 1.0) for row in
@@ -363,16 +361,15 @@ class TestNoSignalingMax:
             return lp_solve(c, a_eq, b_eq, a_ub, b_ub)
 
         monkeypatch.setattr(polytope, "lp_solve", counting_solve)
-        nosignaling_max(BoundQuery(2, 0.1))
-        nosignaling_max(BoundQuery(3, 0.1))
+        nosignaling_max(2, 0.1)
+        nosignaling_max(3, 0.1)
         # normalisation 2^n, no-signaling n 4^(n-1), Hardy terms n + 1
         assert counts == [4 + 8 + 3, 8 + 48 + 4]
 
     def test_monotone_and_dominates_local(self):
         prev = -1.0
         for eps in (0.0, 0.05, 0.10, 0.20, 0.25):
-            q = BoundQuery(3, eps)
-            ns = nosignaling_max(q).value
+            ns = nosignaling_max(3, eps).value
             assert ns >= prev - 1e-9
-            assert ns >= local_max(q).value - 1e-9
+            assert ns >= local_max(3, eps).value - 1e-9
             prev = ns

@@ -9,11 +9,9 @@ from eig_certificate import certified_error
 from full_moment import build_full_problem
 
 from hardylab import sdp
-from hardylab.behavior import Scenario
 from hardylab.errors import NumericError, ValidationError
 from hardylab.linalg import eig_herm
-from hardylab.npa import (MomentProblem, build_moment_problem, identity_monomial,
-                          npa_upper_bound)
+from hardylab.npa import MomentProblem, build_moment_problem, npa_upper_bound
 from hardylab.sdp import (DEFAULT_SHIFT, DUAL_RESIDUAL, _Compiled, _cholesky,
                           _chol_solve, _solve_lower, sdp_solve)
 
@@ -21,17 +19,17 @@ REFERENCE = json.loads(
     (Path(__file__).resolve().parents[1] / "bench" / "reference.json").read_text())
 
 
-def toy_problem(inequalities=None, objective=None):
-    """2x2 moment matrix [[1, y], [y, 1]] with variables (id, y)."""
-    ident = identity_monomial(2)
+def toy_problem(g=(), epsilon=0.0, c=(0.0, 1.0)):
+    """2x2 moment matrix [[1, y], [y, 1]] with variables (id, y), rows
+    ``g`` on (id, y) bounded by ``epsilon`` and objective ``c``."""
+    ident = ((), ())
     yname = ((0,), ())
     return MomentProblem(
-        scenario=Scenario(2), level=1, epsilon=0.0,
+        n=2, level=1, epsilon=epsilon,
         basis=[ident, yname],
         variables=[ident, yname],
         cell_var=np.array([[0, 1], [1, 0]], dtype=np.int32),
-        objective=objective if objective is not None else {1: 1.0},
-        inequalities=inequalities if inequalities is not None else [],
+        c=np.array(c), g=np.array(g, dtype=float).reshape(-1, 2), shifts=None,
     )
 
 
@@ -105,8 +103,8 @@ def problem_case(case):
     if case == "toy":
         return toy_problem()
     if case == "full":
-        return build_full_problem(Scenario(3), 2, 0.02)
-    return build_moment_problem(Scenario(case[0]), case[1], 0.02)
+        return build_full_problem(3, 2, 0.02)
+    return build_moment_problem(case[0], case[1], 0.02)
 
 
 def invariant_spd(rng, comp, shift):
@@ -133,9 +131,9 @@ class TestCompiled:
         if order > 1:
             cell_var = problem.cell_var.copy()
             k = np.bincount(cell_var.ravel()).argmax()
-            assert k != problem.identity_var
+            assert k != 0
             i, j = np.argwhere(cell_var == k)[0]
-            cell_var[i, j] = cell_var[j, i] = problem.identity_var
+            cell_var[i, j] = cell_var[j, i] = 0
             assert _Compiled(replace(problem, cell_var=cell_var)).shifts.shape[0] == 1
 
     @pytest.mark.parametrize("case", CASES)
@@ -187,7 +185,7 @@ class TestCompiled:
         assert np.max(np.abs(comp.schur_matrix(x, x) - dense_schur(e, x, x))) > 1e-6
 
     def test_trace_by_var_matches_dense_trace(self):
-        problem = build_moment_problem(Scenario(3), 2, 0.02)
+        problem = build_moment_problem(3, 2, 0.02)
         rng = np.random.default_rng(8)
         g = rng.standard_normal((problem.n_basis, problem.n_basis))
         p = g @ g.T
@@ -210,7 +208,7 @@ class TestCompiled:
             sdp_solve(problem)
 
     @pytest.mark.parametrize("variables", [
-        [((0,), ()), identity_monomial(2)],   # identity second
+        [((0,), ()), ((), ())],               # identity second
         [((0,), ()), ((1,), ())],             # no identity at all
     ])
     def test_rejects_variable_zero_not_identity(self, variables):
@@ -222,29 +220,28 @@ class TestCompiled:
 
 class TestToyProblems:
     def test_psd_boundary(self):
-        sol = sdp_solve(toy_problem(), tol=1e-6)
+        sol = sdp_solve(toy_problem())
         assert sol.converged
         assert abs(sol.value - 1.0) < 1e-6
 
     def test_inequality(self):
-        sol = sdp_solve(toy_problem(
-            inequalities=[({1: 1.0}, 0.5)]), tol=1e-6)
+        sol = sdp_solve(toy_problem(g=[[0.0, 1.0]], epsilon=0.5))
         assert sol.converged
         assert abs(sol.value - 0.5) < 1e-6
 
     def test_minimisation_direction(self):
-        sol = sdp_solve(toy_problem(objective={1: -1.0}), tol=1e-6)
+        sol = sdp_solve(toy_problem(c=[0.0, -1.0]))
         assert abs(sol.value - 1.0) < 1e-6  # -y maximised at y = -1
 
     def test_identity_moment_pinned_exactly(self):
-        for problem in (toy_problem(), build_moment_problem(Scenario(3), 2, 0.05)):
-            sol = sdp_solve(problem, tol=1e-6)
+        for problem in (toy_problem(), build_moment_problem(3, 2, 0.05)):
+            sol = sdp_solve(problem)
             assert sol.converged and sol.stopped_by == "stopping rule"
             assert sol.moments[0] == 1.0
 
     def test_nonconverged_status(self, monkeypatch):
         monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", 1)
-        sol = sdp_solve(toy_problem(), tol=1e-6)
+        sol = sdp_solve(toy_problem())
         assert not sol.converged
         assert sol.iterations == 1
 
@@ -253,12 +250,12 @@ class TestStoppedBy:
     """``stopped_by`` names the exit, and ``npa_upper_bound`` reports it."""
 
     def assert_reported(self, stopped_by, iterations):
-        sol = sdp_solve(build_moment_problem(Scenario(3), 2, 0.05))
+        sol = sdp_solve(build_moment_problem(3, 2, 0.05))
         assert not sol.converged
         assert (sol.stopped_by, sol.iterations) == (stopped_by, iterations)
         with pytest.raises(NumericError, match=f"after {iterations} iterations "
                            f"\\(stopped by {stopped_by};"):
-            npa_upper_bound(Scenario(3), 2, 0.05)
+            npa_upper_bound(3, 2, 0.05)
 
     def test_iteration_cap(self, monkeypatch):
         monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", 1)
@@ -294,18 +291,18 @@ class TestHardyProblems:
         # returned moments reshape into a near-PSD matrix and respect the
         # error constraints; a residual-certified eigendecomposition
         # cross-checks the solver's own eigenvalue-only audit
-        p = build_full_problem(Scenario(2), 2, 0.02)
-        sol = sdp_solve(p, tol=1e-6)
+        p = build_full_problem(2, 2, 0.02)
+        sol = sdp_solve(p)
         assert sol.converged
         mat = _Compiled(p).mat(sol.moments)
         vals, vecs = eig_herm(mat, tol=1e-8)
         bound = certified_error(mat, vals, vecs)
         assert vals[0] >= -1e-6
         assert abs(sol.psd_residual - max(0.0, -vals[0])) <= 1e-10 + bound
-        for row, rhs in p.inequalities:
-            lhs = sum(c * sol.moments[k] for k, c in row.items())
-            assert lhs <= rhs + 1e-6
-        assert abs(sol.moments[p.identity_var] - 1.0) < 1e-12
+        for row in p.g:
+            lhs = sum(c * sol.moments[k] for k, c in enumerate(row))
+            assert lhs <= p.epsilon + 1e-6
+        assert abs(sol.moments[0] - 1.0) < 1e-12
         assert sol.psd_residual <= 1e-6
         assert sol.affine_residual <= 1e-6
         assert 0.0 < sol.gap <= 1e-7
@@ -314,8 +311,8 @@ class TestHardyProblems:
     def test_feasible_without_start(self, n, level):
         # eps = 0: the unshifted problem has an empty interior, and the
         # solver starts from no feasible point at all
-        p = build_moment_problem(Scenario(n), level, 0.0)
-        sol = sdp_solve(p, tol=1e-6)
+        p = build_moment_problem(n, level, 0.0)
+        sol = sdp_solve(p)
         assert sol.converged
         assert sol.psd_residual <= 1e-9
         mat = _Compiled(p).mat(sol.moments)
@@ -325,19 +322,19 @@ class TestHardyProblems:
         assert abs(sol.psd_residual - max(0.0, -vals[0])) <= 1e-10 + bound
         # feasible for the shifted rows up to the dual residual of the
         # stopping rule
-        for row, rhs in p.inequalities:
-            lhs = sum(c * sol.moments[k] for k, c in row.items())
-            assert lhs <= rhs + DEFAULT_SHIFT + DUAL_RESIDUAL
-        assert abs(sol.moments[p.identity_var] - 1.0) <= 1e-12
+        for row in p.g:
+            lhs = sum(c * sol.moments[k] for k, c in enumerate(row))
+            assert lhs <= p.epsilon + DEFAULT_SHIFT + DUAL_RESIDUAL
+        assert abs(sol.moments[0] - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("n,level,eps,ref", reference_cases(),
                              ids=lambda v: f"{v:.4g}" if isinstance(v, float) else str(v))
     def test_reference_values_pinned(self, n, level, eps, ref):
-        p = build_moment_problem(Scenario(n), level, eps)
-        sol = sdp_solve(p, tol=1e-6)
+        p = build_moment_problem(n, level, eps)
+        sol = sdp_solve(p)
         assert sol.converged
         assert abs(sol.value - ref) <= 2e-7
         assert sol.iterations <= 60
-        again = sdp_solve(p, tol=1e-6)
+        again = sdp_solve(p)
         assert again.iterations == sol.iterations
         assert again.value == sol.value
