@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import os
+import select
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -71,6 +72,10 @@ def _spec_file(path: str):
         raise ValidationError(f"{path}: malformed input file ({exc})") from exc
 
 
+def _complex_array(entry: dict) -> np.ndarray:
+    return np.array(entry["re"], dtype=float) + 1j * np.array(entry["im"], dtype=float)
+
+
 def _json_int(value, what: str) -> int:
     if type(value) is not int:  # a JSON integer: no float, string or boolean
         raise ValidationError(f"{what} must be an integer, got {value!r}")
@@ -99,8 +104,7 @@ def load_state_spec(path: str):
                 raise SizeError(f"state dims {dims} exceed {MAX_PARTIES} qubits")
             if len(dims) != n:
                 raise ValidationError(f"spec has n={n} but {len(dims)} amplitude dims")
-            amps = np.array(amp["re"], dtype=float) + 1j * np.array(amp["im"], dtype=float)
-            state = StateVector(dims, amps)
+            state = StateVector(dims, _complex_array(amp))
     return n, pairs, state
 
 
@@ -108,15 +112,8 @@ def load_observables(path: str) -> list[ObservablePair]:
     with _spec_file(path) as spec:
         if len(spec["parties"]) > MAX_PARTIES:
             raise ScenarioError(f"{len(spec['parties'])} parties exceed {MAX_PARTIES}")
-        out = []
-        for party in spec["parties"]:
-            mats = []
-            for key in ("a1", "a2"):
-                entry = party[key]
-                mats.append(np.array(entry["re"], dtype=float)
-                            + 1j * np.array(entry["im"], dtype=float))
-            out.append(ObservablePair(a1=mats[0], a2=mats[1]))
-    return out
+        return [ObservablePair(a1=_complex_array(party["a1"]), a2=_complex_array(party["a2"]))
+                for party in spec["parties"]]
 
 
 def cmd_state(args) -> int:
@@ -330,10 +327,8 @@ def cmd_selftest(args) -> int:
         state = hardy_state(n, [MeasurementPair.from_alpha_sq(pmax(n).t)] * n)
     else:
         raise ValidationError("selftest needs --state or --canonical")
-    if args.observables:
-        observables = load_observables(args.observables)
-    else:
-        observables = canonical_observables(len(state.dims))
+    observables = (load_observables(args.observables) if args.observables
+                   else canonical_observables(len(state.dims)))
     report = selftest_report(state, observables, tol=args.tol)
     ok = report.total_fidelity >= 1.0 - args.tol
     lines = ["selftest-report/1",
@@ -412,6 +407,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout_closed() -> bool:
+    """Whether poll reports stdout, a pipe or socket, as without a reader."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # no descriptor, or closed
+        return False
+    poller = select.poll()
+    poller.register(fd, select.POLLOUT)
+    return any(events & (select.POLLERR | select.POLLHUP) for _, events in poller.poll(0))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -422,11 +428,6 @@ def main(argv=None) -> int:
         rc = args.func(args)
         sys.stdout.flush()
         return rc
-    except BrokenPipeError:
-        # stdout's reader has gone: exit quietly, as on SIGPIPE; devnull
-        # takes the interpreter's last flush of the unwritten output
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
     except NumericError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
@@ -434,8 +435,15 @@ def main(argv=None) -> int:
         print(f"hypothesis unmet: {exc}", file=sys.stderr)
         return 4
     except (ValueError, KeyError, OSError) as exc:
-        # ValidationError and malformed input files (JSON decoding errors
-        # subclass ValueError, absent keys raise KeyError) all map to 2
+        if isinstance(exc, BrokenPipeError) and _stdout_closed():
+            # exit quietly, as on SIGPIPE; devnull takes the last flush
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 141
+        # ValidationError, malformed input files (JSON decoding errors
+        # subclass ValueError, absent keys raise KeyError) and unwritable
+        # --out files, a pipe without a reader included, all map to 2
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

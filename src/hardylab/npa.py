@@ -24,7 +24,7 @@ variable per orbit (Ioannou & Rosset, arXiv:2112.10803).
 
 ``sdp.sdp_solve`` takes the problem as plain arrays: the objective
 vector c, the Hardy rows g, each bounded by epsilon, the variable of
-every matrix cell and the basis shifts the orbits were merged under.
+every matrix cell and the party shifts of the basis.
 """
 
 from __future__ import annotations
@@ -107,12 +107,10 @@ def _party_words(max_len: int) -> list[Word]:
 def _monomials_of_degree(n: int, d: int):
     """Canonical n-party monomials of total degree exactly ``d``, ascending."""
     for word in _party_words(d):
-        if n == 1:
-            if len(word) == d:
-                yield (word,)
-        else:
-            for rest in _monomials_of_degree(n - 1, d - len(word)):
-                yield (word,) + rest
+        if n > 1:
+            yield from ((word,) + rest for rest in _monomials_of_degree(n - 1, d - len(word)))
+        elif len(word) == d:
+            yield (word,)
 
 
 def monomial_list(n: int, level: int) -> list[Monomial]:
@@ -146,9 +144,8 @@ class MomentProblem:
 
     ``variables`` names the entries of m and cell (i, j) over ``basis``
     holds m[cell_var[i, j]].  Variable 0, cell (0, 0), is the identity
-    moment, which the solver fixes to 1.  ``shifts`` holds, one row per
-    party shift, the basis index of each shifted basis monomial when the
-    moments were merged into shift orbits, and None otherwise.
+    moment, which the solver fixes to 1.  ``shifts`` is derived from the
+    basis (see ``basis_shifts``).
     """
 
     n: int
@@ -159,7 +156,10 @@ class MomentProblem:
     cell_var: np.ndarray
     c: np.ndarray
     g: np.ndarray
-    shifts: np.ndarray | None
+
+    @property
+    def shifts(self) -> np.ndarray | None:
+        return basis_shifts(self.basis)
 
     @property
     def n_basis(self) -> int:
@@ -286,7 +286,7 @@ def build_moment_problem(n: int, level: int, epsilon: float) -> MomentProblem:
             row[lookup(mono)] += coef
     return MomentProblem(n=n, level=level, epsilon=float(epsilon), basis=basis,
                          variables=variables, cell_var=renumber[cell_ids],
-                         c=c, g=g, shifts=shifts)
+                         c=c, g=g)
 
 
 def npa_upper_bound(n: int, level: int, epsilon: float) -> float:

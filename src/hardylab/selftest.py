@@ -94,10 +94,6 @@ class JordanBlock:
 class JordanDecomposition:
     blocks: tuple[JordanBlock, ...]
 
-    @property
-    def total_dim(self) -> int:
-        return sum(b.dim for b in self.blocks)
-
     def two_dim_blocks(self) -> list[JordanBlock]:
         return [b for b in self.blocks if not b.degenerate]
 
@@ -152,13 +148,12 @@ def jordan_blocks(pair: ObservablePair, tol: float = 1e-9) -> JordanDecompositio
                 blocks.append(JordanBlock(basis=basis, angle=math.acos(c),
                                           degenerate=False))
         i = j
-    decomp = JordanDecomposition(blocks=tuple(blocks))
-    if decomp.total_dim != d:
+    if sum(b.dim for b in blocks) != d:
         raise NumericError("block dimensions do not sum to the local dimension")
     full = np.column_stack([b.basis for b in blocks])
     if np.linalg.norm(full.conj().T @ full - np.eye(d)) > BLOCK_ORTHO_TOL * d:
         raise NumericError("recovered blocks are not jointly orthonormal")
-    return decomp
+    return JordanDecomposition(blocks=tuple(blocks))
 
 
 @dataclass(frozen=True)
@@ -235,14 +230,13 @@ def selftest_report(state: StateVector, observables,
         phi = phi.reshape(-1)
         weight = float(np.einsum("i,i->", phi.conj(), phi).real)
         weights[combo] = weight
-        if any(b.degenerate for b in blocks):
-            if weight > WEIGHT_FLOOR:
-                degenerate_weight += weight
-            continue
         if weight <= WEIGHT_FLOOR:
             continue
-        fid = abs(np.einsum("i,i->", psi_ref.conj(), phi)) ** 2 / weight
-        total += weight * fid
+        if any(b.degenerate for b in blocks):
+            degenerate_weight += weight
+        else:
+            fid = abs(np.einsum("i,i->", psi_ref.conj(), phi)) ** 2 / weight
+            total += weight * fid
 
     wsum = float(weights.sum())
     if abs(wsum - 1.0) > 1e-8:

@@ -127,8 +127,7 @@ def success_prob_closed(pairs) -> float:
     pairs = list(pairs)
     if len(pairs) < 2:
         raise ScenarioError("need at least two parties")
-    prod_a = 1.0
-    prod_ab = 1.0
+    prod_a = prod_ab = 1.0
     for p in pairs:
         prod_a *= abs(p.alpha) ** 2
         prod_ab *= abs(p.alpha) ** 2 * abs(p.beta) ** 2
@@ -148,8 +147,7 @@ def pmax(n: int) -> PmaxResult:
         raise ScenarioError(f"n={n} exceeds the supported cap {MAX_PARTIES}")
 
     def q(x: float) -> float:
-        acc = 0.0
-        xp = 1.0
+        acc, xp = 0.0, 1.0
         for _ in range(n):
             xp *= x
             acc += xp

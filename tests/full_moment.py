@@ -10,14 +10,13 @@ import numpy as np
 
 from hardylab.errors import CapabilityError, ValidationError
 from hardylab.npa import (MomentProblem, _rotate, _sort_key, _variable_key,
-                          basis_shifts, canonical_monomial, dagger,
-                          hardy_constraint_terms, monomial_list, monomial_str, mul)
+                          canonical_monomial, dagger, hardy_constraint_terms,
+                          monomial_list, monomial_str, mul)
 
 
 def build_full_problem(n, level, epsilon):
     """Level-``level`` relaxation with one variable per canonical word,
-    cell by cell over the whole basis; it merges no orbits, so its
-    ``shifts`` are None."""
+    cell by cell over the whole basis; it merges no orbits."""
     if epsilon < 0:
         raise ValidationError(f"epsilon = {epsilon!r} must be nonnegative")
     basis = monomial_list(n, level)
@@ -52,7 +51,7 @@ def build_full_problem(n, level, epsilon):
         for mono, coef in term.items():
             row[lookup(mono)] += coef
     return MomentProblem(n=n, level=level, epsilon=float(epsilon), basis=basis,
-                         variables=variables, cell_var=cell_var, c=c, g=g, shifts=None)
+                         variables=variables, cell_var=cell_var, c=c, g=g)
 
 
 def cyclic_reduction(problem):
@@ -62,8 +61,7 @@ def cyclic_reduction(problem):
     variable of ``problem``.  An orbit is named by the smallest variable
     key, by ``_sort_key``, of its party shifts.  Rows keep their
     order and coefficients of merged variables are summed; all n cyclic
-    Hardy rows stay, identical after the merge.  The reduced problem
-    carries the basis shifts the orbits were merged under.
+    Hardy rows stay, identical after the merge.
     """
     n = problem.n
     orbit_index: dict = {}
@@ -78,5 +76,5 @@ def cyclic_reduction(problem):
         n=n, level=problem.level, epsilon=problem.epsilon,
         basis=problem.basis, variables=list(orbit_index),
         cell_var=orbit_of[problem.cell_var],
-        c=problem.c @ merge, g=problem.g @ merge, shifts=basis_shifts(problem.basis))
+        c=problem.c @ merge, g=problem.g @ merge)
     return reduced, orbit_of

@@ -578,6 +578,26 @@ class TestClosedStdout:
             os.close(write)
         assert (done.returncode, done.stderr) == (141, b"")
 
+    def test_out_pipe_without_reader_exits_2(self, tmp_path, monkeypatch, capsys):
+        # a broken pipe on --out is that file's error, not a closed stdout
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        # a reader lets --out open at once; it leaves before any row is written
+        readers = [os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)]
+
+        def point(task):
+            while readers:
+                os.close(readers.pop())
+            return (0.0, 0.0, 0.0, 0.0), None
+
+        monkeypatch.setenv("HARDYLAB_WORKERS", "1")
+        monkeypatch.setattr(cli, "_scan_point", point)
+        assert main(["scan", "--steps", "2", "--restarts", "1", "--out", str(fifo)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Broken pipe" in err
+        print("stdout still open")
+        assert capsys.readouterr().out == "stdout still open\n"
+
 
 # Runs ``state --n 8`` and ``selftest --canonical 6`` in a loop and prints
 # the best loop's wall and process CPU seconds (every thread counts).

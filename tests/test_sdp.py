@@ -29,7 +29,7 @@ def toy_problem(g=(), epsilon=0.0, c=(0.0, 1.0)):
         basis=[ident, yname],
         variables=[ident, yname],
         cell_var=np.array([[0, 1], [1, 0]], dtype=np.int32),
-        c=np.array(c), g=np.array(g, dtype=float).reshape(-1, 2), shifts=None,
+        c=np.array(c), g=np.array(g, dtype=float).reshape(-1, 2),
     )
 
 
