@@ -4,10 +4,12 @@ Index layout, fixed across the package: ``probs`` has shape (2,)*2n with
 the first n axes holding the settings (0 = U, 1 = D) of parties 1..n and
 the last n axes the outcomes (0 = +1, 1 = -1).  ``hardy_values`` reads
 the success probability and the n+1 Hardy terms off such a table, or off
-a batch of them; the polytope LPs take their rows from it too.  Two-party
-Hardy terms marginalise the remaining parties over their outcomes at
-setting U; that choice is immaterial for no-signaling behaviors and
-no-signaling is verified at use.  Tables and projectors with non-finite
+a batch of them.  The polytope LP rows come from it too, and so do the
+moment problem's objective and Hardy rows (``npa``, off a table of
+linear forms over the moments).  Two-party Hardy terms marginalise the
+remaining parties over their outcomes at setting U; that choice is
+immaterial for no-signaling behaviors and no-signaling is verified at
+use.  Tables and projectors with non-finite
 entries are rejected.
 
 No-signaling is defined once, by ``signaling_gaps``: summed over a

@@ -24,7 +24,9 @@ variable per orbit (Ioannou & Rosset, arXiv:2112.10803).
 
 ``sdp.sdp_solve`` takes the problem as plain arrays: the objective
 vector c, the Hardy rows g, each bounded by epsilon, the variable of
-every matrix cell and the party shifts of the basis.
+every matrix cell and the party shifts of the basis.  c and g come from
+``behavior.hardy_values``, the one Hardy evaluator, applied to a table
+of linear forms over the moments.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from itertools import product
 
 import numpy as np
 
+from .behavior import hardy_values
 from .errors import (CapabilityError, NumericError, ScenarioError, SizeError,
                      ValidationError)
 from .sdp import sdp_solve
@@ -47,6 +50,12 @@ LETTERS = "UD"
 # memory: n = 6 at level 3 (377 words) takes 23 s and n = 3 at level 9
 # (1,159 words) would take 8 GB.
 MAX_BASIS = 321
+
+# One party's factor of P(a|x), P^x for a = + and 1 - P^x for a = -, as
+# the coefficients [letter, x, a] of its letters (none, U, D).
+_LOCAL_FORM = np.array([[[0, 1], [0, 1]],
+                        [[1, -1], [0, 0]],
+                        [[0, 0], [1, -1]]], dtype=float)
 
 Word = tuple[int, ...]
 Monomial = tuple[Word, ...]
@@ -175,27 +184,6 @@ def _variable_key(m: Monomial) -> Monomial:
     return m if _sort_key(m) <= _sort_key(d) else d
 
 
-def hardy_constraint_terms(n: int) -> list[dict]:
-    """The n+1 noisy Hardy constraints as {monomial: coefficient} maps.
-
-    The cyclic pair terms are single cross-party moments; the all-minus
-    term expands each (1 - D_i) factor, e.g. for three parties
-    1 - sum m(D_i) + sum m(D_i D_j) - m(D_1 D_2 D_3).
-    """
-    terms = []
-    for i in range(n):
-        j = (i + 1) % n
-        mono = canonical_monomial([(i, 1), (j, 0)], n)
-        terms.append({mono: 1.0})
-    allminus: dict = {}
-    for subset in product((0, 1), repeat=n):
-        mono = canonical_monomial([(i, 1) for i in range(n) if subset[i]], n)
-        sign = (-1.0) ** sum(subset)
-        allminus[mono] = allminus.get(mono, 0.0) + sign
-    terms.append(allminus)
-    return terms
-
-
 def check_level(n: int, level: int) -> None:
     """Raise CapabilityError unless the level-``level`` moment matrix of n
     parties holds every moment the noisy Hardy problem reads.
@@ -204,15 +192,15 @@ def check_level(n: int, level: int) -> None:
     a degree is a cell: each party's reduced word splits at any letter
     into the reversed word of the row monomial and the word of the column
     monomial, so the splits can give each side degree at most ``level``.
+    Every Hardy moment has at most one letter per party, and the all-U
+    product of the objective has one for each, so the problem fits if and
+    only if n <= 2 * level.
     """
     if n < 2:
         raise ScenarioError(f"need at least two parties, got n={n}")
-    needed = [canonical_monomial([(i, 0) for i in range(n)], n)]
-    needed += [mono for term in hardy_constraint_terms(n) for mono in term]
-    for mono in needed:
-        if degree(mono) > 2 * level:
-            raise CapabilityError(
-                f"moment {monomial_str(mono)} is not expressible at level {level}")
+    if n > 2 * level:
+        raise CapabilityError(
+            f"moment {monomial_str(((0,),) * n)} is not expressible at level {level}")
 
 
 def _rotate(m: Monomial, s: int) -> Monomial:
@@ -242,10 +230,11 @@ def build_moment_problem(n: int, level: int, epsilon: float) -> MomentProblem:
     Cells are computed for one basis row per shift orbit and copied to the
     shifted rows, and a cell (i, j) whose mirror (j, i) is filled takes its
     variable.  Orbits are named by ``_orbit_key`` and numbered by first
-    row-major appearance; all n cyclic Hardy rows stay, identical.
+    row-major appearance.  The objective c and the n + 1 Hardy rows g
+    (all n cyclic rows stay, identical) come from ``behavior.hardy_values``.
     """
-    if epsilon < 0:
-        raise ValidationError(f"epsilon = {epsilon!r} must be nonnegative")
+    if not np.isfinite(epsilon) or epsilon < 0:
+        raise ValidationError(f"epsilon = {epsilon!r} must be finite and nonnegative")
     basis = monomial_list(n, level)
     check_level(n, level)
     nb = len(basis)
@@ -275,15 +264,20 @@ def build_moment_problem(n: int, level: int, epsilon: float) -> MomentProblem:
     variables = [keys[p] for p in order]
     moment_index = {key: k for k, key in enumerate(variables)}
 
-    def lookup(mono: Monomial) -> int:
-        return moment_index[_orbit_key(mono)]
-
+    # behavior.hardy_values reads c and g off one table of linear forms:
+    # entry (v, x, a) is the coefficient of product v, in C order over
+    # (none, U, D) per party, in P(a|x).  It is the outer product of one
+    # _LOCAL_FORM per party, which einsum forms without a BLAS call.
+    operands = [op for i in range(n) for op in (_LOCAL_FORM, [i, n + i, 2 * n + i])]
+    forms = np.einsum(*operands, list(range(3 * n)))
+    p, zs = hardy_values(forms.reshape((3 ** n,) + (2,) * (2 * n)), n)
+    var = [moment_index[_orbit_key(canonical_monomial(
+               [(i, x - 1) for i, x in enumerate(letters) if x], n))]
+           for letters in product(range(3), repeat=n)]
     c = np.zeros(len(variables))
-    c[lookup(canonical_monomial([(i, 0) for i in range(n)], n))] = 1.0
+    np.add.at(c, var, p)
     g = np.zeros((n + 1, len(variables)))  # one row per Hardy term
-    for row, term in zip(g, hardy_constraint_terms(n)):
-        for mono, coef in term.items():
-            row[lookup(mono)] += coef
+    np.add.at(g.T, var, zs)
     return MomentProblem(n=n, level=level, epsilon=float(epsilon), basis=basis,
                          variables=variables, cell_var=renumber[cell_ids],
                          c=c, g=g)

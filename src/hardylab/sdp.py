@@ -130,6 +130,9 @@ class _Compiled:
             raise ValidationError(f"cell_var entries must lie in [0, {nv})")
         if np.any(np.bincount(cv, minlength=nv) == 0):
             raise ValidationError("moment variable without a matrix cell")
+        if not (np.isfinite(problem.c).all() and np.isfinite(problem.g).all()
+                and np.isfinite(problem.epsilon)):
+            raise ValidationError("c, g and epsilon must be finite")
         # the problem's party shifts if each keeps every cell's variable,
         # else the identity; a cell represents its orbit if no shift lowers
         # its index

@@ -1,17 +1,76 @@
-"""Cross-check for the orbit builder: the full moment problem, with one
-variable per canonical word, and its merge into cyclic party-shift orbits.
+"""Cross-checks for the orbit builder: the Hardy conditions as monomial
+maps, the full moment problem, with one variable per canonical word, and
+its merge into cyclic party-shift orbits.
 
-``npa.build_moment_problem`` builds the orbit problem directly; the tests
-compare it against ``cyclic_reduction(build_full_problem(...))[0]`` and
-solve the full problem to check the reduction loses nothing.
+``npa.build_moment_problem`` builds the orbit problem directly and reads
+its objective and rows off ``behavior.hardy_values``; the tests compare it
+against ``cyclic_reduction(build_full_problem(...))[0]`` and against
+``term_rows``, and solve the full problem to check the reduction loses
+nothing.  ``check_level_by_terms`` walks the term maps for the moments
+that ``npa.check_level`` decides on in closed form.
 """
+
+from itertools import product
 
 import numpy as np
 
-from hardylab.errors import CapabilityError, ValidationError
-from hardylab.npa import (MomentProblem, _rotate, _sort_key, _variable_key,
-                          canonical_monomial, dagger, hardy_constraint_terms,
+from hardylab.errors import CapabilityError, ScenarioError, ValidationError
+from hardylab.npa import (MomentProblem, _orbit_key, _rotate, _sort_key,
+                          _variable_key, canonical_monomial, dagger, degree,
                           monomial_list, monomial_str, mul)
+
+
+def hardy_constraint_terms(n):
+    """The n+1 noisy Hardy constraints as {monomial: coefficient} maps.
+
+    The cyclic pair terms are single cross-party moments; the all-minus
+    term expands each (1 - D_i) factor, e.g. for three parties
+    1 - sum m(D_i) + sum m(D_i D_j) - m(D_1 D_2 D_3).
+    """
+    terms = []
+    for i in range(n):
+        j = (i + 1) % n
+        mono = canonical_monomial([(i, 1), (j, 0)], n)
+        terms.append({mono: 1.0})
+    allminus: dict = {}
+    for subset in product((0, 1), repeat=n):
+        mono = canonical_monomial([(i, 1) for i in range(n) if subset[i]], n)
+        sign = (-1.0) ** sum(subset)
+        allminus[mono] = allminus.get(mono, 0.0) + sign
+    terms.append(allminus)
+    return terms
+
+
+def success_monomial(n):
+    """The all-U product whose moment is the success probability."""
+    return canonical_monomial([(i, 0) for i in range(n)], n)
+
+
+def check_level_by_terms(n, level):
+    """Raise CapabilityError at the first moment the problem reads, the
+    objective's then the term maps', whose degree passes 2 * level."""
+    if n < 2:
+        raise ScenarioError(f"need at least two parties, got n={n}")
+    needed = [success_monomial(n)]
+    needed += [mono for term in hardy_constraint_terms(n) for mono in term]
+    for mono in needed:
+        if degree(mono) > 2 * level:
+            raise CapabilityError(
+                f"moment {monomial_str(mono)} is not expressible at level {level}")
+
+
+def term_rows(problem):
+    """Objective c and Hardy rows g of an orbit problem, each monomial of
+    the term maps looked up by its orbit key among ``problem.variables``."""
+    index = {key: k for k, key in enumerate(problem.variables)}
+    n = problem.n
+    c = np.zeros(problem.n_vars)
+    c[index[_orbit_key(success_monomial(n))]] = 1.0
+    g = np.zeros((n + 1, problem.n_vars))
+    for row, term in zip(g, hardy_constraint_terms(n)):
+        for mono, coef in term.items():
+            row[index[_orbit_key(mono)]] += coef
+    return c, g
 
 
 def build_full_problem(n, level, epsilon):
@@ -44,7 +103,7 @@ def build_full_problem(n, level, epsilon):
         return var
 
     c = np.zeros(len(variables))
-    c[lookup(canonical_monomial([(i, 0) for i in range(n)], n))] = 1.0
+    c[lookup(success_monomial(n))] = 1.0
     terms = hardy_constraint_terms(n)
     g = np.zeros((len(terms), len(variables)))
     for row, term in zip(g, terms):

@@ -1,17 +1,19 @@
 import time
+import warnings
 from itertools import product
 
 import numpy as np
 import pytest
 
-from full_moment import build_full_problem, cyclic_reduction
+from full_moment import (build_full_problem, check_level_by_terms,
+                         cyclic_reduction, hardy_constraint_terms, term_rows)
 from moment_point import hardy_moment_vector, quantum_moment_vector, word_operator
 
-from hardylab.errors import CapabilityError, ScenarioError, SizeError
+from hardylab.errors import (CapabilityError, ScenarioError, SizeError,
+                             ValidationError)
 from hardylab.npa import (_rotate, basis_shifts, build_moment_problem,
                           canonical_monomial, check_level, dagger,
-                          hardy_constraint_terms, monomial_list, mul,
-                          npa_upper_bound)
+                          monomial_list, mul, npa_upper_bound)
 from hardylab.sdp import DEFAULT_SHIFT, _Compiled, sdp_solve
 from hardylab.states import pmax
 
@@ -137,6 +139,39 @@ class TestBuildMomentProblem:
         hardy = hardy_moment_vector(p)  # every Hardy term vanishes there
         for row in p.g:
             assert sum(coef * hardy[k] for k, coef in enumerate(row)) < p.epsilon
+
+    @pytest.mark.parametrize("epsilon", [-0.1, float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("entry", [build_moment_problem, npa_upper_bound])
+    def test_rejects_negative_or_non_finite_epsilon(self, entry, epsilon):
+        # NaN passes an `epsilon < 0` test; inf reached the solver
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="must be finite and nonnegative"):
+                entry(3, 2, epsilon)
+
+    @pytest.mark.parametrize("n,level", [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3),
+                                         (2, 6), (5, 3)])
+    def test_rows_match_term_maps(self, n, level):
+        # cross-check: the objective and rows read off behavior.hardy_values
+        # against the term maps looked up by orbit key
+        p = build_moment_problem(n, level, 0.05)
+        c, g = term_rows(p)
+        assert np.array_equal(p.c, c)
+        assert np.array_equal(p.g, g)
+
+    def test_check_level_matches_term_walk(self):
+        # the closed form n <= 2 * level against the walk over every moment
+        # the problem reads, in whether it raises and in the message
+        def outcome(check, n, level):
+            try:
+                check(n, level)
+            except CapabilityError as exc:
+                return str(exc)
+            return None
+
+        for n in range(2, 13):
+            for level in range(1, 7):
+                assert outcome(check_level, n, level) == outcome(check_level_by_terms, n, level)
 
     def test_level_too_low(self):
         with pytest.raises(CapabilityError):

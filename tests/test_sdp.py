@@ -207,6 +207,18 @@ class TestCompiled:
         with pytest.raises(ValidationError, match=message):
             sdp_solve(problem)
 
+    @pytest.mark.parametrize("field, value", [
+        ("epsilon", np.nan), ("epsilon", np.inf),
+        ("c", np.array([0.0, np.nan])), ("g", np.array([[np.inf, 1.0]])),
+    ])
+    def test_rejects_non_finite_data(self, field, value):
+        # a NaN epsilon used to end the solve with nan and "X or Z factor"
+        problem = replace(toy_problem(g=[[0.0, 1.0]]), **{field: value})
+        with pytest.raises(ValidationError, match="must be finite"):
+            _Compiled(problem)
+        with pytest.raises(ValidationError, match="must be finite"):
+            sdp_solve(problem)
+
     @pytest.mark.parametrize("variables", [
         [((0,), ()), ((), ())],               # identity second
         [((0,), ()), ((1,), ())],             # no identity at all
