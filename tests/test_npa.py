@@ -143,7 +143,7 @@ class TestBuildMomentProblem:
     @pytest.mark.parametrize("epsilon", [-0.1, float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("entry", [build_moment_problem, npa_upper_bound])
     def test_rejects_negative_or_non_finite_epsilon(self, entry, epsilon):
-        # NaN passes an `epsilon < 0` test; inf reached the solver
+        # NaN passes a plain `epsilon < 0` test, and inf would reach the solver
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match="must be finite and nonnegative"):

@@ -212,7 +212,8 @@ class TestCompiled:
         ("c", np.array([0.0, np.nan])), ("g", np.array([[np.inf, 1.0]])),
     ])
     def test_rejects_non_finite_data(self, field, value):
-        # a NaN epsilon used to end the solve with nan and "X or Z factor"
+        # unchecked, a NaN epsilon ends the solve with a nan value, stopped by
+        # "X or Z factor"
         problem = replace(toy_problem(g=[[0.0, 1.0]]), **{field: value})
         with pytest.raises(ValidationError, match="must be finite"):
             _Compiled(problem)
