@@ -3,11 +3,15 @@
 Exit codes: 0 success, 1 self-test verdict FAIL, 2 validation failure,
 3 solver nonconvergence or a failed scan point (a worker that died
 included), 4 certification hypothesis unmet, 141 stdout closed by its
-reader (the shell's status for SIGPIPE; nothing is printed).  Scan rows
-are computed concurrently (HARDYLAB_WORKERS processes, default all
+reader (the shell's status for SIGPIPE; nothing is printed).  A scan
+with more than one worker (HARDYLAB_WORKERS processes, default all
 cores, clamped to between one and the smaller of the grid size and the
-core count) with per-point seeds derived from the master seed, so the
-CSV is byte-identical for identical flags regardless of the worker count.
+core count) runs one pool task per (grid point, layer), the variational
+searches first, and merges each point's layers into its row; one worker
+computes the rows one point at a time.  Per-point seeds derive from the
+master seed, and a row's error is its first failing layer either way, so
+the CSV is byte-identical for identical flags regardless of the worker
+count.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ ROW_SLACK = 2e-3
 # whose size grows with it
 MAX_SCAN_STEPS = 10_000
 # largest --steps x --restarts: the default 26-point grid at the
-# --restarts cap, about 6 min of variational search at 13 ms a restart
+# --restarts cap, about 3 min of variational search at 6 ms a restart
 MAX_SCAN_RESTARTS = 26 * MAX_RESTARTS
 
 
@@ -199,25 +203,72 @@ def scan_point_seed(seed: int, idx: int) -> int:
     return (seed * 1_000_003 + idx) % (2 ** 63)
 
 
-def _scan_point(task):
-    """One scan row as (values, None), or (None, an error naming the layer
-    that failed), for a task (epsilon, level, restarts, point seed).
+# the scan's layers in row and merge order, each with its --method name
+SCAN_LAYERS = {"local": "local", "no_signaling": "ns", "npa": "npa",
+               "variational": "variational"}
 
-    Runs in a pool worker, so every failure is returned as the row's
-    error rather than raised; failures other than validation and solver
-    errors also print their traceback to stderr.
+
+def _scan_layer(task):
+    """One layer's value at one scan point as (value, None), or (None, an
+    error naming the layer), for a task (layer, epsilon, level, restarts,
+    point seed).
+
+    Runs in a pool worker, so every failure is returned as the error
+    rather than raised; failures other than validation and solver errors
+    also print their traceback to stderr.
     """
-    epsilon, level, restarts, seed = task
-    values = []
+    layer, epsilon, level, restarts, seed = task
     try:
-        for layer, method in (("local", "local"), ("no_signaling", "ns"),
-                              ("npa", "npa"), ("variational", "variational")):
-            values.append(_bound_value(method, 3, epsilon, level, restarts, seed)[0])
-        return tuple(values), None
+        return _bound_value(SCAN_LAYERS[layer], 3, epsilon, level,
+                            restarts, seed)[0], None
     except Exception as exc:
         if not isinstance(exc, (ValidationError, NumericError)):
             traceback.print_exc()
         return None, f"{layer} layer: {type(exc).__name__}: {exc}"
+
+
+def _merge_layers(results):
+    """A scan row from its layers' results in SCAN_LAYERS order: (values,
+    None), or (None, the first failing layer's error)."""
+    for _, err in results:
+        if err is not None:
+            return None, err
+    return tuple(value for value, _ in results), None
+
+
+def _scan_point(task):
+    """One scan row as (values, None), or (None, an error naming the first
+    layer that failed), for a task (epsilon, level, restarts, point
+    seed); the layers run in SCAN_LAYERS order and stop at a failure."""
+    results = []
+    for layer in SCAN_LAYERS:
+        results.append(_scan_layer((layer, *task)))
+        if results[-1][1] is not None:
+            break
+    return _merge_layers(results)
+
+
+def _pool_scan(tasks, workers: int):
+    """Scan rows for ``tasks`` from a pool of ``workers`` processes, one
+    pool task per (point, layer).
+
+    The variational tasks, the longest, go first, then npa, no-signaling
+    and local, so the short tasks fill the workers' idle time at the end.
+    A worker that exits abruptly (killed, out of memory) breaks the pool;
+    every layer left without a result fails its point's row.
+    """
+    keys = [(layer, k) for layer in reversed(SCAN_LAYERS) for k in range(len(tasks))]
+    results = []
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for result in pool.map(_scan_layer, [(layer, *tasks[k]) for layer, k in keys]):
+                results.append(result)
+    except BrokenProcessPool:
+        pass
+    done = dict(zip(keys, results))
+    died = (None, "pool layer: worker died")
+    return [_merge_layers([done.get((layer, k), died) for layer in SCAN_LAYERS])
+            for k in range(len(tasks))]
 
 
 def _check_row(epsilon, loc, ns, npa, var) -> list[str]:
@@ -273,15 +324,7 @@ def cmd_scan(args) -> int:
         tasks = [(eps, args.level, args.restarts, scan_point_seed(args.seed, k))
                  for k, eps in enumerate(grid)]
         if workers > 1:
-            # a worker that exits abruptly (killed, out of memory) breaks
-            # the pool; every point left without a result fails its row
-            results = []
-            try:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    for result in pool.map(_scan_point, tasks):
-                        results.append(result)
-            except BrokenProcessPool:
-                results += [(None, "pool layer: worker died")] * (len(tasks) - len(results))
+            results = _pool_scan(tasks, workers)
         else:
             results = [_scan_point(task) for task in tasks]
 
@@ -322,7 +365,7 @@ def cmd_selftest(args) -> int:
             if pairs is None:
                 raise ValidationError("state spec carries neither pairs nor amplitudes")
             state = hardy_state(n, pairs)
-    elif args.canonical:
+    elif args.canonical is not None:
         n = args.canonical
         state = hardy_state(n, [MeasurementPair.from_alpha_sq(pmax(n).t)] * n)
     else:

@@ -25,7 +25,7 @@ def serial_scan(monkeypatch):
 
 
 def die_in_worker(task):
-    """Stands in for ``cli._scan_point``: the pool worker exits at once,
+    """Stands in for ``cli._scan_layer``: the pool worker exits at once,
     as one killed by the operating system would."""
     if multiprocessing.parent_process() is None:
         raise AssertionError("scan point run outside a pool worker")
@@ -276,7 +276,7 @@ class TestScan:
     def test_dead_worker_fails_its_rows(self, tmp_path, monkeypatch, capsys):
         # a worker that exits abruptly breaks the pool; the scan reports
         # the pool layer for every point without a result and exits 3
-        monkeypatch.setattr(cli, "_scan_point", die_in_worker)
+        monkeypatch.setattr(cli, "_scan_layer", die_in_worker)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         monkeypatch.setenv("HARDYLAB_WORKERS", "2")
         out = tmp_path / "scan.csv"
@@ -348,34 +348,54 @@ class TestScan:
         assert main(["scan", "--steps", "3", "--restarts", "1"]) == 2
         assert "HARDYLAB_WORKERS" in capsys.readouterr().err
 
+    def scan_by_worker_count(self, tmp_path, monkeypatch, capsys, argv):
+        """(exit code, stderr lines, CSV bytes) of ``scan argv`` with one
+        worker and with two, the pool path, on a host of two cores."""
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        runs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("HARDYLAB_WORKERS", workers)
+            out = tmp_path / f"scan{workers}.csv"
+            rc = main(["scan", *argv, "--out", str(out)])
+            err = capsys.readouterr().err
+            lines = [ln for ln in err.splitlines() if ln.startswith("scan check failed")]
+            runs.append((rc, lines, out.read_bytes()))
+        assert runs[0] == runs[1]
+        return runs[0]
+
     def test_unexpected_error_names_layer_and_epsilon(self, tmp_path,
                                                       monkeypatch, capsys):
         def broken(*args, **kwargs):
             raise RuntimeError("moment solver exploded")
 
         monkeypatch.setattr(cli, "npa_upper_bound", broken)
-        out = tmp_path / "scan.csv"
-        rc = main(["scan", "--eps-from", "0", "--eps-to", "0.1", "--steps", "2",
-                   "--restarts", "1", "--out", str(out)])
+        rc, err, csv = self.scan_by_worker_count(
+            tmp_path, monkeypatch, capsys,
+            ["--eps-from", "0", "--eps-to", "0.1", "--steps", "2", "--restarts", "1"])
         assert rc == 3
-        err = capsys.readouterr().err
-        for eps in ("0.000000", "0.100000"):
-            assert (f"scan check failed: epsilon={eps}: npa layer: "
-                    "RuntimeError: moment solver exploded") in err
-        rows = out.read_text().strip().split("\n")[1:]
+        assert err == [f"scan check failed: epsilon={eps}: npa layer: "
+                       "RuntimeError: moment solver exploded"
+                       for eps in ("0.000000", "0.100000")]
+        rows = csv.decode().strip().split("\n")[1:]
         assert [r.split(",")[1] for r in rows] == ["nan", "nan"]
 
     @pytest.mark.parametrize("layer,solver", [
         ("local", "local_max"), ("no_signaling", "nosignaling_max"),
         ("npa", "npa_upper_bound"), ("variational", "lower_bound")])
-    def test_scan_point_names_each_layer(self, monkeypatch, layer, solver):
+    def test_scan_point_names_each_layer(self, tmp_path, monkeypatch, capsys,
+                                         layer, solver):
         def stalled(*args, **kwargs):
             raise NumericError("stalled")
 
         monkeypatch.setattr(cli, solver, stalled)
-        row, err = cli._scan_point((0.05, 2, 1, 0))
-        assert row is None
-        assert err == f"{layer} layer: NumericError: stalled"
+        rc, err, csv = self.scan_by_worker_count(
+            tmp_path, monkeypatch, capsys,
+            ["--eps-from", "0.05", "--eps-to", "0.1", "--steps", "2", "--restarts", "1"])
+        assert rc == 3
+        assert err == [f"scan check failed: epsilon={eps}: {layer} layer: "
+                       "NumericError: stalled" for eps in ("0.050000", "0.100000")]
+        rows = csv.decode().strip().split("\n")[1:]
+        assert [r.split(",")[1:6] for r in rows] == [["nan"] * 3 + ["2", "nan"]] * 2
 
     def test_rows_revalidate_through_library(self, tmp_path):
         from hardylab.cli import scan_point_seed
@@ -438,6 +458,12 @@ class TestSelftest:
 
     def test_missing_input(self):
         assert main(["selftest"]) == 2
+
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_canonical_party_count_checked(self, capsys, n):
+        # --canonical 0 was taken for an absent flag
+        assert main(["selftest", "--canonical", n]) == 2
+        assert f"need at least two parties, got n={n}" in capsys.readouterr().err
 
 
 def product_spec(n, dims=None):

@@ -394,3 +394,32 @@ class TestNoiselessStop:
         full = full_multistart(0.0, 3, 1)
         assert res.restarts_used == 3
         assert (res.value, res.evaluations) == (full.value, full.evaluations)
+
+
+class TestInexactInnerSolves:
+    """Cross-check for the inexact inner solves: the same search with every
+    BFGS subproblem solved to BFGS_GTOL, as before the tolerance schedule."""
+
+    @staticmethod
+    def exact(monkeypatch, eps, seed):
+        with monkeypatch.context() as m:
+            m.setattr(variational, "GTOL_START", variational.BFGS_GTOL)
+            return lower_bound(eps, restarts=4, seed=seed)
+
+    @pytest.mark.parametrize("eps", [0.02, 0.1, 0.2, 0.25])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_agrees_with_exact_solves(self, monkeypatch, eps, seed):
+        inexact = lower_bound(eps, restarts=4, seed=seed)
+        exact = self.exact(monkeypatch, eps, seed)
+        assert abs(inexact.value - exact.value) <= 5e-8
+        assert inexact.evaluations < exact.evaluations
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_noiseless_point_unchanged(self, monkeypatch, seed):
+        # restart 0 offers the exact noiseless point before any step
+        inexact = lower_bound(0.0, restarts=4, seed=seed)
+        exact = self.exact(monkeypatch, 0.0, seed)
+        assert (inexact.value, inexact.x, inexact.restarts_used) == (
+            exact.value, exact.x, exact.restarts_used)
+        assert np.array_equal(inexact.constraint_values, exact.constraint_values)
+        assert inexact.evaluations < exact.evaluations
