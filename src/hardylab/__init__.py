@@ -9,8 +9,8 @@ from .npa import (MomentProblem, build_moment_problem, canonical_monomial,
                   monomial_list, npa_upper_bound)
 from .polytope import LPSolution, local_max, lp_solve, nosignaling_max
 from .sdp import MomentSolution, sdp_solve
-from .selftest import (JordanDecomposition, ObservablePair, SelfTestReport,
-                       canonical_observables, jordan_blocks, selftest_report)
+from .selftest import (JordanDecomposition, SelfTestReport,
+                       canonical_measurements, jordan_blocks, selftest_report)
 from .states import (MeasurementPair, PmaxResult, hardy_state,
                      is_genuinely_entangled, optimal_alpha_sq_tripartite, pmax,
                      success_prob_closed, tripartite_explicit)

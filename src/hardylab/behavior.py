@@ -47,7 +47,8 @@ _OPEN_PARTIES = 3
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """Per-party projector pairs: projectors[party][setting][outcome].
+    """Per-party projector pairs: projectors[party][setting][outcome],
+    one party for each entry of ``dims``.
 
     Every projector must be Hermitian and idempotent and each pair must
     sum to the identity, all within 1e-12 * max(1, dim) in Frobenius norm.
@@ -57,6 +58,9 @@ class MeasurementSet:
     dims: tuple[int, ...]
 
     def __post_init__(self):
+        if len(self.projectors) != len(self.dims):
+            raise ValidationError(f"{len(self.projectors)} parties' projectors "
+                                  f"for {len(self.dims)} dims")
         # each (party, setting) pair of the right shape joins the stack of
         # its local dimension, whose checks run as one batched call each
         keys: dict[int, list] = {}
@@ -70,7 +74,7 @@ class MeasurementSet:
             stack = np.array([self.projectors[party][setting] for party, setting in group])
             faults.update(zip(group, _projector_faults(stack)))
         # the first fault in party, setting, check order
-        for party, settings in enumerate(self.projectors[:len(self.dims)]):
+        for party, settings in enumerate(self.projectors):
             if len(settings) != 2:
                 raise ValidationError(f"party {party}: expected two settings")
             for setting in range(2):
@@ -163,23 +167,20 @@ def measurements_from_pairs(pairs) -> MeasurementSet:
 
 
 def measurements_from_observables(observables) -> MeasurementSet:
-    """Projector pairs (I +/- A)/2 from per-party dichotomic observables."""
+    """Projector pairs (I +/- A)/2 from per-party observables (a1, a2); the
+    shapes are checked here, everything else by MeasurementSet."""
     projs = []
-    dims = []
-    for a1, a2 in observables:
-        a1 = np.asarray(a1, dtype=complex)
-        a2 = np.asarray(a2, dtype=complex)
+    for pair in observables:
+        a1, a2 = (np.asarray(a, dtype=complex) for a in pair)
         d = a1.shape[0]
+        if a1.shape != (d, d) or a2.shape != (d, d):
+            raise ValidationError("observable shape mismatch")
         eye = np.eye(d)
-        for a in (a1, a2):
-            if a.shape != (d, d):
-                raise ValidationError("observable shape mismatch")
-            if np.linalg.norm(a @ a - eye) > 1e-10 * d:
-                raise ValidationError("observable is not dichotomic (A^2 != I)")
-        projs.append((( (eye + a1) / 2, (eye - a1) / 2),
-                      ((eye + a2) / 2, (eye - a2) / 2)))
-        dims.append(d)
-    return MeasurementSet(projectors=tuple(projs), dims=tuple(dims))
+        # an infinite entry halves to a NaN part; MeasurementSet rejects both
+        with np.errstate(invalid="ignore"):
+            projs.append(tuple(((eye + a) / 2, (eye - a) / 2) for a in (a1, a2)))
+    return MeasurementSet(projectors=tuple(projs),
+                          dims=tuple(len(settings[0][0]) for settings in projs))
 
 
 def _joint_pure_rank1(psi: StateVector, m: MeasurementSet) -> np.ndarray:

@@ -4,14 +4,16 @@ Exit codes: 0 success, 1 self-test verdict FAIL, 2 validation failure,
 3 solver nonconvergence or a failed scan point (a worker that died
 included), 4 certification hypothesis unmet, 141 stdout closed by its
 reader (the shell's status for SIGPIPE; nothing is printed).  A scan
-with more than one worker (HARDYLAB_WORKERS processes, default all
-cores, clamped to between one and the smaller of the grid size and the
-core count) runs one pool task per (grid point, layer), the variational
-searches first, and merges each point's layers into its row; one worker
-computes the rows one point at a time.  Per-point seeds derive from the
-master seed, and a row's error is its first failing layer either way, so
-the CSV is byte-identical for identical flags regardless of the worker
-count.
+with more than one worker (HARDYLAB_WORKERS processes, default the
+cores the process may run on, clamped to between one and the smaller of
+the grid size and that core count) runs one pool task per (grid point,
+layer), the variational searches first, and merges each point's layers
+into its row; one worker computes the rows one point at a time.
+Per-point seeds derive from the master seed, and a row's error is its
+first failing layer either way, so the CSV is byte-identical for
+identical flags regardless of the worker count.  ``selftest
+--observables`` reads each party's a1 and a2 as the projectors
+(I +/- A)/2 of a MeasurementSet, whose checks name the failing party.
 """
 
 from __future__ import annotations
@@ -29,14 +31,15 @@ from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
-from .behavior import hardy_statistics, joint_distribution, measurements_from_pairs
+from .behavior import (MeasurementSet, hardy_statistics, joint_distribution,
+                       measurements_from_observables, measurements_from_pairs)
 from .errors import (HypothesisUnmetError, NumericError, ScenarioError,
                      SizeError, ValidationError)
 from .linalg import StateVector
 from .npa import check_level, monomial_list, npa_upper_bound
 from .polytope import local_max, nosignaling_max
 from .sdp import TOL
-from .selftest import ObservablePair, canonical_observables, selftest_report
+from .selftest import canonical_measurements, selftest_report
 from .states import (MAX_PARTIES, MeasurementPair, hardy_state,
                      is_genuinely_entangled, pmax)
 from .variational import EPSILON_MAX, MAX_RESTARTS, lower_bound
@@ -112,12 +115,14 @@ def load_state_spec(path: str):
     return n, pairs, state
 
 
-def load_observables(path: str) -> list[ObservablePair]:
+def load_observables(path: str) -> MeasurementSet:
+    """An observables file's MeasurementSet, of at most MAX_PARTIES parties."""
     with _spec_file(path) as spec:
         if len(spec["parties"]) > MAX_PARTIES:
             raise ScenarioError(f"{len(spec['parties'])} parties exceed {MAX_PARTIES}")
-        return [ObservablePair(a1=_complex_array(party["a1"]), a2=_complex_array(party["a2"]))
-                for party in spec["parties"]]
+        return measurements_from_observables(
+            (_complex_array(party["a1"]), _complex_array(party["a2"]))
+            for party in spec["parties"])
 
 
 def cmd_state(args) -> int:
@@ -282,10 +287,17 @@ def _check_row(epsilon, loc, ns, npa, var) -> list[str]:
     return [f"epsilon={epsilon:.6f}: {p}" for p in problems]
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where reported."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _scan_workers(n_tasks: int) -> int:
-    """Pool size for a scan: HARDYLAB_WORKERS (default: all cores),
-    clamped to [1, min(n_tasks, cores)]."""
-    cores = os.cpu_count() or 1
+    """Pool size for a scan: HARDYLAB_WORKERS (default: the usable cores),
+    clamped to [1, min(n_tasks, usable cores)]."""
+    cores = _usable_cores()
     raw = os.environ.get("HARDYLAB_WORKERS")
     try:
         wanted = cores if raw is None else int(raw)
@@ -370,9 +382,9 @@ def cmd_selftest(args) -> int:
         state = hardy_state(n, [MeasurementPair.from_alpha_sq(pmax(n).t)] * n)
     else:
         raise ValidationError("selftest needs --state or --canonical")
-    observables = (load_observables(args.observables) if args.observables
-                   else canonical_observables(len(state.dims)))
-    report = selftest_report(state, observables, tol=args.tol)
+    measurements = (load_observables(args.observables) if args.observables
+                    else canonical_measurements(len(state.dims)))
+    report = selftest_report(state, measurements, tol=args.tol)
     ok = report.total_fidelity >= 1.0 - args.tol
     lines = ["selftest-report/1",
              f"total_fidelity {report.total_fidelity:.12f}",

@@ -1,17 +1,19 @@
 """Certification of near-optimal Hardy statistics.
 
-Any two dichotomic Hermitian observables decompose the local space into
-invariant blocks of dimension at most two.  The anticommutator
-a1 a2 + a2 a1 is constant on each block, equal to twice the cosine of
-the block angle; inside a non-commuting block the pair acts, in a
-canonical basis, as the computational observable and the rotated one
-with that angle.  When the observed statistics sit at the Hardy optimum,
-projecting the state into every combination of blocks and rotating each
-block to the canonical frame must recover the reference Hardy state on
-the qubit factors, up to the uncharacterised junk carried by the block
-multiplicities.  The report quantifies exactly that: per-combination
-weights, and the total of per-combination fidelities against the
-reference state weighted by them.
+By Jordan's lemma, two projections decompose the local space into
+invariant blocks of dimension at most two.  A party's two projections
+are read off its two settings in a validated MeasurementSet, as the
+observables a = P(+) - P(-).  The anticommutator a1 a2 + a2 a1 is
+constant on each block, equal to twice the cosine of the block angle;
+inside a non-commuting block the pair acts, in a canonical basis, as the
+computational observable and the rotated one with that angle.  When the
+observed statistics sit at the Hardy optimum, projecting the state into
+every combination of blocks and rotating each block to the canonical
+frame must recover the reference Hardy state on the qubit factors, up to
+the uncharacterised junk carried by the block multiplicities.  The
+report quantifies exactly that: per-combination weights, and the total
+of per-combination fidelities against the reference state weighted by
+them.
 
 The state is a pure state psi (a mixed state is certified through a
 purification held by one party), projected directly: contracting each
@@ -30,8 +32,8 @@ from itertools import product
 
 import numpy as np
 
-from .behavior import (hardy_statistics, joint_distribution,
-                       measurements_from_observables)
+from .behavior import (MeasurementSet, hardy_statistics, joint_distribution,
+                       measurements_from_pairs)
 from .errors import HypothesisUnmetError, NumericError, ValidationError
 from .linalg import StateVector, eig_herm
 from .states import MeasurementPair, hardy_state, pmax
@@ -41,38 +43,8 @@ BLOCK_ORTHO_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class ObservablePair:
-    """One party's two dichotomic Hermitian observables."""
-
-    a1: np.ndarray
-    a2: np.ndarray
-
-    def __post_init__(self):
-        a1 = np.asarray(self.a1, dtype=complex)
-        a2 = np.asarray(self.a2, dtype=complex)
-        object.__setattr__(self, "a1", a1)
-        object.__setattr__(self, "a2", a2)
-        d = a1.shape[0]
-        if a1.shape != (d, d) or a2.shape != (d, d):
-            raise ValidationError("observables must be square and equally sized")
-        # a NaN entry fails both norm tests below and would pass them
-        if not (np.isfinite(a1).all() and np.isfinite(a2).all()):
-            raise ValidationError("observables must have finite entries")
-        eye = np.eye(d)
-        for name, a in (("a1", a1), ("a2", a2)):
-            if np.linalg.norm(a - a.conj().T) > 1e-10 * d:
-                raise ValidationError(f"{name} is not Hermitian")
-            if np.linalg.norm(a @ a - eye) > 1e-10 * d:
-                raise ValidationError(f"{name} is not dichotomic (square != identity)")
-
-    @property
-    def dim(self) -> int:
-        return self.a1.shape[0]
-
-
-@dataclass(frozen=True)
 class JordanBlock:
-    """Invariant subspace of an observable pair.
+    """Invariant subspace of a party's two observables a1 and a2.
 
     Two-dimensional blocks store an orthonormal basis (columns) in which
     a1 = diag(1, -1) and a2 = [[c, s], [s, -c]] with s > 0 and
@@ -85,10 +57,6 @@ class JordanBlock:
     degenerate: bool
     signs: tuple[int, int] | None = None
 
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
 
 @dataclass(frozen=True)
 class JordanDecomposition:
@@ -98,17 +66,18 @@ class JordanDecomposition:
         return [b for b in self.blocks if not b.degenerate]
 
 
-def jordan_blocks(pair: ObservablePair, tol: float = 1e-9) -> JordanDecomposition:
-    """Simultaneous block decomposition of a dichotomic observable pair.
+def jordan_blocks(measurements: MeasurementSet, party: int,
+                  tol: float = 1e-9) -> JordanDecomposition:
+    """Simultaneous block decomposition of one party's two settings.
 
-    Blocks are read off the eigenspaces of the anticommutator; within an
-    eigenspace of value 2c with |c| < 1 every +1 eigenvector v of a1
-    pairs with the normalised component of a2 v orthogonal to v.
+    The observables are a = P(+) - P(-) of each setting.  Blocks are read
+    off the eigenspaces of the anticommutator; within an eigenspace of
+    value 2c with |c| < 1 every +1 eigenvector v of a1 pairs with the
+    normalised component of a2 v orthogonal to v.
     """
-    a1, a2 = pair.a1, pair.a2
-    d = pair.dim
-    anti = a1 @ a2 + a2 @ a1
-    vals, vecs = eig_herm(anti, tol=max(tol, 1e-10))
+    a1, a2 = (plus - minus for plus, minus in measurements.projectors[party])
+    d = measurements.dims[party]
+    vals, vecs = eig_herm(a1 @ a2 + a2 @ a1, tol=max(tol, 1e-10))
     blocks: list[JordanBlock] = []
     gap = 1e-8 * max(2.0, float(np.max(np.abs(vals))))
     i = 0
@@ -116,12 +85,10 @@ def jordan_blocks(pair: ObservablePair, tol: float = 1e-9) -> JordanDecompositio
         j = i + 1
         while j < d and vals[j] - vals[i] <= gap:
             j += 1
-        kappa = float(np.mean(vals[i:j]))
         space = vecs[:, i:j]
-        c = min(1.0, max(-1.0, kappa / 2.0))
+        c = min(1.0, max(-1.0, float(np.mean(vals[i:j])) / 2.0))
         sin_sq = 1.0 - c * c
-        a1_sub = space.conj().T @ a1 @ space
-        sub_vals, sub_vecs = eig_herm(a1_sub, tol=max(tol, 1e-9))
+        sub_vals, sub_vecs = eig_herm(space.conj().T @ a1 @ space, tol=max(tol, 1e-9))
         if sin_sq <= max(tol, 1e-12):
             # commuting sector: a2 = +/- a1 here, one-dimensional blocks
             for k in range(j - i):
@@ -131,10 +98,8 @@ def jordan_blocks(pair: ObservablePair, tol: float = 1e-9) -> JordanDecompositio
                 blocks.append(JordanBlock(basis=v[:, None], angle=None,
                                           degenerate=True, signs=(s1, s2)))
         else:
-            plus = [space @ sub_vecs[:, k] for k in range(j - i)
-                    if sub_vals[k] > 0]
-            minus_count = (j - i) - len(plus)
-            if len(plus) != minus_count:
+            plus = [space @ sub_vecs[:, k] for k in range(j - i) if sub_vals[k] > 0]
+            if 2 * len(plus) != j - i:
                 raise NumericError(
                     "anticommutator eigenspace has unbalanced observable signs; "
                     "eigenvalue clusters may be merged, adjust tol")
@@ -144,12 +109,10 @@ def jordan_blocks(pair: ObservablePair, tol: float = 1e-9) -> JordanDecompositio
                 nrm = float(np.linalg.norm(u))
                 if abs(nrm - s) > 1e-7 * max(1.0, s):
                     raise NumericError("block companion vector has inconsistent norm")
-                basis = np.column_stack([v, u / nrm])
-                blocks.append(JordanBlock(basis=basis, angle=math.acos(c),
-                                          degenerate=False))
+                blocks.append(JordanBlock(basis=np.column_stack([v, u / nrm]),
+                                          angle=math.acos(c), degenerate=False))
         i = j
-    if sum(b.dim for b in blocks) != d:
-        raise NumericError("block dimensions do not sum to the local dimension")
+    # each eigenvalue cluster's blocks span as many columns as it has
     full = np.column_stack([b.basis for b in blocks])
     if np.linalg.norm(full.conj().T @ full - np.eye(d)) > BLOCK_ORTHO_TOL * d:
         raise NumericError("recovered blocks are not jointly orthonormal")
@@ -177,32 +140,30 @@ class SelfTestReport:
     decompositions: tuple[JordanDecomposition, ...]
 
 
-def canonical_observables(n: int) -> list[ObservablePair]:
-    """Qubit observable pairs realising the optimal Hardy point."""
-    z, d = (2.0 * setting[0] - np.eye(2)
-            for setting in MeasurementPair.from_alpha_sq(pmax(n).t).projectors)
-    return [ObservablePair(a1=z, a2=d) for _ in range(n)]
+def canonical_measurements(n: int) -> MeasurementSet:
+    """Qubit measurements realising the optimal Hardy point."""
+    return measurements_from_pairs([MeasurementPair.from_alpha_sq(pmax(n).t)] * n)
 
 
-def selftest_report(state: StateVector, observables,
+def selftest_report(state: StateVector, measurements: MeasurementSet,
                     tol: float = 1e-6) -> SelfTestReport:
     """Blockwise fidelity of a near-optimal realization to the Hardy state.
 
-    ``state`` is a StateVector over the observables' dimensions; a mixed
+    ``state`` is a StateVector over the measurements' dimensions; a mixed
     state is certified through a purification held by one party.  The
     observed statistics must sit at the Hardy point within ``tol`` (all
     constrained terms at most tol, success probability within tol of the
     optimum); otherwise the certification hypothesis is unmet and
     HypothesisUnmetError is raised.
     """
-    observables = list(observables)
-    n = len(observables)
+    if not isinstance(measurements, MeasurementSet):
+        raise ValidationError(f"expected a MeasurementSet, got {type(measurements).__name__}")
+    n = measurements.n_parties
     if n < 2:
         raise ValidationError("need at least two parties")
 
     # joint_distribution rejects all but a StateVector of these dims
-    ms = measurements_from_observables([(o.a1, o.a2) for o in observables])
-    stats = hardy_statistics(joint_distribution(state, ms))
+    stats = hardy_statistics(joint_distribution(state, measurements))
     ref = pmax(n)
     worst_zero = float(np.max(stats.zeros))
     p_gap = abs(stats.p - ref.p_max)
@@ -212,7 +173,7 @@ def selftest_report(state: StateVector, observables,
             f"max constrained term {worst_zero:.3e}, "
             f"|p - p_max| = {p_gap:.3e} (tol {tol:.1e})")
 
-    decomps = tuple(jordan_blocks(o, tol=min(tol, 1e-8)) for o in observables)
+    decomps = tuple(jordan_blocks(measurements, p, tol=min(tol, 1e-8)) for p in range(n))
     psi_ref = hardy_state(n, [MeasurementPair.from_alpha_sq(ref.t)] * n).amps
 
     counts = tuple(len(dc.blocks) for dc in decomps)
@@ -242,11 +203,7 @@ def selftest_report(state: StateVector, observables,
     if abs(wsum - 1.0) > 1e-8:
         raise NumericError(f"block weights sum to {wsum!r}, expected 1")
 
-    junk_dims = tuple(len(dc.two_dim_blocks()) for dc in decomps)
-
     return SelfTestReport(block_weights=weights, total_fidelity=float(total),
-                          junk_dims=junk_dims,
-                          degenerate_weight=float(degenerate_weight),
-                          observed_p=stats.p,
-                          observed_zeros=np.array(stats.zeros),
-                          decompositions=decomps)
+                          junk_dims=tuple(len(dc.two_dim_blocks()) for dc in decomps),
+                          degenerate_weight=float(degenerate_weight), observed_p=stats.p,
+                          observed_zeros=np.array(stats.zeros), decompositions=decomps)

@@ -19,7 +19,7 @@ from hardylab.linalg import StateVector
 from hardylab.npa import npa_upper_bound
 from hardylab.polytope import local_max
 from hardylab.sdp import TOL
-from hardylab.selftest import canonical_observables, selftest_report
+from hardylab.selftest import canonical_measurements, selftest_report
 from hardylab.states import (MeasurementPair, hardy_state,
                              is_genuinely_entangled,
                              optimal_alpha_sq_tripartite, pmax,
@@ -179,7 +179,7 @@ def test_criterion_09_selftesting():
     amps = np.zeros(8, dtype=complex)
     amps[0] = 1.0
     with pytest.raises(HypothesisUnmetError):
-        selftest_report(StateVector((2, 2, 2), amps), canonical_observables(3))
+        selftest_report(StateVector((2, 2, 2), amps), canonical_measurements(3))
     report(9, f"20 embedded-junk trials certified (worst fidelity {worst:.9f})")
 
 

@@ -379,6 +379,14 @@ class TestMeasurementSetFaults:
             MeasurementSet(projectors=projectors, dims=(2, 2, 2))
         assert str(info.value) == "party 1: projector shape mismatch"
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2, 2)])
+    def test_party_count_must_match_dims(self, dims):
+        # an extra party was dropped (a 2-party table from 3 parties' projectors)
+        # and a missing one raised IndexError in joint_distribution
+        pairs = measurements_from_pairs(random_pairs(np.random.default_rng(3), 3))
+        with pytest.raises(ValidationError, match=f"3 parties' projectors for {len(dims)} dims"):
+            MeasurementSet(projectors=pairs.projectors, dims=dims)
+
     def test_mixed_dimensions(self):
         # stacks of different local dimensions are checked apart
         rng = np.random.default_rng(75)
@@ -520,3 +528,8 @@ class TestMeasurementsFromObservables:
     def test_rejects_non_dichotomic(self):
         with pytest.raises(ValidationError):
             measurements_from_observables([(np.diag([1.0, 0.5]), np.eye(2))])
+
+    @pytest.mark.parametrize("a2", [np.eye(3), np.ones(2), np.eye(2)[None]])
+    def test_rejects_shape_mismatch(self, a2):
+        with pytest.raises(ValidationError, match="observable shape mismatch"):
+            measurements_from_observables([(np.diag([1.0, -1.0]), a2)])

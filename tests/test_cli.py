@@ -15,8 +15,8 @@ from hardylab import cli, variational
 from hardylab.cli import SCAN_HEADER, load_observables, load_state_spec, main
 from hardylab.errors import NumericError
 from hardylab.npa import MAX_BASIS
-from hardylab.selftest import canonical_observables
-from hardylab.states import pmax
+from hardylab.selftest import canonical_measurements
+from hardylab.states import MeasurementPair, pmax
 
 
 @pytest.fixture(autouse=True)
@@ -277,7 +277,7 @@ class TestScan:
         # a worker that exits abruptly breaks the pool; the scan reports
         # the pool layer for every point without a result and exits 3
         monkeypatch.setattr(cli, "_scan_layer", die_in_worker)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
         monkeypatch.setenv("HARDYLAB_WORKERS", "2")
         out = tmp_path / "scan.csv"
         assert main(["scan", "--steps", "2", "--restarts", "1", "--out", str(out)]) == 3
@@ -335,13 +335,32 @@ class TestScan:
                 return map(fn, tasks)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(cli, "_scan_point",
-                            lambda task: ((0.0, 0.0, 0.0, 0.0), None))
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 4)
+        # both paths reach the solvers through _scan_layer: the serial one
+        # by _scan_point, the pool one by RecordingPool.map in process
+        monkeypatch.setattr(cli, "_scan_layer", lambda task: (0.0, None))
         monkeypatch.setenv("HARDYLAB_WORKERS", raw)
         assert main(["scan", "--steps", str(steps), "--restarts", "1"]) == 0
         # one worker runs in-process, without a pool
         assert pools == ([] if expected == 1 else [expected])
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="no CPU affinity on this platform")
+    @pytest.mark.parametrize("raw", [None, "26"])
+    def test_worker_count_follows_cpu_affinity(self, raw):
+        # a process pinned to one core gets one worker, however many cores
+        # the machine has
+        env = src_env()
+        env.pop("HARDYLAB_WORKERS", None)
+        if raw is not None:
+            env["HARDYLAB_WORKERS"] = raw
+        code = ("import os\n"
+                "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                "from hardylab.cli import _scan_workers\n"
+                "print(_scan_workers(26))\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "1\n"
 
     def test_worker_count_not_an_integer(self, monkeypatch, capsys):
         monkeypatch.setenv("HARDYLAB_WORKERS", "two")
@@ -351,7 +370,7 @@ class TestScan:
     def scan_by_worker_count(self, tmp_path, monkeypatch, capsys, argv):
         """(exit code, stderr lines, CSV bytes) of ``scan argv`` with one
         worker and with two, the pool path, on a host of two cores."""
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
         runs = []
         for workers in ("1", "2"):
             monkeypatch.setenv("HARDYLAB_WORKERS", workers)
@@ -444,17 +463,27 @@ class TestSelftest:
         assert main(["selftest", "--state", str(path)]) == 4
 
     def test_observable_file(self, tmp_path):
-        obs = canonical_observables(3)
-        doc = {"schema": 1, "parties": [
-            {"a1": {"re": o.a1.real.tolist(), "im": o.a1.imag.tolist()},
-             "a2": {"re": o.a2.real.tolist(), "im": o.a2.imag.tolist()}}
-            for o in obs]}
+        ms = canonical_measurements(3)
         path = tmp_path / "obs.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(observables_doc([canonical_pair()] * 3)))
         loaded = load_observables(str(path))
-        assert np.allclose(loaded[0].a2, obs[0].a2)
+        assert loaded.dims == ms.dims
+        assert np.allclose(loaded.projectors[0][1], ms.projectors[0][1])
         rc = main(["selftest", "--canonical", "3", "--observables", str(path)])
         assert rc == 0
+
+    @pytest.mark.parametrize("a1,fault", [
+        (np.diag([1.0, 0.5]), "projector not idempotent"),
+        (np.array([[0.0, 1.0], [0.0, 0.0]]), "projector not Hermitian"),
+        # ||A^2 - I|| = 4.2e-11 fails the projectors' idempotence test,
+        # ||P^2 - P|| = ||A^2 - I|| / 4 <= 1e-12 * max(1, d)
+        (np.diag([1.0, -1.0]) * (1 + 1.5e-11), "projector not idempotent")])
+    def test_bad_observable_file_exits_2(self, tmp_path, capsys, a1, fault):
+        _, d = canonical_pair()
+        path = tmp_path / "obs.json"
+        path.write_text(json.dumps(observables_doc([(a1, d)] + [canonical_pair()] * 2)))
+        assert main(["selftest", "--canonical", "3", "--observables", str(path)]) == 2
+        assert f"error: party 0: {fault}" in capsys.readouterr().err
 
     def test_missing_input(self):
         assert main(["selftest"]) == 2
@@ -464,6 +493,21 @@ class TestSelftest:
         # --canonical 0 was taken for an absent flag
         assert main(["selftest", "--canonical", n]) == 2
         assert f"need at least two parties, got n={n}" in capsys.readouterr().err
+
+
+def canonical_pair(n=3):
+    """Z and 2|+><+| - I, the observables of the optimal n-party point."""
+    (u_plus, _), (d_plus, _) = MeasurementPair.from_alpha_sq(pmax(n).t).projectors
+    return 2.0 * u_plus - np.eye(2), 2.0 * d_plus - np.eye(2)
+
+
+def observables_doc(pairs):
+    """An observables file's JSON object for per-party observables (a1, a2)."""
+    def matrix(a):
+        a = np.asarray(a, dtype=complex)
+        return {"re": a.real.tolist(), "im": a.imag.tolist()}
+    return {"schema": 1,
+            "parties": [{"a1": matrix(a1), "a2": matrix(a2)} for a1, a2 in pairs]}
 
 
 def product_spec(n, dims=None):
@@ -690,11 +734,8 @@ class TestSpecCaps:
         assert (n, len(pairs), state.dims) == (3, 3, (16, 16, 16))
 
     def test_observables_party_cap(self, tmp_path, capsys):
-        o = canonical_observables(2)[0]
-        party = {"a1": {"re": o.a1.real.tolist(), "im": o.a1.imag.tolist()},
-                 "a2": {"re": o.a2.real.tolist(), "im": o.a2.imag.tolist()}}
         path = tmp_path / "obs.json"
-        path.write_text(json.dumps({"schema": 1, "parties": [party] * 13}))
+        path.write_text(json.dumps(observables_doc([canonical_pair(2)] * 13)))
         assert main(["selftest", "--canonical", "3", "--observables", str(path)]) == 2
         assert "13 parties exceed 12" in capsys.readouterr().err
 
@@ -711,9 +752,9 @@ class TestMalformedFiles:
         assert str(path) in capsys.readouterr().err
 
     def test_scalar_observable(self, tmp_path, capsys):
-        o = canonical_observables(2)[0]
+        _, a2 = canonical_pair(2)
         party = {"a1": {"re": 1, "im": 0},
-                 "a2": {"re": o.a2.real.tolist(), "im": o.a2.imag.tolist()}}
+                 "a2": {"re": a2.real.tolist(), "im": a2.imag.tolist()}}
         path = tmp_path / "obs.json"
         path.write_text(json.dumps({"schema": 1, "parties": [party] * 2}))
         assert main(["selftest", "--canonical", "2", "--observables", str(path)]) == 2
