@@ -52,6 +52,7 @@ class MeasurementSet:
 
     Every projector must be Hermitian and idempotent and each pair must
     sum to the identity, all within 1e-12 * max(1, dim) in Frobenius norm.
+    Errors name the failing party, counting from 1 as the paper does.
     """
 
     projectors: tuple
@@ -76,11 +77,11 @@ class MeasurementSet:
         # the first fault in party, setting, check order
         for party, settings in enumerate(self.projectors):
             if len(settings) != 2:
-                raise ValidationError(f"party {party}: expected two settings")
+                raise ValidationError(f"party {party + 1}: expected two settings")
             for setting in range(2):
                 fault = faults.get((party, setting), "projector shape mismatch")
                 if fault:
-                    raise ValidationError(f"party {party}: {fault}")
+                    raise ValidationError(f"party {party + 1}: {fault}")
 
     @property
     def n_parties(self) -> int:
@@ -120,14 +121,6 @@ class BehaviorTensor:
     @property
     def n(self) -> int:
         return self.probs.ndim // 2
-
-
-@dataclass(frozen=True)
-class HardyStats:
-    """Success probability and the n+1 constrained Hardy terms."""
-
-    p: float
-    zeros: np.ndarray
 
 
 _PROJECTOR_FAULTS = ("projector has non-finite entries",
@@ -306,8 +299,8 @@ def hardy_values(probs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return probs[(...,) + (0,) * (2 * n)], np.stack(zs, axis=-1)
 
 
-def hardy_statistics(b: BehaviorTensor) -> HardyStats:
-    """Hardy statistic set of a behavior.
+def hardy_statistics(b: BehaviorTensor) -> tuple[float, np.ndarray]:
+    """The pair (p, Hardy terms) of ``hardy_values`` for one behavior.
 
     Marginal terms are only meaningful for no-signaling behaviors, so the
     no-signaling property is asserted within ``NS_TOL``.
@@ -318,7 +311,7 @@ def hardy_statistics(b: BehaviorTensor) -> HardyStats:
             f"behavior signals (violation {gap:.3e}); "
             "Hardy marginals would be convention-dependent")
     p, zeros = hardy_values(b.probs, b.n)
-    return HardyStats(p=float(p), zeros=zeros)
+    return float(p), zeros
 
 
 def signaling_gaps(probs: np.ndarray, n: int):

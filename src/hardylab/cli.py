@@ -1,19 +1,21 @@
 """Command-line interface: state construction, bounds, noise scans, self-tests.
 
-Exit codes: 0 success, 1 self-test verdict FAIL, 2 validation failure,
-3 solver nonconvergence or a failed scan point (a worker that died
-included), 4 certification hypothesis unmet, 141 stdout closed by its
-reader (the shell's status for SIGPIPE; nothing is printed).  A scan
-with more than one worker (HARDYLAB_WORKERS processes, default the
-cores the process may run on, clamped to between one and the smaller of
-the grid size and that core count) runs one pool task per (grid point,
-layer), the variational searches first, and merges each point's layers
-into its row; one worker computes the rows one point at a time.
-Per-point seeds derive from the master seed, and a row's error is its
-first failing layer either way, so the CSV is byte-identical for
-identical flags regardless of the worker count.  ``selftest
---observables`` reads each party's a1 and a2 as the projectors
-(I +/- A)/2 of a MeasurementSet, whose checks name the failing party.
+Exit codes (``main`` returns them, raising no Exception): 0 success, 1
+self-test verdict FAIL, 2 validation failure, 3 solver nonconvergence,
+an LP without an optimum, a failed scan point (a worker that died
+included) or an unexpected exception (traceback on stderr), 4
+certification hypothesis unmet, 141 stdout closed by its reader (the
+shell's status for SIGPIPE; nothing is printed).  A scan with more than
+one worker (HARDYLAB_WORKERS processes, default the cores the process
+may run on, clamped to between one and the smaller of the grid size and
+that core count) runs one pool task per (grid point, layer), the
+variational searches first, and merges each point's layers into its row;
+one worker computes the rows one point at a time.  Per-point seeds
+derive from the master seed, and a row's error is its first failing
+layer either way, so the CSV is byte-identical for identical flags
+regardless of the worker count.  ``selftest --observables`` reads each
+party's a1 and a2 as the projectors (I +/- A)/2 of a MeasurementSet,
+whose checks name the failing party.
 """
 
 from __future__ import annotations
@@ -67,8 +69,8 @@ def _pairs_from_spec(spec: dict) -> list[MeasurementPair]:
 
 @contextmanager
 def _spec_file(path: str):
-    """Yield an input file's JSON object; a structural error in reading it
-    (a list for an object, a number for a matrix) is a ValidationError."""
+    """Yield an input file's JSON object; a ValidationError in reading it,
+    a structural error (a list for an object) included, names the file."""
     with open(path) as fh:
         spec = json.load(fh)
     try:
@@ -77,6 +79,8 @@ def _spec_file(path: str):
         yield spec
     except (AttributeError, IndexError, TypeError) as exc:
         raise ValidationError(f"{path}: malformed input file ({exc})") from exc
+    except ValidationError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _complex_array(entry: dict) -> np.ndarray:
@@ -138,7 +142,7 @@ def cmd_state(args) -> int:
         state = None
     if state is None:
         state = hardy_state(n, pairs)
-    stats = hardy_statistics(joint_distribution(state, measurements_from_pairs(pairs)))
+    p, zeros = hardy_statistics(joint_distribution(state, measurements_from_pairs(pairs)))
     doc = {
         "schema": SCHEMA,
         "kind": "state",
@@ -151,8 +155,8 @@ def cmd_state(args) -> int:
             "im": [float(v) for v in state.amps.imag],
             "dims": list(state.dims),
         },
-        "success_probability": stats.p,
-        "zero_residuals": [float(z) for z in stats.zeros],
+        "success_probability": p,
+        "zero_residuals": [float(z) for z in zeros],
         "genuinely_entangled": bool(is_genuinely_entangled(state, tol=args.tol)),
     }
     text = json.dumps(doc, indent=2)
@@ -175,7 +179,7 @@ def _bound_value(method: str, n: int, epsilon: float, level: int,
     if method in ("local", "ns"):
         solve = local_max if method == "local" else nosignaling_max
         sol = solve(n, epsilon)
-        return sol.value, {"status": sol.status, "pivots": sol.pivots}
+        return sol.value, {"pivots": sol.pivots}
     if method == "npa":
         return npa_upper_bound(n, level, epsilon), {"level": level, "tol": TOL}
     if method == "variational":
@@ -393,11 +397,10 @@ def cmd_selftest(args) -> int:
              "junk_dims " + ",".join(str(d) for d in report.junk_dims),
              f"degenerate_weight {report.degenerate_weight:.12f}",
              f"verdict {'PASS' if ok else 'FAIL'} tol {args.tol:.1e}"]
-    for party, decomp in enumerate(report.decompositions, start=1):
-        angles = ",".join(f"{b.angle:.9f}" for b in decomp.two_dim_blocks())
-        degen = sum(1 for b in decomp.blocks if b.degenerate)
-        lines.append(f"party {party} blocks2d {len(decomp.two_dim_blocks())} "
-                     f"angles {angles or '-'} degenerate {degen}")
+    for party, blocks in enumerate(report.decompositions, start=1):
+        angles = [f"{b.angle:.9f}" for b in blocks if b.angle is not None]
+        lines.append(f"party {party} blocks2d {len(angles)} angles {','.join(angles) or '-'} "
+                     f"degenerate {len(blocks) - len(angles)}")
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -501,6 +504,9 @@ def main(argv=None) -> int:
         # --out files, a pipe without a reader included, all map to 2
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # a fault in the program: its traceback, exit 3
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,17 +1,18 @@
 """Linear programming over the local and no-signaling polytopes.
 
 The solver is a dense two-phase primal simplex with Bland's rule, which
-precludes cycling on the heavily degenerate systems produced here.  It
-takes the one form both problems have: arrays of equality rows and of
-``<=`` rows over nonnegative variables, with nonnegative right-hand
-sides.  Both problems take their objective and error rows from
-``behavior.hardy_values``.  The local problem is posed in the
-vertex-weight basis (one variable per deterministic strategy); the
-no-signaling problem directly in behavior entries, with the per-party
-equalities of ``behavior.signaling_gaps``: summed over a party's outcome,
-the table does not depend on its setting.  They imply no-signaling for
-every subset (k dropped parties move a marginal by at most k * 2^(k-1)
-times the largest gap); ``check_no_signaling`` audits them on the solution.
+precludes cycling on the heavily degenerate systems produced here.  An
+infeasible or unbounded program raises NumericError.  It takes the one
+form both problems have: arrays of equality rows and of ``<=`` rows over
+nonnegative variables, with nonnegative right-hand sides.  Both problems
+take their objective and error rows from ``behavior.hardy_values``.  The
+local problem is posed in the vertex-weight basis (one variable per
+deterministic strategy); the no-signaling problem directly in behavior
+entries, with the per-party equalities of ``behavior.signaling_gaps``:
+summed over a party's outcome, the table does not depend on its setting.
+They imply no-signaling for every subset (k dropped parties move a
+marginal by at most k * 2^(k-1) times the largest gap);
+``check_no_signaling`` audits them on the solution.
 """
 
 from __future__ import annotations
@@ -27,14 +28,9 @@ FEAS_TOL = 1e-9
 
 @dataclass(frozen=True)
 class LPSolution:
-    status: str
     value: float
     assignment: np.ndarray
     pivots: int  # simplex pivots over both phases
-
-
-class _Unbounded(Exception):
-    """Raised by the simplex loop; ``args[0]`` is its pivot count."""
 
 
 def _pivot(tab: np.ndarray, basis: list, row: int, col: int):
@@ -48,9 +44,9 @@ def _pivot(tab: np.ndarray, basis: list, row: int, col: int):
     basis[row] = col
 
 
-def _bland_loop(tab: np.ndarray, basis: list, max_iter: int) -> int:
+def _bland_loop(tab: np.ndarray, basis: list, max_iter: int, phase: int) -> int:
     """Minimise the last tableau row in place; Bland's rule throughout.
-    Returns the number of pivots."""
+    Returns the number of pivots; raises NumericError if unbounded."""
     tol = 1e-11
     for pivots in range(max_iter):
         improving = np.flatnonzero(tab[-1, :-1] < -tol)
@@ -60,13 +56,13 @@ def _bland_loop(tab: np.ndarray, basis: list, max_iter: int) -> int:
         col = tab[:-1, enter]
         rows = np.where(col > tol)[0]
         if rows.size == 0:
-            raise _Unbounded(pivots)
+            raise NumericError(f"phase {phase}: objective unbounded after {pivots} pivots")
         ratios = tab[rows, -1] / col[rows]
         best = ratios.min()
         cand = rows[ratios <= best + 1e-12]
         leave = min(cand, key=lambda r: basis[r])
         _pivot(tab, basis, leave, enter)
-    raise NumericError("simplex cycling guard exceeded")
+    raise NumericError(f"phase {phase}: simplex cycling guard exceeded")
 
 
 def lp_solve(c, a_eq, b_eq, a_ub, b_ub) -> LPSolution:
@@ -76,7 +72,7 @@ def lp_solve(c, a_eq, b_eq, a_ub, b_ub) -> LPSolution:
     Every right-hand side must be nonnegative, so that the artificials
     start as a feasible basis.  Tableau columns are the variables, one
     slack per ``<=`` row and one artificial per row; the equality rows
-    come first.
+    come first.  A program without an optimum raises NumericError.
     """
     c = np.asarray(c, dtype=float)
     nvar = c.size
@@ -103,13 +99,10 @@ def lp_solve(c, a_eq, b_eq, a_ub, b_ub) -> LPSolution:
     tab[-1, a_at:a_at + m] = 1.0
     for r in range(m):
         tab[-1] -= tab[r]
-    try:
-        pivots = _bland_loop(tab, basis, max_iter)
-    except _Unbounded:
-        raise NumericError("phase-1 objective unbounded; malformed program")
+    pivots = _bland_loop(tab, basis, max_iter, 1)
     if tab[-1, -1] < -1e-7:
-        return LPSolution(status="infeasible", value=float("nan"),
-                          assignment=np.full(nvar, np.nan), pivots=pivots)
+        raise NumericError(f"phase 1: program infeasible after {pivots} pivots "
+                           f"(artificial sum {-tab[-1, -1]:.2e})")
 
     # Clear leftover artificials from the basis (degenerate rows).
     keep = []
@@ -131,12 +124,7 @@ def lp_solve(c, a_eq, b_eq, a_ub, b_ub) -> LPSolution:
     for r, bv in enumerate(basis):
         if tab[-1, bv] != 0.0:
             tab[-1] -= tab[-1, bv] * tab[r]
-    try:
-        pivots += _bland_loop(tab, basis, max_iter)
-    except _Unbounded as exc:
-        return LPSolution(status="unbounded", value=float("inf"),
-                          assignment=np.full(nvar, np.nan),
-                          pivots=pivots + exc.args[0])
+    pivots += _bland_loop(tab, basis, max_iter, 2)
 
     xstd = np.zeros(a_at)
     for r, bv in enumerate(basis):
@@ -147,7 +135,7 @@ def lp_solve(c, a_eq, b_eq, a_ub, b_ub) -> LPSolution:
     if violation.max(initial=0.0) > FEAS_TOL:
         raise NumericError(
             f"optimal point violates a constraint by {violation.max():.2e}")
-    return LPSolution(status="optimal", value=float(c @ x), assignment=x, pivots=pivots)
+    return LPSolution(value=float(c @ x), assignment=x, pivots=pivots)
 
 
 def _vertex_table(n: int) -> np.ndarray:
@@ -202,9 +190,7 @@ def nosignaling_max(n: int, epsilon: float) -> LPSolution:
     b_eq = np.zeros(len(a_eq))
     b_eq[:len(norm)] = 1.0
     sol = lp_solve(p, a_eq, b_eq, zs.T, np.full(n + 1, epsilon))
-    if sol.status == "optimal":
-        behavior = BehaviorTensor(np.clip(sol.assignment, 0.0, None).reshape(shape))
-        gap = check_no_signaling(behavior)
-        if gap > 1e-8:
-            raise NumericError(f"no-signaling LP solution signals by {gap:.2e}")
+    gap = check_no_signaling(BehaviorTensor(np.clip(sol.assignment, 0.0, None).reshape(shape)))
+    if gap > 1e-8:
+        raise NumericError(f"no-signaling LP solution signals by {gap:.2e}")
     return sol

@@ -1,9 +1,10 @@
 """Certification of near-optimal Hardy statistics.
 
 By Jordan's lemma, two projections decompose the local space into
-invariant blocks of dimension at most two.  A party's two projections
-are read off its two settings in a validated MeasurementSet, as the
-observables a = P(+) - P(-).  The anticommutator a1 a2 + a2 a1 is
+invariant blocks of dimension at most two; ``jordan_blocks`` returns
+them as a tuple, a one-dimensional block having no angle.  A party's two
+projections are read off its two settings in a validated MeasurementSet,
+as the observables a = P(+) - P(-).  The anticommutator a1 a2 + a2 a1 is
 constant on each block, equal to twice the cosine of the block angle;
 inside a non-commuting block the pair acts, in a canonical basis, as the
 computational observable and the rotated one with that angle.  When the
@@ -49,25 +50,16 @@ class JordanBlock:
     Two-dimensional blocks store an orthonormal basis (columns) in which
     a1 = diag(1, -1) and a2 = [[c, s], [s, -c]] with s > 0 and
     c = cos(angle); commuting directions appear as one-dimensional
-    degenerate blocks tagged with both eigenvalue signs.
+    degenerate blocks, with ``angle`` None and both eigenvalue signs.
     """
 
     basis: np.ndarray
     angle: float | None
-    degenerate: bool
     signs: tuple[int, int] | None = None
 
 
-@dataclass(frozen=True)
-class JordanDecomposition:
-    blocks: tuple[JordanBlock, ...]
-
-    def two_dim_blocks(self) -> list[JordanBlock]:
-        return [b for b in self.blocks if not b.degenerate]
-
-
 def jordan_blocks(measurements: MeasurementSet, party: int,
-                  tol: float = 1e-9) -> JordanDecomposition:
+                  tol: float = 1e-9) -> tuple[JordanBlock, ...]:
     """Simultaneous block decomposition of one party's two settings.
 
     The observables are a = P(+) - P(-) of each setting.  Blocks are read
@@ -95,8 +87,7 @@ def jordan_blocks(measurements: MeasurementSet, party: int,
                 v = space @ sub_vecs[:, k]
                 s1 = 1 if sub_vals[k] > 0 else -1
                 s2 = 1 if float(np.vdot(v, a2 @ v).real) > 0 else -1
-                blocks.append(JordanBlock(basis=v[:, None], angle=None,
-                                          degenerate=True, signs=(s1, s2)))
+                blocks.append(JordanBlock(basis=v[:, None], angle=None, signs=(s1, s2)))
         else:
             plus = [space @ sub_vecs[:, k] for k in range(j - i) if sub_vals[k] > 0]
             if 2 * len(plus) != j - i:
@@ -110,13 +101,13 @@ def jordan_blocks(measurements: MeasurementSet, party: int,
                 if abs(nrm - s) > 1e-7 * max(1.0, s):
                     raise NumericError("block companion vector has inconsistent norm")
                 blocks.append(JordanBlock(basis=np.column_stack([v, u / nrm]),
-                                          angle=math.acos(c), degenerate=False))
+                                          angle=math.acos(c)))
         i = j
     # each eigenvalue cluster's blocks span as many columns as it has
     full = np.column_stack([b.basis for b in blocks])
     if np.linalg.norm(full.conj().T @ full - np.eye(d)) > BLOCK_ORTHO_TOL * d:
         raise NumericError("recovered blocks are not jointly orthonormal")
-    return JordanDecomposition(blocks=tuple(blocks))
+    return tuple(blocks)
 
 
 @dataclass(frozen=True)
@@ -128,7 +119,7 @@ class SelfTestReport:
     weight times the overlap of its normalised qubit part with the
     reference Hardy state (zero for combinations touching a degenerate
     block, which cannot host it); ``junk_dims`` count the 2-dim blocks
-    per party.
+    per party; ``decompositions`` hold each party's ``jordan_blocks``.
     """
 
     block_weights: np.ndarray
@@ -137,7 +128,7 @@ class SelfTestReport:
     degenerate_weight: float
     observed_p: float
     observed_zeros: np.ndarray
-    decompositions: tuple[JordanDecomposition, ...]
+    decompositions: tuple[tuple[JordanBlock, ...], ...]
 
 
 def canonical_measurements(n: int) -> MeasurementSet:
@@ -163,25 +154,25 @@ def selftest_report(state: StateVector, measurements: MeasurementSet,
         raise ValidationError("need at least two parties")
 
     # joint_distribution rejects all but a StateVector of these dims
-    stats = hardy_statistics(joint_distribution(state, measurements))
+    p, zeros = hardy_statistics(joint_distribution(state, measurements))
     ref = pmax(n)
-    worst_zero = float(np.max(stats.zeros))
-    p_gap = abs(stats.p - ref.p_max)
+    worst_zero = float(np.max(zeros))
+    p_gap = abs(p - ref.p_max)
     if worst_zero > tol or p_gap > tol:
         raise HypothesisUnmetError(
             f"statistics are not a near-optimal Hardy point: "
             f"max constrained term {worst_zero:.3e}, "
             f"|p - p_max| = {p_gap:.3e} (tol {tol:.1e})")
 
-    decomps = tuple(jordan_blocks(measurements, p, tol=min(tol, 1e-8)) for p in range(n))
+    decomps = tuple(jordan_blocks(measurements, k, tol=min(tol, 1e-8)) for k in range(n))
     psi_ref = hardy_state(n, [MeasurementPair.from_alpha_sq(ref.t)] * n).amps
 
-    counts = tuple(len(dc.blocks) for dc in decomps)
+    counts = tuple(len(dc) for dc in decomps)
     weights = np.zeros(counts)
     degenerate_weight = 0.0
     total = 0.0
     for combo in product(*(range(c) for c in counts)):
-        blocks = [decomps[p].blocks[combo[p]] for p in range(n)]
+        blocks = [decomps[k][combo[k]] for k in range(n)]
         # contract the parties' axes in turn, each appending its block
         # axis, so phi ends in the order of psi_ref
         phi = state.amps
@@ -193,7 +184,7 @@ def selftest_report(state: StateVector, measurements: MeasurementSet,
         weights[combo] = weight
         if weight <= WEIGHT_FLOOR:
             continue
-        if any(b.degenerate for b in blocks):
+        if any(b.angle is None for b in blocks):
             degenerate_weight += weight
         else:
             fid = abs(np.einsum("i,i->", psi_ref.conj(), phi)) ** 2 / weight
@@ -204,6 +195,7 @@ def selftest_report(state: StateVector, measurements: MeasurementSet,
         raise NumericError(f"block weights sum to {wsum!r}, expected 1")
 
     return SelfTestReport(block_weights=weights, total_fidelity=float(total),
-                          junk_dims=tuple(len(dc.two_dim_blocks()) for dc in decomps),
-                          degenerate_weight=float(degenerate_weight), observed_p=stats.p,
-                          observed_zeros=np.array(stats.zeros), decompositions=decomps)
+                          junk_dims=tuple(sum(b.angle is not None for b in dc)
+                                          for dc in decomps),
+                          degenerate_weight=float(degenerate_weight), observed_p=p,
+                          observed_zeros=zeros, decompositions=decomps)

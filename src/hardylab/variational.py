@@ -385,13 +385,12 @@ def _validated_result(tracker: _Tracker, restarts_used: int,
         raise NumericError("no feasible ansatz point found (unexpected)")
     nrm = math.sqrt(_norm_sq(tracker.best_x))
     x = tuple([v / nrm for v in tracker.best_x[:4]] + tracker.best_x[4:])
-    stats = hardy_statistics(joint_distribution(*ansatz(x)))
-    if float(np.max(stats.zeros - tracker.epsilon)) > FEAS_SLACK:
+    p, zeros = hardy_statistics(joint_distribution(*ansatz(x)))
+    if float(np.max(zeros - tracker.epsilon)) > FEAS_SLACK:
         raise NumericError("re-validation found the incumbent infeasible")
-    if abs(stats.p - tracker.best_p) > 1e-10:
+    if abs(p - tracker.best_p) > 1e-10:
         raise NumericError("fast evaluator disagrees with the behavior module")
-    return LowerBoundResult(value=float(stats.p), x=x,
-                            constraint_values=np.array(stats.zeros),
+    return LowerBoundResult(value=p, x=x, constraint_values=zeros,
                             restarts_used=restarts_used, seed=seed,
                             evaluations=tracker.evaluations,
                             iterations=tracker.iterations)

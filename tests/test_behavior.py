@@ -245,33 +245,33 @@ class TestJointDistribution:
 class TestHardyStatistics:
     def test_optimal_tripartite(self):
         psi, m = optimal_setup(3)
-        stats = hardy_statistics(joint_distribution(psi, m))
-        assert abs(stats.p - 0.0181940) < 1e-6
-        assert np.all(stats.zeros <= 1e-10)
+        p, zeros = hardy_statistics(joint_distribution(psi, m))
+        assert abs(p - 0.0181940) < 1e-6
+        assert np.all(zeros <= 1e-10)
 
     def test_zero_conditions_random_pairs(self):
         rng = np.random.default_rng(5)
         for n in (2, 3, 4, 5, 6):
             pairs = random_pairs(rng, n)
             psi = hardy_state(n, pairs)
-            stats = hardy_statistics(joint_distribution(psi, measurements_from_pairs(pairs)))
-            assert np.all(stats.zeros <= 1e-10)
-            assert stats.p > 0
+            p, zeros = hardy_statistics(joint_distribution(psi, measurements_from_pairs(pairs)))
+            assert np.all(zeros <= 1e-10)
+            assert p > 0
 
     def test_product_state_not_a_hardy_point(self):
         pair = MeasurementPair.from_alpha_sq(0.543689)
         psi = computational_state(3)
-        stats = hardy_statistics(joint_distribution(psi, measurements_from_pairs([pair] * 3)))
+        p, zeros = hardy_statistics(joint_distribution(psi, measurements_from_pairs([pair] * 3)))
         a2 = abs(pair.alpha) ** 2
         b2 = abs(pair.beta) ** 2
-        assert abs(stats.p - 1.0) < 1e-12
-        assert np.allclose(stats.zeros[:3], a2, atol=1e-12)
-        assert abs(stats.zeros[3] - b2 ** 3) < 1e-12
+        assert abs(p - 1.0) < 1e-12
+        assert np.allclose(zeros[:3], a2, atol=1e-12)
+        assert abs(zeros[3] - b2 ** 3) < 1e-12
 
     def test_uniform_behavior_zeros_nonnegative(self):
         b = BehaviorTensor(np.full((2, 2, 2, 2), 0.25))
-        stats = hardy_statistics(b)
-        assert np.all(stats.zeros >= 0)
+        p, zeros = hardy_statistics(b)
+        assert np.all(zeros >= 0)
 
     def test_rejects_signaling_behavior(self):
         probs = np.zeros((2, 2, 2, 2))
@@ -302,11 +302,11 @@ class TestHardyStatistics:
             pairs = random_pairs(rng, n)
             psi = random_state(rng, (2,) * n)
             b = joint_distribution(psi, measurements_from_pairs(pairs))
-            stats = hardy_statistics(b)
+            p, zeros = hardy_statistics(b)
             p_coeff, zs = hardy_functionals(n)
-            assert stats.p == float(np.tensordot(p_coeff, b.probs, axes=2 * n))
+            assert p == float(np.tensordot(p_coeff, b.probs, axes=2 * n))
             want = [float(np.tensordot(z, b.probs, axes=2 * n)) for z in zs]
-            assert np.max(np.abs(stats.zeros - want)) <= 1e-15
+            assert np.max(np.abs(zeros - want)) <= 1e-15
 
 
 class TestBehaviorShape:
@@ -340,8 +340,9 @@ class TestNonFiniteInput:
 
 
 def faulty_measurements(fault):
-    """Three qubit parties whose middle one, party 1, has ``fault`` at
-    setting 1; party 2 has a different fault, which must not be reported."""
+    """Three qubit parties whose middle one, party 2 counting from 1, has
+    ``fault`` at setting 1; party 3 has a different fault, which must not
+    be reported."""
     (u, d) = MeasurementPair.from_alpha_sq(0.4).projectors
     z0, z1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     oblique = np.array([[1.0, 2.0], [0.0, -1.0]])  # squares to I, not Hermitian
@@ -355,10 +356,10 @@ def faulty_measurements(fault):
 
 class TestMeasurementSetFaults:
     @pytest.mark.parametrize("fault,message", [
-        ("non-finite", "party 1: projector has non-finite entries"),
-        ("sum", "party 1: projectors do not sum to identity"),
-        ("hermitian", "party 1: projector not Hermitian"),
-        ("idempotent", "party 1: projector not idempotent"),
+        ("non-finite", "party 2: projector has non-finite entries"),
+        ("sum", "party 2: projectors do not sum to identity"),
+        ("hermitian", "party 2: projector not Hermitian"),
+        ("idempotent", "party 2: projector not idempotent"),
     ])
     def test_first_fault_reported(self, fault, message):
         with pytest.raises(ValidationError) as info:
@@ -366,18 +367,18 @@ class TestMeasurementSetFaults:
         assert str(info.value) == message
 
     def test_value_fault_before_later_shape_fault(self):
-        # party 1's setting 0 is checked in full before its setting 1's shape
+        # party 2's setting 0 is checked in full before its setting 1's shape
         (u, d) = MeasurementPair.from_alpha_sq(0.4).projectors
         skew = np.array([[0.0, 1e-3], [0.0, 0.0]])
         skewed = (d[0] + skew, d[1] - skew)
         projectors = ((u, d), (skewed, (np.eye(3), np.eye(3))), (u, d))
         with pytest.raises(ValidationError) as info:
             MeasurementSet(projectors=projectors, dims=(2, 2, 2))
-        assert str(info.value) == "party 1: projector not Hermitian"
+        assert str(info.value) == "party 2: projector not Hermitian"
         projectors = ((u, d), (u, (np.eye(3), np.eye(3))), (u, d))
         with pytest.raises(ValidationError) as info:
             MeasurementSet(projectors=projectors, dims=(2, 2, 2))
-        assert str(info.value) == "party 1: projector shape mismatch"
+        assert str(info.value) == "party 2: projector shape mismatch"
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2, 2)])
     def test_party_count_must_match_dims(self, dims):
@@ -396,7 +397,7 @@ class TestMeasurementSetFaults:
         projectors[1] = (projectors[1][0], (plus, 0.5 * (minus + plus)))
         with pytest.raises(ValidationError) as info:
             MeasurementSet(projectors=tuple(projectors), dims=(2, 3, 4))
-        assert str(info.value) == "party 1: projectors do not sum to identity"
+        assert str(info.value) == "party 2: projectors do not sum to identity"
 
 
 class TestNoSignaling:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -11,11 +12,13 @@ import numpy as np
 import pytest
 
 import hardylab
-from hardylab import cli, variational
+from hardylab import cli, polytope, variational
+from hardylab.behavior import measurements_from_observables
 from hardylab.cli import SCAN_HEADER, load_observables, load_state_spec, main
 from hardylab.errors import NumericError
 from hardylab.npa import MAX_BASIS
-from hardylab.selftest import canonical_measurements
+from hardylab.polytope import lp_solve
+from hardylab.selftest import canonical_measurements, jordan_blocks
 from hardylab.states import MeasurementPair, pmax
 
 
@@ -43,6 +46,12 @@ def src_env() -> dict:
 def constant_point(task):
     """Stands in for ``cli._scan_point``: a valid row, with no solve."""
     return (0.1, 0.3, 0.2, 0.15), None
+
+
+def infeasible_lp(*args):
+    """Stands in for ``polytope.lp_solve``: the real solver on a program
+    without a feasible point, max x st x = 1 and x <= 0.5."""
+    return lp_solve([1.0], [[1.0]], [1.0], [[1.0]], [0.5])
 
 
 class TestPmax:
@@ -98,7 +107,7 @@ class TestBounds:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "0.200000"
         diag = json.loads(lines[1])
-        assert diag["status"] == "optimal"
+        assert set(diag) == {"method", "epsilon", "n", "value", "pivots"}
 
     def test_ns(self, capsys):
         assert main(["bounds", "--method", "ns", "--epsilon", "0.25"]) == 0
@@ -138,6 +147,16 @@ class TestBounds:
         doc = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
         solve = local_max if method == "local" else nosignaling_max
         assert doc["pivots"] == solve(3, 0.05).pivots > 0
+
+    @pytest.mark.parametrize("method", ["local", "ns"])
+    def test_infeasible_lp_exits_3(self, monkeypatch, capsys, method):
+        # an LP without an optimum printed nan and exited 0
+        monkeypatch.setattr(polytope, "lp_solve", infeasible_lp)
+        assert main(["bounds", "--method", method, "--epsilon", "0.05"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("solver error: phase 1: program infeasible after 1 pivots "
+                       "(artificial sum 5.00e-01)\n")
 
     def test_epsilon_range(self):
         assert main(["bounds", "--method", "local", "--epsilon", "0.4"]) == 2
@@ -416,6 +435,20 @@ class TestScan:
         rows = csv.decode().strip().split("\n")[1:]
         assert [r.split(",")[1:6] for r in rows] == [["nan"] * 3 + ["2", "nan"]] * 2
 
+    def test_infeasible_lp_fails_local_layer(self, tmp_path, monkeypatch, capsys):
+        # an LP without an optimum wrote nan columns that passed every row
+        # check, and the scan exited 0
+        monkeypatch.setattr(polytope, "lp_solve", infeasible_lp)
+        rc, err, csv = self.scan_by_worker_count(
+            tmp_path, monkeypatch, capsys,
+            ["--eps-from", "0.05", "--eps-to", "0.1", "--steps", "2", "--restarts", "1"])
+        assert rc == 3
+        assert err == [f"scan check failed: epsilon={eps}: local layer: NumericError: "
+                       "phase 1: program infeasible after 1 pivots (artificial sum 5.00e-01)"
+                       for eps in ("0.050000", "0.100000")]
+        rows = csv.decode().strip().split("\n")[1:]
+        assert [r.split(",")[1:3] for r in rows] == [["nan", "nan"]] * 2
+
     def test_rows_revalidate_through_library(self, tmp_path):
         from hardylab.cli import scan_point_seed
         from hardylab.npa import npa_upper_bound
@@ -483,7 +516,27 @@ class TestSelftest:
         path = tmp_path / "obs.json"
         path.write_text(json.dumps(observables_doc([(a1, d)] + [canonical_pair()] * 2)))
         assert main(["selftest", "--canonical", "3", "--observables", str(path)]) == 2
-        assert f"error: party 0: {fault}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {path}: party 1: {fault}\n"
+
+    def test_block_lines_for_a_commuting_party(self, tmp_path, monkeypatch):
+        # a commuting party has one-dimensional blocks only; no passing
+        # report has one, so its blocks replace party 3's in a passing one
+        z = np.diag([1.0, -1.0])
+        commuting = jordan_blocks(measurements_from_observables([(z, z)]), 0)
+        real = cli.selftest_report
+
+        def with_commuting_party(state, measurements, tol):
+            report = real(state, measurements, tol=tol)
+            return dataclasses.replace(
+                report, decompositions=report.decompositions[:2] + (commuting,))
+
+        monkeypatch.setattr(cli, "selftest_report", with_commuting_party)
+        out = tmp_path / "report.txt"
+        assert main(["selftest", "--canonical", "3", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[-3:] == [
+            "party 1 blocks2d 1 angles 1.483306730 degenerate 0",
+            "party 2 blocks2d 1 angles 1.483306730 degenerate 0",
+            "party 3 blocks2d 0 angles - degenerate 2"]
 
     def test_missing_input(self):
         assert main(["selftest"]) == 2
@@ -569,6 +622,18 @@ class TestUsage:
     def test_help_returns_0(self, capsys):
         assert main(["--help"]) == 0
         assert "usage: hardylab" in capsys.readouterr().out
+
+    def test_unexpected_exception_exits_3(self, monkeypatch, capsys):
+        # it escaped main, and the console script exited 1, a self-test FAIL
+        def broken(n):
+            raise RuntimeError("pmax exploded")
+
+        monkeypatch.setattr(cli, "pmax", broken)
+        assert main(["pmax", "--n", "3"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert err.endswith("RuntimeError: pmax exploded\n")
 
 
 class TestSpecPartyCount:
@@ -759,6 +824,13 @@ class TestMalformedFiles:
         path.write_text(json.dumps({"schema": 1, "parties": [party] * 2}))
         assert main(["selftest", "--canonical", "2", "--observables", str(path)]) == 2
         assert str(path) in capsys.readouterr().err
+
+    def test_validation_error_names_the_file(self, tmp_path, capsys):
+        # the spec's own checks named the fault but not the file
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(dict(product_spec(2), n=13)))
+        assert main(["state", "--spec", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: n=13 outside [2, 12]\n"
 
     @pytest.mark.parametrize("argv", [["state", "--spec"],
                                       ["selftest", "--state"],

@@ -70,12 +70,12 @@ class TestObservablePair:
     projectors (I +/- A)/2, which MeasurementSet validates."""
 
     def test_rejects_non_dichotomic(self):
-        with pytest.raises(ValidationError, match="party 0: projector not idempotent"):
+        with pytest.raises(ValidationError, match="party 1: projector not idempotent"):
             measurements_from_observables([(np.diag([1.0, 0.5]), np.diag([1.0, -1.0]))])
 
     def test_rejects_non_hermitian(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValidationError, match="party 0: projector not Hermitian"):
+        with pytest.raises(ValidationError, match="party 1: projector not Hermitian"):
             measurements_from_observables([(a, np.diag([1.0, -1.0]))])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -108,10 +108,8 @@ class TestCanonicalObservables:
 class TestJordanBlocks:
     def test_single_qubit_block(self):
         z, d = qubit_pair_observables(0.6)
-        decomp = jordan_blocks(measurements_from_observables([(z, d)]), 0)
-        assert len(decomp.blocks) == 1
-        block = decomp.blocks[0]
-        assert not block.degenerate
+        (block,) = jordan_blocks(measurements_from_observables([(z, d)]), 0)
+        assert block.angle is not None
         assert abs(math.cos(block.angle) - (2 * 0.6 - 1)) < 1e-12
 
     def test_direct_sum_recovers_both_angles(self):
@@ -127,8 +125,7 @@ class TestJordanBlocks:
             u = haar_unitary(4, rng)
             ms = measurements_from_observables([(u @ a1 @ u.conj().T,
                                                  u @ a2 @ u.conj().T)])
-            decomp = jordan_blocks(ms, 0)
-            angles = sorted(b.angle for b in decomp.blocks)
+            angles = sorted(b.angle for b in jordan_blocks(ms, 0))
             want = sorted(math.acos(2 * a - 1) for a in (a2_1, a2_2))
             assert len(angles) == 2
             assert max(abs(a - b) for a, b in zip(angles, want)) < 1e-9
@@ -136,16 +133,16 @@ class TestJordanBlocks:
     def test_reads_the_named_party(self):
         z, d = qubit_pair_observables(0.6)
         ms = measurements_from_observables([(z, z), (z, d)])
-        assert all(b.degenerate for b in jordan_blocks(ms, 0).blocks)
-        (block,) = jordan_blocks(ms, 1).blocks
+        assert all(b.angle is None for b in jordan_blocks(ms, 0))
+        (block,) = jordan_blocks(ms, 1)
         assert abs(math.cos(block.angle) - (2 * 0.6 - 1)) < 1e-12
 
     def test_commuting_pair_degenerate(self):
         z = np.diag([1.0, -1.0]).astype(complex)
-        decomp = jordan_blocks(measurements_from_observables([(z, z)]), 0)
-        assert len(decomp.blocks) == 2
-        assert all(b.degenerate for b in decomp.blocks)
-        signs = sorted(b.signs for b in decomp.blocks)
+        blocks = jordan_blocks(measurements_from_observables([(z, z)]), 0)
+        assert len(blocks) == 2
+        assert all(b.angle is None for b in blocks)
+        signs = sorted(b.signs for b in blocks)
         assert signs == [(-1, -1), (1, 1)]
 
     def test_block_completeness(self):
@@ -153,8 +150,8 @@ class TestJordanBlocks:
         for _ in range(5):
             _, ms, _ = embedded_hardy_setup(rng, (2, 2, 2))
             for party, dim in enumerate(ms.dims):
-                decomp = jordan_blocks(ms, party)
-                total = sum(b.basis @ b.basis.conj().T for b in decomp.blocks)
+                blocks = jordan_blocks(ms, party)
+                total = sum(b.basis @ b.basis.conj().T for b in blocks)
                 assert np.linalg.norm(total - np.eye(dim)) < 1e-9
 
     def test_canonical_frame_inside_blocks(self):
@@ -162,7 +159,9 @@ class TestJordanBlocks:
         _, ms, _ = embedded_hardy_setup(rng, (2, 1, 2))
         for party in range(3):
             a1, a2 = observable_pair(ms, party)
-            for block in jordan_blocks(ms, party).two_dim_blocks():
+            for block in jordan_blocks(ms, party):
+                if block.angle is None:
+                    continue
                 b = block.basis
                 a1r = b.conj().T @ a1 @ b
                 a2r = b.conj().T @ a2 @ b
@@ -243,9 +242,9 @@ class TestSelfTestReport:
         rho = state.density()
         decomps = report.decompositions
         # weights recomputed as Tr(rho P1 x P2 x P3) over block projectors
-        for i, bi in enumerate(decomps[0].blocks):
-            for j, bj in enumerate(decomps[1].blocks):
-                for k, bk in enumerate(decomps[2].blocks):
+        for i, bi in enumerate(decomps[0]):
+            for j, bj in enumerate(decomps[1]):
+                for k, bk in enumerate(decomps[2]):
                     proj = np.kron(np.kron(bi.basis @ bi.basis.conj().T,
                                            bj.basis @ bj.basis.conj().T),
                                    bk.basis @ bk.basis.conj().T)

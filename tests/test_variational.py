@@ -162,10 +162,10 @@ class TestHardyTerms:
         rng = np.random.default_rng(9)
         for _ in range(20):
             x = random_vector(rng)
-            stats = behavior_stats(normalised(x))
+            want_p, want_zs = behavior_stats(normalised(x))
             p, zs, _, _ = hardy_terms(x)
-            assert abs(p - stats.p) < 1e-12
-            assert max(abs(a - b) for a, b in zip(zs, stats.zeros)) < 1e-12
+            assert abs(p - want_p) < 1e-12
+            assert max(abs(a - b) for a, b in zip(zs, want_zs)) < 1e-12
 
     def test_phases_are_gauge(self):
         # cross-check of the module docstring's gauge argument: the
@@ -177,9 +177,9 @@ class TestHardyTerms:
             phases = rng.uniform(0.0, 2.0 * math.pi, 3)
             psi, _ = ansatz(x)
             assert np.linalg.norm(phased(x, phases)[0].amps - psi.amps) > 1e-3
-            want, got = behavior_stats(x), behavior_stats(x, phases)
-            assert abs(got.p - want.p) < 1e-12
-            assert np.max(np.abs(got.zeros - want.zeros)) < 1e-12
+            (want_p, want_zs), (got_p, got_zs) = behavior_stats(x), behavior_stats(x, phases)
+            assert abs(got_p - want_p) < 1e-12
+            assert np.max(np.abs(got_zs - want_zs)) < 1e-12
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -226,11 +226,11 @@ class TestHardyTerms:
         start = canonical_start().tolist()
         for k in range(21):
             x = start if k == 0 else random_vector(rng)
-            stats = behavior_stats(normalised(x))
+            p, zeros = behavior_stats(normalised(x))
             # random points are mostly infeasible at a random bound, so
             # every other one gets a bound just above its largest term
             if k % 2:
-                eps = float(np.max(stats.zeros)) + 1e-9
+                eps = float(np.max(zeros)) + 1e-9
             else:
                 eps = float(rng.uniform(0.0, 0.25))
             lam = [float(v) if rng.random() < 0.7 else 0.0
@@ -239,15 +239,15 @@ class TestHardyTerms:
             tracker = _Tracker(eps)
             f = tracker.merit(lam, mu)
             val, grad, zs = f(x)
-            want = -stats.p + sum(
+            want = -p + sum(
                 (max(lj + mu * (z - eps), 0.0) ** 2 - lj ** 2) / (2 * mu)
-                for lj, z in zip(lam, stats.zeros))
+                for lj, z in zip(lam, zeros))
             assert abs(val - want) <= 1e-12 * max(1.0, abs(want))
-            assert max(abs(a - b) for a, b in zip(zs, stats.zeros)) < 1e-12
-            feasible = float(np.max(stats.zeros)) - eps <= 1e-8
+            assert max(abs(a - b) for a, b in zip(zs, zeros)) < 1e-12
+            feasible = float(np.max(zeros)) - eps <= 1e-8
             assert (tracker.best_x == x) == feasible
             if feasible:
-                assert abs(tracker.best_p - stats.p) < 1e-12
+                assert abs(tracker.best_p - p) < 1e-12
             assert tracker.evaluations == 1
             if k % 2:
                 continue  # the largest term sits at the kink of its penalty
@@ -326,9 +326,9 @@ class TestLowerBound:
 
     def test_reported_values_reproducible(self):
         res = lower_bound(0.05, restarts=3, seed=17)
-        stats = behavior_stats(res.x)
-        assert abs(stats.p - res.value) < 1e-10
-        assert np.allclose(stats.zeros, res.constraint_values, atol=1e-8)
+        p, zeros = behavior_stats(res.x)
+        assert abs(p - res.value) < 1e-10
+        assert np.allclose(zeros, res.constraint_values, atol=1e-8)
         assert np.all(res.constraint_values <= 0.05 + 1e-8)
         assert len(res.x) == 7
         assert abs(_norm_sq(res.x) - 1.0) < 1e-15
