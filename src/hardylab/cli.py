@@ -70,13 +70,17 @@ def _pairs_from_spec(spec: dict) -> list[MeasurementPair]:
 @contextmanager
 def _spec_file(path: str):
     """Yield an input file's JSON object; a ValidationError in reading it,
-    a structural error (a list for an object) included, names the file."""
-    with open(path) as fh:
-        spec = json.load(fh)
+    non-JSON text, a missing key and a wrong type included, names the file."""
     try:
+        with open(path) as fh:
+            spec = json.load(fh)
         if spec.get("schema") != SCHEMA:
             raise ValidationError(f"unsupported schema {spec.get('schema')!r}")
         yield spec
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: not a JSON file ({exc})") from exc
+    except KeyError as exc:
+        raise ValidationError(f"{path}: missing key {exc}") from exc
     except (AttributeError, IndexError, TypeError) as exc:
         raise ValidationError(f"{path}: malformed input file ({exc})") from exc
     except ValidationError as exc:
@@ -492,16 +496,15 @@ def main(argv=None) -> int:
     except HypothesisUnmetError as exc:
         print(f"hypothesis unmet: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         if isinstance(exc, BrokenPipeError) and _stdout_closed():
             # exit quietly, as on SIGPIPE; devnull takes the last flush
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
             return 141
-        # ValidationError, malformed input files (JSON decoding errors
-        # subclass ValueError, absent keys raise KeyError) and unwritable
-        # --out files, a pipe without a reader included, all map to 2
+        # ValidationError (malformed input files included, see _spec_file)
+        # and unwritable --out files, a pipe without a reader included, map to 2
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:  # a fault in the program: its traceback, exit 3

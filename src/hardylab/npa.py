@@ -229,9 +229,12 @@ def build_moment_problem(n: int, level: int, epsilon: float) -> MomentProblem:
 
     Cells are computed for one basis row per shift orbit and copied to the
     shifted rows, and a cell (i, j) whose mirror (j, i) is filled takes its
-    variable.  Orbits are named by ``_orbit_key`` and numbered by first
-    row-major appearance.  The objective c and the n + 1 Hardy rows g
-    (all n cyclic rows stay, identical) come from ``behavior.hardy_values``.
+    variable.  Orbits are named by ``_orbit_key`` and numbered as first
+    computed, so by first row-major appearance: rows are visited in order,
+    each shift orbit is computed at its smallest row, a computed row takes
+    new ids in column order, and every mirrored or shift-copied cell holds
+    an earlier id.  The objective c and the n + 1 Hardy rows g (all n cyclic
+    rows stay, identical) come from ``behavior.hardy_values``.
     """
     if not np.isfinite(epsilon) or epsilon < 0:
         raise ValidationError(f"epsilon = {epsilon!r} must be finite and nonnegative")
@@ -241,9 +244,9 @@ def build_moment_problem(n: int, level: int, epsilon: float) -> MomentProblem:
     shifts = basis_shifts(basis)
     daggers = [dagger(b) for b in basis]
 
-    orbit_ids: dict = {}  # orbit key -> provisional id, by first computation
-    word_ids: dict = {}  # cell word -> provisional id
-    cell_ids = np.full((nb, nb), -1, dtype=np.int64)
+    orbit_ids: dict = {}  # orbit key -> id, by first computation
+    word_ids: dict = {}  # cell word -> id
+    cell_ids = np.full((nb, nb), -1, dtype=np.int32)
     for i in range(nb):
         if cell_ids[i, 0] >= 0:
             continue
@@ -257,12 +260,7 @@ def build_moment_problem(n: int, level: int, epsilon: float) -> MomentProblem:
             cell_ids[i, j] = cid
         for perm in shifts[1:]:
             cell_ids[perm[i], perm] = cell_ids[i]
-    order = list(dict.fromkeys(cell_ids.ravel().tolist()))  # by row-major appearance
-    renumber = np.empty(len(order), dtype=np.int32)
-    renumber[order] = range(len(order))
-    keys = list(orbit_ids)
-    variables = [keys[p] for p in order]
-    moment_index = {key: k for k, key in enumerate(variables)}
+    variables = list(orbit_ids)
 
     # behavior.hardy_values reads c and g off one table of linear forms:
     # entry (v, x, a) is the coefficient of product v, in C order over
@@ -271,7 +269,7 @@ def build_moment_problem(n: int, level: int, epsilon: float) -> MomentProblem:
     operands = [op for i in range(n) for op in (_LOCAL_FORM, [i, n + i, 2 * n + i])]
     forms = np.einsum(*operands, list(range(3 * n)))
     p, zs = hardy_values(forms.reshape((3 ** n,) + (2,) * (2 * n)), n)
-    var = [moment_index[_orbit_key(canonical_monomial(
+    var = [orbit_ids[_orbit_key(canonical_monomial(
                [(i, x - 1) for i, x in enumerate(letters) if x], n))]
            for letters in product(range(3), repeat=n)]
     c = np.zeros(len(variables))
@@ -279,7 +277,7 @@ def build_moment_problem(n: int, level: int, epsilon: float) -> MomentProblem:
     g = np.zeros((n + 1, len(variables)))  # one row per Hardy term
     np.add.at(g.T, var, zs)
     return MomentProblem(n=n, level=level, epsilon=float(epsilon), basis=basis,
-                         variables=variables, cell_var=renumber[cell_ids],
+                         variables=variables, cell_var=cell_ids,
                          c=c, g=g)
 
 

@@ -27,7 +27,9 @@ shifts after each step, and the Schur matrix reads one cell per shift
 orbit, weighted by the orbit size.  It is factored once per iteration
 (Jacobi-scaled LAPACK Cholesky) for the predictor and the corrector.
 Both take 0.9 of the step to the cone boundary, at most a full step,
-separately on the primal and the dual side.
+separately on the primal and the dual side.  numpy has no triangular
+solve, so the Cholesky factors of the Schur matrix, X and Z are inverted
+(``numpy.linalg.inv``) and applied as matrix products.
 
 The method stops when the complementarity gap Tr(XZ) + x.z is at most
 0.1 TOL and every entry of the dual residuals M(m) - Z and
@@ -94,21 +96,6 @@ def _cholesky(a: np.ndarray):
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         return None
-
-
-def _solve_lower(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Forward substitution for low x = b (one right-hand side or a block).
-
-    Reversing rows and columns makes ``low`` upper triangular, on which
-    LAPACK's partial-pivoting LU exchanges no rows, so
-    ``numpy.linalg.solve`` reduces to plain substitution.
-    """
-    return np.linalg.solve(low[::-1, ::-1], b[::-1])[::-1]
-
-
-def _chol_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (low low^T) x = b by forward and back substitution."""
-    return np.linalg.solve(low.T, _solve_lower(low, b))
 
 
 class _Compiled:
@@ -233,8 +220,7 @@ def sdp_solve(problem) -> MomentSolution:
             stopped_by = "X or Z factor"
             break
         iters += 1
-        x_inv_low = _solve_lower(x_low, eye)
-        z_inv_low = _solve_lower(z_low, eye)
+        x_inv_low, z_inv_low = np.linalg.inv(x_low), np.linalg.inv(z_low)
         z_inv = z_inv_low.T @ z_inv_low
         d_lin = x_lin / z_lin
         schur = comp.schur_matrix(x_mat, z_inv)[1:, 1:] + (gn.T * d_lin) @ gn
@@ -253,13 +239,15 @@ def sdp_solve(problem) -> MomentSolution:
         if low is None:
             stopped_by = "Schur factor"
             break
+        inv_low = np.linalg.inv(low)
+        del low
 
         def direction(target, corr_mat, corr_lin):
             """HKM step for X Z = target I - corr_mat, x z = target - corr_lin."""
             w = target * z_inv - (x_mat @ res_mat + corr_mat) @ z_inv
             rhs = (b + comp.trace_by_var(w)[1:]
                    - gn.T @ ((target - corr_lin) / z_lin - d_lin * res_lin))
-            dy = scale * _chol_solve(low, scale * rhs)
+            dy = scale * (inv_low.T @ (inv_low @ (scale * rhs)))
             dz_mat = res_mat + comp.mat(np.concatenate(([0.0], dy)))
             dz_lin = res_lin - gn @ dy
             dx_mat = target * z_inv - x_mat - (x_mat @ dz_mat + corr_mat) @ z_inv

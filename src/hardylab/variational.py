@@ -45,14 +45,14 @@ solves are exact to BFGS_GTOL once that measure falls to
 BFGS_GTOL / GTOL_FACTOR.  Every value+gradient call is offered to an
 incumbent tracker, which keeps the best point whose terms stay within
 FEAS_SLACK of the bound.  Restart 0 starts at the exact noiseless
-optimum and offers it before any step, so the result never falls below
-the ideal Hardy point; the other restarts draw their start from
-per-restart substreams of the seed.  At epsilon = 0 the multistart stops
-after the first restart whose incumbent is within PMAX_ROUNDOFF of
-pmax(3), the maximum over the noiseless constraints, since no later
-restart can exceed that beyond round-off.  numpy draws the starts and
-re-validates the incumbent through the behavior module, which stays the
-independent cross-check.
+optimum, ``states.hardy_state`` at |alpha|^2 = pmax(3).t, and offers it
+before any step, so the result never falls below the ideal Hardy point;
+the other restarts draw their start from per-restart substreams of the
+seed.  At epsilon = 0 the multistart stops after the first restart whose
+incumbent is within PMAX_ROUNDOFF of pmax(3), the maximum over the
+noiseless constraints, since no later restart can exceed that beyond
+round-off.  numpy draws the starts and re-validates the incumbent through
+the behavior module, which stays the independent cross-check.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ from .behavior import (MeasurementSet, hardy_statistics, joint_distribution,
                        measurements_from_pairs)
 from .errors import NumericError, ValidationError
 from .linalg import StateVector
-from .states import pmax, tripartite_explicit, MeasurementPair
+from .states import MeasurementPair, hardy_state, pmax
 
 FEAS_SLACK = 1e-8
 # at epsilon = 0 an incumbent this close to pmax(3) ends the multistart
@@ -202,9 +202,11 @@ def hardy_terms(x):
 
 
 def canonical_start() -> np.ndarray:
-    """Gauge-fixed parameter vector of the exact noiseless optimum."""
+    """Gauge-fixed parameter vector of the exact noiseless optimum:
+    ``hardy_state`` at |alpha|^2 = pmax(3).t read at |000>, |001>, |011>
+    and |111>, one per Hamming weight, and angles with cos(a/2) = alpha."""
     t = pmax(3).t
-    amps = tripartite_explicit(MeasurementPair.from_alpha_sq(t)).amps
+    amps = hardy_state(3, [MeasurementPair.from_alpha_sq(t)] * 3).amps
     angle = 2.0 * math.acos(math.sqrt(t))
     return np.concatenate([amps[[0, 1, 3, 7]].real, [angle, angle, angle]])
 

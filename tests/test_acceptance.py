@@ -23,9 +23,10 @@ from hardylab.selftest import canonical_measurements, selftest_report
 from hardylab.states import (MeasurementPair, hardy_state,
                              is_genuinely_entangled,
                              optimal_alpha_sq_tripartite, pmax,
-                             success_prob_closed, tripartite_explicit)
+                             success_prob_closed)
 from hardylab.variational import lower_bound
 from test_selftest import embedded_hardy_setup
+from tripartite import tripartite_explicit
 
 EPS_GRID = (0.0, 0.02, 0.04, 0.06, 0.08)
 

@@ -635,6 +635,16 @@ class TestUsage:
         assert err.startswith("Traceback (most recent call last):\n")
         assert err.endswith("RuntimeError: pmax exploded\n")
 
+    def test_unexpected_key_error_exits_3(self, monkeypatch, capsys):
+        # input files map their missing keys to ValidationError, so any
+        # other KeyError is a fault in the program
+        def broken(n):
+            raise KeyError("pmax")
+
+        monkeypatch.setattr(cli, "pmax", broken)
+        assert main(["pmax", "--n", "3"]) == 3
+        assert capsys.readouterr().err.endswith("KeyError: 'pmax'\n")
+
 
 class TestSpecPartyCount:
     @pytest.fixture
@@ -840,3 +850,23 @@ class TestMalformedFiles:
         path.write_text(json.dumps([product_spec(2)]))
         assert main(argv + [str(path)]) == 2
         assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["state", "--spec"],
+                                      ["selftest", "--state"],
+                                      ["selftest", "--canonical", "2", "--observables"]])
+    @pytest.mark.parametrize("content", [b"not json", b"\xff\xfe"])
+    def test_not_json(self, tmp_path, argv, content, capsys):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        assert main(argv + [str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: not a JSON file")
+
+    @pytest.mark.parametrize("argv,key", [(["state", "--spec"], "n"),
+                                          (["selftest", "--state"], "n"),
+                                          (["selftest", "--canonical", "2",
+                                            "--observables"], "parties")])
+    def test_missing_key(self, tmp_path, argv, key, capsys):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"schema": 1}))
+        assert main(argv + [str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: missing key '{key}'\n"

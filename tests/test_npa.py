@@ -330,6 +330,17 @@ class TestCyclicReduction:
         assert got.variables[0] == ((),) * n
         assert np.array_equal(got.g, want.g)
 
+    @pytest.mark.parametrize("n,level", [(4, 3), (2, 6), (5, 3)])
+    def test_build_order_is_row_major(self, n, level):
+        # past the sizes the full problem cross-checks: the ids the builder
+        # assigns as it computes are already numbered by first row-major
+        # appearance, identity first
+        p = build_moment_problem(n, level, 0.05)
+        ids, first = np.unique(p.cell_var.ravel(), return_index=True)
+        assert np.array_equal(ids, np.arange(p.n_vars))
+        assert (np.diff(first) > 0).all()  # id k first appears before k + 1
+        assert p.variables[0] == ((),) * n
+
     def test_basis_shifts(self):
         basis = monomial_list(3, 2)
         shifts = basis_shifts(basis)

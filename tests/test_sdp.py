@@ -13,7 +13,7 @@ from hardylab.errors import NumericError, ValidationError
 from hardylab.linalg import eig_herm
 from hardylab.npa import MomentProblem, build_moment_problem, npa_upper_bound
 from hardylab.sdp import (DEFAULT_SHIFT, DUAL_RESIDUAL, _Compiled, _cholesky,
-                          _chol_solve, _solve_lower, sdp_solve)
+                          sdp_solve)
 
 REFERENCE = json.loads(
     (Path(__file__).resolve().parents[1] / "bench" / "reference.json").read_text())
@@ -33,14 +33,6 @@ def toy_problem(g=(), epsilon=0.0, c=(0.0, 1.0)):
     )
 
 
-def forward_substitution(low, b):
-    """Reference row-by-row forward substitution for low x = b."""
-    x = np.array(b, dtype=float)
-    for i in range(low.shape[0]):
-        x[i] = (x[i] - low[i, :i] @ x[:i]) / low[i, i]
-    return x
-
-
 class TestCholesky:
     def test_matches_numpy(self):
         rng = np.random.default_rng(0)
@@ -50,21 +42,10 @@ class TestCholesky:
             low = _cholesky(a)
             assert np.array_equal(low, np.tril(low))
             assert np.allclose(low @ low.T, a, atol=1e-10)
+            # the solve of sdp_solve's directions: a^{-1} = L^{-T} L^{-1}
+            inv_low = np.linalg.inv(low)
             b = rng.standard_normal(8)
-            assert np.allclose(a @ _chol_solve(low, b), b, atol=1e-8)
-            block = rng.standard_normal((8, 3))
-            assert np.allclose(a @ _chol_solve(low, block), block, atol=1e-8)
-
-    def test_solve_lower_is_substitution(self):
-        # cross-check against a plain forward-substitution loop
-        rng = np.random.default_rng(1)
-        g = rng.standard_normal((12, 12))
-        low = _cholesky(g @ g.T + np.eye(12))
-        b = rng.standard_normal((12, 2))
-        ref = forward_substitution(low, b)
-        assert np.allclose(_solve_lower(low, b), ref, rtol=1e-12, atol=0.0)
-        assert np.allclose(_solve_lower(low, b[:, 0]), ref[:, 0],
-                           rtol=1e-12, atol=0.0)
+            assert np.allclose(a @ (inv_low.T @ (inv_low @ b)), b, atol=1e-8)
 
     def test_rejects_indefinite(self):
         assert _cholesky(np.diag([1.0, -1.0])) is None

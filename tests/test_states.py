@@ -8,13 +8,14 @@ from conftest import random_pairs, random_state
 from gram_schmidt import hardy_state as gram_schmidt_state
 from gram_schmidt import product_basis
 from schmidt_spectrum import schmidt_spectrum
+from tripartite import tripartite_explicit
 from hardylab.errors import (DegenerateMeasurementError, ScenarioError,
                              ValidationError)
 from hardylab.linalg import StateVector
 from hardylab.states import (CUT_BATCH, MeasurementPair, hardy_state,
                              is_genuinely_entangled,
                              optimal_alpha_sq_tripartite, pmax,
-                             success_prob_closed, tripartite_explicit)
+                             success_prob_closed)
 
 # Bipartite optimum, analytic: t = (sqrt(5)-1)/2, p = (5*sqrt(5)-11)/2.
 T2 = (math.sqrt(5.0) - 1.0) / 2.0

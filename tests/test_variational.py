@@ -396,6 +396,10 @@ class TestNoiselessStop:
         assert (res.value, res.evaluations) == (full.value, full.evaluations)
 
 
+INSTANCE_EPS = (0.02, 0.1, 0.2, 0.25)
+INSTANCE_SEEDS = (1, 2)
+
+
 class TestInexactInnerSolves:
     """Cross-check for the inexact inner solves: the same search with every
     BFGS subproblem solved to BFGS_GTOL, as before the tolerance schedule."""
@@ -406,13 +410,23 @@ class TestInexactInnerSolves:
             m.setattr(variational, "GTOL_START", variational.BFGS_GTOL)
             return lower_bound(eps, restarts=4, seed=seed)
 
-    @pytest.mark.parametrize("eps", [0.02, 0.1, 0.2, 0.25])
-    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("eps", INSTANCE_EPS)
+    @pytest.mark.parametrize("seed", INSTANCE_SEEDS)
     def test_agrees_with_exact_solves(self, monkeypatch, eps, seed):
         inexact = lower_bound(eps, restarts=4, seed=seed)
         exact = self.exact(monkeypatch, eps, seed)
         assert abs(inexact.value - exact.value) <= 5e-8
-        assert inexact.evaluations < exact.evaluations
+
+    def test_fewer_evaluations_in_total(self, monkeypatch):
+        # One instance's count moves by a few percent with the search's
+        # floating-point order, either way, so the gain is asserted over
+        # all of them: 0.68 of the exact solves' total when written.
+        inexact = exact = 0
+        for eps in INSTANCE_EPS:
+            for seed in INSTANCE_SEEDS:
+                inexact += lower_bound(eps, restarts=4, seed=seed).evaluations
+                exact += self.exact(monkeypatch, eps, seed).evaluations
+        assert inexact <= 0.85 * exact
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_noiseless_point_unchanged(self, monkeypatch, seed):
