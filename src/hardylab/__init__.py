@@ -6,7 +6,7 @@ from .behavior import (BehaviorTensor, MeasurementSet, check_no_signaling,
 from .linalg import StateVector, eig_herm
 from .npa import (MomentProblem, build_moment_problem, canonical_monomial,
                   monomial_list, npa_upper_bound)
-from .polytope import LPSolution, local_max, lp_solve, nosignaling_max
+from .polytope import local_max, nosignaling_max
 from .sdp import MomentSolution, sdp_solve
 from .selftest import (JordanBlock, SelfTestReport, canonical_measurements,
                        jordan_blocks, selftest_report)

@@ -4,20 +4,19 @@ Index layout, fixed across the package: ``probs`` has shape (2,)*2n with
 the first n axes holding the settings (0 = U, 1 = D) of parties 1..n and
 the last n axes the outcomes (0 = +1, 1 = -1).  ``hardy_values`` reads
 the success probability and the n+1 Hardy terms off such a table, or off
-a batch of them.  The polytope LP rows come from it too, and so do the
-moment problem's objective and Hardy rows (``npa``, off a table of
-linear forms over the moments).  Two-party Hardy terms marginalise the
-remaining parties over their outcomes at setting U; that choice is
-immaterial for no-signaling behaviors and no-signaling is verified at
-use.  Tables and projectors with non-finite
-entries are rejected.
+a batch of them.  The moment problem's objective and Hardy rows come
+from it too (``npa``, off a table of linear forms over the moments).
+Two-party Hardy terms marginalise the remaining parties over their
+outcomes at setting U; that choice is immaterial for no-signaling
+behaviors and no-signaling is verified at use.  Tables and projectors
+with non-finite entries are rejected.
 
 No-signaling is defined once, by ``signaling_gaps``: summed over a
-party's outcome, the table must not depend on that party's setting.  The
-no-signaling LP takes its rows from it and ``check_no_signaling`` reads
-its largest entry.  These n conditions imply no-signaling for every
-subset: flipping k dropped parties' settings one at a time moves the
-kept parties' marginal by at most k * 2^(k-1) times the largest gap.
+party's outcome, the table must not depend on that party's setting;
+``check_no_signaling`` reads its largest entry.  These n conditions
+imply no-signaling for every subset: flipping k dropped parties'
+settings one at a time moves the kept parties' marginal by at most
+k * 2^(k-1) times the largest gap.
 
 The Born rule of a pure qubit state contracts one party at a time with
 complex multiply-adds, never with BLAS: the products have inner

@@ -2,8 +2,8 @@
 
 Exit codes (``main`` returns them, raising no Exception): 0 success, 1
 self-test verdict FAIL, 2 validation failure, 3 solver nonconvergence,
-an LP without an optimum, a failed scan point (a worker that died
-included) or an unexpected exception (traceback on stderr), 4
+a failed scan point (a worker that died included) or an unexpected
+exception (traceback on stderr), 4
 certification hypothesis unmet, 141 stdout closed by its reader (the
 shell's status for SIGPIPE; nothing is printed).  A scan with more than
 one worker (HARDYLAB_WORKERS processes, default the cores the process
@@ -182,8 +182,7 @@ def _bound_value(method: str, n: int, epsilon: float, level: int,
                  restarts: int, seed: int):
     if method in ("local", "ns"):
         solve = local_max if method == "local" else nosignaling_max
-        sol = solve(n, epsilon)
-        return sol.value, {"pivots": sol.pivots}
+        return solve(n, epsilon), {}
     if method == "npa":
         return npa_upper_bound(n, level, epsilon), {"level": level, "tol": TOL}
     if method == "variational":

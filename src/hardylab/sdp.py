@@ -34,8 +34,12 @@ solve, so the Cholesky factors of the Schur matrix, X and Z are inverted
 The method stops when the complementarity gap Tr(XZ) + x.z is at most
 0.1 TOL and every entry of the dual residuals M(m) - Z and
 eps + shift - G m - z is at most 1e-12, so the returned moments are
-feasible to that level.  The primal residual is not part of the rule: at
-eps = 0 it stalls near 4e-6, so no certified dual bound is claimed.
+feasible to that level.  The primal residual, r_k = c_k + Tr(X E_k) -
+(G^T x)_k for k >= 1, is not part of the rule.  On the six moment
+problems of the benchmark (n = 2 to 4, levels 2 and 3, eps 0 to 0.1) its
+largest entry at exit runs from 7.9e-7 to 0.33, and from 9.6e-8 to
+5.6e-5 relative to the sum of x, the eps = 0 problems highest; so no
+certified dual bound is claimed.
 
 The error constraints are relaxed by a tiny slack shift (1e-9 by
 default): at eps = 0 the unshifted problem has an empty interior (the

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from conftest import random_pairs
-from hardylab.behavior import (hardy_statistics, joint_distribution,
-                               measurements_from_pairs)
+from hardylab.behavior import (BehaviorTensor, hardy_statistics, hardy_values,
+                               joint_distribution, measurements_from_pairs)
 from hardylab.cli import SCAN_HEADER, main
 from hardylab.errors import HypothesisUnmetError
 from hardylab.linalg import StateVector
@@ -25,6 +25,7 @@ from hardylab.states import (MeasurementPair, hardy_state,
                              optimal_alpha_sq_tripartite, pmax,
                              success_prob_closed)
 from hardylab.variational import lower_bound
+from test_polytope import deterministic_tables, witness_table
 from test_selftest import embedded_hardy_setup
 from tripartite import tripartite_explicit
 
@@ -116,13 +117,19 @@ def test_criterion_03_construction_consistency():
 
 
 def test_criterion_04_local_bound():
+    # the bound: p <= sum of the Hardy terms on every deterministic strategy
+    p, zs = hardy_values(deterministic_tables(3), 3)
+    assert len(p) == 64 and np.all(p <= zs.sum(axis=-1))
+    # the witness meets it
     worst = 0.0
     for k in range(31):
         eps = 0.01 * k
-        sol = local_max(3, eps)
-        worst = max(worst, abs(sol.value - min(4.0 * eps, 1.0)))
-    assert worst <= 1e-9
-    report(4, f"local_max equals min(4 eps, 1) on the grid (worst dev {worst:.1e})")
+        value, terms = hardy_statistics(BehaviorTensor(witness_table(3, eps)))
+        assert np.all(terms <= eps + 1e-12)
+        worst = max(worst, abs(value - local_max(3, eps)))
+    assert worst <= 1e-12
+    report(4, "p <= sum of terms on the 64 strategies; the witness meets "
+              f"local_max on the grid (worst dev {worst:.1e})")
 
 
 def test_criterion_05_npa_bipartite():

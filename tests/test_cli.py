@@ -12,12 +12,11 @@ import numpy as np
 import pytest
 
 import hardylab
-from hardylab import cli, polytope, variational
+from hardylab import cli, variational
 from hardylab.behavior import measurements_from_observables
 from hardylab.cli import SCAN_HEADER, load_observables, load_state_spec, main
 from hardylab.errors import NumericError
 from hardylab.npa import MAX_BASIS
-from hardylab.polytope import lp_solve
 from hardylab.selftest import canonical_measurements, jordan_blocks
 from hardylab.states import MeasurementPair, pmax
 
@@ -46,12 +45,6 @@ def src_env() -> dict:
 def constant_point(task):
     """Stands in for ``cli._scan_point``: a valid row, with no solve."""
     return (0.1, 0.3, 0.2, 0.15), None
-
-
-def infeasible_lp(*args):
-    """Stands in for ``polytope.lp_solve``: the real solver on a program
-    without a feasible point, max x st x = 1 and x <= 0.5."""
-    return lp_solve([1.0], [[1.0]], [1.0], [[1.0]], [0.5])
 
 
 class TestPmax:
@@ -107,7 +100,7 @@ class TestBounds:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "0.200000"
         diag = json.loads(lines[1])
-        assert set(diag) == {"method", "epsilon", "n", "value", "pivots"}
+        assert set(diag) == {"method", "epsilon", "n", "value"}
 
     def test_ns(self, capsys):
         assert main(["bounds", "--method", "ns", "--epsilon", "0.25"]) == 0
@@ -139,24 +132,22 @@ class TestBounds:
         assert doc["evaluations"] > doc["iterations"] > 0
         assert doc["restarts"] == 2
 
-    @pytest.mark.parametrize("method", ["local", "ns"])
-    def test_lp_pivots(self, method, capsys):
-        from hardylab.polytope import local_max, nosignaling_max
+    @pytest.mark.parametrize("method,n,eps,want", [
+        ("local", 12, "0.05", "0.650000"), ("ns", 5, "0.1", "0.680000")])
+    def test_polytope_party_ranges(self, capsys, method, n, eps, want):
+        assert main(["bounds", "--method", method, "--n", str(n), "--epsilon", eps]) == 0
+        first, doc = capsys.readouterr().out.strip().split("\n")
+        assert first == want
+        doc = json.loads(doc)
+        assert doc == {"method": method, "epsilon": float(eps), "n": n,
+                       "value": pytest.approx(float(want), abs=1e-15)}
 
-        assert main(["bounds", "--method", method, "--epsilon", "0.05"]) == 0
-        doc = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
-        solve = local_max if method == "local" else nosignaling_max
-        assert doc["pivots"] == solve(3, 0.05).pivots > 0
-
-    @pytest.mark.parametrize("method", ["local", "ns"])
-    def test_infeasible_lp_exits_3(self, monkeypatch, capsys, method):
-        # an LP without an optimum printed nan and exited 0
-        monkeypatch.setattr(polytope, "lp_solve", infeasible_lp)
-        assert main(["bounds", "--method", method, "--epsilon", "0.05"]) == 3
+    @pytest.mark.parametrize("method,n,top", [("local", 13, 12), ("ns", 6, 5)])
+    def test_polytope_party_range_exits_2(self, capsys, method, n, top):
+        assert main(["bounds", "--method", method, "--n", str(n), "--epsilon", "0.1"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == ("solver error: phase 1: program infeasible after 1 pivots "
-                       "(artificial sum 5.00e-01)\n")
+        assert f"n in [2, {top}], got n={n}" in err
 
     def test_epsilon_range(self):
         assert main(["bounds", "--method", "local", "--epsilon", "0.4"]) == 2
@@ -435,20 +426,6 @@ class TestScan:
         rows = csv.decode().strip().split("\n")[1:]
         assert [r.split(",")[1:6] for r in rows] == [["nan"] * 3 + ["2", "nan"]] * 2
 
-    def test_infeasible_lp_fails_local_layer(self, tmp_path, monkeypatch, capsys):
-        # an LP without an optimum wrote nan columns that passed every row
-        # check, and the scan exited 0
-        monkeypatch.setattr(polytope, "lp_solve", infeasible_lp)
-        rc, err, csv = self.scan_by_worker_count(
-            tmp_path, monkeypatch, capsys,
-            ["--eps-from", "0.05", "--eps-to", "0.1", "--steps", "2", "--restarts", "1"])
-        assert rc == 3
-        assert err == [f"scan check failed: epsilon={eps}: local layer: NumericError: "
-                       "phase 1: program infeasible after 1 pivots (artificial sum 5.00e-01)"
-                       for eps in ("0.050000", "0.100000")]
-        rows = csv.decode().strip().split("\n")[1:]
-        assert [r.split(",")[1:3] for r in rows] == [["nan", "nan"]] * 2
-
     def test_rows_revalidate_through_library(self, tmp_path):
         from hardylab.cli import scan_point_seed
         from hardylab.npa import npa_upper_bound
@@ -462,8 +439,8 @@ class TestScan:
         for idx, line in enumerate(out.read_text().strip().split("\n")[1:]):
             eps, loc, ns, npa, _, var, restarts, seed = line.split(",")
             eps = float(eps)
-            assert abs(local_max(3, eps).value - float(loc)) < 1e-9
-            assert abs(nosignaling_max(3, eps).value - float(ns)) < 1e-9
+            assert abs(local_max(3, eps) - float(loc)) < 1e-9
+            assert abs(nosignaling_max(3, eps) - float(ns)) < 1e-9
             assert abs(npa_upper_bound(3, 2, eps) - float(npa)) < 1e-9
             redo = lower_bound(eps, restarts=int(restarts),
                                seed=scan_point_seed(int(seed), idx))

@@ -1,102 +1,99 @@
+"""The closed-form polytope bounds, each side checked exactly.
+
+Local: the inequality p <= z_1 + ... + z_n + z_- on every deterministic
+strategy (int8 tables through ``hardy_values``), and the witness mixture
+in ``Fraction``.  No-signaling: integer multipliers for n p - (n - 1) *
+(sum of the terms) <= 1 and n times a box, both found by scipy's HiGHS
+and checked in int64.  HiGHS is also the LP oracle that cross-checks the
+values, on the per-party and on the redundant no-signaling row families.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 
+from conftest import random_pairs, random_state
 from dense_hardy import hardy_functionals
 from hardylab import polytope
 from hardylab.behavior import (BehaviorTensor, check_no_signaling,
-                               hardy_statistics, hardy_values)
-from hardylab.errors import NumericError, ValidationError
-from hardylab.polytope import (LPSolution, _pivot, _vertex_table,
-                               local_max, lp_solve, nosignaling_max)
+                               hardy_statistics, hardy_values,
+                               joint_distribution, measurements_from_pairs,
+                               signaling_gaps)
+from hardylab.errors import ScenarioError, ValidationError
+from hardylab.linalg import StateVector
+from hardylab.polytope import NS_MAX_PARTIES, local_max, nosignaling_max
+from hardylab.states import MAX_PARTIES, hardy_state
 
 # First verified value of the tripartite no-signaling maximum at eps = 0
 # (cross-checked against an independent LP solver when frozen).
 NS_TRIPARTITE_EPS0 = 1.0 / 3.0
+GRID = np.linspace(0.0, 0.3, 31)
 
 
-def ub_only(c, a_ub, b_ub):
-    """``lp_solve`` on a program without equality rows."""
-    c = np.asarray(c, dtype=float)
-    return lp_solve(c, np.zeros((0, c.size)), [], a_ub, b_ub)
+@pytest.fixture
+def linprog():
+    return pytest.importorskip("scipy.optimize").linprog
 
 
-class TestLpSolve:
-    def test_single_variable(self):
-        sol = ub_only([1.0], [[1.0]], [3.0])
-        assert abs(sol.value - 3.0) < 1e-12
+@lru_cache(maxsize=None)
+def deterministic_tables(n):
+    """The 4^n deterministic strategies as int8 behavior tables.
 
-    def test_two_variables(self):
-        sol = ub_only([1.0, 1.0], [[1.0, 1.0]], [1.0])
-        assert abs(sol.value - 1.0) < 1e-12
-
-    def test_infeasible(self):
-        # max x st x = 1, x <= 0.5: x enters in phase 1, and the equality
-        # row's artificial stays basic at 0.5
-        want = r"^phase 1: program infeasible after 1 pivots \(artificial sum 5.00e-01\)$"
-        with pytest.raises(NumericError, match=want):
-            lp_solve([1.0], [[1.0]], [1.0], [[1.0]], [0.5])
-
-    def test_unbounded(self):
-        # max x st y <= 1: y enters in phase 1, x has no ratio in phase 2
-        with pytest.raises(NumericError,
-                           match="^phase 2: objective unbounded after 0 pivots$"):
-            ub_only([1.0, 0.0], [[0.0, 1.0]], [1.0])
-
-    def test_equalities_and_bounds(self):
-        # max x + 2y st x + y = 1, y <= 0.4
-        sol = lp_solve([1.0, 2.0], [[1.0, 1.0]], [1.0], [[0.0, 1.0]], [0.4])
-        assert abs(sol.value - 1.4) < 1e-12
-        assert np.allclose(sol.assignment, [0.6, 0.4], atol=1e-12)
-
-    @pytest.mark.parametrize("b_eq,b_ub", [([-1.0], [0.5]), ([1.0], [-0.5]),
-                                           ([np.nan], [0.5])])
-    def test_rejects_negative_right_hand_side(self, b_eq, b_ub):
-        # without the check the artificials would start infeasible, and the
-        # simplex would answer without an error
-        with pytest.raises(ValidationError, match="nonnegative"):
-            lp_solve([1.0], [[1.0]], b_eq, [[1.0]], b_ub)
-
-    @pytest.mark.parametrize("a_eq,b_eq,a_ub,b_ub", [
-        ([[1.0, 1.0]], [1.0], [[1.0]], [0.5]),    # equality row too wide
-        ([[1.0]], [1.0], [[1.0, 0.0]], [0.5]),    # inequality row too wide
-        ([1.0], [1.0], [[1.0]], [0.5]),           # a row, not a matrix
-        ([[1.0]], [1.0, 2.0], [[1.0]], [0.5]),    # more bounds than rows
-    ])
-    def test_rejects_mismatched_rows(self, a_eq, b_eq, a_ub, b_ub):
-        with pytest.raises(ValidationError, match="entries"):
-            lp_solve([1.0], a_eq, b_eq, a_ub, b_ub)
-
-    def test_against_scipy_on_random_problems(self):
-        scipy_opt = pytest.importorskip("scipy.optimize")
-        rng = np.random.default_rng(21)
-        for _ in range(25):
-            nv, nc = rng.integers(2, 7), rng.integers(1, 6)
-            c = rng.standard_normal(nv)
-            a = rng.standard_normal((nc, nv))
-            b = rng.uniform(0.5, 2.0, nc)
-            # x_i <= 1 as the last rows
-            sol = ub_only(c, np.vstack((a, np.eye(nv))), np.concatenate((b, np.ones(nv))))
-            ref = scipy_opt.linprog(-c, A_ub=a, b_ub=b, bounds=[(0, 1)] * nv,
-                                    method="highs")
-            assert ref.status == 0
-            assert abs(sol.value - (-ref.fun)) < 1e-9
+    Strategy v's base-4 digits, party 1 most significant, are 2 * (outcome
+    at U) + (outcome at D); the table is the outer product of one (digit,
+    setting, outcome) indicator per party.
+    """
+    digit = np.arange(4)
+    party = np.zeros((4, 2, 2), dtype=np.int8)
+    party[digit, 0, digit >> 1] = 1
+    party[digit, 1, digit & 1] = 1
+    tables = np.ones((1,) * (3 * n), dtype=np.int8)
+    for i in range(n):
+        shape = [1] * (3 * n)
+        shape[i], shape[n + i], shape[2 * n + i] = 4, 2, 2
+        tables = tables * party.reshape(shape)
+    return tables.reshape((4 ** n,) + (2,) * (2 * n))
 
 
-def row_loop_pivot(tab, basis, row, col):
-    """Cross-check for ``polytope._pivot``: the same elimination, one
-    Python-level row update at a time."""
-    tab[row] /= tab[row, col]
-    piv = tab[row]
-    for r in range(tab.shape[0]):
-        if r != row and abs(tab[r, col]) > 1e-13:
-            tab[r] -= tab[r, col] * piv
-    basis[row] = col
+@lru_cache(maxsize=None)
+def vertex_values(n):
+    """p and the Hardy terms of every deterministic strategy, as integers."""
+    return hardy_values(deterministic_tables(n), n)
+
+
+def single_violators(n):
+    """Strategies with p = 1 and exactly one Hardy term 1."""
+    p, zs = vertex_values(n)
+    return np.flatnonzero((p == 1) & (zs.sum(axis=-1) == 1))
+
+
+def silent_strategy(n):
+    """Every party answers "-" at U and "+" at D (digit 2): p and every
+    Hardy term are 0."""
+    return 2 * (4 ** n - 1) // 3
+
+
+def local_witness(n, eps):
+    """The mixture that attains ``local_max(n, eps)``, as {strategy:
+    weight}: each single violator at min(eps, 1/(n + 1)), the rest on the
+    silent strategy.  Weights are Fractions for a Fraction eps."""
+    w = min(eps, Fraction(1, n + 1))
+    weights = {int(v): w for v in single_violators(n)}
+    weights[silent_strategy(n)] = 1 - (n + 1) * w
+    return weights
+
+
+def witness_table(n, eps):
+    """``local_witness(n, eps)`` as a float behavior table."""
+    tables = deterministic_tables(n)
+    return sum(float(w) * tables[v] for v, w in local_witness(n, eps).items())
 
 
 def vertex_loop(n):
-    """Cross-check for ``polytope._vertex_table``: each deterministic
+    """Cross-check for ``deterministic_tables``: each deterministic
     behavior as an outer product of per-party 0/1 tables, one at a time."""
     vertices = []
     for strat in product(product((0, 1), repeat=2), repeat=n):
@@ -110,24 +107,190 @@ def vertex_loop(n):
     return vertices
 
 
-def vertex_loop_local_max(n, epsilon):
-    """Cross-check for ``local_max``: the same LP, its rows evaluated one
-    vertex at a time."""
-    vertices = vertex_loop(n)
-    p_coeff, zs = hardy_functionals(n)
-    c = np.array([float(p_coeff.reshape(-1) @ v.reshape(-1)) for v in vertices])
-    a_ub = np.array([[float(z.reshape(-1) @ v.reshape(-1)) for v in vertices]
-                     for z in zs])
-    return lp_solve(c, np.ones((1, len(vertices))), [1.0], a_ub,
-                    np.full(len(zs), epsilon))
+class TestDeterministicVertices:
+    def test_counts(self):
+        assert len(deterministic_tables(2)) == 16
+        assert len(deterministic_tables(3)) == 64
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_table_matches_vertex_loop(self, n):
+        got = deterministic_tables(n)
+        want = vertex_loop(n)
+        assert len(got) == len(want) == 4 ** n
+        for row, w in zip(got, want):
+            assert np.array_equal(row, w)
+
+    def test_vertices_are_no_signaling(self):
+        for v in deterministic_tables(2):
+            assert check_no_signaling(BehaviorTensor(v)) == 0.0
+
+    def test_local_bound_inequality_on_mixtures(self):
+        # every local behavior obeys p <= z_1 + ... + z_{n+1}
+        rng = np.random.default_rng(3)
+        vertices = deterministic_tables(3)
+        for _ in range(20):
+            w = rng.dirichlet(np.ones(len(vertices)))
+            probs = np.tensordot(w, vertices, axes=1)
+            p, zeros = hardy_statistics(BehaviorTensor(probs))
+            assert p <= zeros.sum() + 1e-10
 
 
-def redundant_nosignaling_max(n, epsilon):
-    """Cross-check for ``nosignaling_max``: the same LP with the marginal
-    equalities of every party subset against every pair of complement
-    settings, the row family the package posed before the per-party rows."""
+class TestLocalCertificate:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_bound_holds_on_every_strategy(self, n):
+        p, zs = vertex_values(n)
+        assert np.all(p <= zs.sum(axis=-1))
+        violators = single_violators(n)
+        assert len(violators) == n + 1
+        # one violator per term
+        assert sorted(zs[violators].argmax(axis=-1)) == list(range(n + 1))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_every_term_is_needed(self, n):
+        # without term j, the single violator of j breaks the inequality
+        p, zs = vertex_values(n)
+        for j in range(n + 1):
+            assert np.any(p > zs.sum(axis=-1) - zs[:, j])
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_witness_attains_the_bound_exactly(self, n):
+        p, zs = vertex_values(n)
+        for eps in (Fraction(0), Fraction(1, 100), Fraction(1, 20), Fraction(1, 12),
+                    Fraction(1, n + 1), Fraction(1, 4), Fraction(3, 10), Fraction(1)):
+            weights = local_witness(n, eps)
+            assert all(w >= 0 for w in weights.values())
+            assert sum(weights.values()) == 1
+            value = sum(w * int(p[v]) for v, w in weights.items())
+            terms = [sum(w * int(zs[v, j]) for v, w in weights.items())
+                     for j in range(n + 1)]
+            assert value == min(1, (n + 1) * eps)
+            assert max(terms) <= eps
+            assert abs(local_max(n, float(eps)) - float(value)) <= 1e-15
+
+
+@lru_cache(maxsize=None)
+def ns_program(n):
+    """The no-signaling LP over the 4^n behavior entries, in integers.
+
+    Returns p and the Hardy terms of each entry, and the equality rows
+    a x = b: the per-setting normalisation (b = 1), then the per-party
+    gaps of ``behavior.signaling_gaps`` (b = 0).
+    """
+    unit = np.eye(4 ** n, dtype=np.int64).reshape((4 ** n,) + (2,) * (2 * n))
+    p, zs = hardy_values(unit, n)
+    norm = unit.sum(axis=tuple(range(n + 1, 2 * n + 1))).reshape(4 ** n, -1).T
+    a = np.vstack([norm] + [gap.reshape(4 ** n, -1).T for gap in signaling_gaps(unit, n)])
+    b = np.zeros(len(a), dtype=np.int64)
+    b[:len(norm)] = 1
+    return p, zs, a, b
+
+
+def ns_objective(n):
+    """f = n p - (n - 1) (z_1 + ... + z_n + z_-) per behavior entry."""
+    p, zs, _, _ = ns_program(n)
+    return n * p - (n - 1) * zs.sum(axis=-1)
+
+
+def rounded(v):
+    out = np.rint(v).astype(np.int64)
+    assert np.abs(v - out).max() < 1e-6, "the solver's answer is not integral"
+    return out
+
+
+@lru_cache(maxsize=None)
+def ns_certificate(n):
+    """(y, n x): HiGHS's equality multipliers for the maximum of f, and n
+    times its eps = 0 optimum of p, both rounded to integers."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    p, zs, a, b = ns_program(n)
+    dual = linprog(-ns_objective(n), A_eq=a, b_eq=b, method="highs")
+    box = linprog(-p, A_eq=a, b_eq=b, A_ub=zs.T, b_ub=np.zeros(n + 1),
+                  method="highs")
+    assert dual.status == box.status == 0
+    # HiGHS minimises -f, so its multipliers are -y
+    return rounded(-dual.eqlin.marginals), rounded(n * box.x)
+
+
+def ns_dual_holds(n, y, f):
+    """Whether y certifies f <= 1 on the no-signaling polytope: f <= a^T y
+    entrywise and b^T y = 1, so f.x <= y.(a x) = 1 for every x >= 0 with
+    a x = b."""
+    _, _, a, b = ns_program(n)
+    return bool(np.all(f <= a.T @ y)) and int(b @ y) == 1
+
+
+def ns_box_holds(n, nx):
+    """Whether nx is n times a box: nonnegative integers, normalised to n
+    for every setting, zero per-party gaps, zero terms and n p = 1."""
+    p, zs, a, b = ns_program(n)
+    return bool(np.all(nx >= 0) and np.array_equal(a @ nx, n * b)
+                and not np.any(zs.T @ nx) and p @ nx == 1)
+
+
+NS_PARTIES = range(2, NS_MAX_PARTIES + 1)
+
+
+class TestNoSignalingCertificate:
+    @pytest.mark.parametrize("n", NS_PARTIES)
+    def test_dual(self, n):
+        y, _ = ns_certificate(n)
+        assert ns_dual_holds(n, y, ns_objective(n))
+
+    @pytest.mark.parametrize("n", NS_PARTIES)
+    def test_box(self, n):
+        _, nx = ns_certificate(n)
+        assert ns_box_holds(n, nx)
+        assert set(np.unique(nx)) <= {0, 1, 2}
+
+    @pytest.mark.parametrize("n", NS_PARTIES)
+    def test_mixture_attains_the_formula_exactly(self, n):
+        # eps = k/m: D x = (m - (n + 1) k) (n box) + n k (sum of the single
+        # violators), with D = n m, all in integers
+        p, zs, a, b = ns_program(n)
+        _, nx = ns_certificate(n)
+        violators = deterministic_tables(n)[single_violators(n)].reshape(n + 1, -1)
+        spike = violators.sum(axis=0, dtype=np.int64)
+        for k, m in ((0, 1), (1, 100), (1, 20), (1, 12), (1, n + 1)):
+            dx = (m - (n + 1) * k) * nx + n * k * spike
+            assert np.all(dx >= 0)
+            assert np.array_equal(a @ dx, n * m * b)
+            assert np.all(zs.T @ dx <= n * k)
+            assert p @ dx == m + (n * n - 1) * k
+            want = Fraction(m + (n * n - 1) * k, n * m)
+            assert abs(nosignaling_max(n, k / m) - float(want)) <= 1e-15
+
+    @pytest.mark.parametrize("n", NS_PARTIES)
+    def test_zeroed_normalisation_multipliers_fail(self, n):
+        y, _ = ns_certificate(n)
+        y = y.copy()
+        y[:2 ** n] = 0
+        assert not ns_dual_holds(n, y, ns_objective(n))
+
+    @pytest.mark.parametrize("n", NS_PARTIES)
+    def test_dropping_a_term_fails(self, n):
+        y, _ = ns_certificate(n)
+        _, zs, _, _ = ns_program(n)
+        for j in range(n + 1):
+            assert not ns_dual_holds(n, y, ns_objective(n) + (n - 1) * zs[:, j])
+
+    @pytest.mark.parametrize("n", NS_PARTIES)
+    def test_moved_box_entry_fails(self, n):
+        _, nx = ns_certificate(n)
+        rng = np.random.default_rng(n)
+        entries = np.concatenate((np.flatnonzero(nx)[:4], rng.choice(nx.size, 4)))
+        for k in entries:
+            for step in (-1, 1):
+                moved = nx.copy()
+                moved[k] += step
+                assert not ns_box_holds(n, moved)
+
+
+@lru_cache(maxsize=None)
+def redundant_rows(n):
+    """The marginal equalities of every party subset against every pair of
+    complement settings, the row family the package posed before the
+    per-party rows, with the per-setting normalisation first."""
     shape = (2,) * (2 * n)
-    p_coeff, zs = hardy_functionals(n)
     a_eq, b_eq = [], []
     for settings in product((0, 1), repeat=n):
         coeff = np.zeros(shape)
@@ -154,217 +317,177 @@ def redundant_nosignaling_max(n, epsilon):
                 for a, b in combinations(range(len(rows)), 2):
                     a_eq.append(rows[a] - rows[b])
                     b_eq.append(0.0)
-    a_ub = np.array([z.reshape(-1) for z in zs])
-    return lp_solve(p_coeff.reshape(-1), np.array(a_eq), b_eq, a_ub,
-                    np.full(len(zs), epsilon))
+    return np.array(a_eq), np.array(b_eq)
 
 
-class TestPivot:
-    def test_matches_row_loop_bit_for_bit(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            m, k = rng.integers(2, 12), rng.integers(2, 20)
-            tab = rng.standard_normal((m, k))
-            # entries at and around the elimination threshold
-            tab[rng.random((m, k)) < 0.3] = 0.0
-            tab[rng.random((m, k)) < 0.1] = 1e-13 * rng.choice([-2.0, -1.0, 0.5, 1.0], 1)
-            row, col = int(rng.integers(m)), int(rng.integers(k))
-            tab[row, col] = rng.uniform(0.5, 2.0)
-            a, b = tab.copy(), tab.copy()
-            basis_a, basis_b = list(range(m)), list(range(m))
-            _pivot(a, basis_a, row, col)
-            row_loop_pivot(b, basis_b, row, col)
-            assert np.array_equal(a, b)
-            assert basis_a == basis_b
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_bounds_match_row_loop_bit_for_bit(self, n, monkeypatch):
-        grid = (0.0, 0.013, 0.05, 1.0 / 12.0, 1.0 / 6.0, 0.2, 0.25)
-        solve = (local_max, nosignaling_max)
-        fast = [f(n, eps) for eps in grid for f in solve]
-        monkeypatch.setattr(polytope, "_pivot", row_loop_pivot)
-        slow = [f(n, eps) for eps in grid for f in solve]
-        for a, b in zip(fast, slow):
-            assert a.value == b.value
-            assert np.array_equal(a.assignment, b.assignment)
-            assert a.pivots == b.pivots > 0
-
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_local_max_matches_vertex_loop_bit_for_bit(self, n):
-        for eps in (0.0, 0.013, 0.05, 1.0 / 12.0, 1.0 / 6.0, 0.2, 0.25):
-            a = local_max(n, eps)
-            b = vertex_loop_local_max(n, eps)
-            assert a.value == b.value
-            assert np.array_equal(a.assignment, b.assignment)
-            assert a.pivots == b.pivots > 0
-
-
-class TestPivotCount:
-    def test_counts_every_pivot(self, monkeypatch):
-        calls = []
-
-        def counting_pivot(*args):
-            calls.append(args[2:])
-            row_loop_pivot(*args)
-
-        monkeypatch.setattr(polytope, "_pivot", counting_pivot)
-        for f in (local_max, nosignaling_max):
-            calls.clear()
-            sol = f(3, 0.05)
-            assert sol.pivots == len(calls) > 0
-
-    def test_every_status_reports_pivots(self):
-        # max x st x <= 3: x replaces the artificial in phase 1, which
-        # leaves phase 2 optimal at once; the infeasible and unbounded
-        # programs name their pivot counts in TestLpSolve's messages
-        sol = ub_only([1.0], [[1.0]], [3.0])
-        assert sol.pivots == 1
-
-
-def vertex_behaviors(n):
-    """The rows of ``polytope._vertex_table(n)`` as behavior tables."""
-    return [BehaviorTensor(row.reshape((2,) * (2 * n)))
-            for row in _vertex_table(n)]
-
-
-class TestDeterministicVertices:
-    def test_counts(self):
-        assert len(_vertex_table(2)) == 16
-        assert len(_vertex_table(3)) == 64
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_table_matches_vertex_loop(self, n):
-        got = _vertex_table(n)
-        want = vertex_loop(n)
-        assert len(got) == len(want) == 4 ** n
-        for row, w in zip(got, want):
-            assert np.array_equal(row.reshape(w.shape), w)
-
-    def test_vertices_are_no_signaling(self):
-        for v in vertex_behaviors(2):
-            assert check_no_signaling(v) == 0.0
-
-    def test_local_bound_inequality_on_mixtures(self):
-        # every local behavior obeys p <= z_1 + ... + z_{n+1}
-        rng = np.random.default_rng(3)
-        vertices = vertex_behaviors(3)
-        for _ in range(20):
-            w = rng.dirichlet(np.ones(len(vertices)))
-            probs = sum(wi * v.probs for wi, v in zip(w, vertices))
-            p, zeros = hardy_statistics(BehaviorTensor(probs))
-            assert p <= zeros.sum() + 1e-10
+def highs_max(linprog, c, a_eq, b_eq, a_ub, b_ub):
+    res = linprog(-np.asarray(c, dtype=float), A_eq=a_eq, b_eq=b_eq,
+                  A_ub=a_ub, b_ub=b_ub, method="highs")
+    assert res.status == 0
+    return -res.fun
 
 
 class TestLocalMax:
     def test_zero_epsilon(self):
-        assert abs(local_max(3, 0.0).value) < 1e-9
+        for eps in (0, 0.0, np.float64(0.0)):
+            value = local_max(3, eps)
+            assert value == 0.0 and type(value) is float
 
     def test_four_epsilon(self):
-        sol = local_max(3, 0.05)
-        assert abs(sol.value - 0.2) < 1e-9
+        assert abs(local_max(3, 0.05) - 0.2) < 1e-15
 
     def test_saturation(self):
-        assert abs(local_max(3, 0.30).value - 1.0) < 1e-9
+        assert local_max(3, 0.30) == 1.0
 
     def test_matches_min_4eps_on_grid(self):
         for eps in np.arange(0.0, 0.301, 0.01):
-            sol = local_max(3, float(eps))
-            assert abs(sol.value - min(4.0 * eps, 1.0)) < 1e-9
+            assert abs(local_max(3, float(eps)) - min(4.0 * eps, 1.0)) < 1e-15
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_highs_on_the_vertex_lp(self, n, linprog):
+        p, zs = vertex_values(n)
+        for eps in GRID:
+            want = highs_max(linprog, p, np.ones((1, len(p))), [1.0], zs.T,
+                             np.full(n + 1, eps))
+            assert abs(local_max(n, eps) - want) <= 1e-12
 
     def test_explicit_witness_mixture(self):
         # four strategies each violating exactly one constraint, weight eps
         # apiece, remainder on a silent strategy: p = 4 eps is feasible.
         eps = 0.07
-        vertices = vertex_behaviors(3)
-        p_target = []
-        for v in vertices:
-            p, zeros = hardy_statistics(v)
-            if p == 1.0 and abs(zeros.sum() - 1.0) < 1e-12:
-                p_target.append(v)
-        assert len(p_target) == 4
-        silent = None
-        for v in vertices:
-            p, zeros = hardy_statistics(v)
-            if p == 0.0 and zeros.sum() == 0.0:
-                silent = v
-                break
-        probs = (1 - 4 * eps) * silent.probs + eps * sum(v.probs for v in p_target)
-        p, zeros = hardy_statistics(BehaviorTensor(probs))
+        p, zeros = hardy_statistics(BehaviorTensor(witness_table(3, eps)))
         assert abs(p - 4 * eps) < 1e-12
         assert np.all(zeros <= eps + 1e-12)
 
     def test_rejects_unsupported_n(self):
-        with pytest.raises(ValidationError):
-            local_max(4, 0.1)
+        assert local_max(MAX_PARTIES, 0.05) == pytest.approx(0.65, abs=1e-15)
+        for n in (1, MAX_PARTIES + 1):
+            with pytest.raises(ScenarioError, match=rf"n in \[2, {MAX_PARTIES}\]"):
+                local_max(n, 0.1)
+
+    @pytest.mark.parametrize("eps", [-0.1, 1.5, float("nan")])
+    def test_rejects_epsilon_outside_unit_interval(self, eps):
+        for solve in (local_max, nosignaling_max):
+            with pytest.raises(ValidationError, match=r"outside \[0, 1\]"):
+                solve(3, eps)
 
 
 class TestNoSignalingMax:
     def test_eps0_golden_and_sandwich(self):
-        sol = nosignaling_max(3, 0.0)
-        assert 0.0181940 <= sol.value <= 1.0
-        assert abs(sol.value - NS_TRIPARTITE_EPS0) < 1e-9
+        value = nosignaling_max(3, 0.0)
+        assert 0.0181940 <= value <= 1.0
+        assert abs(value - NS_TRIPARTITE_EPS0) < 1e-15
 
     def test_bipartite_literature_value(self):
-        sol = nosignaling_max(2, 0.0)
-        assert abs(sol.value - 0.5) < 1e-9
+        for eps in (0, 0.0, np.float64(0.0)):
+            value = nosignaling_max(2, eps)
+            assert value == 0.5 and type(value) is float
 
     def test_quarter_epsilon_saturates(self):
-        assert abs(nosignaling_max(3, 0.25).value - 1.0) < 1e-9
+        assert nosignaling_max(3, 0.25) == 1.0
+
+    def test_rejects_unsupported_n(self):
+        assert nosignaling_max(NS_MAX_PARTIES, 0.1) == pytest.approx(0.68, abs=1e-15)
+        for n in (1, NS_MAX_PARTIES + 1):
+            with pytest.raises(ScenarioError, match=rf"n in \[2, {NS_MAX_PARTIES}\]"):
+                nosignaling_max(n, 0.1)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_redundant_row_family(self, n, linprog):
+        # HiGHS on the per-party rows and on the redundant rows, whose
+        # objective and terms come from the dense coefficient tensors
+        p, zs, a, b = ns_program(n)
+        p_coeff, z_coeffs = hardy_functionals(n)
+        a_red, b_red = redundant_rows(n)
+        z_red = np.array([z.reshape(-1) for z in z_coeffs])
+        for eps in GRID:
+            bound = np.full(n + 1, eps)
+            per_party = highs_max(linprog, p, a, b, zs.T, bound)
+            redundant = highs_max(linprog, p_coeff.reshape(-1), a_red, b_red, z_red, bound)
+            assert abs(nosignaling_max(n, eps) - per_party) <= 1e-12
+            assert abs(nosignaling_max(n, eps) - redundant) <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_matches_redundant_row_family(self, n):
-        for eps in np.linspace(0.0, 0.3, 31):
-            got, want = nosignaling_max(n, eps), redundant_nosignaling_max(n, eps)
-            assert abs(got.value - want.value) <= 1e-15
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_rows_match_marginal_differences(self, n, monkeypatch):
-        # Oracle: the rows as built before they came from
-        # behavior.signaling_gaps, party i's outcome summed out of the unit
-        # batch and its two settings subtracted
-        posed = []
-
-        def recording_solve(*lp):
-            posed.append(lp)
-            return lp_solve(*lp)
-
-        monkeypatch.setattr(polytope, "lp_solve", recording_solve)
-        nosignaling_max(n, 0.05)
+    def test_rows_match_marginal_differences(self, n):
+        # Oracle: party i's outcome summed out of the unit batch and its
+        # two settings subtracted, the rows as built before they came from
+        # behavior.signaling_gaps
+        p, zs, a, b = ns_program(n)
         unit = np.eye(4 ** n).reshape((4 ** n,) + (2,) * (2 * n))
-        p, zs = hardy_values(unit, n)
-        want_eq = [(row, 1.0) for row in
-                   unit.sum(axis=tuple(range(n + 1, 2 * n + 1))).reshape(4 ** n, -1).T]
+        want = [unit.sum(axis=tuple(range(n + 1, 2 * n + 1))).reshape(4 ** n, -1).T]
         for i in range(n):
             marg = unit.sum(axis=n + 1 + i)
             gaps = marg.take(0, axis=1 + i) - marg.take(1, axis=1 + i)
-            want_eq += [(row, 0.0) for row in gaps.reshape(4 ** n, -1).T]
-        want_ub = [(row, 0.05) for row in zs.T]
-        ((c, a_eq, b_eq, a_ub, b_ub),) = posed
-        assert np.array_equal(c, p)
-        for rows, rhs, want in ((a_eq, b_eq, want_eq), (a_ub, b_ub, want_ub)):
-            assert len(rows) == len(rhs) == len(want)
-            for got_row, got_b, (want_row, want_b) in zip(rows, rhs, want):
-                assert np.array_equal(got_row, want_row)
-                assert got_b == want_b
+            want.append(gaps.reshape(4 ** n, -1).T)
+        assert np.array_equal(a, np.vstack(want))
+        assert np.array_equal(b, [1] * 2 ** n + [0] * (len(b) - 2 ** n))
+        want_p, want_zs = hardy_values(unit, n)
+        assert np.array_equal(p, want_p) and np.array_equal(zs, want_zs)
 
-    def test_per_party_row_count(self, monkeypatch):
-        counts = []
-
-        def counting_solve(c, a_eq, b_eq, a_ub, b_ub):
-            counts.append(len(a_eq) + len(a_ub))
-            return lp_solve(c, a_eq, b_eq, a_ub, b_ub)
-
-        monkeypatch.setattr(polytope, "lp_solve", counting_solve)
-        nosignaling_max(2, 0.1)
-        nosignaling_max(3, 0.1)
+    def test_per_party_row_count(self):
+        counts = [len(ns_program(n)[2]) + n + 1 for n in (2, 3)]
         # normalisation 2^n, no-signaling n 4^(n-1), Hardy terms n + 1
         assert counts == [4 + 8 + 3, 8 + 48 + 4]
 
     def test_monotone_and_dominates_local(self):
-        prev = -1.0
-        for eps in (0.0, 0.05, 0.10, 0.20, 0.25):
-            ns = nosignaling_max(3, eps).value
-            assert ns >= prev - 1e-9
-            assert ns >= local_max(3, eps).value - 1e-9
-            prev = ns
+        for n in NS_PARTIES:
+            prev = -1.0
+            for eps in (0.0, 0.05, 0.10, 0.20, 0.25):
+                ns = nosignaling_max(n, eps)
+                assert ns >= prev
+                assert ns >= local_max(n, eps)
+                prev = ns
+
+
+def quantum_violations(n, rng, count):
+    """Sampled qubit realisations whose p exceeds ``nosignaling_max`` at
+    their largest Hardy term: half Haar-random, half the Hardy state of
+    random pairs pushed off it by a random amount."""
+    bad = []
+    for k in range(count):
+        pairs = random_pairs(rng, n)
+        if k % 2:
+            state = random_state(rng, (2,) * n)
+        else:
+            push = random_state(rng, (2,) * n).amps * rng.uniform(0.0, 0.3)
+            amps = hardy_state(n, pairs).amps + push
+            state = StateVector((2,) * n, amps / np.linalg.norm(amps))
+        p, zs = hardy_statistics(joint_distribution(state, measurements_from_pairs(pairs)))
+        if p > polytope.nosignaling_max(n, float(zs.max())) + 1e-12:
+            bad.append((p, zs))
+    return bad
+
+
+def local_violations(n, rng, count):
+    """Sampled local behaviors whose p exceeds ``local_max`` at their
+    largest Hardy term: the witness at random eps, and mixtures of a few
+    random strategies with the silent one."""
+    tables = deterministic_tables(n).reshape(4 ** n, -1)
+    weights = np.zeros((count, 4 ** n))
+    for k, row in enumerate(weights):
+        if k % 4 == 0:
+            for v, w in local_witness(n, rng.uniform(0.0, 0.3)).items():
+                row[v] = float(w)
+        else:
+            picks = rng.choice(4 ** n, size=rng.integers(1, 6))
+            row[picks] += rng.dirichlet(np.ones(len(picks))) * rng.uniform(0.0, 0.5)
+            row[silent_strategy(n)] += 1.0 - row.sum()
+    p, zs = hardy_values((weights @ tables).reshape((count,) + (2,) * (2 * n)), n)
+    return [(pk, zk) for pk, zk in zip(p, zs)
+            if pk > polytope.local_max(n, float(zk.max())) + 1e-12]
+
+
+class TestSampledSoundness:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_quantum_points_obey_nosignaling_max(self, n):
+        assert quantum_violations(n, np.random.default_rng(40 + n), 250) == []
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_local_points_obey_local_max(self, n):
+        assert local_violations(n, np.random.default_rng(50 + n), 400) == []
+
+    def test_a_lowered_local_formula_fails(self, monkeypatch):
+        lowered = lambda n, eps: 0.99 * local_max(n, eps)
+        monkeypatch.setattr(polytope, "local_max", lowered)
+        for n in (2, 3, 4):
+            assert local_violations(n, np.random.default_rng(50 + n), 400) != []
