@@ -11,8 +11,7 @@ from .sdp import MomentSolution, sdp_solve
 from .selftest import (JordanBlock, SelfTestReport, canonical_measurements,
                        jordan_blocks, selftest_report)
 from .states import (MeasurementPair, PmaxResult, hardy_state,
-                     is_genuinely_entangled, optimal_alpha_sq_tripartite, pmax,
-                     success_prob_closed)
+                     is_genuinely_entangled, pmax)
 from .variational import LowerBoundResult, ansatz, lower_bound
 
 __version__ = "0.1.0"

@@ -3,19 +3,18 @@
 Exit codes (``main`` returns them, raising no Exception): 0 success, 1
 self-test verdict FAIL, 2 validation failure, 3 solver nonconvergence,
 a failed scan point (a worker that died included) or an unexpected
-exception (traceback on stderr), 4
-certification hypothesis unmet, 141 stdout closed by its reader (the
-shell's status for SIGPIPE; nothing is printed).  A scan with more than
-one worker (HARDYLAB_WORKERS processes, default the cores the process
-may run on, clamped to between one and the smaller of the grid size and
-that core count) runs one pool task per (grid point, layer), the
-variational searches first, and merges each point's layers into its row;
-one worker computes the rows one point at a time.  Per-point seeds
-derive from the master seed, and a row's error is its first failing
-layer either way, so the CSV is byte-identical for identical flags
-regardless of the worker count.  ``selftest --observables`` reads each
-party's a1 and a2 as the projectors (I +/- A)/2 of a MeasurementSet,
-whose checks name the failing party.
+exception (traceback on stderr), 4 certification hypothesis unmet, 141
+stdout closed by its reader (the shell's status for SIGPIPE; nothing is
+printed).  A scan with more than one worker (HARDYLAB_WORKERS processes,
+default the cores the process may run on, clamped to between one and the
+smaller of the grid size and that core count) runs one pool task per
+(grid point, solver layer); one worker runs the points one at a time.
+The local and no-signaling columns are closed forms computed in the row.
+Per-point seeds derive from the master seed, and a row's error is its
+first failing layer either way, so the CSV is byte-identical for
+identical flags regardless of the worker count.  ``selftest
+--observables`` reads each party's a1 and a2 as the projectors
+(I +/- A)/2 of a MeasurementSet, whose checks name the failing party.
 """
 
 from __future__ import annotations
@@ -215,9 +214,8 @@ def scan_point_seed(seed: int, idx: int) -> int:
     return (seed * 1_000_003 + idx) % (2 ** 63)
 
 
-# the scan's layers in row and merge order, each with its --method name
-SCAN_LAYERS = {"local": "local", "no_signaling": "ns", "npa": "npa",
-               "variational": "variational"}
+# the scan's solver layers, by --method name, in column and merge order
+SCAN_LAYERS = ("npa", "variational")
 
 
 def _scan_layer(task):
@@ -231,8 +229,7 @@ def _scan_layer(task):
     """
     layer, epsilon, level, restarts, seed = task
     try:
-        return _bound_value(SCAN_LAYERS[layer], 3, epsilon, level,
-                            restarts, seed)[0], None
+        return _bound_value(layer, 3, epsilon, level, restarts, seed)[0], None
     except Exception as exc:
         if not isinstance(exc, (ValidationError, NumericError)):
             traceback.print_exc()
@@ -240,8 +237,8 @@ def _scan_layer(task):
 
 
 def _merge_layers(results):
-    """A scan row from its layers' results in SCAN_LAYERS order: (values,
-    None), or (None, the first failing layer's error)."""
+    """A point's solver values from its layers' results in SCAN_LAYERS
+    order: (values, None), or (None, the first failing layer's error)."""
     for _, err in results:
         if err is not None:
             return None, err
@@ -249,9 +246,9 @@ def _merge_layers(results):
 
 
 def _scan_point(task):
-    """One scan row as (values, None), or (None, an error naming the first
-    layer that failed), for a task (epsilon, level, restarts, point
-    seed); the layers run in SCAN_LAYERS order and stop at a failure."""
+    """One point's solver values as (values, None), or (None, an error
+    naming the first failing layer), for a task (epsilon, level, restarts,
+    point seed); the layers run in SCAN_LAYERS order and stop at a failure."""
     results = []
     for layer in SCAN_LAYERS:
         results.append(_scan_layer((layer, *task)))
@@ -261,14 +258,13 @@ def _scan_point(task):
 
 
 def _pool_scan(tasks, workers: int):
-    """Scan rows for ``tasks`` from a pool of ``workers`` processes, one
-    pool task per (point, layer).
+    """Each point's _scan_point result for ``tasks`` from a pool of
+    ``workers`` processes, one pool task per (point, layer).
 
-    The variational tasks, the longest, go first, then npa, no-signaling
-    and local, so the short tasks fill the workers' idle time at the end.
-    A worker that exits abruptly (killed, out of memory) breaks the pool;
-    every layer left without a result fails its point's row.
-    """
+    The variational tasks, the longest, go first, so the npa tasks fill
+    the workers' idle time at the end.  A worker that exits abruptly
+    (killed, out of memory) breaks the pool; every layer left without a
+    result fails its point."""
     keys = [(layer, k) for layer in reversed(SCAN_LAYERS) for k in range(len(tasks))]
     results = []
     try:
@@ -315,7 +311,9 @@ def _scan_workers(n_tasks: int) -> int:
 
 
 def _scan_grid(eps_from: float, eps_to: float, steps: int) -> list[float]:
-    return [eps_from + k * (eps_to - eps_from) / (steps - 1) for k in range(steps)]
+    # the last point is eps_to itself: the formula's can round above it
+    return [eps_from + k * (eps_to - eps_from) / (steps - 1)
+            for k in range(steps - 1)] + [eps_to]
 
 
 def cmd_scan(args) -> int:
@@ -357,7 +355,8 @@ def cmd_scan(args) -> int:
                              f"{args.restarts},{args.seed}")
                 prev = None
                 continue
-            loc, ns, npa, var = row
+            npa, var = row
+            loc, ns = local_max(3, eps), nosignaling_max(3, eps)
             problems += _check_row(eps, loc, ns, npa, var)
             if prev is not None:
                 for name, cur, old in (("no_signaling", ns, prev[1]),

@@ -122,18 +122,6 @@ def hardy_state(n: int, pairs) -> StateVector:
     return StateVector((2,) * n, psi)
 
 
-def success_prob_closed(pairs) -> float:
-    """Closed-form Hardy probability prod|a_i b_i|^2 / (1 - prod|a_i|^2)."""
-    pairs = list(pairs)
-    if len(pairs) < 2:
-        raise ScenarioError("need at least two parties")
-    prod_a = prod_ab = 1.0
-    for p in pairs:
-        prod_a *= abs(p.alpha) ** 2
-        prod_ab *= abs(p.alpha) ** 2 * abs(p.beta) ** 2
-    return prod_ab / (1.0 - prod_a)
-
-
 def pmax(n: int) -> PmaxResult:
     """Maximal Hardy probability over n-qubit strategies.
 
@@ -165,17 +153,6 @@ def pmax(n: int) -> PmaxResult:
     t = 0.5 * (lo + hi)
     p = (t * (1.0 - t)) ** n / (1.0 - t ** n)
     return PmaxResult(n=n, t=t, p_max=p)
-
-
-def optimal_alpha_sq_tripartite() -> float:
-    """Closed-form optimal |alpha|^2 for three parties.
-
-    ((17 + 3*sqrt(33))^(2/3) - (17 + 3*sqrt(33))^(1/3) - 2)
-        / (3 * (17 + 3*sqrt(33))^(1/3)),
-    the real root of x^3 + x^2 + x - 1.
-    """
-    c = (17.0 + 3.0 * math.sqrt(33.0)) ** (1.0 / 3.0)
-    return (c * c - c - 2.0) / (3.0 * c)
 
 
 def _has_weak_cut(t: np.ndarray, dim: int, orders, tol: float) -> bool:

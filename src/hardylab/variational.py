@@ -358,12 +358,12 @@ def lower_bound(epsilon: float, restarts: int = 50, *, seed: int) -> LowerBoundR
 
     Multistart augmented-Lagrangian BFGS over the gauge-fixed parameters:
     restart 0 starts at the exact noiseless point, the rest at random
-    points drawn from per-restart substreams of ``seed``.  At
-    ``epsilon == 0`` the remaining restarts are skipped once a finished
-    restart leaves the incumbent within PMAX_ROUNDOFF of pmax(3), so
-    ``restarts_used`` reports the restarts actually run.  The incumbent
-    is normalised and re-validated through the behavior module before
-    reporting.
+    points drawn from per-restart substreams of ``seed``, a nonnegative
+    integer.  At ``epsilon == 0`` the remaining restarts are skipped once
+    a finished restart leaves the incumbent within PMAX_ROUNDOFF of
+    pmax(3), so ``restarts_used`` reports the restarts actually run.  The
+    incumbent is normalised and re-validated through the behavior module
+    before reporting.
     """
     if not 0.0 <= epsilon <= EPSILON_MAX:
         raise ValidationError(
@@ -371,6 +371,8 @@ def lower_bound(epsilon: float, restarts: int = 50, *, seed: int) -> LowerBoundR
     if not 1 <= restarts <= MAX_RESTARTS:
         raise ValidationError(
             f"restarts = {restarts} outside [1, {MAX_RESTARTS}]")
+    if seed < 0:
+        raise ValidationError(f"seed = {seed} must be nonnegative")
     tracker = _Tracker(epsilon)
     target = pmax(3).p_max - PMAX_ROUNDOFF if epsilon == 0.0 else math.inf
     for r, child in enumerate(np.random.SeedSequence(seed).spawn(restarts)):

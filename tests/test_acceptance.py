@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from closed_forms import optimal_alpha_sq_tripartite, success_prob_closed
 from conftest import random_pairs
 from hardylab.behavior import (BehaviorTensor, hardy_statistics, hardy_values,
                                joint_distribution, measurements_from_pairs)
@@ -21,9 +22,7 @@ from hardylab.polytope import local_max
 from hardylab.sdp import TOL
 from hardylab.selftest import canonical_measurements, selftest_report
 from hardylab.states import (MeasurementPair, hardy_state,
-                             is_genuinely_entangled,
-                             optimal_alpha_sq_tripartite, pmax,
-                             success_prob_closed)
+                             is_genuinely_entangled, pmax)
 from hardylab.variational import lower_bound
 from test_polytope import deterministic_tables, witness_table
 from test_selftest import embedded_hardy_setup

@@ -17,6 +17,7 @@ from hardylab.behavior import measurements_from_observables
 from hardylab.cli import SCAN_HEADER, load_observables, load_state_spec, main
 from hardylab.errors import NumericError
 from hardylab.npa import MAX_BASIS
+from hardylab.polytope import local_max
 from hardylab.selftest import canonical_measurements, jordan_blocks
 from hardylab.states import MeasurementPair, pmax
 
@@ -42,9 +43,11 @@ def src_env() -> dict:
     return env
 
 
-def constant_point(task):
-    """Stands in for ``cli._scan_point``: a valid row, with no solve."""
-    return (0.1, 0.3, 0.2, 0.15), None
+def feasible_point(task):
+    """Stands in for ``cli._scan_point``: npa and variational values that
+    pass every row check, with no solve."""
+    value = local_max(3, task[0])
+    return (value, value), None
 
 
 class TestPmax:
@@ -175,6 +178,13 @@ class TestBounds:
                      "--restarts", "1001"]) == 2
         assert "restarts = 1001 outside [1, 1000]" in capsys.readouterr().err
 
+    def test_variational_negative_seed_named(self, capsys):
+        assert main(["bounds", "--method", "variational", "--epsilon", "0.05",
+                     "--seed", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: seed = -1 must be nonnegative\n"
+
 
 class TestScan:
     def test_small_grid(self, tmp_path):
@@ -227,8 +237,7 @@ class TestScan:
         assert main(["scan", "--steps", "1"]) == 2
 
     def test_steps_cap_is_accepted(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "_scan_point",
-                            lambda task: ((0.0, 0.0, 0.0, 0.0), None))
+        monkeypatch.setattr(cli, "_scan_point", feasible_point)
         assert main(["scan", "--steps", str(cli.MAX_SCAN_STEPS), "--restarts", "1"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == cli.MAX_SCAN_STEPS + 1
 
@@ -277,7 +286,7 @@ class TestScan:
     def test_restart_product_cap_is_accepted(self, monkeypatch, capsys):
         calls = []
         monkeypatch.setattr(cli, "_scan_point",
-                            lambda task: calls.append(task) or constant_point(task))
+                            lambda task: calls.append(task) or feasible_point(task))
         assert cli.MAX_SCAN_RESTARTS == 26 * variational.MAX_RESTARTS
         assert main(["scan", "--steps", "26", "--restarts", "1000"]) == 0
         assert len(calls) == 26
@@ -313,6 +322,29 @@ class TestScan:
         assert main(["scan", "--eps-from", "0", "--eps-to", "0.3"]) == 2
         assert "<= 0.25" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps_from", [0.0, 0.02, 0.05])
+    def test_grid_ends_at_eps_to(self, eps_from):
+        # the evenly spaced formula's last point rounds above 0.25 for
+        # 16 of these step counts from 0.05 and 27 from 0.02
+        for steps in range(2, 201):
+            grid = cli._scan_grid(eps_from, 0.25, steps)
+            assert len(grid) == steps
+            assert grid[-1] == 0.25
+            assert grid[:-1] == [eps_from + k * (0.25 - eps_from) / (steps - 1)
+                                 for k in range(steps - 1)]
+            assert grid == sorted(grid)
+
+    def test_grid_end_in_the_variational_range(self, capsys):
+        # the evenly spaced formula puts this grid's last point at
+        # 0.25000000000000006, outside the variational range
+        assert main(["scan", "--eps-from", "0.05", "--eps-to", "0.25",
+                     "--steps", "4", "--restarts", "1"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        lines = out.splitlines()
+        assert len(lines) == 5
+        assert lines[-1].startswith("0.250000,1.000000000,1.000000000,")
+
     def test_byte_identical_across_worker_counts(self, tmp_path, monkeypatch):
         args = ["scan", "--eps-from", "0", "--eps-to", "0.1", "--steps", "3",
                 "--level", "2", "--restarts", "2", "--seed", "5"]
@@ -327,7 +359,7 @@ class TestScan:
     @pytest.mark.parametrize("raw,steps,expected", [
         ("100000", 6, 4), ("100000", 3, 3), ("3", 6, 3), ("0", 6, 1), ("-4", 6, 1)])
     def test_worker_count_clamped(self, monkeypatch, raw, steps, expected):
-        pools = []
+        pools, mapped, layers_run = [], [], []
 
         class RecordingPool:
             """Stands in for ProcessPoolExecutor and starts no process."""
@@ -342,17 +374,31 @@ class TestScan:
                 return False
 
             def map(self, fn, tasks):
+                mapped.extend(tasks)
                 return map(fn, tasks)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli, "_usable_cores", lambda: 4)
         # both paths reach the solvers through _scan_layer: the serial one
-        # by _scan_point, the pool one by RecordingPool.map in process
-        monkeypatch.setattr(cli, "_scan_layer", lambda task: (0.0, None))
+        # by _scan_point, the pool one by RecordingPool.map in process; the
+        # local bound passes every row check
+        monkeypatch.setattr(cli, "_scan_layer", lambda task: layers_run.append(task[0])
+                            or (local_max(3, task[1]), None))
         monkeypatch.setenv("HARDYLAB_WORKERS", raw)
         assert main(["scan", "--steps", str(steps), "--restarts", "1"]) == 0
         # one worker runs in-process, without a pool
         assert pools == ([] if expected == 1 else [expected])
+        if expected == 1:
+            assert mapped == []
+            assert layers_run == ["npa", "variational"] * steps
+            return
+        # only the two solvers go to the pool, the variational searches
+        # first; the closed-form columns are computed in the row
+        assert [task[0] for task in mapped] == ["variational"] * steps + ["npa"] * steps
+        grid = cli._scan_grid(0.0, 0.25, steps)
+        for part in (mapped[:steps], mapped[steps:]):
+            assert [task[1:] for task in part] == [
+                (eps, 2, 1, cli.scan_point_seed(0, k)) for k, eps in enumerate(grid)]
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                         reason="no CPU affinity on this platform")
@@ -409,7 +455,6 @@ class TestScan:
         assert [r.split(",")[1] for r in rows] == ["nan", "nan"]
 
     @pytest.mark.parametrize("layer,solver", [
-        ("local", "local_max"), ("no_signaling", "nosignaling_max"),
         ("npa", "npa_upper_bound"), ("variational", "lower_bound")])
     def test_scan_point_names_each_layer(self, tmp_path, monkeypatch, capsys,
                                          layer, solver):
@@ -710,7 +755,7 @@ class TestClosedStdout:
         def point(task):
             while readers:
                 os.close(readers.pop())
-            return (0.0, 0.0, 0.0, 0.0), None
+            return feasible_point(task)
 
         monkeypatch.setenv("HARDYLAB_WORKERS", "1")
         monkeypatch.setattr(cli, "_scan_point", point)

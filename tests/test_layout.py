@@ -15,9 +15,6 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "hardylab"
 MODULES = {path.name: ast.parse(path.read_text(), filename=str(path))
            for path in sorted(SRC.glob("*.py"))}
-# the paper's closed forms, kept for the acceptance criteria that
-# reproduce the paper with them
-CLOSED_FORMS = {"success_prob_closed", "optimal_alpha_sq_tripartite"}
 
 
 def names_used(nodes) -> set:
@@ -64,9 +61,7 @@ def test_every_import_used(module):
 
 
 def test_every_definition_referenced():
-    unreferenced = [entry for entry in unreferenced_definitions()
-                    if entry.split(":")[1] not in CLOSED_FORMS]
-    assert unreferenced == []
+    assert unreferenced_definitions() == []
 
 
 def test_imports_only_stdlib_and_numpy():

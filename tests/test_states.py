@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from closed_forms import optimal_alpha_sq_tripartite, success_prob_closed
 from conftest import random_pairs, random_state
 from gram_schmidt import hardy_state as gram_schmidt_state
 from gram_schmidt import product_basis
@@ -13,9 +14,7 @@ from hardylab.errors import (DegenerateMeasurementError, ScenarioError,
                              ValidationError)
 from hardylab.linalg import StateVector
 from hardylab.states import (CUT_BATCH, MeasurementPair, hardy_state,
-                             is_genuinely_entangled,
-                             optimal_alpha_sq_tripartite, pmax,
-                             success_prob_closed)
+                             is_genuinely_entangled, pmax)
 
 # Bipartite optimum, analytic: t = (sqrt(5)-1)/2, p = (5*sqrt(5)-11)/2.
 T2 = (math.sqrt(5.0) - 1.0) / 2.0

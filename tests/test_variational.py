@@ -343,6 +343,14 @@ class TestLowerBound:
         with pytest.raises(ValidationError):
             lower_bound(0.3, restarts=1, seed=0)
 
+    def test_rejects_negative_seed(self, monkeypatch):
+        def no_search(tracker, x):
+            raise AssertionError("restart run for a rejected seed")
+
+        monkeypatch.setattr(variational, "_local_search", no_search)
+        with pytest.raises(ValidationError, match=r"seed = -1 must be nonnegative"):
+            lower_bound(0.05, restarts=1, seed=-1)
+
     def test_restart_seeds_match_spawn(self, monkeypatch):
         # restart r starts from child r of SeedSequence(seed): the stream
         # earlier releases drew by spawning one child at a time
