@@ -34,14 +34,13 @@ import numpy as np
 
 from .behavior import (MeasurementSet, hardy_statistics, joint_distribution,
                        measurements_from_observables, measurements_from_pairs)
-from .errors import (HypothesisUnmetError, NumericError, ScenarioError,
-                     SizeError, ValidationError)
+from .errors import HypothesisUnmetError, NumericError, SizeError, ValidationError
 from .linalg import StateVector
 from .npa import check_level, monomial_list, npa_upper_bound
 from .polytope import local_max, nosignaling_max
 from .sdp import TOL
 from .selftest import canonical_measurements, selftest_report
-from .states import (MAX_PARTIES, MeasurementPair, hardy_state,
+from .states import (MAX_PARTIES, MeasurementPair, check_parties, hardy_state,
                      is_genuinely_entangled, pmax)
 from .variational import EPSILON_MAX, MAX_RESTARTS, lower_bound
 
@@ -97,7 +96,8 @@ def _json_int(value, what: str) -> int:
 
 
 def load_state_spec(path: str):
-    """Parse a state spec file: measurement pairs, optional amplitudes.
+    """Parse a state spec file into (n, pairs or None, state): its
+    amplitudes, or else the Hardy state of its measurement pairs.
 
     The party count and the state's dimensions are JSON integers, capped
     at MAX_PARTIES qubits before any array is built, and the spec's ``n``
@@ -105,12 +105,10 @@ def load_state_spec(path: str):
     """
     with _spec_file(path) as spec:
         n = _json_int(spec["n"], "n")
-        if not 2 <= n <= MAX_PARTIES:
-            raise ScenarioError(f"n={n} outside [2, {MAX_PARTIES}]")
+        check_parties(n)
         pairs = _pairs_from_spec(spec) if "pairs" in spec else None
         if pairs is not None and len(pairs) != n:
             raise ValidationError(f"spec has n={n} but {len(pairs)} measurement pairs")
-        state = None
         if "amplitudes" in spec:
             amp = spec["amplitudes"]
             dims = tuple(_json_int(d, "dims entry") for d in amp.get("dims", [2] * n))
@@ -119,14 +117,17 @@ def load_state_spec(path: str):
             if len(dims) != n:
                 raise ValidationError(f"spec has n={n} but {len(dims)} amplitude dims")
             state = StateVector(dims, _complex_array(amp))
+        elif pairs is None:
+            raise ValidationError("state spec carries neither pairs nor amplitudes")
+        else:
+            state = hardy_state(n, pairs)
     return n, pairs, state
 
 
 def load_observables(path: str) -> MeasurementSet:
     """An observables file's MeasurementSet, of at most MAX_PARTIES parties."""
     with _spec_file(path) as spec:
-        if len(spec["parties"]) > MAX_PARTIES:
-            raise ScenarioError(f"{len(spec['parties'])} parties exceed {MAX_PARTIES}")
+        check_parties(len(spec["parties"]))
         return measurements_from_observables(
             (_complex_array(party["a1"]), _complex_array(party["a2"]))
             for party in spec["parties"])
@@ -142,8 +143,6 @@ def cmd_state(args) -> int:
             raise ValidationError("state needs --n and --alpha-sq (or --spec)")
         n = args.n
         pairs = [MeasurementPair.from_alpha_sq(args.alpha_sq)] * n
-        state = None
-    if state is None:
         state = hardy_state(n, pairs)
     p, zeros = hardy_statistics(joint_distribution(state, measurements_from_pairs(pairs)))
     doc = {
@@ -199,9 +198,6 @@ def _bound_value(method: str, n: int, epsilon: float, level: int,
 
 
 def cmd_bounds(args) -> int:
-    hi = EPSILON_MAX if args.method == "variational" else 0.3
-    if not 0.0 <= args.epsilon <= hi:
-        raise ValidationError(f"epsilon = {args.epsilon!r} outside [0, {hi}]")
     value, diag = _bound_value(args.method, args.n, args.epsilon, args.level,
                                args.restarts, args.seed)
     print(f"{value:.6f}")
@@ -378,18 +374,19 @@ def cmd_scan(args) -> int:
 
 def cmd_selftest(args) -> int:
     if args.state:
-        n, pairs, state = load_state_spec(args.state)
-        if state is None:
-            if pairs is None:
-                raise ValidationError("state spec carries neither pairs nor amplitudes")
-            state = hardy_state(n, pairs)
+        _, pairs, state = load_state_spec(args.state)
     elif args.canonical is not None:
         n = args.canonical
-        state = hardy_state(n, [MeasurementPair.from_alpha_sq(pmax(n).t)] * n)
+        pairs = [MeasurementPair.from_alpha_sq(pmax(n).t)] * n
+        state = hardy_state(n, pairs)
     else:
         raise ValidationError("selftest needs --state or --canonical")
-    measurements = (load_observables(args.observables) if args.observables
-                    else canonical_measurements(len(state.dims)))
+    if args.observables:
+        measurements = load_observables(args.observables)
+    elif pairs is not None:
+        measurements = measurements_from_pairs(pairs)
+    else:
+        measurements = canonical_measurements(len(state.dims))
     report = selftest_report(state, measurements, tol=args.tol)
     ok = report.total_fidelity >= 1.0 - args.tol
     lines = ["selftest-report/1",

@@ -37,10 +37,9 @@ from itertools import product
 import numpy as np
 
 from .behavior import hardy_values
-from .errors import (CapabilityError, NumericError, ScenarioError, SizeError,
-                     ValidationError)
+from .errors import CapabilityError, NumericError, SizeError, ValidationError
 from .sdp import sdp_solve
-from .states import MAX_PARTIES
+from .states import check_noise, check_parties
 
 LETTERS = "UD"
 # Largest moment basis: level 4 at n = 4 (321 words, 573 variables; one
@@ -130,12 +129,9 @@ def monomial_list(n: int, level: int) -> list[Monomial]:
     and a SizeError is raised as soon as their count passes MAX_BASIS, so
     the work stays within the cap for any level.
     """
-    if n < 2:
-        raise ScenarioError(f"need at least two parties, got n={n}")
+    check_parties(n)
     if level < 1:
         raise ValidationError(f"level must be >= 1, got {level}")
-    if n > MAX_PARTIES:
-        raise ScenarioError(f"n={n} exceeds the supported cap {MAX_PARTIES}")
     out = []
     for d in range(level + 1):
         for mono in _monomials_of_degree(n, d):
@@ -196,8 +192,7 @@ def check_level(n: int, level: int) -> None:
     product of the objective has one for each, so the problem fits if and
     only if n <= 2 * level.
     """
-    if n < 2:
-        raise ScenarioError(f"need at least two parties, got n={n}")
+    check_parties(n)
     if n > 2 * level:
         raise CapabilityError(
             f"moment {monomial_str(((0,),) * n)} is not expressible at level {level}")
@@ -236,8 +231,7 @@ def build_moment_problem(n: int, level: int, epsilon: float) -> MomentProblem:
     an earlier id.  The objective c and the n + 1 Hardy rows g (all n cyclic
     rows stay, identical) come from ``behavior.hardy_values``.
     """
-    if not np.isfinite(epsilon) or epsilon < 0:
-        raise ValidationError(f"epsilon = {epsilon!r} must be finite and nonnegative")
+    check_noise(epsilon)
     basis = monomial_list(n, level)
     check_level(n, level)
     nb = len(basis)

@@ -11,19 +11,11 @@ are all 0 but one, which is 1.
 
 from __future__ import annotations
 
-from .errors import ScenarioError, ValidationError
-from .states import MAX_PARTIES
+from .states import check_noise, check_parties
 
 # The largest n whose no-signaling certificate (multipliers and box, see
 # ``nosignaling_max``) the tests check in exact arithmetic.
 NS_MAX_PARTIES = 5
-
-
-def _check_query(n: int, epsilon: float, bound: str, top: int) -> None:
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValidationError(f"epsilon = {epsilon!r} outside [0, 1]")
-    if not 2 <= n <= top:
-        raise ScenarioError(f"the {bound} bound is posed for n in [2, {top}], got n={n}")
 
 
 def local_max(n: int, epsilon: float) -> float:
@@ -41,8 +33,9 @@ def local_max(n: int, epsilon: float) -> float:
     and terms are all 0 (every U "-" and every D "+").  From epsilon =
     1 / (n + 1) on, the violators alone at weight 1 / (n + 1) give p = 1.
     """
-    _check_query(n, epsilon, "local", MAX_PARTIES)
-    return min(1.0, (n + 1) * float(epsilon))
+    check_parties(n)
+    check_noise(epsilon)
+    return min(1.0, (n + 1) * float(epsilon)) + 0.0  # -0.0 reads 0.0
 
 
 def nosignaling_max(n: int, epsilon: float) -> float:
@@ -65,5 +58,6 @@ def nosignaling_max(n: int, epsilon: float) -> float:
     LP solver and check both in integers for each n up to NS_MAX_PARTIES,
     so only those n are accepted.
     """
-    _check_query(n, epsilon, "no-signaling", NS_MAX_PARTIES)
+    check_parties(n, NS_MAX_PARTIES)
+    check_noise(epsilon)
     return min(1.0, (1.0 + (n * n - 1) * float(epsilon)) / n)

@@ -37,7 +37,7 @@ from .behavior import (MeasurementSet, hardy_statistics, joint_distribution,
                        measurements_from_pairs)
 from .errors import HypothesisUnmetError, NumericError, ValidationError
 from .linalg import StateVector, eig_herm
-from .states import MeasurementPair, hardy_state, pmax
+from .states import MeasurementPair, check_parties, hardy_state, pmax
 
 WEIGHT_FLOOR = 1e-14
 BLOCK_ORTHO_TOL = 1e-9
@@ -150,8 +150,7 @@ def selftest_report(state: StateVector, measurements: MeasurementSet,
     if not isinstance(measurements, MeasurementSet):
         raise ValidationError(f"expected a MeasurementSet, got {type(measurements).__name__}")
     n = measurements.n_parties
-    if n < 2:
-        raise ValidationError("need at least two parties")
+    check_parties(n)
 
     # joint_distribution rejects all but a StateVector of these dims
     p, zeros = hardy_statistics(joint_distribution(state, measurements))

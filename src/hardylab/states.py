@@ -85,11 +85,21 @@ class PmaxResult:
     p_max: float
 
 
+def check_parties(n: int, top: int = MAX_PARTIES) -> None:
+    """Raise ScenarioError unless the party count n lies in [2, top]."""
+    if not 2 <= n <= top:
+        raise ScenarioError(f"n={n} outside [2, {top}]")
+
+
+def check_noise(epsilon: float, top: float = 1.0) -> None:
+    """Raise ValidationError unless the Hardy terms' noise bound epsilon
+    lies in [0, top]; NaN lies in no range."""
+    if not 0.0 <= epsilon <= top:
+        raise ValidationError(f"epsilon = {epsilon!r} outside [0, {top:g}]")
+
+
 def _check_scenario(n: int, pairs) -> list[MeasurementPair]:
-    if n < 2:
-        raise ScenarioError(f"need at least two parties, got n={n}")
-    if n > MAX_PARTIES:
-        raise ScenarioError(f"n={n} exceeds the dense-construction cap {MAX_PARTIES}")
+    check_parties(n)
     pairs = list(pairs)
     if len(pairs) != n:
         raise ValidationError(f"expected {n} measurement pairs, got {len(pairs)}")
@@ -129,10 +139,7 @@ def pmax(n: int) -> PmaxResult:
     bisection on the deflated polynomial x^n + ... + x - 1, which is
     strictly increasing on (0, 1).
     """
-    if n < 2:
-        raise ScenarioError(f"need at least two parties, got n={n}")
-    if n > MAX_PARTIES:
-        raise ScenarioError(f"n={n} exceeds the supported cap {MAX_PARTIES}")
+    check_parties(n)
 
     def q(x: float) -> float:
         acc, xp = 0.0, 1.0

@@ -67,7 +67,7 @@ from .behavior import (MeasurementSet, hardy_statistics, joint_distribution,
                        measurements_from_pairs)
 from .errors import NumericError, ValidationError
 from .linalg import StateVector
-from .states import MeasurementPair, hardy_state, pmax
+from .states import MeasurementPair, check_noise, hardy_state, pmax
 
 FEAS_SLACK = 1e-8
 # at epsilon = 0 an incumbent this close to pmax(3) ends the multistart
@@ -365,9 +365,7 @@ def lower_bound(epsilon: float, restarts: int = 50, *, seed: int) -> LowerBoundR
     incumbent is normalised and re-validated through the behavior module
     before reporting.
     """
-    if not 0.0 <= epsilon <= EPSILON_MAX:
-        raise ValidationError(
-            f"epsilon = {epsilon!r} outside [0, {EPSILON_MAX}]")
+    check_noise(epsilon, EPSILON_MAX)
     if not 1 <= restarts <= MAX_RESTARTS:
         raise ValidationError(
             f"restarts = {restarts} outside [1, {MAX_RESTARTS}]")

@@ -150,17 +150,28 @@ class TestBounds:
         assert main(["bounds", "--method", method, "--n", str(n), "--epsilon", "0.1"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert f"n in [2, {top}], got n={n}" in err
+        assert f"n={n} outside [2, {top}]" in err
 
     def test_epsilon_range(self):
-        assert main(["bounds", "--method", "local", "--epsilon", "0.4"]) == 2
+        # each method checks its own range, the command none
+        for method, eps in (("local", "1.5"), ("ns", "nan"), ("npa", "1.5"), ("npa", "nan")):
+            assert main(["bounds", "--method", method, "--epsilon", eps]) == 2
+
+    @pytest.mark.parametrize("eps", ["0.31", "0.32"])
+    def test_bipartite_bounds_past_three_tenths(self, capsys, eps):
+        # at n = 2 the three bounds stay below 1 past epsilon = 0.3
+        values = {}
+        for method in ("local", "ns", "npa"):
+            assert main(["bounds", "--method", method, "--n", "2", "--epsilon", eps]) == 0
+            values[method] = json.loads(capsys.readouterr().out.split("\n")[1])["value"]
+        assert values["local"] <= values["npa"] <= values["ns"] < 1.0
 
     def test_npa_party_cap_fails_fast(self, capsys):
         start = time.perf_counter()
         assert main(["bounds", "--method", "npa", "--n", "20", "--level", "1",
                      "--epsilon", "0"]) == 2
         assert time.perf_counter() - start < 1.0
-        assert "exceeds the supported cap 12" in capsys.readouterr().err
+        assert "n=20 outside [2, 12]" in capsys.readouterr().err
 
     def test_variational_epsilon_range(self, capsys):
         assert main(["bounds", "--method", "local", "--epsilon", "0.28"]) == 0
@@ -517,6 +528,21 @@ class TestSelftest:
         path.write_text(json.dumps(spec))
         assert main(["selftest", "--state", str(path)]) == 4
 
+    def test_spec_pairs_are_the_measurements(self, tmp_path, capsys):
+        # a spec without amplitudes is the Hardy state of its pairs, here
+        # phased ones, and its pairs are also the self-test's measurements
+        t = pmax(3).t
+        alpha = t ** 0.5 * np.exp(0.7j)
+        pair = {"alpha": [alpha.real, alpha.imag], "beta": [(1 - t) ** 0.5, 0.0]}
+        path = tmp_path / "phased.json"
+        path.write_text(json.dumps({"schema": 1, "n": 3, "pairs": [pair] * 3}))
+        assert main(["state", "--spec", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert abs(doc["success_probability"] - pmax(3).p_max) < 1e-12
+        assert max(doc["zero_residuals"]) < 1e-15
+        assert main(["selftest", "--state", str(path)]) == 0
+        assert capsys.readouterr().out == "total_fidelity 1.000000000000\n"
+
     def test_observable_file(self, tmp_path):
         ms = canonical_measurements(3)
         path = tmp_path / "obs.json"
@@ -567,7 +593,7 @@ class TestSelftest:
     def test_canonical_party_count_checked(self, capsys, n):
         # --canonical 0 was taken for an absent flag
         assert main(["selftest", "--canonical", n]) == 2
-        assert f"need at least two parties, got n={n}" in capsys.readouterr().err
+        assert f"n={n} outside [2, 12]" in capsys.readouterr().err
 
 
 def canonical_pair(n=3):
@@ -834,7 +860,7 @@ class TestSpecCaps:
         path = tmp_path / "obs.json"
         path.write_text(json.dumps(observables_doc([canonical_pair(2)] * 13)))
         assert main(["selftest", "--canonical", "3", "--observables", str(path)]) == 2
-        assert "13 parties exceed 12" in capsys.readouterr().err
+        assert "n=13 outside [2, 12]" in capsys.readouterr().err
 
 
 class TestMalformedFiles:

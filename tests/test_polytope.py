@@ -8,6 +8,7 @@ and checked in int64.  HiGHS is also the LP oracle that cross-checks the
 values, on the per-party and on the redundant no-signaling row families.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -329,9 +330,10 @@ def highs_max(linprog, c, a_eq, b_eq, a_ub, b_ub):
 
 class TestLocalMax:
     def test_zero_epsilon(self):
-        for eps in (0, 0.0, np.float64(0.0)):
+        for eps in (0, 0.0, np.float64(0.0), -0.0):
             value = local_max(3, eps)
             assert value == 0.0 and type(value) is float
+            assert math.copysign(1.0, value) == 1.0  # no "-0.000000" line
 
     def test_four_epsilon(self):
         assert abs(local_max(3, 0.05) - 0.2) < 1e-15
@@ -362,7 +364,7 @@ class TestLocalMax:
     def test_rejects_unsupported_n(self):
         assert local_max(MAX_PARTIES, 0.05) == pytest.approx(0.65, abs=1e-15)
         for n in (1, MAX_PARTIES + 1):
-            with pytest.raises(ScenarioError, match=rf"n in \[2, {MAX_PARTIES}\]"):
+            with pytest.raises(ScenarioError, match=rf"n={n} outside \[2, {MAX_PARTIES}\]"):
                 local_max(n, 0.1)
 
     @pytest.mark.parametrize("eps", [-0.1, 1.5, float("nan")])
@@ -389,7 +391,7 @@ class TestNoSignalingMax:
     def test_rejects_unsupported_n(self):
         assert nosignaling_max(NS_MAX_PARTIES, 0.1) == pytest.approx(0.68, abs=1e-15)
         for n in (1, NS_MAX_PARTIES + 1):
-            with pytest.raises(ScenarioError, match=rf"n in \[2, {NS_MAX_PARTIES}\]"):
+            with pytest.raises(ScenarioError, match=rf"n={n} outside \[2, {NS_MAX_PARTIES}\]"):
                 nosignaling_max(n, 0.1)
 
     @pytest.mark.parametrize("n", [2, 3, 4])

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,10 +12,15 @@ from gram_schmidt import hardy_state as gram_schmidt_state
 from gram_schmidt import product_basis
 from schmidt_spectrum import schmidt_spectrum
 from tripartite import tripartite_explicit
+from hardylab.behavior import measurements_from_pairs
+from hardylab.cli import load_observables, load_state_spec
 from hardylab.errors import (DegenerateMeasurementError, ScenarioError,
                              ValidationError)
 from hardylab.linalg import StateVector
-from hardylab.states import (CUT_BATCH, MeasurementPair, hardy_state,
+from hardylab.npa import check_level, monomial_list
+from hardylab.polytope import NS_MAX_PARTIES, local_max, nosignaling_max
+from hardylab.selftest import selftest_report
+from hardylab.states import (CUT_BATCH, MAX_PARTIES, MeasurementPair, hardy_state,
                              is_genuinely_entangled, pmax)
 
 # Bipartite optimum, analytic: t = (sqrt(5)-1)/2, p = (5*sqrt(5)-11)/2.
@@ -429,3 +436,38 @@ class TestBatchedCutSpectra:
         finally:
             tracemalloc.stop()
         assert peak <= (3 * CUT_BATCH + 8) * psi.amps.nbytes
+
+
+def written(tmp_path, doc) -> str:
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+HALF = MeasurementPair.from_alpha_sq(0.5)
+# every entry point that reads a party count n: (call at n, top of its range)
+PARTY_COUNT_ENTRIES = {
+    "hardy_state": (lambda n, tmp: hardy_state(n, [HALF] * n), MAX_PARTIES),
+    "pmax": (lambda n, tmp: pmax(n), MAX_PARTIES),
+    "monomial_list": (lambda n, tmp: monomial_list(n, 1), MAX_PARTIES),
+    "check_level": (lambda n, tmp: check_level(n, n), MAX_PARTIES),
+    "selftest_report": (lambda n, tmp: selftest_report(
+        None, measurements_from_pairs([HALF] * n)), MAX_PARTIES),
+    "load_state_spec": (lambda n, tmp: load_state_spec(
+        written(tmp, {"schema": 1, "n": n})), MAX_PARTIES),
+    "load_observables": (lambda n, tmp: load_observables(
+        written(tmp, {"schema": 1, "parties": [{}] * n})), MAX_PARTIES),
+    "local_max": (lambda n, tmp: local_max(n, 0.1), MAX_PARTIES),
+    "nosignaling_max": (lambda n, tmp: nosignaling_max(n, 0.1), NS_MAX_PARTIES),
+}
+
+
+class TestScenarioChecks:
+    @pytest.mark.parametrize("entry", PARTY_COUNT_ENTRIES)
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_party_count_one_message(self, tmp_path, entry, side):
+        call, top = PARTY_COUNT_ENTRIES[entry]
+        n = 1 if side == "below" else top + 1
+        # the file readers prefix the path
+        with pytest.raises(ScenarioError, match=re.escape(f"n={n} outside [2, {top}]") + "$"):
+            call(n, tmp_path)
