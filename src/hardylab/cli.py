@@ -1,14 +1,14 @@
 """Command-line interface: state construction, bounds, noise scans, self-tests.
 
 Exit codes (``main`` returns them, raising no Exception): 0 success, 1
-self-test verdict FAIL, 2 validation failure, 3 solver nonconvergence,
-a failed scan point (a worker that died included) or an unexpected
-exception (traceback on stderr), 4 certification hypothesis unmet, 141
+self-test verdict FAIL, 2 a ValidationError or an OSError on a file, 3
+a NumericError, a failed scan point (a worker that died included) or any
+other exception (traceback on stderr), 4 HypothesisUnmetError, 141
 stdout closed by its reader (the shell's status for SIGPIPE; nothing is
 printed).  A scan with more than one worker (HARDYLAB_WORKERS processes,
 default the cores the process may run on, clamped to between one and the
-smaller of the grid size and that core count) runs one pool task per
-(grid point, solver layer); one worker runs the points one at a time.
+smaller of the pool's task count and that core count) runs one pool task
+per (grid point, solver layer); one worker runs the points one at a time.
 The local and no-signaling columns are closed forms computed in the row.
 Per-point seeds derive from the master seed, and a row's error is its
 first failing layer either way, so the CSV is byte-identical for
@@ -34,7 +34,7 @@ import numpy as np
 
 from .behavior import (MeasurementSet, hardy_statistics, joint_distribution,
                        measurements_from_observables, measurements_from_pairs)
-from .errors import HypothesisUnmetError, NumericError, SizeError, ValidationError
+from .errors import HypothesisUnmetError, NumericError, ValidationError
 from .linalg import StateVector
 from .npa import check_level, monomial_list, npa_upper_bound
 from .polytope import local_max, nosignaling_max
@@ -68,7 +68,8 @@ def _pairs_from_spec(spec: dict) -> list[MeasurementPair]:
 @contextmanager
 def _spec_file(path: str):
     """Yield an input file's JSON object; a ValidationError in reading it,
-    non-JSON text, a missing key and a wrong type included, names the file."""
+    non-JSON text, a missing key and a wrong type or value included, names
+    the file."""
     try:
         with open(path) as fh:
             spec = json.load(fh)
@@ -79,10 +80,10 @@ def _spec_file(path: str):
         raise ValidationError(f"{path}: not a JSON file ({exc})") from exc
     except KeyError as exc:
         raise ValidationError(f"{path}: missing key {exc}") from exc
-    except (AttributeError, IndexError, TypeError) as exc:
+    except ValidationError as exc:  # a ValueError, so caught before the next
+        raise ValidationError(f"{path}: {exc}") from exc
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: malformed input file ({exc})") from exc
-    except ValidationError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _complex_array(entry: dict) -> np.ndarray:
@@ -113,7 +114,7 @@ def load_state_spec(path: str):
             amp = spec["amplitudes"]
             dims = tuple(_json_int(d, "dims entry") for d in amp.get("dims", [2] * n))
             if len(dims) > MAX_PARTIES or math.prod(dims) > 2 ** MAX_PARTIES:
-                raise SizeError(f"state dims {dims} exceed {MAX_PARTIES} qubits")
+                raise ValidationError(f"state dims {dims} exceed {MAX_PARTIES} qubits")
             if len(dims) != n:
                 raise ValidationError(f"spec has n={n} but {len(dims)} amplitude dims")
             state = StateVector(dims, _complex_array(amp))
@@ -137,7 +138,7 @@ def cmd_state(args) -> int:
     if args.spec:
         n, pairs, state = load_state_spec(args.spec)
         if pairs is None:
-            raise ValidationError("state spec must carry measurement pairs")
+            raise ValidationError(f"{args.spec}: state spec must carry measurement pairs")
     else:
         if args.n is None or args.alpha_sq is None:
             raise ValidationError("state needs --n and --alpha-sq (or --spec)")
@@ -331,7 +332,7 @@ def cmd_scan(args) -> int:
     monomial_list(3, args.level)
     check_level(3, args.level)
     grid = _scan_grid(args.eps_from, args.eps_to, args.steps)
-    workers = _scan_workers(len(grid))
+    workers = _scan_workers(len(SCAN_LAYERS) * len(grid))
     # an unwritable --out fails here, before any point runs
     with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
         tasks = [(eps, args.level, args.restarts, scan_point_seed(args.seed, k))
@@ -491,18 +492,20 @@ def main(argv=None) -> int:
     except HypothesisUnmetError as exc:
         print(f"hypothesis unmet: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, OSError) as exc:
+    except (ValidationError, OSError) as exc:
         if isinstance(exc, BrokenPipeError) and _stdout_closed():
             # exit quietly, as on SIGPIPE; devnull takes the last flush
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
             return 141
-        # ValidationError (malformed input files included, see _spec_file)
-        # and unwritable --out files, a pipe without a reader included, map to 2
+        # bad input (malformed input files included, see _spec_file) and
+        # unreadable or unwritable files, a pipe without a reader included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception:  # a fault in the program: its traceback, exit 3
+    # any other exception, a plain ValueError included, is a fault in the
+    # program: its traceback and exit 3, as _scan_layer treats it
+    except Exception:
         traceback.print_exc()
         return 3
 

@@ -1,30 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one per CLI exit code."""
 
 
 class ValidationError(ValueError):
-    """Input fails a documented precondition."""
-
-
-class ScenarioError(ValidationError):
-    """Party count or measurement scenario out of supported range."""
-
-
-class DegenerateMeasurementError(ValidationError):
-    """Measurement pair is commuting/degenerate (|alpha| is 0 or 1)."""
-
-
-class SizeError(ValidationError):
-    """Problem dimensions exceed the supported desk scale."""
-
-
-class CapabilityError(ValidationError):
-    """Requested relaxation level cannot express the required moments."""
+    """Input fails a documented precondition (exit 2)."""
 
 
 class NumericError(RuntimeError):
-    """Iteration failed to converge or numerical quality was lost."""
+    """Iteration failed to converge or numerical quality was lost (exit 3)."""
 
 
 class HypothesisUnmetError(RuntimeError):
     """Observed statistics do not satisfy the near-optimal Hardy point
-    required by the certification theorem."""
+    required by the certification theorem (exit 4)."""

@@ -37,7 +37,7 @@ from itertools import product
 import numpy as np
 
 from .behavior import hardy_values
-from .errors import CapabilityError, NumericError, SizeError, ValidationError
+from .errors import NumericError, ValidationError
 from .sdp import sdp_solve
 from .states import check_noise, check_parties
 
@@ -126,8 +126,8 @@ def monomial_list(n: int, level: int) -> list[Monomial]:
     2 <= n <= MAX_PARTIES, deterministically ordered.
 
     They are generated degree by degree, each degree in ascending order,
-    and a SizeError is raised as soon as their count passes MAX_BASIS, so
-    the work stays within the cap for any level.
+    and a ValidationError is raised as soon as their count passes
+    MAX_BASIS, so the work stays within the cap for any level.
     """
     check_parties(n)
     if level < 1:
@@ -137,8 +137,8 @@ def monomial_list(n: int, level: int) -> list[Monomial]:
         for mono in _monomials_of_degree(n, d):
             out.append(mono)
             if len(out) > MAX_BASIS:
-                raise SizeError(f"basis passes the cap of {MAX_BASIS} monomials "
-                                f"at degree {d} of level {level}")
+                raise ValidationError(f"basis passes the cap of {MAX_BASIS} monomials "
+                                      f"at degree {d} of level {level}")
     return out
 
 
@@ -181,7 +181,7 @@ def _variable_key(m: Monomial) -> Monomial:
 
 
 def check_level(n: int, level: int) -> None:
-    """Raise CapabilityError unless the level-``level`` moment matrix of n
+    """Raise ValidationError unless the level-``level`` moment matrix of n
     parties holds every moment the noisy Hardy problem reads.
 
     A cell's moment has degree at most 2 * level, and every moment of such
@@ -194,7 +194,7 @@ def check_level(n: int, level: int) -> None:
     """
     check_parties(n)
     if n > 2 * level:
-        raise CapabilityError(
+        raise ValidationError(
             f"moment {monomial_str(((0,),) * n)} is not expressible at level {level}")
 
 

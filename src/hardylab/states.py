@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateMeasurementError, NumericError, ScenarioError,
-                     ValidationError)
+from .errors import NumericError, ValidationError
 from .linalg import StateVector, _lapack
 
 MAX_PARTIES = 12
@@ -50,14 +49,14 @@ class MeasurementPair:
             raise ValidationError(
                 f"|alpha|^2 + |beta|^2 = {abs(a)**2 + abs(b)**2!r}, expected 1")
         if abs(a) < 1e-7 or abs(a) > 1.0 - 1e-7:
-            raise DegenerateMeasurementError(
+            raise ValidationError(
                 f"|alpha| = {abs(a)!r} makes the two observables commute")
 
     @classmethod
     def from_alpha_sq(cls, alpha_sq: float) -> "MeasurementPair":
         """Real pair with |alpha|^2 = alpha_sq, both amplitudes positive."""
         if not 0.0 < alpha_sq < 1.0:
-            raise DegenerateMeasurementError(f"alpha_sq = {alpha_sq!r} not in (0, 1)")
+            raise ValidationError(f"alpha_sq = {alpha_sq!r} not in (0, 1)")
         return cls(math.sqrt(alpha_sq), math.sqrt(1.0 - alpha_sq))
 
     @property
@@ -86,9 +85,9 @@ class PmaxResult:
 
 
 def check_parties(n: int, top: int = MAX_PARTIES) -> None:
-    """Raise ScenarioError unless the party count n lies in [2, top]."""
+    """Raise ValidationError unless the party count n lies in [2, top]."""
     if not 2 <= n <= top:
-        raise ScenarioError(f"n={n} outside [2, {top}]")
+        raise ValidationError(f"n={n} outside [2, {top}]")
 
 
 def check_noise(epsilon: float, top: float = 1.0) -> None:

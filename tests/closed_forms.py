@@ -8,14 +8,14 @@ bisection; the tests compare the package against both.
 
 import math
 
-from hardylab.errors import ScenarioError
+from hardylab.errors import ValidationError
 
 
 def success_prob_closed(pairs) -> float:
     """Closed-form Hardy probability prod|a_i b_i|^2 / (1 - prod|a_i|^2)."""
     pairs = list(pairs)
     if len(pairs) < 2:
-        raise ScenarioError("need at least two parties")
+        raise ValidationError("need at least two parties")
     prod_a = prod_ab = 1.0
     for p in pairs:
         prod_a *= abs(p.alpha) ** 2

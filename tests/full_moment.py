@@ -14,7 +14,7 @@ from itertools import product
 
 import numpy as np
 
-from hardylab.errors import CapabilityError, ScenarioError, ValidationError
+from hardylab.errors import ValidationError
 from hardylab.npa import (MomentProblem, _orbit_key, _rotate, _sort_key,
                           _variable_key, canonical_monomial, dagger, degree,
                           monomial_list, monomial_str, mul)
@@ -47,15 +47,15 @@ def success_monomial(n):
 
 
 def check_level_by_terms(n, level):
-    """Raise CapabilityError at the first moment the problem reads, the
+    """Raise ValidationError at the first moment the problem reads, the
     objective's then the term maps', whose degree passes 2 * level."""
     if n < 2:
-        raise ScenarioError(f"need at least two parties, got n={n}")
+        raise ValidationError(f"need at least two parties, got n={n}")
     needed = [success_monomial(n)]
     needed += [mono for term in hardy_constraint_terms(n) for mono in term]
     for mono in needed:
         if degree(mono) > 2 * level:
-            raise CapabilityError(
+            raise ValidationError(
                 f"moment {monomial_str(mono)} is not expressible at level {level}")
 
 
@@ -98,7 +98,7 @@ def build_full_problem(n, level, epsilon):
     def lookup(mono):
         var = moment_index.get(_variable_key(mono))
         if var is None:
-            raise CapabilityError(
+            raise ValidationError(
                 f"moment {monomial_str(mono)} is not expressible at level {level}")
         return var
 

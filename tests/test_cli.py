@@ -230,6 +230,33 @@ class TestScan:
     def test_bad_grid(self):
         assert main(["scan", "--eps-from", "0.2", "--eps-to", "0.1"]) == 2
 
+    # (npa, variational) at epsilon 0 and 0.05, where local is 0 and 0.2
+    # and no-signaling 1/3 and 0.466667; each case breaks one check
+    @pytest.mark.parametrize("points,ns,line", [
+        (((0.05, 0.0), (0.1, 0.0)), None,
+         "epsilon=0.050000: local 0.200000 exceeds npa 0.100000"),
+        (((0.2, 0.25), (0.3, 0.25)), None,
+         "epsilon=0.000000: variational 0.250000 exceeds npa 0.200000"),
+        (((0.4, 0.0), (0.45, 0.0)), None,
+         "epsilon=0.000000: npa 0.400000 exceeds no-signaling 0.333333"),
+        (((0.3, 0.0), (0.3, 0.0)), (0.5, 0.4),
+         "epsilon=0.050000: no_signaling decreased from 0.500000 to 0.400000"),
+        (((0.3, 0.0), (0.25, 0.0)), None,
+         "epsilon=0.050000: npa_upper decreased from 0.300000 to 0.250000"),
+        (((0.3, 0.2), (0.3, 0.1)), None,
+         "epsilon=0.050000: variational_lower decreased from 0.200000 to 0.100000"),
+    ], ids=["local-npa", "variational-npa", "npa-ns", "ns-monotone",
+            "npa-monotone", "variational-monotone"])
+    def test_row_checks_fire(self, monkeypatch, capsys, points, ns, line):
+        grid = (0.0, 0.05)
+        monkeypatch.setattr(cli, "_scan_point",
+                            lambda task: (points[grid.index(task[0])], None))
+        if ns is not None:
+            monkeypatch.setattr(cli, "nosignaling_max",
+                                lambda n, eps: ns[grid.index(eps)])
+        assert main(["scan", "--eps-to", "0.05", "--steps", "2", "--restarts", "1"]) == 3
+        assert capsys.readouterr().err == f"scan check failed: {line}\n"
+
     def test_steps_cap_checked_before_the_grid(self, monkeypatch, capsys):
         def no_grid(*args):
             raise AssertionError("grid built for a rejected step count")
@@ -368,7 +395,7 @@ class TestScan:
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("raw,steps,expected", [
-        ("100000", 6, 4), ("100000", 3, 3), ("3", 6, 3), ("0", 6, 1), ("-4", 6, 1)])
+        ("100000", 6, 4), ("100000", 3, 4), ("3", 6, 3), ("0", 6, 1), ("-4", 6, 1)])
     def test_worker_count_clamped(self, monkeypatch, raw, steps, expected):
         pools, mapped, layers_run = [], [], []
 
@@ -683,6 +710,21 @@ class TestUsage:
         assert err.startswith("Traceback (most recent call last):\n")
         assert err.endswith("RuntimeError: pmax exploded\n")
 
+    @pytest.mark.parametrize("exc", [ValueError("math domain error"),
+                                     np.linalg.LinAlgError("Singular matrix")],
+                             ids=["ValueError", "LinAlgError"])
+    def test_program_value_error_exits_3(self, monkeypatch, capsys, exc):
+        # only a ValidationError is bad input: a ValueError from the code
+        # or from numpy, LinAlgError included, is a fault in the program
+        def broken(n):
+            raise exc
+
+        monkeypatch.setattr(cli, "pmax", broken)
+        assert main(["pmax", "--n", "3"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert err.endswith(f"{type(exc).__name__}: {exc}\n")
+
     def test_unexpected_key_error_exits_3(self, monkeypatch, capsys):
         # input files map their missing keys to ValidationError, so any
         # other KeyError is a fault in the program
@@ -883,6 +925,20 @@ class TestMalformedFiles:
         assert main(["selftest", "--canonical", "2", "--observables", str(path)]) == 2
         assert str(path) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("re,fault", [
+        (["x", 0.0, 0.0, 0.0], "could not convert string to float: 'x'"),
+        ([[1.0, 0.0], 0.0, 0.0, 0.0], "setting an array element with a sequence")],
+        ids=["non-numeric", "ragged"])
+    def test_bad_amplitude_entry(self, tmp_path, re, fault, capsys):
+        # the ValueError of the array build exited 2 without the file's name
+        spec = product_spec(2)
+        spec["amplitudes"] = dict(spec["amplitudes"], re=re)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["state", "--spec", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: malformed input file ({fault}")
+
     def test_validation_error_names_the_file(self, tmp_path, capsys):
         # the spec's own checks named the fault but not the file
         path = tmp_path / "spec.json"
@@ -918,3 +974,24 @@ class TestMalformedFiles:
         path.write_text(json.dumps({"schema": 1}))
         assert main(argv + [str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}: missing key '{key}'\n"
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("spec,argv,message", [
+        (dict(product_spec(2), schema=2), ["state", "--spec"],
+         "{path}: unsupported schema 2"),
+        ({"schema": 1, "n": 2}, ["state", "--spec"],
+         "{path}: state spec carries neither pairs nor amplitudes"),
+        ({k: v for k, v in product_spec(2).items() if k != "pairs"}, ["state", "--spec"],
+         "{path}: state spec must carry measurement pairs"),
+        (None, ["state", "--n", "3"], "state needs --n and --alpha-sq (or --spec)"),
+        (None, ["bounds", "--method", "variational", "--n", "4", "--epsilon", "0.05"],
+         "the variational family is three-party only"),
+    ], ids=["schema", "no-state", "no-pairs", "no-alpha-sq", "variational-n"])
+    def test_exits_2_with_its_message(self, tmp_path, spec, argv, message, capsys):
+        path = tmp_path / "spec.json"
+        if spec is not None:
+            path.write_text(json.dumps(spec))
+            argv = argv + [str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"

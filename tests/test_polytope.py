@@ -23,7 +23,7 @@ from hardylab.behavior import (BehaviorTensor, check_no_signaling,
                                hardy_statistics, hardy_values,
                                joint_distribution, measurements_from_pairs,
                                signaling_gaps)
-from hardylab.errors import ScenarioError, ValidationError
+from hardylab.errors import ValidationError
 from hardylab.linalg import StateVector
 from hardylab.polytope import NS_MAX_PARTIES, local_max, nosignaling_max
 from hardylab.states import MAX_PARTIES, hardy_state
@@ -364,7 +364,7 @@ class TestLocalMax:
     def test_rejects_unsupported_n(self):
         assert local_max(MAX_PARTIES, 0.05) == pytest.approx(0.65, abs=1e-15)
         for n in (1, MAX_PARTIES + 1):
-            with pytest.raises(ScenarioError, match=rf"n={n} outside \[2, {MAX_PARTIES}\]"):
+            with pytest.raises(ValidationError, match=rf"n={n} outside \[2, {MAX_PARTIES}\]"):
                 local_max(n, 0.1)
 
     @pytest.mark.parametrize("eps", [-0.1, 1.5, float("nan")])
@@ -391,7 +391,7 @@ class TestNoSignalingMax:
     def test_rejects_unsupported_n(self):
         assert nosignaling_max(NS_MAX_PARTIES, 0.1) == pytest.approx(0.68, abs=1e-15)
         for n in (1, NS_MAX_PARTIES + 1):
-            with pytest.raises(ScenarioError, match=rf"n={n} outside \[2, {NS_MAX_PARTIES}\]"):
+            with pytest.raises(ValidationError, match=rf"n={n} outside \[2, {NS_MAX_PARTIES}\]"):
                 nosignaling_max(n, 0.1)
 
     @pytest.mark.parametrize("n", [2, 3, 4])

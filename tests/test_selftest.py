@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from hardylab.behavior import MeasurementSet, measurements_from_observables
+from hardylab.cli import main
 from hardylab.errors import HypothesisUnmetError, ValidationError
 from hardylab.linalg import StateVector
 from hardylab.selftest import (canonical_measurements, jordan_blocks,
@@ -177,6 +179,38 @@ class TestSelfTestReport:
         assert abs(report.total_fidelity - 1.0) < 1e-9
         assert report.junk_dims == (1, 1, 1)
         assert report.degenerate_weight == 0.0
+
+    def test_degenerate_block_weight(self, tmp_path):
+        # each party holds a qutrit: the canonical qubit pair on span{|0>,
+        # |1>} and a third direction on which both observables are +1; a
+        # weight delta on |222> moves the statistics by at most delta
+        delta = 1e-9
+        t = pmax(3).t
+        qubit = hardy_state(3, [MeasurementPair.from_alpha_sq(t)] * 3).tensor()
+        amps = np.zeros((3, 3, 3), dtype=complex)
+        amps[:2, :2, :2] = math.sqrt(1.0 - delta) * qubit
+        amps[2, 2, 2] = math.sqrt(delta)
+        observables = []
+        for a in qubit_pair_observables(t):
+            full = np.eye(3, dtype=complex)
+            full[:2, :2] = a
+            observables.append(full)
+        state = StateVector((3, 3, 3), amps.reshape(-1))
+        report = selftest_report(state, measurements_from_observables([observables] * 3))
+        assert abs(report.degenerate_weight - delta) < 1e-12
+        assert abs(report.total_fidelity - (1.0 - delta)) < 1e-12
+
+        def matrix(a):
+            return {"re": a.real.tolist(), "im": a.imag.tolist()}
+
+        spec, obs, out = (tmp_path / name for name in ("spec.json", "obs.json", "report.txt"))
+        spec.write_text(json.dumps({"schema": 1, "n": 3, "amplitudes": dict(
+            matrix(state.amps), dims=[3, 3, 3])}))
+        obs.write_text(json.dumps({"schema": 1, "parties": [
+            {"a1": matrix(observables[0]), "a2": matrix(observables[1])}] * 3}))
+        assert main(["selftest", "--state", str(spec), "--observables", str(obs),
+                     "--out", str(out)]) == 0
+        assert "degenerate_weight 0.000000001000" in out.read_text().splitlines()
 
     def test_embedded_junk_certified(self):
         rng = np.random.default_rng(11)

@@ -5,7 +5,7 @@ import pytest
 
 from hardylab import variational
 from hardylab.behavior import MeasurementSet, hardy_statistics, joint_distribution
-from hardylab.errors import DegenerateMeasurementError, ValidationError
+from hardylab.errors import ValidationError
 from hardylab.linalg import StateVector
 from hardylab.states import MeasurementPair, hardy_state, pmax
 from hardylab.variational import (ANGLE_MARGIN, ANGLE_PENALTY, _bfgs,
@@ -149,11 +149,11 @@ class TestAnsatzMeasurements:
                             assert np.max(np.abs(got - want)) <= 1e-15
 
     def test_rejects_boundary_angle(self):
-        with pytest.raises(DegenerateMeasurementError):
+        with pytest.raises(ValidationError, match="commute"):
             ansatz(symmetric_x([0.0, 0.0, 0.0, 1.0], angle=0.0))
         # below about 8.9e-4, cos(a/2) is within 1e-7 of 1 and
         # MeasurementPair calls the two observables commuting
-        with pytest.raises(DegenerateMeasurementError, match="commute"):
+        with pytest.raises(ValidationError, match="commute"):
             ansatz(symmetric_x([0.0, 0.0, 0.0, 1.0], angle=0.5 * ANGLE_MARGIN))
 
 
