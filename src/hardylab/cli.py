@@ -384,6 +384,11 @@ def cmd_selftest(args) -> int:
         raise ValidationError("selftest needs --state or --canonical")
     if args.observables:
         measurements = load_observables(args.observables)
+        if measurements.dims != state.dims:
+            source = args.state or f"--canonical {args.canonical}"
+            raise ValidationError(
+                f"{args.observables}: measurement dims {measurements.dims} do not "
+                f"match the dims {state.dims} of the state from {source}")
     elif pairs is not None:
         measurements = measurements_from_pairs(pairs)
     else:

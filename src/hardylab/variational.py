@@ -47,17 +47,20 @@ incumbent tracker, which keeps the best point whose terms stay within
 FEAS_SLACK of the bound.  Restart 0 starts at the exact noiseless
 optimum, ``states.hardy_state`` at |alpha|^2 = pmax(3).t, and offers it
 before any step, so the result never falls below the ideal Hardy point;
-the other restarts draw their start from per-restart substreams of the
-seed.  At epsilon = 0 the multistart stops after the first restart whose
-incumbent is within PMAX_ROUNDOFF of pmax(3), the maximum over the
-noiseless constraints, since no later restart can exceed that beyond
-round-off.  numpy draws the starts and re-validates the incumbent through
-the behavior module, which stays the independent cross-check.
+restart r >= 1 draws its start from its own stdlib ``random.Random``
+stream, seeded by the pair (seed, r) alone, so the starts of a run are a
+prefix of those of a longer one at the same seed.  At epsilon = 0 the
+multistart stops after the first restart whose incumbent is within
+PMAX_ROUNDOFF of pmax(3), the maximum over the noiseless constraints,
+since no later restart can exceed that beyond round-off.  The incumbent
+is re-validated through the behavior module, which stays the independent
+cross-check.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from operator import mul
 
@@ -77,7 +80,9 @@ ANGLE_MARGIN = 1e-3
 EPSILON_MAX = 0.25
 # lower_bound accepts restart counts in [1, MAX_RESTARTS]; a restart
 # takes about 6 ms over the default scan grid and 8.5 ms at eps = 0.05,
-# so the cap bounds one call near 10 s
+# so the cap bounds one call near 10 s.  Restart r's stream is seeded
+# with (seed << 10) | r, which is injective in (seed, r) only because
+# MAX_RESTARTS <= 1024
 MAX_RESTARTS = 1_000
 # weight of the quadratic penalty on angles past the margin
 ANGLE_PENALTY = 1e4
@@ -340,30 +345,29 @@ def _local_search(tracker: _Tracker, x) -> None:
         prev = kkt
 
 
-def _start(r: int, child: np.random.SeedSequence) -> np.ndarray:
-    """Start of restart ``r``: the exact noiseless point for r = 0, else a
-    random point drawn from the restart's substream ``child``."""
+def _start(r: int, seed: int):
+    """Start of restart ``r``: the exact noiseless point for r = 0, else
+    four standard-normal amplitudes and three angles uniform in
+    [0.3, pi - 0.3], drawn from the stream seeded by (seed, r)."""
     if r == 0:
         return canonical_start()
-    rng = np.random.default_rng(child)
-    x = np.empty(7)
-    x[:4] = rng.standard_normal(4)
-    rng.uniform(0.0, 2.0 * math.pi, 3)  # the phases are gauge
-    x[4:] = rng.uniform(0.3, math.pi - 0.3, 3)
-    return x
+    rng = random.Random((seed << 10) | r)
+    return ([rng.gauss(0.0, 1.0) for _ in range(4)]
+            + [rng.uniform(0.3, math.pi - 0.3) for _ in range(3)])
 
 
 def lower_bound(epsilon: float, restarts: int = 50, *, seed: int) -> LowerBoundResult:
     """Best feasible Hardy probability found over the ansatz family.
 
     Multistart augmented-Lagrangian BFGS over the gauge-fixed parameters:
-    restart 0 starts at the exact noiseless point, the rest at random
-    points drawn from per-restart substreams of ``seed``, a nonnegative
-    integer.  At ``epsilon == 0`` the remaining restarts are skipped once
-    a finished restart leaves the incumbent within PMAX_ROUNDOFF of
-    pmax(3), so ``restarts_used`` reports the restarts actually run.  The
-    incumbent is normalised and re-validated through the behavior module
-    before reporting.
+    restart 0 starts at the exact noiseless point, restart r >= 1 at a
+    random point that ``_start`` draws from the stdlib stream seeded by
+    (``seed``, r), where ``seed`` is a nonnegative integer.  At
+    ``epsilon == 0`` the remaining restarts are skipped once a finished
+    restart leaves the incumbent within PMAX_ROUNDOFF of pmax(3), so
+    ``restarts_used`` reports the restarts actually run.  The incumbent is
+    normalised and re-validated through the behavior module before
+    reporting.
     """
     check_noise(epsilon, EPSILON_MAX)
     if not 1 <= restarts <= MAX_RESTARTS:
@@ -373,8 +377,8 @@ def lower_bound(epsilon: float, restarts: int = 50, *, seed: int) -> LowerBoundR
         raise ValidationError(f"seed = {seed} must be nonnegative")
     tracker = _Tracker(epsilon)
     target = pmax(3).p_max - PMAX_ROUNDOFF if epsilon == 0.0 else math.inf
-    for r, child in enumerate(np.random.SeedSequence(seed).spawn(restarts)):
-        _local_search(tracker, _start(r, child))
+    for r in range(restarts):
+        _local_search(tracker, _start(r, seed))
         if tracker.best_p >= target:
             break
     return _validated_result(tracker, r + 1, seed)

@@ -456,6 +456,19 @@ class TestScan:
                              capture_output=True, text=True).stdout
         assert out == "1\n"
 
+    def test_scan_layers_import_nothing(self):
+        # a pool worker forked after `import hardylab.cli` pays for every
+        # module its first task imports, on every scan
+        code = ("import sys\n"
+                "from hardylab import cli\n"
+                "before = set(sys.modules)\n"
+                "for layer in cli.SCAN_LAYERS:\n"
+                "    assert cli._scan_layer((layer, 0.1, 2, 3, 1))[1] is None\n"
+                "print(sorted(set(sys.modules) - before))\n")
+        out = subprocess.run([sys.executable, "-c", code], env=src_env(), check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "[]\n"
+
     def test_worker_count_not_an_integer(self, monkeypatch, capsys):
         monkeypatch.setenv("HARDYLAB_WORKERS", "two")
         assert main(["scan", "--steps", "3", "--restarts", "1"]) == 2
@@ -579,6 +592,24 @@ class TestSelftest:
         assert np.allclose(loaded.projectors[0][1], ms.projectors[0][1])
         rc = main(["selftest", "--canonical", "3", "--observables", str(path)])
         assert rc == 0
+
+    def test_observables_for_another_party_count_canonical(self, tmp_path, capsys):
+        path = tmp_path / "obs.json"
+        path.write_text(json.dumps(observables_doc([canonical_pair(2)] * 2)))
+        assert main(["selftest", "--canonical", "3", "--observables", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: measurement dims (2, 2) do not match the dims "
+            f"(2, 2, 2) of the state from --canonical 3\n")
+
+    def test_observables_for_another_party_count_state(self, tmp_path, capsys):
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps(observables_doc([canonical_pair(3)] * 3)))
+        spec = tmp_path / "product.json"
+        spec.write_text(json.dumps(product_spec(2)))
+        assert main(["selftest", "--state", str(spec), "--observables", str(obs)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {obs}: measurement dims (2, 2, 2) do not match the dims "
+            f"(2, 2) of the state from {spec}\n")
 
     @pytest.mark.parametrize("a1,fault", [
         (np.diag([1.0, 0.5]), "projector not idempotent"),

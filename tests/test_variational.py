@@ -38,8 +38,8 @@ def full_multistart(epsilon, restarts, seed):
     """Cross-check for ``lower_bound``: the same multistart with every
     restart run to the end, never stopped early."""
     tracker = _Tracker(epsilon)
-    for r, child in enumerate(np.random.SeedSequence(seed).spawn(restarts)):
-        _local_search(tracker, _start(r, child))
+    for r in range(restarts):
+        _local_search(tracker, _start(r, seed))
     return _validated_result(tracker, restarts, seed)
 
 
@@ -351,24 +351,35 @@ class TestLowerBound:
         with pytest.raises(ValidationError, match=r"seed = -1 must be nonnegative"):
             lower_bound(0.05, restarts=1, seed=-1)
 
-    def test_restart_seeds_match_spawn(self, monkeypatch):
-        # restart r starts from child r of SeedSequence(seed): the stream
-        # earlier releases drew by spawning one child at a time
+    def test_restart_streams(self, monkeypatch):
+        # restart r >= 1 starts from the stream of (seed, r) alone: the
+        # search passes _start(r, seed), so a shorter run's starts are a
+        # prefix of a longer one's, and the seed encoding (seed << 10) | r
+        # stays injective while the restart cap is below 1024
+        assert variational.MAX_RESTARTS <= 1 << 10
         starts = []
 
         def recording(tracker, x):
-            starts.append(np.asarray(x, dtype=float))
+            starts.append([float(v) for v in x])
             _local_search(tracker, x)
 
         monkeypatch.setattr(variational, "_local_search", recording)
-        for seed, count in ((7, 5), (2 ** 62 + 3, 3)):
-            starts.clear()
-            lower_bound(0.05, restarts=count, seed=seed)
-            ss = np.random.SeedSequence(seed)
-            want = [_start(r, ss.spawn(1)[0]) for r in range(count)]
-            assert len(starts) == count
-            for got, expected in zip(starts, want):
-                assert np.array_equal(got, expected)
+        runs = {}
+        for seed in (7, 2 ** 62 + 3):
+            for count in (3, 5):
+                starts.clear()
+                lower_bound(0.05, restarts=count, seed=seed)
+                assert starts == [[float(v) for v in _start(r, seed)]
+                                  for r in range(count)]
+                runs[seed, count] = list(starts)
+            assert runs[seed, 3] == runs[seed, 5][:3]
+            assert starts[0] == canonical_start().tolist()
+        # every (seed, r) up to the cap gives its own start, angles inside
+        random_starts = {tuple(_start(r, seed)) for seed in (7, 2 ** 62 + 3)
+                         for r in range(1, variational.MAX_RESTARTS)}
+        assert len(random_starts) == 2 * (variational.MAX_RESTARTS - 1)
+        for x in random_starts:
+            assert all(0.3 <= a <= math.pi - 0.3 for a in x[4:])
 
 
 class TestNoiselessStop:
