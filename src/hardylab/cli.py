@@ -5,13 +5,13 @@ self-test verdict FAIL, 2 a ValidationError or an OSError on a file, 3
 a NumericError, a failed scan point (a worker that died included) or any
 other exception (traceback on stderr), 4 HypothesisUnmetError, 141
 stdout closed by its reader (the shell's status for SIGPIPE; nothing is
-printed).  A scan with more than one worker (HARDYLAB_WORKERS processes,
-default the cores the process may run on, clamped to between one and the
-smaller of the pool's task count and that core count) runs one pool task
-per (grid point, solver layer); one worker runs the points one at a time.
-The local and no-signaling columns are closed forms computed in the row.
-Per-point seeds derive from the master seed, and a row's error is its
-first failing layer either way, so the CSV is byte-identical for
+printed).  A scan runs one task list, one task per (grid point, solver
+layer), with any worker count (HARDYLAB_WORKERS, default the cores the
+process may run on, clamped to between one and the smaller of the task
+count and that core count): in process for one worker, else in a pool of
+that many processes.  The local and no-signaling columns are closed forms
+computed in the row.  Per-point seeds derive from the master seed, and a
+row's error is its first failing layer, so the CSV is byte-identical for
 identical flags regardless of the worker count.  ``selftest
 --observables`` reads each party's a1 and a2 as the projectors
 (I +/- A)/2 of a MeasurementSet, whose checks name the failing party.
@@ -20,6 +20,7 @@ identical flags regardless of the worker count.  ``selftest
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -102,7 +103,8 @@ def load_state_spec(path: str):
 
     The party count and the state's dimensions are JSON integers, capped
     at MAX_PARTIES qubits before any array is built, and the spec's ``n``
-    must equal the number of pairs and of amplitude dims.
+    must equal the number of pairs and of amplitude dims; amplitudes
+    measured by pairs must be qubits.
     """
     with _spec_file(path) as spec:
         n = _json_int(spec["n"], "n")
@@ -117,6 +119,9 @@ def load_state_spec(path: str):
                 raise ValidationError(f"state dims {dims} exceed {MAX_PARTIES} qubits")
             if len(dims) != n:
                 raise ValidationError(f"spec has n={n} but {len(dims)} amplitude dims")
+            if pairs is not None and set(dims) != {2}:
+                raise ValidationError(
+                    f"measurement pairs need qubits, but the state dims are {dims}")
             state = StateVector(dims, _complex_array(amp))
         elif pairs is None:
             raise ValidationError("state spec carries neither pairs nor amplitudes")
@@ -215,12 +220,12 @@ def scan_point_seed(seed: int, idx: int) -> int:
 SCAN_LAYERS = ("npa", "variational")
 
 
-def _scan_layer(task):
+def _scan_point(task):
     """One layer's value at one scan point as (value, None), or (None, an
     error naming the layer), for a task (layer, epsilon, level, restarts,
     point seed).
 
-    Runs in a pool worker, so every failure is returned as the error
+    May run in a pool worker, so every failure is returned as the error
     rather than raised; failures other than validation and solver errors
     also print their traceback to stderr.
     """
@@ -233,47 +238,33 @@ def _scan_layer(task):
         return None, f"{layer} layer: {type(exc).__name__}: {exc}"
 
 
-def _merge_layers(results):
-    """A point's solver values from its layers' results in SCAN_LAYERS
-    order: (values, None), or (None, the first failing layer's error)."""
-    for _, err in results:
-        if err is not None:
-            return None, err
-    return tuple(value for value, _ in results), None
+def _scan_results(points, workers: int):
+    """Each point's solver values as (values, None), or (None, the error of
+    its first failing layer in SCAN_LAYERS order), for ``points`` of
+    (epsilon, level, restarts, point seed).
 
-
-def _scan_point(task):
-    """One point's solver values as (values, None), or (None, an error
-    naming the first failing layer), for a task (epsilon, level, restarts,
-    point seed); the layers run in SCAN_LAYERS order and stop at a failure."""
-    results = []
-    for layer in SCAN_LAYERS:
-        results.append(_scan_layer((layer, *task)))
-        if results[-1][1] is not None:
-            break
-    return _merge_layers(results)
-
-
-def _pool_scan(tasks, workers: int):
-    """Each point's _scan_point result for ``tasks`` from a pool of
-    ``workers`` processes, one pool task per (point, layer).
-
-    The variational tasks, the longest, go first, so the npa tasks fill
-    the workers' idle time at the end.  A worker that exits abruptly
-    (killed, out of memory) breaks the pool; every layer left without a
-    result fails its point."""
-    keys = [(layer, k) for layer in reversed(SCAN_LAYERS) for k in range(len(tasks))]
+    Every worker count runs one _scan_point task per (layer, point), the
+    variational tasks, the longest, first, so the npa tasks fill the
+    workers' idle time at the end: in process for one worker, else in a
+    pool.  A worker that exits abruptly (killed, out of memory) breaks the
+    pool; every layer left without a result fails its point."""
+    keys = [(layer, k) for layer in reversed(SCAN_LAYERS) for k in range(len(points))]
+    tasks = [(layer, *points[k]) for layer, k in keys]
     results = []
     try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(_scan_layer, [(layer, *tasks[k]) for layer, k in keys]):
+        with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+            for result in (pool.map if pool else map)(_scan_point, tasks):
                 results.append(result)
     except BrokenProcessPool:
         pass
     done = dict(zip(keys, results))
     died = (None, "pool layer: worker died")
-    return [_merge_layers([done.get((layer, k), died) for layer in SCAN_LAYERS])
-            for k in range(len(tasks))]
+    rows = []
+    for k in range(len(points)):
+        values, errors = zip(*(done.get((layer, k), died) for layer in SCAN_LAYERS))
+        err = next(filter(None, errors), None)
+        rows.append((None, err) if err else (values, None))
+    return rows
 
 
 def _check_row(epsilon, loc, ns, npa, var) -> list[str]:
@@ -335,12 +326,9 @@ def cmd_scan(args) -> int:
     workers = _scan_workers(len(SCAN_LAYERS) * len(grid))
     # an unwritable --out fails here, before any point runs
     with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
-        tasks = [(eps, args.level, args.restarts, scan_point_seed(args.seed, k))
-                 for k, eps in enumerate(grid)]
-        if workers > 1:
-            results = _pool_scan(tasks, workers)
-        else:
-            results = [_scan_point(task) for task in tasks]
+        results = _scan_results(
+            [(eps, args.level, args.restarts, scan_point_seed(args.seed, k))
+             for k, eps in enumerate(grid)], workers)
 
         problems = []
         prev = None
@@ -391,6 +379,10 @@ def cmd_selftest(args) -> int:
                 f"match the dims {state.dims} of the state from {source}")
     elif pairs is not None:
         measurements = measurements_from_pairs(pairs)
+    elif set(state.dims) != {2}:
+        raise ValidationError(
+            f"{args.state}: the canonical measurements need qubits, but the state "
+            f"dims are {state.dims}; pass --observables")
     else:
         measurements = canonical_measurements(len(state.dims))
     report = selftest_report(state, measurements, tol=args.tol)
@@ -422,7 +414,9 @@ def _tol(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="hardylab",
         description="n-party Hardy states, nonlocality bounds and self-tests")
@@ -434,11 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_state.add_argument("--spec", type=str)
     p_state.add_argument("--out", type=str)
     p_state.add_argument("--tol", type=_tol, default=1e-9)
-    p_state.set_defaults(func=cmd_state)
 
     p_pmax = sub.add_parser("pmax", help="optimal success probability")
     p_pmax.add_argument("--n", type=int, required=True)
-    p_pmax.set_defaults(func=cmd_pmax)
 
     p_bounds = sub.add_parser("bounds", help="one noisy bound value")
     p_bounds.add_argument("--method", required=True,
@@ -448,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--level", type=int, default=2)
     p_bounds.add_argument("--restarts", type=int, default=50)
     p_bounds.add_argument("--seed", type=int, default=0)
-    p_bounds.set_defaults(func=cmd_bounds)
 
     p_scan = sub.add_parser("scan", help="noise scan (CSV)")
     p_scan.add_argument("--eps-from", dest="eps_from", type=float, default=0.0)
@@ -458,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--restarts", type=int, default=50)
     p_scan.add_argument("--seed", type=int, default=0)
     p_scan.add_argument("--out", type=str)
-    p_scan.set_defaults(func=cmd_scan)
 
     p_self = sub.add_parser("selftest", help="blockwise certification report")
     p_self.add_argument("--state", type=str)
@@ -466,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_self.add_argument("--observables", type=str)
     p_self.add_argument("--tol", type=_tol, default=1e-6)
     p_self.add_argument("--out", type=str)
-    p_self.set_defaults(func=cmd_selftest)
     return parser
 
 
@@ -488,7 +477,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # usage errors (2) and --help (0)
         return exc.code
     try:
-        rc = args.func(args)
+        # the handler is looked up at call time, so that a patched one runs
+        handler = {"state": cmd_state, "pmax": cmd_pmax, "bounds": cmd_bounds,
+                   "scan": cmd_scan, "selftest": cmd_selftest}[args.command]
+        rc = handler(args)
         sys.stdout.flush()
         return rc
     except NumericError as exc:
@@ -509,7 +501,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # any other exception, a plain ValueError included, is a fault in the
-    # program: its traceback and exit 3, as _scan_layer treats it
+    # program: its traceback and exit 3, as _scan_point treats it
     except Exception:
         traceback.print_exc()
         return 3

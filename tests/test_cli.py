@@ -28,7 +28,7 @@ def serial_scan(monkeypatch):
 
 
 def die_in_worker(task):
-    """Stands in for ``cli._scan_layer``: the pool worker exits at once,
+    """Stands in for ``cli._scan_point``: the pool worker exits at once,
     as one killed by the operating system would."""
     if multiprocessing.parent_process() is None:
         raise AssertionError("scan point run outside a pool worker")
@@ -44,10 +44,9 @@ def src_env() -> dict:
 
 
 def feasible_point(task):
-    """Stands in for ``cli._scan_point``: npa and variational values that
-    pass every row check, with no solve."""
-    value = local_max(3, task[0])
-    return (value, value), None
+    """Stands in for ``cli._scan_point``: an npa or variational value that
+    passes every row check, with no solve."""
+    return local_max(3, task[1]), None
 
 
 class TestPmax:
@@ -249,8 +248,8 @@ class TestScan:
             "npa-monotone", "variational-monotone"])
     def test_row_checks_fire(self, monkeypatch, capsys, points, ns, line):
         grid = (0.0, 0.05)
-        monkeypatch.setattr(cli, "_scan_point",
-                            lambda task: (points[grid.index(task[0])], None))
+        monkeypatch.setattr(cli, "_scan_point", lambda task: (
+            points[grid.index(task[1])][cli.SCAN_LAYERS.index(task[0])], None))
         if ns is not None:
             monkeypatch.setattr(cli, "nosignaling_max",
                                 lambda n, eps: ns[grid.index(eps)])
@@ -327,13 +326,13 @@ class TestScan:
                             lambda task: calls.append(task) or feasible_point(task))
         assert cli.MAX_SCAN_RESTARTS == 26 * variational.MAX_RESTARTS
         assert main(["scan", "--steps", "26", "--restarts", "1000"]) == 0
-        assert len(calls) == 26
+        assert len(calls) == len(cli.SCAN_LAYERS) * 26
         assert len(capsys.readouterr().out.splitlines()) == 27
 
     def test_dead_worker_fails_its_rows(self, tmp_path, monkeypatch, capsys):
         # a worker that exits abruptly breaks the pool; the scan reports
         # the pool layer for every point without a result and exits 3
-        monkeypatch.setattr(cli, "_scan_layer", die_in_worker)
+        monkeypatch.setattr(cli, "_scan_point", die_in_worker)
         monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
         monkeypatch.setenv("HARDYLAB_WORKERS", "2")
         out = tmp_path / "scan.csv"
@@ -397,7 +396,7 @@ class TestScan:
     @pytest.mark.parametrize("raw,steps,expected", [
         ("100000", 6, 4), ("100000", 3, 4), ("3", 6, 3), ("0", 6, 1), ("-4", 6, 1)])
     def test_worker_count_clamped(self, monkeypatch, raw, steps, expected):
-        pools, mapped, layers_run = [], [], []
+        pools, mapped, run = [], [], []
 
         class RecordingPool:
             """Stands in for ProcessPoolExecutor and starts no process."""
@@ -417,26 +416,21 @@ class TestScan:
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli, "_usable_cores", lambda: 4)
-        # both paths reach the solvers through _scan_layer: the serial one
-        # by _scan_point, the pool one by RecordingPool.map in process; the
-        # local bound passes every row check
-        monkeypatch.setattr(cli, "_scan_layer", lambda task: layers_run.append(task[0])
-                            or (local_max(3, task[1]), None))
+        # every worker count maps its tasks to _scan_point: one worker by
+        # the builtin map, a pool by RecordingPool.map in process
+        monkeypatch.setattr(cli, "_scan_point",
+                            lambda task: run.append(task) or feasible_point(task))
         monkeypatch.setenv("HARDYLAB_WORKERS", raw)
         assert main(["scan", "--steps", str(steps), "--restarts", "1"]) == 0
         # one worker runs in-process, without a pool
         assert pools == ([] if expected == 1 else [expected])
-        if expected == 1:
-            assert mapped == []
-            assert layers_run == ["npa", "variational"] * steps
-            return
-        # only the two solvers go to the pool, the variational searches
-        # first; the closed-form columns are computed in the row
-        assert [task[0] for task in mapped] == ["variational"] * steps + ["npa"] * steps
+        assert mapped == ([] if expected == 1 else run)
+        # one task list for every worker count: only the two solvers, the
+        # variational searches first; the closed-form columns are computed
+        # in the row
         grid = cli._scan_grid(0.0, 0.25, steps)
-        for part in (mapped[:steps], mapped[steps:]):
-            assert [task[1:] for task in part] == [
-                (eps, 2, 1, cli.scan_point_seed(0, k)) for k, eps in enumerate(grid)]
+        assert run == [(layer, eps, 2, 1, cli.scan_point_seed(0, k))
+                       for layer in ("variational", "npa") for k, eps in enumerate(grid)]
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                         reason="no CPU affinity on this platform")
@@ -463,7 +457,7 @@ class TestScan:
                 "from hardylab import cli\n"
                 "before = set(sys.modules)\n"
                 "for layer in cli.SCAN_LAYERS:\n"
-                "    assert cli._scan_layer((layer, 0.1, 2, 3, 1))[1] is None\n"
+                "    assert cli._scan_point((layer, 0.1, 2, 3, 1))[1] is None\n"
                 "print(sorted(set(sys.modules) - before))\n")
         out = subprocess.run([sys.executable, "-c", code], env=src_env(), check=True,
                              capture_output=True, text=True).stdout
@@ -923,11 +917,14 @@ class TestSpecCaps:
         assert "error:" in capsys.readouterr().err
 
     def test_largest_dims_accepted(self, tmp_path):
-        # 2^MAX_PARTIES amplitudes on fewer parties pass the cap
+        # 2^MAX_PARTIES amplitudes on fewer parties pass the cap; qubit
+        # measurement pairs would not fit them
+        spec = product_spec(3, [16, 16, 16])
+        del spec["pairs"]
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(product_spec(3, [16, 16, 16])))
+        path.write_text(json.dumps(spec))
         n, pairs, state = load_state_spec(str(path))
-        assert (n, len(pairs), state.dims) == (3, 3, (16, 16, 16))
+        assert (n, pairs, state.dims) == (3, None, (16, 16, 16))
 
     def test_observables_party_cap(self, tmp_path, capsys):
         path = tmp_path / "obs.json"
@@ -1018,7 +1015,18 @@ class TestInputErrors:
         (None, ["state", "--n", "3"], "state needs --n and --alpha-sq (or --spec)"),
         (None, ["bounds", "--method", "variational", "--n", "4", "--epsilon", "0.05"],
          "the variational family is three-party only"),
-    ], ids=["schema", "no-state", "no-pairs", "no-alpha-sq", "variational-n"])
+        # qubit measurements on qutrits exited 2 without the file's name
+        (product_spec(2, [3, 3]), ["state", "--spec"],
+         "{path}: measurement pairs need qubits, but the state dims are (3, 3)"),
+        (product_spec(2, [3, 3]), ["selftest", "--state"],
+         "{path}: measurement pairs need qubits, but the state dims are (3, 3)"),
+        ({k: v for k, v in product_spec(2, [3, 3]).items() if k != "pairs"},
+         ["selftest", "--state"],
+         "{path}: the canonical measurements need qubits, but the state dims are "
+         "(3, 3); pass --observables"),
+    ], ids=["schema", "no-state", "no-pairs", "no-alpha-sq", "variational-n",
+            "pairs-on-qutrits-state", "pairs-on-qutrits-selftest",
+            "canonical-on-qutrits-selftest"])
     def test_exits_2_with_its_message(self, tmp_path, spec, argv, message, capsys):
         path = tmp_path / "spec.json"
         if spec is not None:

@@ -9,7 +9,7 @@ from full_moment import (build_full_problem, check_level_by_terms,
                          cyclic_reduction, hardy_constraint_terms, term_rows)
 from moment_point import hardy_moment_vector, quantum_moment_vector, word_operator
 
-from hardylab.errors import ValidationError
+from hardylab.errors import NumericError, ValidationError
 from hardylab.npa import (_rotate, basis_shifts, build_moment_problem,
                           canonical_monomial, check_level, dagger,
                           monomial_list, mul, npa_upper_bound)
@@ -283,6 +283,15 @@ class TestUpperBound:
         a = npa_upper_bound(2, 2, 0.03)
         b = npa_upper_bound(2, 2, 0.03)
         assert a == b
+
+    @pytest.mark.xfail(raises=NumericError, strict=True, reason=(
+        "at eps = 0 the moment matrix has no interior, and the shifted solve "
+        "stops on the Schur factor; see ROADMAP item 5"))
+    def test_bipartite_level7_at_zero_noise(self):
+        # the smallest known failing eps = 0 solve: level 6 converges in 23
+        # iterations, level 7 stops after 29
+        val = npa_upper_bound(2, 7, 0.0)
+        assert abs(val - pmax(2).p_max) < 5e-4
 
 
 def orbit_spreads(reduced, gram):
