@@ -42,7 +42,7 @@ from .polytope import local_max, nosignaling_max
 from .sdp import TOL
 from .selftest import canonical_measurements, selftest_report
 from .states import (MAX_PARTIES, MeasurementPair, check_parties, hardy_state,
-                     is_genuinely_entangled, pmax)
+                     is_genuinely_entangled, optimal_pairs, pmax)
 from .variational import EPSILON_MAX, MAX_RESTARTS, lower_bound
 
 SCHEMA = 1
@@ -365,9 +365,8 @@ def cmd_selftest(args) -> int:
     if args.state:
         _, pairs, state = load_state_spec(args.state)
     elif args.canonical is not None:
-        n = args.canonical
-        pairs = [MeasurementPair.from_alpha_sq(pmax(n).t)] * n
-        state = hardy_state(n, pairs)
+        pairs = optimal_pairs(args.canonical)
+        state = hardy_state(args.canonical, pairs)
     else:
         raise ValidationError("selftest needs --state or --canonical")
     if args.observables:

@@ -37,7 +37,7 @@ from .behavior import (MeasurementSet, hardy_statistics, joint_distribution,
                        measurements_from_pairs)
 from .errors import HypothesisUnmetError, NumericError, ValidationError
 from .linalg import StateVector, eig_herm
-from .states import MeasurementPair, check_parties, hardy_state, pmax
+from .states import check_parties, hardy_state, optimal_pairs, pmax
 
 WEIGHT_FLOOR = 1e-14
 BLOCK_ORTHO_TOL = 1e-9
@@ -133,7 +133,7 @@ class SelfTestReport:
 
 def canonical_measurements(n: int) -> MeasurementSet:
     """Qubit measurements realising the optimal Hardy point."""
-    return measurements_from_pairs([MeasurementPair.from_alpha_sq(pmax(n).t)] * n)
+    return measurements_from_pairs(optimal_pairs(n))
 
 
 def selftest_report(state: StateVector, measurements: MeasurementSet,
@@ -164,7 +164,7 @@ def selftest_report(state: StateVector, measurements: MeasurementSet,
             f"|p - p_max| = {p_gap:.3e} (tol {tol:.1e})")
 
     decomps = tuple(jordan_blocks(measurements, k, tol=min(tol, 1e-8)) for k in range(n))
-    psi_ref = hardy_state(n, [MeasurementPair.from_alpha_sq(ref.t)] * n).amps
+    psi_ref = hardy_state(n, optimal_pairs(n)).amps
 
     counts = tuple(len(dc) for dc in decomps)
     weights = np.zeros(counts)

@@ -161,6 +161,11 @@ def pmax(n: int) -> PmaxResult:
     return PmaxResult(n=n, t=t, p_max=p)
 
 
+def optimal_pairs(n: int) -> list[MeasurementPair]:
+    """Every party's pair at the optimal Hardy point, |alpha|^2 = pmax(n).t."""
+    return [MeasurementPair.from_alpha_sq(pmax(n).t)] * n
+
+
 def _has_weak_cut(t: np.ndarray, dim: int, orders, tol: float) -> bool:
     """True iff some cut, given as an axis order of ``t`` whose leading
     axes span ``dim`` rows, has second Schmidt coefficient at most ``tol``

@@ -5,7 +5,7 @@ import pytest
 
 from hardylab import variational
 from hardylab.behavior import MeasurementSet, hardy_statistics, joint_distribution
-from hardylab.errors import ValidationError
+from hardylab.errors import NumericError, ValidationError
 from hardylab.linalg import StateVector
 from hardylab.states import MeasurementPair, hardy_state, pmax
 from hardylab.variational import (ANGLE_MARGIN, ANGLE_PENALTY, _bfgs,
@@ -15,11 +15,11 @@ from hardylab.variational import (ANGLE_MARGIN, ANGLE_PENALTY, _bfgs,
 
 
 def symmetric_x(c, angle=None):
-    """Gauge-fixed vector with amplitudes ``c`` and one angle for all
-    parties, by default the noiseless optimum's."""
+    """Gauge-fixed vector with amplitudes ``c`` and the parties' shared
+    angle, by default the noiseless optimum's."""
     if angle is None:
         angle = 2.0 * math.acos(math.sqrt(pmax(3).t))
-    return list(c) + [angle] * 3
+    return list(c) + [angle]
 
 
 def normalised(x):
@@ -29,9 +29,8 @@ def normalised(x):
 
 def random_vector(rng, margin=0.3):
     """Random gauge-fixed search-space point as a float list: four
-    unnormalised amplitudes and three angles in (margin, pi - margin)."""
-    return (rng.standard_normal(4).tolist()
-            + rng.uniform(margin, math.pi - margin, 3).tolist())
+    unnormalised amplitudes and an angle in (margin, pi - margin)."""
+    return rng.standard_normal(4).tolist() + [float(rng.uniform(margin, math.pi - margin))]
 
 
 def full_multistart(epsilon, restarts, seed):
@@ -109,11 +108,12 @@ class TestAnsatzMeasurements:
         assert np.allclose(plus, np.outer(vec, vec), atol=1e-12)
 
     def test_completeness(self):
-        _, m = ansatz([0.0, 0.0, 0.0, 1.0, 1.1, 0.4, 2.9])
-        for party in range(3):
-            for setting in range(2):
-                a, b = m.projectors[party][setting]
-                assert np.linalg.norm(a + b - np.eye(2)) < 1e-12
+        for angle in (1.1, 0.4, 2.9):
+            _, m = ansatz([0.0, 0.0, 0.0, 1.0, angle])
+            for party in range(3):
+                for setting in range(2):
+                    a, b = m.projectors[party][setting]
+                    assert np.linalg.norm(a + b - np.eye(2)) < 1e-12
 
     def test_overlap_from_optimal_angle(self):
         t = pmax(3).t
@@ -135,11 +135,11 @@ class TestAnsatzMeasurements:
         rng = np.random.default_rng(43)
         angles = np.concatenate([[ANGLE_MARGIN, math.pi - ANGLE_MARGIN, math.pi / 2],
                                  rng.uniform(ANGLE_MARGIN, math.pi - ANGLE_MARGIN, 297)])
-        for triple in angles.reshape(-1, 3):
-            x = [0.0, 0.0, 0.0, 1.0, *triple]
+        for angle in angles.tolist():
+            x = [0.0, 0.0, 0.0, 1.0, angle]
             for phases in ((0.0, 0.0, 0.0), tuple(rng.uniform(-math.pi, math.pi, 3))):
                 m = ansatz(x)[1] if phases == (0.0, 0.0, 0.0) else phased(x, phases)[1]
-                for party, (angle, phase) in enumerate(zip(triple, phases)):
+                for party, phase in enumerate(phases):
                     assert np.array_equal(m.projectors[party][0][0], np.diag([1.0, 0.0]))
                     assert np.array_equal(m.projectors[party][0][1], np.diag([0.0, 1.0]))
                     for got, want in zip(m.projectors[party][1], oracle(angle, phase)):
@@ -163,9 +163,10 @@ class TestHardyTerms:
         for _ in range(20):
             x = random_vector(rng)
             want_p, want_zs = behavior_stats(normalised(x))
-            p, zs, _, _ = hardy_terms(x)
+            p, (z, z_minus), _, _ = hardy_terms(x)
             assert abs(p - want_p) < 1e-12
-            assert max(abs(a - b) for a, b in zip(zs, want_zs)) < 1e-12
+            # one pair term stands for all three two-party terms
+            assert max(abs(a - b) for a, b in zip((z, z, z, z_minus), want_zs)) < 1e-12
 
     def test_phases_are_gauge(self):
         # cross-check of the module docstring's gauge argument: the
@@ -188,20 +189,21 @@ class TestHardyTerms:
         for lo_side in (True, False):
             for _ in range(3):
                 x = random_vector(rng)
-                near = rng.uniform(ANGLE_MARGIN, 2.0 * ANGLE_MARGIN, 3)
-                x[4:] = (near if lo_side else math.pi - near).tolist()
+                near = float(rng.uniform(ANGLE_MARGIN, 2.0 * ANGLE_MARGIN))
+                x[4] = near if lo_side else math.pi - near
                 points.append(x)
         h = 1e-6
         for x in points:
             p, zs, dp, dzs = hardy_terms(x)
-            for k in range(7):
+            assert len(dp) == len(x) == 5
+            for k in range(5):
                 up, down = list(x), list(x)
                 up[k] += h
                 down[k] -= h
                 pu, zu, _, _ = hardy_terms(up)
                 pd, zd, _, _ = hardy_terms(down)
                 assert abs((pu - pd) / (2 * h) - dp[k]) < 1e-7
-                for j in range(4):
+                for j in range(2):
                     assert abs((zu[j] - zd[j]) / (2 * h) - dzs[j][k]) < 1e-7
 
     def test_value_flat_in_amplitude_scale(self):
@@ -234,16 +236,20 @@ class TestHardyTerms:
             else:
                 eps = float(rng.uniform(0.0, 0.25))
             lam = [float(v) if rng.random() < 0.7 else 0.0
-                   for v in rng.uniform(0.0, 2.0, 4)]
+                   for v in rng.uniform(0.0, 2.0, 2)]
             mu = float(rng.choice([10.0, 1e3, 1e6]))
             tracker = _Tracker(eps)
             f = tracker.merit(lam, mu)
             val, grad, zs = f(x)
+            # the two constraints: the pair term, equal to all three
+            # two-party terms, and the all-minus term
+            assert max(zeros[:3]) - min(zeros[:3]) < 1e-12
+            terms = (zeros[0], zeros[3])
             want = -p + sum(
                 (max(lj + mu * (z - eps), 0.0) ** 2 - lj ** 2) / (2 * mu)
-                for lj, z in zip(lam, zeros))
+                for lj, z in zip(lam, terms))
             assert abs(val - want) <= 1e-12 * max(1.0, abs(want))
-            assert max(abs(a - b) for a, b in zip(zs, zeros)) < 1e-12
+            assert max(abs(a - b) for a, b in zip(zs, terms)) < 1e-12
             feasible = float(np.max(zeros)) - eps <= 1e-8
             assert (tracker.best_x == x) == feasible
             if feasible:
@@ -256,7 +262,7 @@ class TestHardyTerms:
             f = _Tracker(eps).merit(lam, 10.0)
             grad = f(x)[1]
             h = 1e-6
-            for j in range(7):
+            for j in range(5):
                 up, down = list(x), list(x)
                 up[j] += h
                 down[j] -= h
@@ -266,15 +272,15 @@ class TestHardyTerms:
     def test_angle_penalty(self):
         for angle in (0.5 * ANGLE_MARGIN, -0.5, math.pi - 0.5 * ANGLE_MARGIN):
             x = canonical_start().tolist()
-            x[5] = angle
+            x[4] = angle
             p, zs, dp, _ = hardy_terms(x)
             # feasible but for the angle, so only the margin rejects it
             tracker = _Tracker(max(zs) + 1e-9)
-            val, grad, _ = tracker.merit([0.0] * 4, 10.0)(x)
+            val, grad, _ = tracker.merit([0.0] * 2, 10.0)(x)
             over = (angle - ANGLE_MARGIN if angle < 1.0
                     else angle - math.pi + ANGLE_MARGIN)
             assert abs(val - (-p + ANGLE_PENALTY * over ** 2)) < 1e-12
-            assert abs(grad[5] - (-dp[5] + 2.0 * ANGLE_PENALTY * over)) < 1e-9
+            assert abs(grad[4] - (-dp[4] + 2.0 * ANGLE_PENALTY * over)) < 1e-9
             assert tracker.best_x is None
 
 
@@ -330,7 +336,7 @@ class TestLowerBound:
         assert abs(p - res.value) < 1e-10
         assert np.allclose(zeros, res.constraint_values, atol=1e-8)
         assert np.all(res.constraint_values <= 0.05 + 1e-8)
-        assert len(res.x) == 7
+        assert len(res.x) == 5
         assert abs(_norm_sq(res.x) - 1.0) < 1e-15
         assert res.evaluations > res.iterations > 0
 
@@ -338,6 +344,31 @@ class TestLowerBound:
         # the penalised simplex search stopped at 0.4541297 and 0.7856434
         assert lower_bound(0.1, restarts=2, seed=3).value >= 0.4541425
         assert lower_bound(0.2, restarts=2, seed=3).value >= 0.7856530
+
+    @pytest.mark.parametrize("eps, floor", [
+        (0.05, 0.26625998239584203),
+        (0.1, 0.45414339817005084),
+        (0.2, 0.7856537297766196)])
+    def test_no_lower_than_three_angle_search(self, eps, floor):
+        # floor: the value of the search over three separate angles at the
+        # same restarts and seed; one shared angle stays within 3e-8 of it
+        assert lower_bound(eps, 8, seed=0).value >= floor - 3e-8
+
+    @pytest.mark.parametrize("term", [0, 1], ids=["pair", "all-minus"])
+    def test_overstated_term_rejected(self, monkeypatch, term):
+        # a closed form that overstates a term only weakens the bound, so
+        # re-validation compares every term with the behavior module too
+        exact = hardy_terms
+
+        def overstated(x):
+            p, zs, dp, dzs = exact(x)
+            zs = list(zs)
+            zs[term] *= 1.01
+            return p, tuple(zs), dp, dzs
+
+        monkeypatch.setattr(variational, "hardy_terms", overstated)
+        with pytest.raises(NumericError, match="disagrees with the behavior module"):
+            lower_bound(0.1, restarts=2, seed=0)
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValidationError):
