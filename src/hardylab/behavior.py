@@ -46,8 +46,9 @@ _OPEN_PARTIES = 3
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """Per-party projector pairs: projectors[party][setting][outcome],
-    one party for each entry of ``dims``.
+    """Per-party projector pairs: projectors[party][setting][outcome].
+    A party's local dimension, in ``dims``, is the row count of its first
+    projector, and every other one must match it.
 
     Every projector must be Hermitian and idempotent and each pair must
     sum to the identity, all within 1e-12 * max(1, dim) in Frobenius norm.
@@ -55,36 +56,35 @@ class MeasurementSet:
     """
 
     projectors: tuple
-    dims: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.projectors) != len(self.dims):
-            raise ValidationError(f"{len(self.projectors)} parties' projectors "
-                                  f"for {len(self.dims)} dims")
+        for party, settings in enumerate(self.projectors):
+            if len(settings) != 2:
+                raise ValidationError(f"party {party + 1}: expected two settings")
         # each (party, setting) pair of the right shape joins the stack of
         # its local dimension, whose checks run as one batched call each
         keys: dict[int, list] = {}
         for party, (dim, settings) in enumerate(zip(self.dims, self.projectors)):
-            if len(settings) == 2:
-                for setting, (plus, minus) in enumerate(settings):
-                    if plus.shape == minus.shape == (dim, dim):
-                        keys.setdefault(dim, []).append((party, setting))
+            for setting, (plus, minus) in enumerate(settings):
+                if plus.shape == minus.shape == (dim, dim):
+                    keys.setdefault(dim, []).append((party, setting))
         faults = {}
         for dim, group in keys.items():
             stack = np.array([self.projectors[party][setting] for party, setting in group])
             faults.update(zip(group, _projector_faults(stack)))
         # the first fault in party, setting, check order
-        for party, settings in enumerate(self.projectors):
-            if len(settings) != 2:
-                raise ValidationError(f"party {party + 1}: expected two settings")
-            for setting in range(2):
-                fault = faults.get((party, setting), "projector shape mismatch")
-                if fault:
-                    raise ValidationError(f"party {party + 1}: {fault}")
+        for key in product(range(self.n_parties), range(2)):
+            fault = faults.get(key, "projector shape mismatch")
+            if fault:
+                raise ValidationError(f"party {key[0] + 1}: {fault}")
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return tuple(len(settings[0][0]) for settings in self.projectors)
 
     @property
     def n_parties(self) -> int:
-        return len(self.dims)
+        return len(self.projectors)
 
     def is_rank1_qubits(self) -> bool:
         return all(d == 2 for d in self.dims) and all(
@@ -154,8 +154,7 @@ def measurements_from_pairs(pairs) -> MeasurementSet:
     pairs = list(pairs)
     if not all(isinstance(pair, MeasurementPair) for pair in pairs):
         raise ValidationError("expected MeasurementPair instances")
-    return MeasurementSet(projectors=tuple(pair.projectors for pair in pairs),
-                          dims=(2,) * len(pairs))
+    return MeasurementSet(projectors=tuple(pair.projectors for pair in pairs))
 
 
 def measurements_from_observables(observables) -> MeasurementSet:
@@ -171,8 +170,7 @@ def measurements_from_observables(observables) -> MeasurementSet:
         # an infinite entry halves to a NaN part; MeasurementSet rejects both
         with np.errstate(invalid="ignore"):
             projs.append(tuple(((eye + a) / 2, (eye - a) / 2) for a in (a1, a2)))
-    return MeasurementSet(projectors=tuple(projs),
-                          dims=tuple(len(settings[0][0]) for settings in projs))
+    return MeasurementSet(projectors=tuple(projs))
 
 
 def _joint_pure_rank1(psi: StateVector, m: MeasurementSet) -> np.ndarray:

@@ -10,9 +10,11 @@ layer), with any worker count (HARDYLAB_WORKERS, default the cores the
 process may run on, clamped to between one and the smaller of the task
 count and that core count): in process for one worker, else in a pool of
 that many processes.  The local and no-signaling columns are closed forms
-computed in the row.  Per-point seeds derive from the master seed, and a
-row's error is its first failing layer, so the CSV is byte-identical for
-identical flags regardless of the worker count.  ``selftest
+computed in the row.  The grid ends, --restarts and --seed take the
+checks of ``bounds`` before any point runs.  Per-point seeds derive
+from the master seed, and a row's error is its first failing layer, so
+the CSV is byte-identical for identical flags regardless of the worker
+count.  ``selftest
 --observables`` reads each party's a1 and a2 as the projectors
 (I +/- A)/2 of a MeasurementSet, whose checks name the failing party.
 """
@@ -41,9 +43,9 @@ from .npa import check_level, monomial_list, npa_upper_bound
 from .polytope import local_max, nosignaling_max
 from .sdp import TOL
 from .selftest import canonical_measurements, selftest_report
-from .states import (MAX_PARTIES, MeasurementPair, check_parties, hardy_state,
-                     is_genuinely_entangled, optimal_pairs, pmax)
-from .variational import EPSILON_MAX, MAX_RESTARTS, lower_bound
+from .states import (MAX_PARTIES, MeasurementPair, check_noise, check_parties,
+                     hardy_state, is_genuinely_entangled, optimal_pairs, pmax)
+from .variational import MAX_RESTARTS, check_search, lower_bound
 
 SCHEMA = 1
 SCAN_HEADER = ("epsilon,local,no_signaling,npa_upper,npa_level,"
@@ -53,7 +55,7 @@ ROW_SLACK = 2e-3
 # whose size grows with it
 MAX_SCAN_STEPS = 10_000
 # largest --steps x --restarts: the default 26-point grid at the
-# --restarts cap, about 3 min of variational search at 6 ms a restart
+# --restarts cap, about 1 min of variational search at 2.5 ms a restart
 MAX_SCAN_RESTARTS = 26 * MAX_RESTARTS
 
 
@@ -308,16 +310,15 @@ def cmd_scan(args) -> int:
     if not 2 <= args.steps <= MAX_SCAN_STEPS:
         raise ValidationError(
             f"--steps = {args.steps} outside [2, {MAX_SCAN_STEPS}]")
-    if not 1 <= args.restarts <= MAX_RESTARTS:
-        raise ValidationError(
-            f"--restarts = {args.restarts} outside [1, {MAX_RESTARTS}]")
+    check_search(args.restarts, args.seed)
     if args.steps * args.restarts > MAX_SCAN_RESTARTS:
         raise ValidationError(
             f"--steps x --restarts = {args.steps * args.restarts} passes the cap "
             f"of {MAX_SCAN_RESTARTS} restarts per scan")
-    if not 0.0 <= args.eps_from < args.eps_to <= EPSILON_MAX:
-        raise ValidationError(
-            f"grid must satisfy 0 <= from < to <= {EPSILON_MAX}")
+    for end in (args.eps_from, args.eps_to):
+        check_noise(end)
+    if not args.eps_from < args.eps_to:
+        raise ValidationError("grid must satisfy from < to")
     # a level whose basis passes the cap, or that cannot express the
     # Hardy moments, exits 2 before any point runs
     monomial_list(3, args.level)

@@ -149,18 +149,20 @@ class MomentProblem:
 
     ``variables`` names the entries of m and cell (i, j) over ``basis``
     holds m[cell_var[i, j]].  Variable 0, cell (0, 0), is the identity
-    moment, which the solver fixes to 1.  ``shifts`` is derived from the
-    basis (see ``basis_shifts``).
+    moment, which the solver fixes to 1.  The party count ``n`` and
+    ``shifts`` are read off the basis (see ``basis_shifts``).
     """
 
-    n: int
-    level: int
     epsilon: float
     basis: list
     variables: list
     cell_var: np.ndarray
     c: np.ndarray
     g: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.basis[0])
 
     @property
     def shifts(self) -> np.ndarray | None:
@@ -270,9 +272,8 @@ def build_moment_problem(n: int, level: int, epsilon: float) -> MomentProblem:
     np.add.at(c, var, p)
     g = np.zeros((n + 1, len(variables)))  # one row per Hardy term
     np.add.at(g.T, var, zs)
-    return MomentProblem(n=n, level=level, epsilon=float(epsilon), basis=basis,
-                         variables=variables, cell_var=cell_ids,
-                         c=c, g=g)
+    return MomentProblem(epsilon=float(epsilon), basis=basis, variables=variables,
+                         cell_var=cell_ids, c=c, g=g)
 
 
 def npa_upper_bound(n: int, level: int, epsilon: float) -> float:

@@ -19,10 +19,10 @@ them.
 The state is a pure state psi (a mixed state is certified through a
 purification held by one party), projected directly: contracting each
 party's axis with the conjugate of its block basis gives phi, whose
-squared norm is the weight and |<psi_ref|phi>|^2 / weight the fidelity.
-These are einsums, not BLAS products: BLAS would hand products of these
-sizes to its thread pool, whose helper thread then spins through the
-rest of the run.
+squared norm is the weight and |<psi_ref|phi>|^2 the weight times the
+fidelity, summed as is.  These are einsums, not BLAS products: BLAS
+would hand products of these sizes to its thread pool, whose helper
+thread then spins through the rest of the run.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .errors import HypothesisUnmetError, NumericError, ValidationError
 from .linalg import StateVector, eig_herm
 from .states import check_parties, hardy_state, optimal_pairs, pmax
 
-WEIGHT_FLOOR = 1e-14
 BLOCK_ORTHO_TOL = 1e-9
 
 
@@ -181,13 +180,10 @@ def selftest_report(state: StateVector, measurements: MeasurementSet,
         phi = phi.reshape(-1)
         weight = float(np.einsum("i,i->", phi.conj(), phi).real)
         weights[combo] = weight
-        if weight <= WEIGHT_FLOOR:
-            continue
         if any(b.angle is None for b in blocks):
             degenerate_weight += weight
         else:
-            fid = abs(np.einsum("i,i->", psi_ref.conj(), phi)) ** 2 / weight
-            total += weight * fid
+            total += abs(np.einsum("i,i->", psi_ref.conj(), phi)) ** 2
 
     wsum = float(weights.sum())
     if abs(wsum - 1.0) > 1e-8:

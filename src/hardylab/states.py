@@ -90,11 +90,11 @@ def check_parties(n: int, top: int = MAX_PARTIES) -> None:
         raise ValidationError(f"n={n} outside [2, {top}]")
 
 
-def check_noise(epsilon: float, top: float = 1.0) -> None:
+def check_noise(epsilon: float) -> None:
     """Raise ValidationError unless the Hardy terms' noise bound epsilon
-    lies in [0, top]; NaN lies in no range."""
-    if not 0.0 <= epsilon <= top:
-        raise ValidationError(f"epsilon = {epsilon!r} outside [0, {top:g}]")
+    lies in [0, 1], the one range every method takes; NaN lies in none."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValidationError(f"epsilon = {epsilon!r} outside [0, 1]")
 
 
 def _check_scenario(n: int, pairs) -> list[MeasurementPair]:

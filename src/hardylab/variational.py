@@ -77,9 +77,7 @@ FEAS_SLACK = 1e-8
 # at epsilon = 0 an incumbent this close to pmax(3) ends the multistart
 PMAX_ROUNDOFF = 1e-12
 ANGLE_MARGIN = 1e-3
-# lower_bound accepts error bounds in [0, EPSILON_MAX]
-EPSILON_MAX = 0.25
-# lower_bound accepts restart counts in [1, MAX_RESTARTS]; a restart
+# check_search accepts restart counts in [1, MAX_RESTARTS]; a restart
 # takes about 2.5 ms over the default scan grid and 3.5 ms at eps = 0.05,
 # so the cap bounds one call near 4 s.  Restart r's stream is seeded
 # with (seed << 10) | r, which is injective in (seed, r) only because
@@ -324,20 +322,22 @@ def _start(r: int, seed: int):
     return [rng.gauss(0.0, 1.0) for _ in range(4)] + [rng.uniform(0.3, math.pi - 0.3)]
 
 
-def lower_bound(epsilon: float, restarts: int = 50, *, seed: int) -> LowerBoundResult:
-    """Best feasible Hardy probability found over the ansatz family by the
-    multistart of the module docstring: restart r starts at
-    ``_start(r, seed)`` for a nonnegative ``seed``, and ``restarts_used``
-    counts the restarts run, fewer than requested at ``epsilon == 0`` once
-    pmax(3) is reached.  The normalised incumbent is re-validated through
-    the behavior module before reporting.
-    """
-    check_noise(epsilon, EPSILON_MAX)
+def check_search(restarts: int, seed: int) -> None:
+    """Raise ValidationError unless restarts lies in [1, MAX_RESTARTS] and seed >= 0."""
     if not 1 <= restarts <= MAX_RESTARTS:
-        raise ValidationError(
-            f"restarts = {restarts} outside [1, {MAX_RESTARTS}]")
+        raise ValidationError(f"restarts = {restarts} outside [1, {MAX_RESTARTS}]")
     if seed < 0:
         raise ValidationError(f"seed = {seed} must be nonnegative")
+
+
+def lower_bound(epsilon: float, restarts: int = 50, *, seed: int) -> LowerBoundResult:
+    """Best feasible Hardy probability over the ansatz family, found by the
+    multistart of the module docstring: restart r starts at
+    ``_start(r, seed)``, and ``restarts_used`` counts the restarts run,
+    fewer than requested at ``epsilon == 0`` once pmax(3) is reached.  The
+    normalised incumbent is re-validated through the behavior module."""
+    check_noise(epsilon)
+    check_search(restarts, seed)
     tracker = _Tracker(epsilon)
     target = pmax(3).p_max - PMAX_ROUNDOFF if epsilon == 0.0 else math.inf
     for r in range(restarts):

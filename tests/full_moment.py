@@ -109,8 +109,8 @@ def build_full_problem(n, level, epsilon):
     for row, term in zip(g, terms):
         for mono, coef in term.items():
             row[lookup(mono)] += coef
-    return MomentProblem(n=n, level=level, epsilon=float(epsilon), basis=basis,
-                         variables=variables, cell_var=cell_var, c=c, g=g)
+    return MomentProblem(epsilon=float(epsilon), basis=basis, variables=variables,
+                         cell_var=cell_var, c=c, g=g)
 
 
 def cyclic_reduction(problem):
@@ -132,8 +132,7 @@ def cyclic_reduction(problem):
     # column o of merge sums the columns of orbit o's variables
     merge = (orbit_of[:, None] == np.arange(len(orbit_index))).astype(float)
     reduced = MomentProblem(
-        n=n, level=problem.level, epsilon=problem.epsilon,
-        basis=problem.basis, variables=list(orbit_index),
+        epsilon=problem.epsilon, basis=problem.basis, variables=list(orbit_index),
         cell_var=orbit_of[problem.cell_var],
         c=problem.c @ merge, g=problem.g @ merge)
     return reduced, orbit_of

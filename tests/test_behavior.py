@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from itertools import product
 
@@ -38,7 +39,7 @@ def random_projectors(dims, rng):
             plus = q[:, :k] @ q[:, :k].conj().T
             settings.append((plus, np.eye(d) - plus))
         projs.append(tuple(settings))
-    return MeasurementSet(projectors=tuple(projs), dims=tuple(dims))
+    return MeasurementSet(projectors=tuple(projs))
 
 
 def reduction_walk_marginals(marg, n, keep, start):
@@ -336,7 +337,7 @@ class TestNonFiniteInput:
         plus[1, 0] = bad
         projectors = (m.projectors[0], ((plus, m.projectors[1][0][1]), m.projectors[1][1]))
         with pytest.raises(ValidationError, match="non-finite"):
-            MeasurementSet(projectors=projectors, dims=(2, 2))
+            MeasurementSet(projectors=projectors)
 
 
 def faulty_measurements(fault):
@@ -363,7 +364,7 @@ class TestMeasurementSetFaults:
     ])
     def test_first_fault_reported(self, fault, message):
         with pytest.raises(ValidationError) as info:
-            MeasurementSet(projectors=faulty_measurements(fault), dims=(2, 2, 2))
+            MeasurementSet(projectors=faulty_measurements(fault))
         assert str(info.value) == message
 
     def test_value_fault_before_later_shape_fault(self):
@@ -373,20 +374,33 @@ class TestMeasurementSetFaults:
         skewed = (d[0] + skew, d[1] - skew)
         projectors = ((u, d), (skewed, (np.eye(3), np.eye(3))), (u, d))
         with pytest.raises(ValidationError) as info:
-            MeasurementSet(projectors=projectors, dims=(2, 2, 2))
+            MeasurementSet(projectors=projectors)
         assert str(info.value) == "party 2: projector not Hermitian"
         projectors = ((u, d), (u, (np.eye(3), np.eye(3))), (u, d))
         with pytest.raises(ValidationError) as info:
-            MeasurementSet(projectors=projectors, dims=(2, 2, 2))
+            MeasurementSet(projectors=projectors)
         assert str(info.value) == "party 2: projector shape mismatch"
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2, 2)])
     def test_party_count_must_match_dims(self, dims):
-        # an extra party was dropped (a 2-party table from 3 parties' projectors)
-        # and a missing one raised IndexError in joint_distribution
+        # a dims argument of its own once dropped an extra party (a 2-party
+        # table from 3 parties' projectors) and let a missing one raise
+        # IndexError in joint_distribution; the projectors now fix both
         pairs = measurements_from_pairs(random_pairs(np.random.default_rng(3), 3))
-        with pytest.raises(ValidationError, match=f"3 parties' projectors for {len(dims)} dims"):
-            MeasurementSet(projectors=pairs.projectors, dims=dims)
+        m = MeasurementSet(projectors=pairs.projectors)
+        assert (m.n_parties, m.dims) == (3, (2, 2, 2))
+        psi = computational_state(len(dims))
+        with pytest.raises(ValidationError, match=re.escape(
+                f"state dims {dims} do not match measurement dims (2, 2, 2)")):
+            joint_distribution(psi, m)
+
+    def test_dims_read_off_projectors(self):
+        # each party's dimension is the row count of its first projector
+        m = random_projectors((2, 3, 4), np.random.default_rng(76))
+        assert (m.n_parties, m.dims) == (3, (2, 3, 4))
+        assert not m.is_rank1_qubits()
+        assert MeasurementSet(projectors=m.projectors[::-1]).dims == (4, 3, 2)
+        assert MeasurementSet(projectors=()).dims == ()
 
     def test_mixed_dimensions(self):
         # stacks of different local dimensions are checked apart
@@ -396,7 +410,7 @@ class TestMeasurementSetFaults:
         plus, minus = projectors[1][1]
         projectors[1] = (projectors[1][0], (plus, 0.5 * (minus + plus)))
         with pytest.raises(ValidationError) as info:
-            MeasurementSet(projectors=tuple(projectors), dims=(2, 3, 4))
+            MeasurementSet(projectors=tuple(projectors))
         assert str(info.value) == "party 2: projectors do not sum to identity"
 
 
@@ -515,15 +529,14 @@ class TestMeasurementsFromObservables:
         plus, minus = (np.eye(2) + oblique) / 2, (np.eye(2) - oblique) / 2
         u = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
         with pytest.raises(ValidationError, match="not Hermitian"):
-            MeasurementSet(projectors=((u, (plus, minus)),) * 2, dims=(2, 2))
+            MeasurementSet(projectors=((u, (plus, minus)),) * 2)
 
     def test_accepts_round_off_asymmetry(self):
         # Hermitian within the 1e-12 * max(1, dim) tolerance is accepted
         pair = MeasurementPair.from_alpha_sq(0.3)
         (u0, u1), (plus, minus) = pair.projectors
         skew = np.array([[0.0, 1e-13], [-1e-13, 0.0]])
-        m = MeasurementSet(projectors=(((u0, u1), (plus + skew, minus - skew)),) * 2,
-                           dims=(2, 2))
+        m = MeasurementSet(projectors=(((u0, u1), (plus + skew, minus - skew)),) * 2)
         assert m.is_rank1_qubits()
 
     def test_rejects_non_dichotomic(self):

@@ -151,10 +151,17 @@ class TestBounds:
         assert out == ""
         assert f"n={n} outside [2, {top}]" in err
 
-    def test_epsilon_range(self):
-        # each method checks its own range, the command none
-        for method, eps in (("local", "1.5"), ("ns", "nan"), ("npa", "1.5"), ("npa", "nan")):
-            assert main(["bounds", "--method", method, "--epsilon", eps]) == 2
+    def test_epsilon_range(self, capsys):
+        # every method takes [0, 1] through the one check, the command none
+        for method in ("local", "ns", "npa", "variational"):
+            args = ["bounds", "--method", method, "--restarts", "2", "--epsilon"]
+            for eps in ("0", "1"):
+                assert main(args + [eps]) == 0, (method, eps)
+                assert 0.0 <= float(capsys.readouterr().out.split("\n")[0]) <= 1.0
+            for eps in ("1.5", "-0.1", "nan"):
+                assert main(args + [eps]) == 2, (method, eps)
+                assert capsys.readouterr() == (
+                    "", f"error: epsilon = {eps} outside [0, 1]\n")
 
     @pytest.mark.parametrize("eps", ["0.31", "0.32"])
     def test_bipartite_bounds_past_three_tenths(self, capsys, eps):
@@ -173,11 +180,19 @@ class TestBounds:
         assert "n=20 outside [2, 12]" in capsys.readouterr().err
 
     def test_variational_epsilon_range(self, capsys):
-        assert main(["bounds", "--method", "local", "--epsilon", "0.28"]) == 0
-        capsys.readouterr()
-        assert main(["bounds", "--method", "variational", "--epsilon", "0.28",
+        # the variational search takes the range of the other methods,
+        # past the local bound's saturation at 0.25 too
+        for eps in ("0.28", "1"):
+            assert main(["bounds", "--method", "local", "--epsilon", eps]) == 0
+            local = json.loads(capsys.readouterr().out.split("\n")[1])["value"]
+            assert main(["bounds", "--method", "variational", "--epsilon", eps,
+                         "--restarts", "1"]) == 0
+            doc = json.loads(capsys.readouterr().out.split("\n")[1])
+            assert max(doc["constraints"]) <= float(eps) + variational.FEAS_SLACK
+            assert 0.0 < doc["value"] <= local + 1e-9
+        assert main(["bounds", "--method", "variational", "--epsilon", "1.01",
                      "--restarts", "1"]) == 2
-        assert "outside [0, 0.25]" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: epsilon = 1.01 outside [0, 1]\n"
 
     def test_variational_restarts_capped(self, monkeypatch, capsys):
         def no_search(tracker, x):
@@ -226,8 +241,10 @@ class TestScan:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_bad_grid(self):
-        assert main(["scan", "--eps-from", "0.2", "--eps-to", "0.1"]) == 2
+    def test_bad_grid(self, capsys):
+        for lo, hi in (("0.2", "0.1"), ("0.1", "0.1")):
+            assert main(["scan", "--eps-from", lo, "--eps-to", hi]) == 2
+            assert capsys.readouterr().err == "error: grid must satisfy from < to\n"
 
     # (npa, variational) at epsilon 0 and 0.05, where local is 0 and 0.2
     # and no-signaling 1/3 and 0.466667; each case breaks one check
@@ -305,9 +322,17 @@ class TestScan:
 
         monkeypatch.setattr(cli, "_scan_point", no_point)
         assert main(["scan", "--steps", "3", "--restarts", restarts]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"--restarts = {restarts} outside [1, 1000]" in captured.err
+        assert capsys.readouterr() == (
+            "", f"error: restarts = {restarts} outside [1, 1000]\n")
+
+    def test_negative_seed_checked_before_any_point(self, monkeypatch, capsys):
+        # scan checks --seed as bounds does, with its message
+        def no_point(task):
+            raise AssertionError("scan point run for a rejected seed")
+
+        monkeypatch.setattr(cli, "_scan_point", no_point)
+        assert main(["scan", "--steps", "3", "--restarts", "1", "--seed", "-1"]) == 2
+        assert capsys.readouterr() == ("", "error: seed = -1 must be nonnegative\n")
 
     def test_restart_product_capped_before_any_point(self, monkeypatch, capsys):
         def no_point(task):
@@ -355,9 +380,29 @@ class TestScan:
                      "--out", str(out)]) == 2
         assert str(out) in capsys.readouterr().err
 
-    def test_grid_range_is_variational_range(self, capsys):
-        assert main(["scan", "--eps-from", "0", "--eps-to", "0.3"]) == 2
-        assert "<= 0.25" in capsys.readouterr().err
+    def test_grid_range_is_variational_range(self, monkeypatch, capsys):
+        # both grid ends take the one noise check of every method
+        def no_point(task):
+            raise AssertionError("scan point run for a rejected grid")
+
+        monkeypatch.setattr(cli, "_scan_point", no_point)
+        for lo, hi, shown in (("0", "1.5", "1.5"), ("-0.1", "0.1", "-0.1"),
+                              ("nan", "0.1", "nan"), ("0", "nan", "nan")):
+            assert main(["scan", "--eps-from", lo, "--eps-to", hi,
+                         "--steps", "3", "--restarts", "1"]) == 2
+            assert capsys.readouterr() == (
+                "", f"error: epsilon = {shown} outside [0, 1]\n")
+
+    def test_grid_to_one(self, capsys):
+        # points past the local bound's saturation pass every row check
+        assert main(["scan", "--eps-to", "1", "--steps", "5", "--restarts", "2"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[1:]]
+        assert [r[0] for r in rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
+        for eps, loc, ns, npa, _, var, _, _ in rows[2:]:
+            assert loc == ns == 1.0
+            assert 1.0 - 1e-6 < var <= npa + 1e-7
 
     @pytest.mark.parametrize("eps_from", [0.0, 0.02, 0.05])
     def test_grid_ends_at_eps_to(self, eps_from):

@@ -132,6 +132,13 @@ class TestBuildMomentProblem:
         p = build_moment_problem(2, 2, 0.0)
         assert p.n_basis == 13
 
+    @pytest.mark.parametrize("n,level", [(2, 1), (2, 3), (3, 2), (4, 2), (5, 3)])
+    def test_party_count_read_off_basis(self, n, level):
+        p = build_moment_problem(n, level, 0.05)
+        assert p.n == n == len(p.basis[0])
+        assert p.g.shape == (n + 1, p.n_vars)
+        assert build_full_problem(n, level, 0.05).n == n
+
     def test_epsilon_one_inequalities_slack(self):
         p = build_moment_problem(3, 2, 1.0)
         assert p.epsilon == 1.0
@@ -334,7 +341,7 @@ class TestCyclicReduction:
         assert np.array_equal(got.cell_var, want.cell_var)
         assert got.variables == want.variables
         assert got.basis == want.basis
-        assert (got.n, got.level, got.epsilon) == (want.n, want.level, want.epsilon)
+        assert (got.n, got.epsilon) == (want.n, want.epsilon)
         assert np.array_equal(got.c, want.c)
         assert got.variables[0] == ((),) * n
         assert np.array_equal(got.g, want.g)

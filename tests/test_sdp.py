@@ -25,12 +25,17 @@ def toy_problem(g=(), epsilon=0.0, c=(0.0, 1.0)):
     ident = ((), ())
     yname = ((0,), ())
     return MomentProblem(
-        n=2, level=1, epsilon=epsilon,
+        epsilon=epsilon,
         basis=[ident, yname],
         variables=[ident, yname],
         cell_var=np.array([[0, 1], [1, 0]], dtype=np.int32),
         c=np.array(c), g=np.array(g, dtype=float).reshape(-1, 2),
     )
+
+
+def test_toy_problem_has_two_parties():
+    # the party count is read off the basis, whose monomials have two words
+    assert toy_problem().n == 2
 
 
 class TestCholesky:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from hardylab.behavior import MeasurementSet, hardy_statistics, joint_distributi
 from hardylab.errors import NumericError, ValidationError
 from hardylab.linalg import StateVector
 from hardylab.states import MeasurementPair, hardy_state, pmax
-from hardylab.variational import (ANGLE_MARGIN, ANGLE_PENALTY, _bfgs,
+from hardylab.variational import (ANGLE_MARGIN, ANGLE_PENALTY, FEAS_SLACK, _bfgs,
                                   _local_search, _norm_sq, _start, _Tracker,
                                   _validated_result, ansatz, canonical_start,
-                                  hardy_terms, lower_bound)
+                                  check_search, hardy_terms, lower_bound)
 
 
 def symmetric_x(c, angle=None):
@@ -54,7 +55,7 @@ def phased(x, phases):
     for u, (comp, d_pair) in zip(units, meas.projectors):
         projectors.append((comp, tuple(u @ proj @ u.conj().T for proj in d_pair)))
     return (StateVector((2, 2, 2), amps.reshape(-1)),
-            MeasurementSet(tuple(projectors), (2, 2, 2)))
+            MeasurementSet(tuple(projectors)))
 
 
 def behavior_stats(x, phases=None):
@@ -370,9 +371,31 @@ class TestLowerBound:
         with pytest.raises(NumericError, match="disagrees with the behavior module"):
             lower_bound(0.1, restarts=2, seed=0)
 
-    def test_rejects_bad_epsilon(self):
-        with pytest.raises(ValidationError):
-            lower_bound(0.3, restarts=1, seed=0)
+    def test_rejects_bad_epsilon(self, monkeypatch):
+        def no_search(tracker, x):
+            raise AssertionError("restart run for a rejected epsilon")
+
+        monkeypatch.setattr(variational, "_local_search", no_search)
+        for eps in (1.5, -0.1, math.nan, math.inf):
+            with pytest.raises(ValidationError,
+                               match=re.escape(f"epsilon = {eps!r} outside [0, 1]") + "$"):
+                lower_bound(eps, restarts=1, seed=0)
+
+    @pytest.mark.parametrize("eps,floor", [(0.26, 0.9408), (0.3, 0.9941), (1.0, 1.0 - 1e-6)])
+    def test_past_the_local_saturation(self, eps, floor):
+        # the search takes every epsilon in [0, 1], the range of every method
+        res = lower_bound(eps, restarts=2, seed=0)
+        assert floor <= res.value <= 1.0
+        assert float(np.max(res.constraint_values)) <= eps + FEAS_SLACK
+
+    def test_check_search(self):
+        check_search(1, 0)
+        check_search(variational.MAX_RESTARTS, 2 ** 62)
+        for restarts, seed, message in ((0, 0, "restarts = 0 outside [1, 1000]"),
+                                        (1001, 0, "restarts = 1001 outside [1, 1000]"),
+                                        (1, -1, "seed = -1 must be nonnegative")):
+            with pytest.raises(ValidationError, match=re.escape(message) + "$"):
+                check_search(restarts, seed)
 
     def test_rejects_negative_seed(self, monkeypatch):
         def no_search(tracker, x):
